@@ -9,7 +9,6 @@ problems, 2 when a computation contradicts one of the built-in oracles.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -74,11 +73,10 @@ class JobConfig:
     """A fully validated run: shared parameters plus per-command options."""
 
     __slots__ = ("command", "r", "s", "field", "n", "seed", "cache_dir",
-                 "output", "jobs", "out", "options")
+                 "output", "out", "options")
 
     def __init__(self, command, r=None, s=None, field=None, n=None, seed=0,
-                 cache_dir=None, output="json", jobs=1, out=None,
-                 options=None):
+                 cache_dir=None, output="json", out=None, options=None):
         self.command = command
         self.r = r
         self.s = s
@@ -87,7 +85,6 @@ class JobConfig:
         self.seed = seed
         self.cache_dir = cache_dir
         self.output = output
-        self.jobs = jobs
         self.out = out
         self.options = options or {}
 
@@ -110,9 +107,6 @@ class JobConfig:
             n = r + s
         if n is not None and n < 1:
             raise UsageError("--n must be a positive integer")
-        jobs = getattr(args, "jobs", 1)
-        if jobs < 1:
-            raise UsageError("--jobs must be a positive integer")
         output = getattr(args, "output", None)
         if output is None:
             output = "table" if command == "verify" else "json"
@@ -125,8 +119,7 @@ class JobConfig:
         config = cls(command, r=r, s=s, field=field, n=n,
                      seed=getattr(args, "seed", 0),
                      cache_dir=getattr(args, "cache_dir", None),
-                     output=output, jobs=jobs,
-                     out=getattr(args, "out", None))
+                     output=output, out=getattr(args, "out", None))
         config._validate_options(args)
         return config
 
@@ -181,15 +174,6 @@ def _emit(config, text):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _pool_map(jobs, thunks):
-    """Evaluate thunks, possibly on a thread pool; order is preserved, so
-    merged output never depends on the pool size."""
-    if jobs > 1 and len(thunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda fn: fn(), thunks))
-    return [fn() for fn in thunks]
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +456,7 @@ def cmd_verify(config):
         shapes = [(r, s) for total in (2, 3)
                   for r in range(1, total) for s in (total - r,)]
     checks = verify_checks(shapes, only=config.options.get("only"))
-    thunks = [(lambda fn=fn: _guarded(fn)) for _, fn in checks]
-    results = _pool_map(config.jobs, thunks)
+    results = [_guarded(fn) for _, fn in checks]
     failures = []
     lines = []
     for (identifier, _), (ok, detail) in zip(checks, results):
@@ -524,8 +507,6 @@ def _add_common(sub, need_rs=True, rs_optional=False):
                      default=None, help="output format")
     sub.add_argument("--out", default=None,
                      help="write the result to this file instead of stdout")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for independent checks")
 
 
 def build_parser():

@@ -440,11 +440,6 @@ def phi_map(label, n):
     return tuple(label.lam1) + (0,) * (n - k - l) + tuple(-x for x in reversed(label.lam2))
 
 
-def weight_fits(label, n):
-    """Whether the label's weight can be written with n coordinates."""
-    return len(label.lam1) + len(label.lam2) <= n
-
-
 def mixed_weights(r, s, n):
     """All weights of the mixed tensor space: integer n-vectors whose positive
     part sums to r - f and negative part to f - s for some 0 <= f <= min(r,s)."""

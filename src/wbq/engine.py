@@ -24,13 +24,16 @@ exponent, directly from a coordinate system over that field.
 One convention matters for reading this module: solving inside the tensor
 model produces coefficients with q and rho inverted (the action routes
 every element through the coefficient flip (q, rho) -> (q^{-1}, rho^{-1})),
-so all internal matrices live in that flipped model and the inversion is
-undone exactly once, at the public boundary.  Numeric (rational-point)
-systems cannot undo it and return flipped-model coefficients; they are only
-used inside the interpolation pipeline and for rank certificates, where
-this does not matter.
+so a coordinate system's matrices live in that flipped model and the
+inversion is undone exactly once, at the public boundary.  Numeric
+(rational-point) systems cannot undo it and return flipped-model
+coefficients; they are only used inside the interpolation pipeline and for
+rank certificates, where this does not matter.  Coordinate systems and
+tables take their right-multiplication matrices from ``words.WordAction``,
+which states the matrix convention.
 """
 
+import functools
 import itertools
 import json
 import os
@@ -144,7 +147,7 @@ class CoordinateSystem:
 
     __slots__ = (
         "r", "s", "n", "ctx", "basis", "support", "seeds", "tensor_images",
-        "rows", "rank", "pivots", "pivot_inverse", "_letter_mats", "_word_mats",
+        "rows", "rank", "pivots", "pivot_inverse", "action",
     )
 
     def __init__(self, r, s, n, ctx, basis, support, seeds, tensor_images,
@@ -161,8 +164,9 @@ class CoordinateSystem:
         self.rank = rank
         self.pivots = pivots
         self.pivot_inverse = pivot_inverse
-        self._letter_mats = {}
-        self._word_mats = {(): None}
+        self.action = words.WordAction(
+            ctx, len(basis), self._letter_columns,
+            ctx.sub(ctx.from_monomial(1, -1, 0), ctx.from_monomial(1, 1, 0)))
 
     @classmethod
     def build(cls, r, s, seed=0, ctx=None, n=None, support=None,
@@ -326,12 +330,9 @@ class CoordinateSystem:
 
     # -- right-multiplication matrices in the flipped model ----------------
 
-    def letter_matrix(self, letter):
-        """Matrix of right multiplication by one generator letter, acting on
-        flipped-model coefficient columns (entry [c][a]: coefficient of basis
-        word c in C_a * letter)."""
-        if letter in self._letter_mats:
-            return self._letter_mats[letter]
+    def _letter_columns(self, letter):
+        """Flipped-model matrix of a positive letter, read off its action
+        on the stored tensor images of the basis words."""
         nbasis = len(self.basis)
         cols = []
         for a in range(nbasis):
@@ -339,38 +340,11 @@ class CoordinateSystem:
                       for img in self.tensor_images[a]]
             coords = self._flatten(self.ctx, images, self.support)
             cols.append(self._solve(coords, check=False))
-        mat = [[cols[a][c] for a in range(nbasis)] for c in range(nbasis)]
-        self._letter_mats[letter] = mat
-        return mat
-
-    def _word_matrix(self, word):
-        if word in self._word_mats:
-            return self._word_mats[word]
-        prefix = self._word_matrix(word[:-1])
-        last = self.letter_matrix(word[-1])
-        mat = last if prefix is None else linalg.mat_mul(self.ctx, last, prefix)
-        self._word_mats[word] = mat
-        return mat
+        return [[cols[a][c] for a in range(nbasis)] for c in range(nbasis)]
 
     def element_matrix(self, element):
         """Right-multiplication matrix of a word element (flipped model)."""
-        ctx = self.ctx
-        nbasis = len(self.basis)
-        total = [[ctx.zero()] * nbasis for _ in range(nbasis)]
-        for word, c, qe, re in element.monomials():
-            coeff = ctx.from_monomial(c, -qe, -re)
-            mat = self._word_matrix(word)
-            if mat is None:
-                for i in range(nbasis):
-                    total[i][i] = ctx.add(total[i][i], coeff)
-                continue
-            for i in range(nbasis):
-                row = mat[i]
-                trow = total[i]
-                for j in range(nbasis):
-                    if not ctx.is_zero(row[j]):
-                        trow[j] = ctx.add(trow[j], ctx.mul(coeff, row[j]))
-        return total
+        return self.action.element(element.flipped())
 
 
 def build_coordinates(r, s, seed=0, spec=None, n=None, max_seeds=4):
@@ -408,8 +382,6 @@ class ConstantsTable:
         self.depth = depth
         self.basis = cell_basis(r, s)
         self.ctx = FieldContext(spec)
-        self._letter_mats = {}
-        self._word_mats = {(): None}
 
     # subclasses implement product / generator_expansion / unit_expansion
 
@@ -440,64 +412,33 @@ class ConstantsTable:
 
     # -- right multiplication in cellular coordinates ----------------------
 
-    def letter_right_matrix(self, letter):
-        """Right multiplication by a generator letter on coefficient columns
-        (entry [c][a]), assembled from the table and generator expansions."""
-        if letter in self._letter_mats:
-            return self._letter_mats[letter]
+    @functools.cached_property
+    def action(self):
+        """Right multiplication by word elements on coefficient columns."""
+        ctx = self.ctx
+        return words.WordAction(
+            ctx, self.size, self._letter_columns,
+            ctx.sub(ctx.from_monomial(1, 1, 0), ctx.from_monomial(1, -1, 0)))
+
+    def _letter_columns(self, letter):
+        """Matrix of a positive letter, assembled from the table and the
+        letter's cellular expansion."""
         ctx = self.ctx
         nbasis = self.size
-        if letter[0] in ("gi", "gsi"):
-            base = self.letter_right_matrix((letter[0][:-1], letter[1]))
-            shift = ctx.sub(ctx.from_monomial(1, 1, 0), ctx.from_monomial(1, -1, 0))
-            mat = [[ctx.sub(base[c][a], shift) if a == c else base[c][a]
-                    for a in range(nbasis)] for c in range(nbasis)]
-        else:
-            gen = self.generator_expansion(_letter_key(letter))
-            mat = [[ctx.zero()] * nbasis for _ in range(nbasis)]
-            for b, coeff in gen.items():
-                if ctx.is_zero(coeff):
-                    continue
-                for a in range(nbasis):
-                    for c, val in self.product(a, b).items():
-                        mat[c][a] = ctx.add(mat[c][a], ctx.mul(coeff, val))
-        self._letter_mats[letter] = mat
-        return mat
-
-    def _word_right_matrix(self, word):
-        if word in self._word_mats:
-            return self._word_mats[word]
-        prefix = self._word_right_matrix(word[:-1])
-        last = self.letter_right_matrix(word[-1])
-        mat = last if prefix is None else linalg.mat_mul(self.ctx, last, prefix)
-        self._word_mats[word] = mat
-        return mat
-
-    def element_right_matrix(self, element):
-        """Right-multiplication matrix of any word element over this table."""
-        ctx = self.ctx
-        nbasis = self.size
-        total = [[ctx.zero()] * nbasis for _ in range(nbasis)]
-        for word, c, qe, re in element.monomials():
-            coeff = ctx.from_monomial(c, qe, re)
-            mat = self._word_right_matrix(word)
-            if mat is None:
-                for i in range(nbasis):
-                    total[i][i] = ctx.add(total[i][i], coeff)
+        mat = [[ctx.zero()] * nbasis for _ in range(nbasis)]
+        for b, coeff in self.generator_expansion(_letter_key(letter)).items():
+            if ctx.is_zero(coeff):
                 continue
-            for i in range(nbasis):
-                row = mat[i]
-                trow = total[i]
-                for j in range(nbasis):
-                    if not ctx.is_zero(row[j]):
-                        trow[j] = ctx.add(trow[j], ctx.mul(coeff, row[j]))
-        return total
+            for a in range(nbasis):
+                for c, val in self.product(a, b).items():
+                    mat[c][a] = ctx.add(mat[c][a], ctx.mul(coeff, val))
+        return mat
 
     def expand_word_element(self, element):
         """Expansion of an arbitrary word element in the cellular basis,
         through the unit expansion."""
         ctx = self.ctx
-        mat = self.element_right_matrix(element)
+        mat = self.action.element(element)
         unit = self.unit_expansion()
         out = []
         for c in range(self.size):
@@ -550,8 +491,8 @@ class ConstantsTable:
         """Every defining relation holds as a matrix identity on columns."""
         ctx = self.ctx
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
-            lmat = self.element_right_matrix(lhs)
-            rmat = self.element_right_matrix(rhs)
+            lmat = self.action.element(lhs)
+            rmat = self.action.element(rhs)
             for i in range(self.size):
                 for j in range(self.size):
                     if not ctx.eq(lmat[i][j], rmat[i][j]):
@@ -794,7 +735,7 @@ def _node_expansions(r, s, n, t, seed, pivot_hints):
     seeds_coords = system._flatten(ctx, system.seeds, system.support)
     store(("one",), system._solve(seeds_coords, check=False))
     for letter in generator_letters(r, s):
-        mat = system.letter_matrix(letter)
+        mat = system.action.letter(letter)
         unit = out[("one",)]
         col = []
         for c in range(nbasis):

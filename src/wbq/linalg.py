@@ -15,11 +15,6 @@ from fractions import Fraction
 
 from . import scalars
 
-try:  # gmpy2 rationals are markedly faster than Fraction when available
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
-
 
 def _as_ratio(value):
     """Return (numerator, denominator) ints for a rational-like value."""
@@ -87,11 +82,11 @@ class RationalPointContext:
 
     def __init__(self, t, rho_exp):
         num, den = _as_ratio(Fraction(t) if not isinstance(t, int) else t)
-        self.qval = _mpq(num, den)
+        self.qval = Fraction(num, den)
         if self.qval == 0 or self.qval * self.qval == 1:
             raise ValueError("evaluation point must satisfy t != 0, t^2 != 1")
         self.rhoexp = int(rho_exp)
-        self._qpowers = {0: _mpq(1), 1: self.qval}
+        self._qpowers = {0: Fraction(1), 1: self.qval}
 
     def _qpow(self, k):
         cache = self._qpowers
@@ -106,18 +101,18 @@ class RationalPointContext:
         return val
 
     def zero(self):
-        return _mpq(0)
+        return Fraction(0)
 
     def one(self):
-        return _mpq(1)
+        return Fraction(1)
 
     def from_monomial(self, c, qexp=0, rhoexp=0):
         num, den = _as_ratio(c)
-        return _mpq(num, den) * self._qpow(qexp + self.rhoexp * rhoexp)
+        return Fraction(num, den) * self._qpow(qexp + self.rhoexp * rhoexp)
 
     def from_fraction(self, c):
         num, den = _as_ratio(c)
-        return _mpq(num, den)
+        return Fraction(num, den)
 
     def add(self, x, y):
         return x + y
@@ -153,28 +148,16 @@ class RationalPointContext:
         return num / den
 
     def _eval_poly(self, poly):
-        total = _mpq(0)
+        total = Fraction(0)
         for (eq, er), coeff in poly.terms():
             num, den = _as_ratio(coeff)
-            total += _mpq(num, den) * self._qpow(eq + self.rhoexp * er)
+            total += Fraction(num, den) * self._qpow(eq + self.rhoexp * er)
         return total
 
 
 def vec_zero(ctx, dim):
     z = ctx.zero()
     return [z] * dim
-
-
-def vec_add(ctx, u, v):
-    return [ctx.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(ctx, u, v):
-    return [ctx.sub(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(ctx, c, u):
-    return [ctx.mul(c, a) for a in u]
 
 
 def vec_is_zero(ctx, u):
@@ -426,7 +409,7 @@ def modp_rank(rows, prime=None):
     """Rank of a rational matrix modulo a large prime (numpy elimination).
 
     This is a one-sided certificate: the modular rank never exceeds the
-    true rank.  Entries may be ints, Fractions, or gmpy2 rationals; a
+    true rank.  Entries may be ints or Fractions; a
     denominator divisible by the prime raises ValueError so the caller can
     retry with the next prime in ``_MODP_PRIMES``.
     """
@@ -513,36 +496,6 @@ def laurent_pow(base, k):
     for _ in range(k):
         out = laurent_mul(out, base)
     return out
-
-
-def laurent_try_div(a, b):
-    """Exact Laurent division a / b, or None when the division is inexact."""
-    if not b:
-        raise ZeroDivisionError("Laurent division by zero")
-    if not a:
-        return {}
-    sa, sb = min(a), min(b)
-    pa = {e - sa: c for e, c in a.items()}
-    pb = {e - sb: c for e, c in b.items()}
-    db = max(pb)
-    lead = pb[db]
-    quo = {}
-    rem = dict(pa)
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            return None
-        shift = dr - db
-        factor = rem[dr] / lead
-        quo[shift] = factor
-        for e, c in pb.items():
-            ee = e + shift
-            val = rem.get(ee, 0) - factor * c
-            if val:
-                rem[ee] = val
-            elif ee in rem:
-                del rem[ee]
-    return {e + sa - sb: c for e, c in quo.items()}
 
 
 def lagrange_poly(xs, ys):

@@ -120,11 +120,12 @@ def predicted_semisimple(r, s, spec):
 class CellModule:
     """A cell module with exact generator action matrices.
 
-    Matrices act on row vectors: row ``j`` of ``letter_matrix(x)`` holds the
-    coefficients of basis image ``v_j * x``.  Two constructions are
-    supported: ``StructureConstants`` reads the same-label layer of the
-    multiplication table, ``SingularVectors`` expresses the action on an
-    explicit family of singular vectors in the mixed tensor space.
+    ``action`` is a ``words.WordAction`` over the module's basis, so column
+    ``j`` of ``action.letter(x)`` holds the coefficients of the basis image
+    ``v_j * x``.  Two constructions are supported: ``StructureConstants``
+    reads the same-label layer of the multiplication table,
+    ``SingularVectors`` expresses the action on an explicit family of
+    singular vectors in the mixed tensor space.
     """
 
     def __init__(self, r, s, label, spec, ctx, provenance, index_set,
@@ -137,58 +138,16 @@ class CellModule:
         self.provenance = provenance
         self.index_set = index_set
         self.dim = len(index_set)
-        self._letter_source = letter_source
-        self._letter_mats = {}
-        self._word_mats = {(): None}
-
-    def letter_matrix(self, letter):
-        if letter in self._letter_mats:
-            return self._letter_mats[letter]
-        ctx = self.ctx
-        if letter[0] in ("gi", "gsi"):
-            base = self.letter_matrix((letter[0][:-1], letter[1]))
-            shift = ctx.sub(ctx.from_monomial(1, 1, 0),
-                            ctx.from_monomial(1, -1, 0))
-            mat = [[ctx.sub(base[j][k], shift) if j == k else base[j][k]
-                    for k in range(self.dim)] for j in range(self.dim)]
-        else:
-            mat = self._letter_source(letter)
-        self._letter_mats[letter] = mat
-        return mat
-
-    def word_matrix(self, word):
-        if word in self._word_mats:
-            return self._word_mats[word]
-        prefix = self.word_matrix(word[:-1])
-        last = self.letter_matrix(word[-1])
-        mat = last if prefix is None else linalg.mat_mul(self.ctx, prefix, last)
-        self._word_mats[word] = mat
-        return mat
-
-    def element_matrix(self, element):
-        """Action matrix of a word element (presentation coefficients)."""
-        ctx = self.ctx
-        total = [[ctx.zero()] * self.dim for _ in range(self.dim)]
-        for word, c, qe, re in element.monomials():
-            coeff = ctx.from_monomial(c, qe, re)
-            mat = self.word_matrix(word)
-            for j in range(self.dim):
-                if mat is None:
-                    total[j][j] = ctx.add(total[j][j], coeff)
-                    continue
-                row = mat[j]
-                trow = total[j]
-                for k in range(self.dim):
-                    if not ctx.is_zero(row[k]):
-                        trow[k] = ctx.add(trow[k], ctx.mul(coeff, row[k]))
-        return total
+        self.action = words.WordAction(
+            ctx, self.dim, letter_source,
+            ctx.sub(ctx.from_monomial(1, 1, 0), ctx.from_monomial(1, -1, 0)))
 
     def check_relations(self):
         """All defining relations hold on the action matrices."""
         ctx = self.ctx
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
-            lmat = self.element_matrix(lhs)
-            rmat = self.element_matrix(rhs)
+            lmat = self.action.element(lhs)
+            rmat = self.action.element(rhs)
             for j in range(self.dim):
                 for k in range(self.dim):
                     if not ctx.eq(lmat[j][k], rmat[j][k]):
@@ -213,7 +172,8 @@ def _initial_offset(label, r, s, index_set):
 
 
 def _table_module_letter(table, start, dim, frame, letter):
-    """Same-label layer of right multiplication by a positive generator."""
+    """Same-label layer of right multiplication by a positive generator,
+    on coefficient columns."""
     ctx = table.ctx
     gen = table.generator_expansion(engine._letter_key(letter))
     mat = [[ctx.zero()] * dim for _ in range(dim)]
@@ -226,7 +186,7 @@ def _table_module_letter(table, start, dim, frame, letter):
             for k in range(dim):
                 val = vec.get(start + frame * dim + k)
                 if val is not None and not ctx.is_zero(val):
-                    mat[j][k] = ctx.add(mat[j][k], ctx.mul(coeff, val))
+                    mat[k][j] = ctx.add(mat[k][j], ctx.mul(coeff, val))
     return mat
 
 
@@ -258,7 +218,7 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
             other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
             if other != frame:
                 for letter in engine.generator_letters(r, s):
-                    a = module.letter_matrix(letter)
+                    a = module.action.letter(letter)
                     b = _table_module_letter(tab, start, dim, other, letter)
                     for j in range(dim):
                         for k in range(dim):
@@ -300,7 +260,7 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                     % label_text(label))
 
         def source(letter):
-            mat = []
+            cols = []
             for vec in vectors:
                 image = tensor.act_letters(vec, (letter,), n, r, s)
                 expr = tracker.express(coords(image))
@@ -308,10 +268,9 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                     raise RankCertificationFailed(
                         "the singular span is not stable at %s"
                         % label_text(label))
-                row = [scalars.flip(expr.get(k, ctx.zero()))
-                       for k in range(len(vectors))]
-                mat.append(row)
-            return mat
+                cols.append([scalars.flip(expr.get(k, ctx.zero()))
+                             for k in range(len(vectors))])
+            return [list(row) for row in zip(*cols)]
 
         module = CellModule(r, s, label, spec, ctx, provenance,
                             index_set, source)
@@ -732,6 +691,7 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
     spec = _as_spec(field)
     tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
                          table=table)
+    start, dim = _table_layer(tab, label)
     ctx = tab.ctx
     nbasis = tab.size
     higher = [p for p in range(nbasis)
@@ -742,10 +702,6 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
         return [ctx.zero() if p in higher_set else vec[p]
                 for p in range(nbasis)]
 
-    start, dim, frame = None, None, None
-    for lab, st, dm in tab.label_layout():
-        if lab == label:
-            start, dim = st, dm
     generator = project(tab.expand_word_element(_alt_generator_element(label)))
     for p in range(nbasis):
         if not ctx.is_zero(generator[p]):
@@ -765,7 +721,7 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
         new_frontier = []
         for vec in frontier:
             for letter in letters:
-                mat = tab.letter_right_matrix(letter)
+                mat = tab.action.letter(letter)
                 image = [ctx.zero()] * nbasis
                 for a in range(nbasis):
                     if ctx.is_zero(vec[a]):
@@ -1072,7 +1028,7 @@ def route_agreement(r, s, n=None, seed=0, cache_dir=None):
                              provenance="SingularVectors", n=n)
         sing_traces = []
         for b in range(tab.size):
-            mat = module.element_matrix(tab.basis[b].element)
+            mat = module.action.element(tab.basis[b].element)
             acc = ctx.zero()
             for j in range(module.dim):
                 acc = ctx.add(acc, mat[j][j])

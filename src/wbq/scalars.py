@@ -533,10 +533,6 @@ def from_fraction(c, spec):
     return Scalar(spec, CycloFrac.const(spec.m, c))
 
 
-def from_int(n, spec):
-    return from_fraction(Fraction(n), spec)
-
-
 def monomial(spec, c, qexp=0, rhoexp=0):
     """The scalar c * q^qexp * rho^rhoexp in the given field."""
     c = Fraction(c)

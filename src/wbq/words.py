@@ -19,6 +19,7 @@ coefficient field or at any numeric point.
 from fractions import Fraction
 from functools import lru_cache
 
+from . import linalg
 from .combinat import (
     CellLabel,
     cell_dimension,
@@ -39,31 +40,6 @@ def g(i):
 
 def gs(j):
     return ("gs", j)
-
-
-def g_inv(i):
-    return ("gi", i)
-
-
-def gs_inv(j):
-    return ("gsi", j)
-
-
-def invert_word(word):
-    """Inverse of a word of braid letters (contains no ``e`` letter)."""
-    out = []
-    for kind, idx in reversed(word):
-        if kind == "g":
-            out.append(("gi", idx))
-        elif kind == "gi":
-            out.append(("g", idx))
-        elif kind == "gs":
-            out.append(("gsi", idx))
-        elif kind == "gsi":
-            out.append(("gs", idx))
-        else:
-            raise ValueError("word contains a non-invertible letter")
-    return tuple(out)
 
 
 class WordElement:
@@ -171,6 +147,68 @@ class WordElement:
         for word, c, a, b in self.monomials():
             parts.append("%s*q^%d*rho^%d*%s" % (c, a, b, list(word) or 1))
         return " + ".join(parts) if parts else "0"
+
+
+class WordAction:
+    """Matrices of right multiplication by word elements on a free module.
+
+    ``source(letter)`` gives the matrix of a positive letter (``e``, ``g``
+    or ``gs``).  Every matrix uses the column convention: entry ``[c][a]``
+    is the coefficient of basis vector ``c`` in ``(basis vector a) * x``,
+    so the matrix of ``x * y`` is ``M(y) M(x)``.  An inverse letter comes
+    from the quadratic relation g^2 = (q - q^{-1}) g + 1 as
+    ``M(g^{-1}) = M(g) - shift * I``, where ``shift`` is q - q^{-1} written
+    in the caller's coefficients.  Word matrices are memoised by prefix.
+    """
+
+    def __init__(self, ctx, dim, source, shift):
+        self.ctx = ctx
+        self.dim = dim
+        self._source = source
+        self._shift = shift
+        self._letters = {}
+        self._words = {(): None}
+
+    def letter(self, letter):
+        """Matrix of one letter, inverse letters included."""
+        mat = self._letters.get(letter)
+        if mat is None:
+            if letter[0] in ("gi", "gsi"):
+                sub, shift = self.ctx.sub, self._shift
+                base = self.letter((letter[0][:-1], letter[1]))
+                mat = [[sub(x, shift) if a == c else x
+                        for a, x in enumerate(row)]
+                       for c, row in enumerate(base)]
+            else:
+                mat = self._source(letter)
+            self._letters[letter] = mat
+        return mat
+
+    def _word(self, word):
+        if word in self._words:
+            return self._words[word]
+        prefix = self._word(word[:-1])
+        last = self.letter(word[-1])
+        mat = last if prefix is None else linalg.mat_mul(self.ctx, last, prefix)
+        self._words[word] = mat
+        return mat
+
+    def element(self, element):
+        """Matrix of a word element, its coefficients read in ``ctx``."""
+        ctx = self.ctx
+        total = [[ctx.zero()] * self.dim for _ in range(self.dim)]
+        for word, c, qe, re in element.monomials():
+            coeff = ctx.from_monomial(c, qe, re)
+            mat = self._word(word)
+            if mat is None:
+                for i in range(self.dim):
+                    total[i][i] = ctx.add(total[i][i], coeff)
+                continue
+            for row, trow in zip(mat, total):
+                for j, x in enumerate(row):
+                    if not ctx.is_zero(x):
+                        trow[j] = ctx.add(trow[j], ctx.mul(coeff, x))
+        return total
 
 
 @lru_cache(maxsize=None)

@@ -209,6 +209,19 @@ def test_alt_cell_realization_small_shapes():
             assert repthy.alt_cell_realization_check(r, s, label)
 
 
+def test_foreign_labels_raise_key_error():
+    cases = [((2, 1), combinat.CellLabel(0, (1,), (1,))),
+             ((1, 1), combinat.CellLabel(0, (2,), (1,)))]
+    for (r, s), label in cases:
+        for check in (repthy.alt_cell_realization_check, repthy.gram_matrix):
+            failed = False
+            try:
+                check(r, s, label)
+            except KeyError:
+                failed = True
+            assert failed, (check.__name__, r, s)
+
+
 def test_schur_weyl_rank_equality_and_deficiency():
     assert repthy.schur_weyl_rank(2, 1, 1) == 2
     assert repthy.schur_weyl_rank(3, 2, 1) == 6

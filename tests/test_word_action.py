@@ -1,0 +1,85 @@
+"""Property tests of the word-action kernel on its three letter sources:
+a tensor-model coordinate system, a bundled table and a cell module."""
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wbq import combinat, engine, linalg, repthy, words
+
+
+@functools.lru_cache(maxsize=None)
+def _source(name):
+    """(ctx, letter matrix, element matrix) of one kernel caller."""
+    if name == "coordinates":
+        system = engine.build_coordinates(2, 1, spec="qpow:3")
+        return system.ctx, system.action.letter, system.element_matrix
+    tab = engine.structure_constants(2, 2, "qpow:4", route="from_generic")
+    if name == "table":
+        return tab.ctx, tab.action.letter, tab.action.element
+    label = combinat.CellLabel(1, (1,), (1,))
+    module = repthy.cell_module(2, 2, label, field="qpow:4", table=tab,
+                                check=False)
+    return module.ctx, module.action.letter, module.action.element
+
+
+SHAPES = {"coordinates": (2, 1), "table": (2, 2), "module": (2, 2)}
+
+
+def _letters(r, s):
+    """The generating letters and the inverse braid letters."""
+    out = engine.generator_letters(r, s)
+    return out + [(kind + "i", idx) for kind, idx in out[1:]]
+
+
+def _elements(shape):
+    term = st.tuples(
+        st.lists(st.sampled_from(_letters(*shape)), max_size=2),
+        st.integers(-3, 3).filter(bool),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+    )
+
+    def build(terms):
+        out = words.WordElement.zero()
+        for word, c, qexp, rhoexp in terms:
+            out = out + words.WordElement.from_word(word, c, qexp, rhoexp)
+        return out
+
+    return st.lists(term, min_size=1, max_size=2).map(build)
+
+
+def _equal(ctx, a, b):
+    return all(ctx.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _element_pairs(name):
+    elements = _elements(SHAPES[name])
+    return st.tuples(st.just(name), elements, elements)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)).flatmap(_element_pairs))
+def test_products_act_in_reverse_order(case):
+    name, x, y = case
+    ctx, _, element = _source(name)
+    assert _equal(ctx, element(x * y),
+                  linalg.mat_mul(ctx, element(y), element(x)))
+
+
+def test_inverse_letters_invert():
+    for name, (r, s) in SHAPES.items():
+        ctx, letter, _ = _source(name)
+        for kind, idx in engine.generator_letters(r, s)[1:]:
+            prod = linalg.mat_mul(ctx, letter((kind, idx)),
+                                  letter((kind + "i", idx)))
+            unit = [[ctx.one() if i == j else ctx.zero()
+                     for j in range(len(prod))] for i in range(len(prod))]
+            assert _equal(ctx, prod, unit), (name, kind, idx)
+
+
+def test_derived_inverse_matches_the_tensor_action():
+    system = engine.build_coordinates(2, 1, spec="qpow:3")
+    assert _equal(system.ctx, system.action.letter(("gi", 1)),
+                  system._letter_columns(("gi", 1)))
