@@ -52,11 +52,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit with code 1."""
+    """argparse parser whose usage failures exit with code 1 and a
+    single-line reason."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
+        sys.stderr.write("error: %s: %s\n" % (self.prog, message))
         raise SystemExit(EXIT_USAGE)
 
 

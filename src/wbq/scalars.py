@@ -106,20 +106,27 @@ _phi_cache = {}
 
 
 def _phi(m):
-    """Coefficients of the m-th cyclotomic polynomial, ascending, as Fractions."""
+    """The m-th cyclotomic polynomial and its powers of zeta.
+
+    Returns (coeffs, d, zpows): the ascending Fraction coefficients of Phi_m,
+    its degree d, and for k = 0..m-1 the integer coefficient vector (length d)
+    of x^k reduced modulo Phi_m.  Since Phi_m divides x^m - 1, x^k reduces to
+    zpows[k % m] for every k >= 0.
+    """
     if m not in _phi_cache:
         x = _Symbol("x")
         poly = _cyclotomic_poly(m, x).as_poly(x)
         coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
-        # precompute reductions of x^d .. x^(2d-2) modulo Phi_m
         d = len(coeffs) - 1
-        pows = []
-        cur = [Fraction(0)] * d + [Fraction(1)]
-        for _ in range(d, 2 * d - 1):
-            _, rem = _pdivmod(cur, coeffs)
-            pows.append(rem + [Fraction(0)] * (d - len(rem)))
-            cur = [Fraction(0)] + cur
-        _phi_cache[m] = (coeffs, d, pows)
+        cur = [1] + [0] * (d - 1)
+        zpows = []
+        for _ in range(m):
+            zpows.append(tuple(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c - top * int(p) for c, p in zip(cur, coeffs)]
+        _phi_cache[m] = (coeffs, d, zpows)
     return _phi_cache[m]
 
 
@@ -144,16 +151,7 @@ class CycloNum:
 
     @staticmethod
     def zeta_pow(m, k):
-        _, d, _ = _phi(m)
-        k %= m
-        if k < d:
-            coeffs = [Fraction(0)] * k + [Fraction(1)]
-            return CycloNum(m, coeffs)
-        cur = CycloNum.zeta_pow(m, d - 1)
-        z = CycloNum(m, [Fraction(0), Fraction(1)])
-        for _ in range(k - d + 1):
-            cur = cur * z
-        return cur
+        return CycloNum(m, _phi(m)[2][k % m])
 
     def is_zero(self):
         return all(x == 0 for x in self.c)
@@ -174,7 +172,8 @@ class CycloNum:
         return CycloNum(self.m, [-x for x in self.c])
 
     def __mul__(self, other):
-        _, d, pows = _phi(self.m)
+        m = self.m
+        _, d, zpows = _phi(m)
         a, b = self.c, other.c
         out = [Fraction(0)] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -186,11 +185,11 @@ class CycloNum:
         for k in range(d, 2 * d - 1):
             x = out[k]
             if x:
-                red = pows[k - d]
+                red = zpows[k % m]
                 for i in range(d):
                     if red[i]:
                         res[i] += x * red[i]
-        return CycloNum(self.m, res)
+        return CycloNum(m, res)
 
     def inverse(self):
         if self.is_zero():
@@ -650,8 +649,37 @@ def quantum_characteristic(spec):
     return m // math.gcd(m, 2)
 
 
+def _bucket(poly, key):
+    """Sum the coefficients of a sympy polynomial by key(monomial), as
+    Fractions, dropping the keys whose sum is zero."""
+    out = {}
+    for mono, coeff in poly.items():
+        k = key(mono)
+        out[k] = out.get(k, 0) + Fraction(int(coeff.numerator), int(coeff.denominator))
+    return {k: c for k, c in out.items() if c}
+
+
+def _zeta_sum(m, buckets):
+    """The sum of c * zeta_m^k over the items (k, c) of buckets."""
+    _, d, zpows = _phi(m)
+    out = [Fraction(0)] * d
+    for k, c in buckets.items():
+        for i, z in enumerate(zpows[k]):
+            if z:
+                out[i] += c * z
+    return CycloNum(m, out)
+
+
 def specialize(x, target):
     """Map a generic-mode (or qpow-mode) scalar into the target field.
+
+    Each side of the source fraction is specialised in one pass over its
+    Laurent terms: a term c*q^i*rho^j goes to the bucket of its image
+    exponent (i + a*j for qpow:a; (i + a*j) mod m for rho = zeta^a; the
+    rho-degree j and then i mod m for free rho), coefficients are summed as
+    Fractions, and each side is built once from its buckets.  The quotient is
+    normalised once.  Normal forms are canonical, so the result equals the
+    sum of the term-by-term images divided in the target field.
 
     Raises DenominatorVanishes if the denominator evaluates to zero.
     """
@@ -666,27 +694,52 @@ def specialize(x, target):
                 raise ValueError("specialization would not respect rho = q^%d" % spec.a)
         elif target.kind == "generic":
             raise ValueError("cannot lift a qpow scalar to the generic field")
-
-        def term_image(mono, c):
-            return monomial(target, c, mono[0], 0)
+        # rho is q^a already: the exponent of q is the whole image exponent
+        rho_of = lambda mono: 0
     elif spec.kind == "generic":
-        def term_image(mono, c):
-            return monomial(target, c, mono[0], mono[1])
+        rho_of = lambda mono: mono[1]
     else:
         raise ValueError("specialize expects a generic or qpow source scalar")
 
-    num, den = x.rep.numer, x.rep.denom
-    num_val = zero(target)
-    for mono, coeff in num.terms():
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        num_val = num_val + term_image(mono, c)
-    den_val = zero(target)
-    for mono, coeff in den.terms():
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        den_val = den_val + term_image(mono, c)
-    if is_zero(den_val):
-        raise DenominatorVanishes("denominator vanishes under %s" % target.to_string())
-    return num_val / den_val
+    m = target.m
+    if target.kind == "qpow":
+        a = target.a
+        key = lambda mono: mono[0] + a * mono[1]
+    elif target.rho_kind == "power":
+        a = target.rho_a
+        key = lambda mono: (mono[0] + a * rho_of(mono)) % m
+    else:
+        key = lambda mono: (mono[1], mono[0] % m)
+    num = _bucket(x.rep.numer, key)
+    den = _bucket(x.rep.denom, key)
+
+    def vanishes():
+        return DenominatorVanishes("denominator vanishes under %s" % target.to_string())
+
+    if target.kind == "qpow":
+        if not den:
+            raise vanishes()
+        lo = min(list(num) + list(den))
+        ring = _QFIELD.ring
+        rep = _QFIELD.new(ring.from_dict({(e - lo,): _qq(c) for e, c in num.items()}),
+                          ring.from_dict({(e - lo,): _qq(c) for e, c in den.items()}))
+    elif target.rho_kind == "power":
+        den_val = _zeta_sum(m, den)
+        if den_val.is_zero():
+            raise vanishes()
+        rep = _zeta_sum(m, num) * den_val.inverse()
+    else:
+        sides = []
+        for buckets in (num, den):
+            rows = {}
+            for (j, k), c in buckets.items():
+                rows.setdefault(j, {})[k] = c
+            sides.append(_ctrim([_zeta_sum(m, rows.get(j, {}))
+                                 for j in range(max(rows, default=-1) + 1)]))
+        if not sides[1]:
+            raise vanishes()
+        rep = CycloFrac(m, sides[0], sides[1])
+    return Scalar(target, rep)
 
 
 def normalize(x):

@@ -50,7 +50,7 @@ def test_usage_errors_exit_one_with_single_line_reason():
     for argv in cases:
         code, out, err = run_cli(argv)
         assert code == 1, argv
-        assert err.strip(), argv
+        assert len(err.strip().splitlines()) == 1, (argv, err)
         assert "Traceback" not in err, argv
 
 

@@ -1,7 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
-from wbq import scalars
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wbq import engine, scalars
 from wbq.scalars import (
     FieldSpec, INFINITY, delta, flip, from_fraction, is_zero, monomial, one,
     parse_scalar, q_elem, quantum_characteristic, quantum_factorial,
@@ -153,12 +157,13 @@ def test_specialize_delta_and_constants():
 
 def test_specialize_denominator_vanishes():
     x = one(GEN) / (rho_elem(GEN) - q_elem(GEN))
-    hit = False
-    try:
-        specialize(x, FieldSpec.qpower(1))
-    except DenominatorVanishes:
-        hit = True
-    assert hit
+    for target in (FieldSpec.qpower(1), FieldSpec.cyclotomic(4, 1)):
+        hit = False
+        try:
+            specialize(x, target)
+        except DenominatorVanishes:
+            hit = True
+        assert hit, target
     # but the same element specializes fine when rho != q
     assert not is_zero(specialize(x, FieldSpec.qpower(2)))
 
@@ -209,3 +214,119 @@ def test_field_spec_strings():
     except ValueError:
         bad = True
     assert bad
+
+
+# ---------------------------------------------------------------------------
+# specialize against the term-by-term reference
+# ---------------------------------------------------------------------------
+
+# The 16 non-generic fields of the verification grid.
+GRID = ([FieldSpec.cyclotomic(4, "free"), FieldSpec.cyclotomic(3, "free")]
+        + [FieldSpec.qpower(a) for a in range(-2, 5)]
+        + [FieldSpec.cyclotomic(4, a) for a in range(4)]
+        + [FieldSpec.cyclotomic(3, a) for a in range(3)])
+
+
+def _reference_specialize(x, target):
+    """The term-by-term image: every numerator and denominator term goes
+    through ``monomial`` and a field addition, then one division."""
+    def side(poly):
+        out = zero(target)
+        for mono, coeff in poly.terms():
+            c = Fraction(int(coeff.numerator), int(coeff.denominator))
+            rhoexp = mono[1] if x.spec.kind == "generic" else 0
+            out = out + monomial(target, c, mono[0], rhoexp)
+        return out
+
+    den = side(x.rep.denom)
+    if is_zero(den):
+        raise DenominatorVanishes("denominator vanishes under %s"
+                                  % target.to_string())
+    return side(x.rep.numer) / den
+
+
+def _image_or_vanishes(fn, x, target):
+    try:
+        return fn(x, target)
+    except DenominatorVanishes as exc:
+        return ("vanishes", str(exc))
+
+
+def _assert_matches_reference(values, targets):
+    for target in targets:
+        for x in values:
+            got = _image_or_vanishes(specialize, x, target)
+            want = _image_or_vanishes(_reference_specialize, x, target)
+            assert got == want, (target, to_text(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled(r, s):
+    return engine.load_table(engine.bundled_path(r, s), r, s)
+
+
+def test_specialize_matches_reference_on_small_bundled_tables():
+    for shape in ((1, 1), (1, 2), (2, 1)):
+        _assert_matches_reference(list(_bundled(*shape)._iter_values()), GRID)
+
+
+def test_specialize_matches_reference_on_sampled_b22_entries():
+    table = _bundled(2, 2)
+    values = list(table.unit_expansion().values())
+    for key in sorted(table._generators):
+        values.extend(table.generator_expansion(key).values())
+    products = [value for key in sorted(table._products)
+                for _, value in sorted(table.product(*key).items())]
+    values.extend(random.Random(1403).sample(products, 160))
+    _assert_matches_reference(values, GRID)
+
+
+def test_specialize_from_qpow_to_roots_of_unity():
+    values = list(_bundled(2, 1)._iter_values())
+    for a in range(-2, 5):
+        source = FieldSpec.qpower(a)
+        images = [specialize(x, source) for x in values]
+        for m in (3, 4):
+            target = FieldSpec.cyclotomic(m, a % m)
+            _assert_matches_reference(images, [target])
+            for x, y in zip(values, images):
+                assert specialize(y, target) == specialize(x, target)
+
+
+def test_specialize_rejects_incompatible_fields():
+    x = specialize(delta(GEN), FieldSpec.qpower(2))
+    for target in (FieldSpec.qpower(3), FieldSpec.generic(),
+                   FieldSpec.cyclotomic(4, 1), FieldSpec.cyclotomic(4, "free")):
+        try:
+            specialize(x, target)
+        except ValueError:
+            continue
+        raise AssertionError(target)
+    try:
+        specialize(delta(FieldSpec.cyclotomic(4, 1)), FieldSpec.qpower(1))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("cyclotomic source accepted")
+
+
+@st.composite
+def _table_shaped_values(draw):
+    """Generic values N(q, rho) / (c q^A (q^2-1)^K), the shape of every
+    table entry, whose denominators never vanish on the grid."""
+    num = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3),
+                                  st.integers(-5, 5)), max_size=4))
+    c = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+    A = draw(st.integers(-3, 3))
+    K = draw(st.integers(0, 2))
+    den = [(A + 2 * i, 0, c * engine._binomial(K, i) * (-1) ** (K - i))
+           for i in range(K + 1)]
+    return scalars.generic_from_terms(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_shaped_values(), _table_shaped_values(), st.sampled_from(GRID))
+def test_specialize_is_a_ring_homomorphism(x, y, target):
+    fx, fy = specialize(x, target), specialize(y, target)
+    assert specialize(x + y, target) == fx + fy
+    assert specialize(x * y, target) == fx * fy
