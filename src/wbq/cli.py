@@ -202,8 +202,7 @@ def cmd_decomp(config):
 def cmd_gram(config):
     spec = config.spec
     table = engine.structure_constants(
-        config.r, config.s,
-        mode="generic" if spec.kind == "generic" else spec,
+        config.r, config.s, mode=spec,
         seed=config.seed, cache_dir=config.cache_dir)
     labels = list(combinat.enumerate_labels(config.r, config.s))
     wanted = config.options.get("labels")

@@ -255,14 +255,6 @@ class CoordinateSystem:
             inv = linalg.invert_square(ctx, square)
             if inv is not None:
                 return list(pivot_hint), inv
-        if isinstance(ctx, RationalPointContext):
-            pivots, _ = linalg.rref(ctx, [list(row) for row in rows])
-            pivots = list(pivots[:nbasis])
-            square = [[row[p] for p in pivots] for row in rows]
-            inv = linalg.invert_square(ctx, square)
-            if inv is None:
-                raise RankCertificationFailed("pivot square unexpectedly singular")
-            return pivots, inv
         for t in (2, 3, 5):
             try:
                 numeric = [[_rational_value(ctx, v, t) for v in row]
@@ -306,13 +298,7 @@ class CoordinateSystem:
         """Flattened coordinate vector of a word element on the seed family."""
         images = [act_word(vec, element, self.n, self.r, self.s)
                   for vec in self.seeds]
-        out = []
-        zero = self.ctx.zero()
-        for img in images:
-            entries = img.entries
-            for idx in self.support:
-                out.append(entries.get(idx, zero))
-        return out
+        return self._flatten(self.ctx, images, self.support)
 
     def expand(self, x, check=True):
         """Coefficients of ``x`` over the cellular basis (exact; the residual
@@ -992,32 +978,17 @@ def generic_table(r, s, seed=0, cache_dir=None, progress=None):
 
 
 def structure_constants(r, s, mode="generic", seed=0, cache_dir=None,
-                        route="auto", progress=None):
+                        progress=None):
     """Structure constants of B_{r,s}.
 
     ``mode`` is "generic" for the two-parameter table, or a FieldSpec (or
-    its string form) for a specialized one.  Specialized tables are derived
-    from the generic table; ``route="direct"`` forces an independent
-    computation inside the tensor model, which is available exactly for
-    q-power fields with exponent >= r+s.
+    its string form) for the specialization of that table to the field.
+    ``direct_structure_constants`` is the independent computation inside
+    the tensor model.
     """
-    if mode in ("generic", None):
-        return generic_table(r, s, seed=seed, cache_dir=cache_dir,
-                             progress=progress)
     spec = FieldSpec.from_string(mode) if isinstance(mode, str) else mode
-    if spec.kind == "generic":
-        return generic_table(r, s, seed=seed, cache_dir=cache_dir,
-                             progress=progress)
-    if route == "direct":
-        return direct_structure_constants(r, s, spec, seed=seed)
-    if route not in ("auto", "from_generic"):
-        raise ValueError("unknown route %r" % route)
-    if route == "auto" and spec.kind == "qpow" and spec.a >= r + s:
-        # prefer the cheap direct route when no generic table is at hand
-        key = (r, s)
-        if key not in _TABLE_MEMO \
-                and not os.path.exists(cache_path(r, s, cache_dir)) \
-                and not os.path.exists(bundled_path(r, s)):
-            return direct_structure_constants(r, s, spec, seed=seed)
-    return generic_table(r, s, seed=seed, cache_dir=cache_dir,
-                         progress=progress).specialize(spec)
+    table = generic_table(r, s, seed=seed, cache_dir=cache_dir,
+                          progress=progress)
+    if spec is None or spec.kind == "generic":
+        return table
+    return table.specialize(spec)

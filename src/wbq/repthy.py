@@ -46,8 +46,7 @@ def _as_spec(field):
 def _resolve_table(r, s, spec, seed=0, cache_dir=None, table=None):
     if table is not None:
         return table
-    mode = "generic" if spec.kind == "generic" else spec
-    return engine.structure_constants(r, s, mode, seed=seed,
+    return engine.structure_constants(r, s, spec, seed=seed,
                                       cache_dir=cache_dir)
 
 

@@ -2,14 +2,16 @@
 
 The space has basis ``v_{i|j}`` indexed by tuples ``i`` in {1..n}^r and
 ``j`` in {1..n}^s, realized as sparse mappings from index tuples to exact
-coefficients.  The diagram algebra acts on the right by ``act_generator``
-and ``act_word``; the quantum enveloping algebra of gl_n acts on the left
-by ``act_E``, ``act_F``, ``act_K`` and the divided powers.  The right
-action is implemented in the convention whose braid eigenvalues are
-``q^{-1}`` and ``-q``; words written in the presentation convention (braid
-eigenvalues ``q`` and ``-q^{-1}``) are translated by inverting ``q`` and
-``rho`` in their coefficients, which is a ring isomorphism between the two
-presentations.
+coefficients.  The diagram algebra acts on the right by ``act_generator``,
+``act_letters`` and ``act_word``, which all apply one letter at a time
+through the kernel ``_act`` with letter constants built once per field
+and rank; the quantum enveloping algebra of gl_n acts on the left by
+``act_E``, ``act_F``, ``act_K`` and the divided powers.  The letters act in
+the convention whose braid eigenvalues are ``q^{-1}`` and ``-q``.
+``act_word`` takes a ``WordElement`` written in the presentation
+convention (braid eigenvalues ``q`` and ``-q^{-1}``) and always translates
+it by inverting ``q`` and ``rho`` in its coefficients, which is a ring
+isomorphism between the two presentations.
 
 Index tuples list ``i_1..i_r`` then ``j_1..j_s``.  Physically the slots of
 the tensor product run ``v_{i_r}, ..., v_{i_1}, w_{j_1}, ..., w_{j_s}``
@@ -18,6 +20,7 @@ physical order.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from . import scalars
@@ -165,125 +168,116 @@ def weight_space(wt, n, r, s):
     return list(table.get(tuple(wt), ()))
 
 
-def _letter_constants(ctx):
-    qinv = ctx.from_monomial(1, -1)
-    qpos = ctx.from_monomial(1, 1)
-    desc = ctx.sub(qinv, qpos)  # q^{-1} - q
-    shift = ctx.sub(qpos, qinv)  # q - q^{-1}
-    return qinv, desc, shift
+_LETTER_CONSTANTS = {}
+
+
+def _constants(ctx, n):
+    """q^{-1}, q, q^{-1} - q, q - q^{-1} and the e_1 weights q^{2i-n-1}
+    (at position i), built once per field or rational point and ``n``."""
+    point = ctx.qval if isinstance(ctx, RationalPointContext) else ctx.spec
+    key = (point, n)
+    consts = _LETTER_CONSTANTS.get(key)
+    if consts is None:
+        qinv = ctx.from_monomial(1, -1)
+        qpos = ctx.from_monomial(1, 1)
+        weights = [None] + [ctx.from_monomial(1, 2 * i - n - 1)
+                            for i in range(1, n + 1)]
+        consts = (qinv, qpos, ctx.sub(qinv, qpos), ctx.sub(qpos, qinv), weights)
+        _LETTER_CONSTANTS[key] = consts
+    return consts
+
+
+def _act(ctx, entries, letter, n, r, s, consts):
+    """Apply one letter to a coefficient dict and return the new dict.
+
+    A braid letter scales an equal slot pair by q^{-1} and swaps an unequal
+    one, which keeps (q^{-1} - q) times itself when ascending (the left
+    factors are written in reversed slot order).  Its inverse, g + (q -
+    q^{-1}), scales by q and keeps (q - q^{-1}) times a descending pair.
+    """
+    qinv, qpos, desc, shift, weights = consts
+    kind = letter[0]
+    out = {}
+    if kind in ("g", "gi", "gs", "gsi"):
+        k = letter[1]
+        if kind in ("g", "gi"):
+            if not 1 <= k <= r - 1:
+                raise IndexOutOfRange("g_%d needs 1 <= %d <= r-1 = %d" % (k, k, r - 1))
+            p = k - 1
+        else:
+            if not 1 <= k <= s - 1:
+                raise IndexOutOfRange("g*_%d needs 1 <= %d <= s-1 = %d" % (k, k, s - 1))
+            p = r + k - 1
+        if kind in ("g", "gs"):
+            same, ascending, descending = qinv, desc, None
+        else:
+            same, ascending, descending = qpos, None, shift
+        for idx, coeff in entries.items():
+            a, b = idx[p], idx[p + 1]
+            if a == b:
+                _accum(ctx, out, idx, ctx.mul(coeff, same))
+                continue
+            _accum(ctx, out, idx[:p] + (b, a) + idx[p + 2 :], coeff)
+            keep = ascending if a < b else descending
+            if keep is not None:
+                _accum(ctx, out, idx, ctx.mul(coeff, keep))
+    elif kind == "e":
+        if r < 1 or s < 1:
+            raise IndexOutOfRange("e_1 needs r >= 1 and s >= 1")
+        for idx, coeff in entries.items():
+            if idx[0] != idx[r]:
+                continue
+            c = ctx.mul(coeff, weights[idx[0]])
+            middle = idx[1:r]
+            tail = idx[r + 1 :]
+            for t in range(1, n + 1):
+                _accum(ctx, out, (t,) + middle + (t,) + tail, c)
+    else:
+        raise IndexOutOfRange("unknown generator letter %r" % (letter,))
+    return out
 
 
 def act_generator(v, x, n, r, s):
     """Right action of one generator (or inverse generator) letter.
 
     ``x`` is a letter tuple: ("e",), ("g", k), ("gs", k), ("gi", k) or
-    ("gsi", k).  Inverse letters are obtained from the quadratic relation,
-    which gives g^{-1} = g + (q - q^{-1}) in this convention.
+    ("gsi", k).
     """
     ctx = v.ctx
     _check_field(ctx, n)
-    kind = x[0]
-    qinv, desc, shift = _letter_constants(ctx)
-    out = {}
-    if kind in ("g", "gi"):
-        k = x[1]
-        if not 1 <= k <= r - 1:
-            raise IndexOutOfRange("g_%d needs 1 <= %d <= r-1 = %d" % (k, k, r - 1))
-        for idx, coeff in v.entries.items():
-            a, b = idx[k - 1], idx[k]
-            if a == b:
-                _accum(ctx, out, idx, ctx.mul(coeff, qinv))
-            else:
-                # The left factors are written in reversed slot order, so the
-                # ascending case picks up the correction term here.
-                swapped = idx[: k - 1] + (b, a) + idx[k + 1 :]
-                _accum(ctx, out, swapped, coeff)
-                if a < b:
-                    _accum(ctx, out, idx, ctx.mul(coeff, desc))
-            if kind == "gi":
-                _accum(ctx, out, idx, ctx.mul(coeff, shift))
-    elif kind in ("gs", "gsi"):
-        k = x[1]
-        if not 1 <= k <= s - 1:
-            raise IndexOutOfRange("g*_%d needs 1 <= %d <= s-1 = %d" % (k, k, s - 1))
-        p = r + k - 1
-        for idx, coeff in v.entries.items():
-            a, b = idx[p], idx[p + 1]
-            if a == b:
-                _accum(ctx, out, idx, ctx.mul(coeff, qinv))
-            else:
-                swapped = idx[:p] + (b, a) + idx[p + 2 :]
-                _accum(ctx, out, swapped, coeff)
-                if a < b:
-                    _accum(ctx, out, idx, ctx.mul(coeff, desc))
-            if kind == "gsi":
-                _accum(ctx, out, idx, ctx.mul(coeff, shift))
-    elif kind == "e":
-        if r < 1 or s < 1:
-            raise IndexOutOfRange("e_1 needs r >= 1 and s >= 1")
-        for idx, coeff in v.entries.items():
-            if idx[0] != idx[r]:
-                continue
-            c = ctx.mul(coeff, ctx.from_monomial(1, -n - 1 + 2 * idx[0]))
-            middle = idx[1:r]
-            tail = idx[r + 1 :]
-            for t in range(1, n + 1):
-                _accum(ctx, out, (t,) + middle + (t,) + tail, c)
-    else:
-        raise IndexOutOfRange("unknown generator letter %r" % (x,))
-    return TensorVector(ctx, out)
+    return TensorVector(ctx, _act(ctx, v.entries, x, n, r, s, _constants(ctx, n)))
 
 
 def act_letters(v, letters, n, r, s):
     """Apply a product of letters left to right (right action)."""
-    for letter in letters:
-        v = act_generator(v, letter, n, r, s)
-    return v
-
-
-def _element_terms(ctx, element, flip):
-    """Normalize an algebra element into (ctx coefficient, word) pairs."""
-    if isinstance(element, WordElement):
-        wel = element.flipped() if flip else element
-        return [
-            (ctx.from_monomial(c, a, b), word)
-            for word, c, a, b in wel.monomials()
-        ]
-    if isinstance(element, tuple):
-        return [(ctx.one(), element)]
-    out = []
-    for coeff, word in element:
-        if isinstance(coeff, scalars.Scalar):
-            if not isinstance(ctx, FieldContext) or coeff.spec != ctx.spec:
-                raise ValueError("scalar coefficient over the wrong field")
-            out.append((scalars.flip(coeff) if flip else coeff, tuple(word)))
-        else:
-            c, a, b = coeff
-            if flip:
-                a, b = -a, -b
-            out.append((ctx.from_monomial(c, a, b), tuple(word)))
-    return out
-
-
-def act_word(v, element, n, r, s, convention="presentation"):
-    """Right action of a linear combination of generator words.
-
-    ``element`` may be a ``WordElement``, a bare word (tuple of letters,
-    coefficient one), or a list of ``(coefficient, word)`` pairs where each
-    coefficient is a monomial triple ``(c, qexp, rhoexp)`` or a ``Scalar``.
-    With the default presentation convention, coefficients are rewritten by
-    q -> q^{-1}, rho -> rho^{-1} before the action is applied.
-    """
-    if convention not in ("presentation", "dds"):
-        raise ValueError("unknown convention %r" % (convention,))
     ctx = v.ctx
     _check_field(ctx, n)
-    out = TensorVector(ctx)
-    for coeff, word in _element_terms(ctx, element, convention == "presentation"):
+    consts = _constants(ctx, n)
+    entries = v.entries
+    for letter in letters:
+        entries = _act(ctx, entries, letter, n, r, s, consts)
+    return TensorVector(ctx, entries)
+
+
+def act_word(v, element, n, r, s):
+    """Right action of a ``WordElement`` in the presentation convention:
+    each coefficient is rewritten by q -> q^{-1}, rho -> rho^{-1} before it
+    scales the image of its word."""
+    ctx = v.ctx
+    _check_field(ctx, n)
+    consts = _constants(ctx, n)
+    out = {}
+    for word, bucket in element.terms.items():
+        coeff = reduce(ctx.add, [ctx.from_monomial(c, -a, -b)
+                                 for (a, b), c in bucket.items()])
         if ctx.is_zero(coeff):
             continue
-        out = out.add(act_letters(v, word, n, r, s).scale(coeff))
-    return out
+        entries = v.entries
+        for letter in word:
+            entries = _act(ctx, entries, letter, n, r, s, consts)
+        for idx, val in entries.items():
+            _accum(ctx, out, idx, ctx.mul(coeff, val))
+    return TensorVector(ctx, out)
 
 
 def _slot_pairings(idx, n, r, s, i):
@@ -562,7 +556,7 @@ def singular_vector(label, t, d, n, spec=None):
     element = young_symmetrizer(conj_pair, f, sign=True)
     element = element * WordElement.from_word(d_letters(t))
     element = element * WordElement.from_word(d.word)
-    return act_word(base, element, n, r, s, convention="presentation")
+    return act_word(base, element, n, r, s)
 
 
 def _form_exponent(idx, n, r, s):

@@ -86,7 +86,7 @@ def test_relation_closure_under_expansion():
 
 def test_sigma_transposes_basis_indices():
     system = engine.build_coordinates(2, 1)
-    table = engine.structure_constants(2, 1, "qpow:3", route="direct")
+    table = engine.direct_structure_constants(2, 1, FieldSpec.qpower(3))
     for a, rec in enumerate(system.basis):
         image = engine.sigma(rec.element)
         vec = system.expand(image)

@@ -3,9 +3,12 @@
 import random
 from itertools import product
 
-from wbq import combinat, scalars, tensor, words
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wbq import combinat, engine, scalars, tensor, words
 from wbq.errors import IndexOutOfRange, RankTooSmall
-from wbq.linalg import FieldContext, rank
+from wbq.linalg import FieldContext, RationalPointContext, rank
 from wbq.scalars import FieldSpec
 from wbq.tensor import TensorVector
 
@@ -133,22 +136,146 @@ def test_defining_relations_cyclotomic():
 def test_act_word_conventions():
     ctx = _ctx(2)
     v = TensorVector.basis(ctx, (1, 2))
-    q_unit = [((1, 1, 0), ())]
-    assert tensor.act_word(v, q_unit, 2, 1, 1, convention="dds") == v.scale(
-        _mono(ctx, 1, 1)
+    q_unit = words.WordElement.unit(1, 1, 0)
+    assert tensor.act_word(v, q_unit, 2, 1, 1) == v.scale(_mono(ctx, 1, -1))
+
+
+def _all_letters(r, s):
+    out = engine.generator_letters(r, s)
+    return out + [(kind + "i", k) for kind, k in out[1:]]
+
+
+def _reference_act_generator(v, x, n, r, s):
+    """The right action of one letter written out the long way: one branch
+    per braid family, constants rebuilt for every call."""
+    ctx = v.ctx
+    qinv = ctx.from_monomial(1, -1)
+    qpos = ctx.from_monomial(1, 1)
+    desc = ctx.sub(qinv, qpos)
+    shift = ctx.sub(qpos, qinv)
+    out = {}
+
+    def accum(idx, val):
+        out[idx] = ctx.add(out[idx], val) if idx in out else val
+
+    kind = x[0]
+    if kind in ("g", "gi"):
+        k = x[1]
+        for idx, coeff in v.entries.items():
+            a, b = idx[k - 1], idx[k]
+            if a == b:
+                accum(idx, ctx.mul(coeff, qinv))
+            else:
+                accum(idx[: k - 1] + (b, a) + idx[k + 1 :], coeff)
+                if a < b:
+                    accum(idx, ctx.mul(coeff, desc))
+            if kind == "gi":
+                accum(idx, ctx.mul(coeff, shift))
+    elif kind in ("gs", "gsi"):
+        p = r + x[1] - 1
+        for idx, coeff in v.entries.items():
+            a, b = idx[p], idx[p + 1]
+            if a == b:
+                accum(idx, ctx.mul(coeff, qinv))
+            else:
+                accum(idx[:p] + (b, a) + idx[p + 2 :], coeff)
+                if a < b:
+                    accum(idx, ctx.mul(coeff, desc))
+            if kind == "gsi":
+                accum(idx, ctx.mul(coeff, shift))
+    else:
+        for idx, coeff in v.entries.items():
+            if idx[0] != idx[r]:
+                continue
+            c = ctx.mul(coeff, ctx.from_monomial(1, -n - 1 + 2 * idx[0]))
+            for t in range(1, n + 1):
+                accum((t,) + idx[1:r] + (t,) + idx[r + 1 :], c)
+    return TensorVector(ctx, out)
+
+
+def _reference_act_word(v, element, n, r, s):
+    ctx = v.ctx
+    out = TensorVector(ctx)
+    for word, c, a, b in element.monomials():
+        w = v
+        for letter in word:
+            w = _reference_act_generator(w, letter, n, r, s)
+        out = out.add(w.scale(ctx.from_monomial(c, -a, -b)))
+    return out
+
+
+def test_kernel_matches_reference_action():
+    rng = random.Random(23)
+    contexts = [
+        FieldContext(FieldSpec.qpower(4)),
+        FieldContext(FieldSpec.from_string("cyclo:4,rho=zeta^0")),
+        RationalPointContext(3, 4),
+    ]
+    for ctx in contexts:
+        for (r, s) in [(2, 2), (3, 1)]:
+            letters = _all_letters(r, s)
+            for _ in range(3):
+                v = _random_vector(ctx, 4, r + s, rng, terms=12)
+                for letter in letters:
+                    got = tensor.act_generator(v, letter, 4, r, s)
+                    assert got == _reference_act_generator(v, letter, 4, r, s), (
+                        ctx, r, s, letter)
+                word = [rng.choice(letters) for _ in range(4)]
+                expected = v
+                for letter in word:
+                    expected = _reference_act_generator(expected, letter, 4, r, s)
+                assert tensor.act_letters(v, word, 4, r, s) == expected, word
+
+
+# Several values of n over one field and several fields at one n, so that
+# letter constants memoised under the wrong key give wrong images.
+_SETTINGS = [
+    (FieldContext(FieldSpec.qpower(3)), 3),
+    (FieldContext(FieldSpec.qpower(4)), 4),
+    (FieldContext(FieldSpec.cyclotomic(3, rho=0)), 3),
+    (FieldContext(FieldSpec.cyclotomic(3, rho=0)), 6),
+    (FieldContext(FieldSpec.cyclotomic(4, rho=0)), 4),
+    (RationalPointContext(3, 3), 3),
+    (RationalPointContext(3, 4), 4),
+    (RationalPointContext(2, 4), 4),
+]
+
+
+def _word_elements():
+    term = st.tuples(
+        st.lists(st.sampled_from(_all_letters(2, 2)), max_size=3),
+        st.integers(-3, 3).filter(bool),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
     )
-    assert tensor.act_word(v, q_unit, 2, 1, 1, convention="presentation") == v.scale(
-        _mono(ctx, 1, -1)
-    )
-    # Scalar coefficients follow the same convention flip
-    q_scalar = [(scalars.q_elem(ctx.spec), ())]
-    assert tensor.act_word(v, q_scalar, 2, 1, 1) == v.scale(_mono(ctx, 1, -1))
-    bad = False
-    try:
-        tensor.act_word(v, q_unit, 2, 1, 1, convention="other")
-    except ValueError:
-        bad = True
-    assert bad
+
+    def build(terms):
+        out = words.WordElement.zero()
+        for word, c, qexp, rhoexp in terms:
+            out = out + words.WordElement.from_word(word, c, qexp, rhoexp)
+        return out
+
+    return st.lists(term, min_size=1, max_size=3).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(range(len(_SETTINGS))), min_size=2, max_size=4,
+             unique=True),
+    _word_elements(),
+    _word_elements(),
+    st.integers(0, 2**32),
+)
+def test_act_word_is_a_linear_right_action(picks, x, y, seed):
+    rng = random.Random(seed)
+    for pick in picks:
+        ctx, n = _SETTINGS[pick]
+        v = _random_vector(ctx, n, 4, rng)
+        vx = tensor.act_word(v, x, n, 2, 2)
+        vy = tensor.act_word(v, y, n, 2, 2)
+        assert tensor.act_word(v, x * y, n, 2, 2) == tensor.act_word(vx, y, n, 2, 2)
+        assert tensor.act_word(v, x + y, n, 2, 2) == vx.add(vy)
+        assert vx == _reference_act_word(v, x, n, 2, 2), (ctx, n)
 
 
 def test_index_out_of_range():
@@ -190,13 +317,16 @@ def test_field_must_tie_rho_to_rank():
     w = TensorVector.basis(wrong, (1, 1))
     bad = False
     try:
-        tensor.act_word(w, (("e",),), 2, 1, 1)
+        tensor.act_word(w, words.WordElement.from_word((("e",),)), 2, 1, 1)
     except ValueError:
         bad = True
     assert bad
     # the left action never needs the identification
-    assert not tensor.act_E(v, 1, 2, 1, 1).is_zero() or True
-    tensor.act_E(TensorVector.basis(ctx, (2, 1)), 1, 2, 1, 1)
+    qinv = _mono(ctx, 1, -1)
+    assert tensor.act_E(v, 1, 2, 1, 1) == TensorVector(ctx, {(1, 2): -qinv})
+    assert tensor.act_E(TensorVector.basis(ctx, (2, 1)), 1, 2, 1, 1) == (
+        TensorVector(ctx, {(1, 1): _mono(ctx, 1, 1), (2, 2): -qinv})
+    )
 
 
 def test_left_action_worked_examples():

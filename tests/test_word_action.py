@@ -15,7 +15,7 @@ def _source(name):
     if name == "coordinates":
         system = engine.build_coordinates(2, 1, spec="qpow:3")
         return system.ctx, system.action.letter, system.element_matrix
-    tab = engine.structure_constants(2, 2, "qpow:4", route="from_generic")
+    tab = engine.structure_constants(2, 2, "qpow:4")
     if name == "table":
         return tab.ctx, tab.action.letter, tab.action.element
     label = combinat.CellLabel(1, (1,), (1,))
