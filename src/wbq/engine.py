@@ -243,7 +243,8 @@ class CoordinateSystem:
             except ZeroDivisionError:
                 continue
             last = max(last, linalg.modp_rank_robust(numeric))
-            if last == len(rows):
+            if last == len(rows) or isinstance(ctx, RationalPointContext):
+                # a rational matrix has the same values at every t
                 return last
         return last
 
@@ -744,7 +745,9 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth):
     """Interpolate the rho-dependence at one q-point: Laurent window
     [-depth, depth], checked against the extra stabilization node."""
     xs = [Fraction(t) ** n for n in nodes]
+    x_pows = [x ** depth for x in xs]
     x_stab = Fraction(t) ** stab_node
+    x_stab_pow = x_stab ** depth
     keys = set()
     for table in values_by_node.values():
         keys.update((key, c) for key, vec in table.items() for c in vec)
@@ -755,9 +758,9 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth):
         stab_val = Fraction(values_by_node[stab_node].get(key, {}).get(c, 0))
         if not any(vals) and not stab_val:
             continue
-        ys = [vals[i] * xs[i] ** depth for i in range(len(nodes))]
+        ys = [val * x_pow for val, x_pow in zip(vals, x_pows)]
         coeffs = linalg.lagrange_poly(xs, ys)
-        if linalg.poly_eval(coeffs, x_stab) != stab_val * x_stab ** depth:
+        if linalg.poly_eval(coeffs, x_stab) != stab_val * x_stab_pow:
             raise InterpolationUnstable(
                 "rho window [-%d, %d] too small at q=%d" % (depth, depth, t))
         for k, coeff in enumerate(coeffs):
@@ -776,7 +779,7 @@ def _build_generic_attempt(r, s, seed, depth, progress):
     accepted = {}         # (key, c) -> {rho_exp -> laurent dict}
     ts = []
     next_t = 2
-    qdiff_pow = linalg.laurent_pow({1: Fraction(1), -1: Fraction(-1)}, kmax)
+    qdiff_at = {}         # t -> (t - 1/t)^kmax
 
     def add_point():
         nonlocal next_t
@@ -792,6 +795,7 @@ def _build_generic_attempt(r, s, seed, depth, progress):
             for k, val in kdict.items():
                 slot.setdefault(k, {})[t] = val
         ts.append(t)
+        qdiff_at[t] = (Fraction(t) - Fraction(1, t)) ** kmax
 
     for _ in range(9):
         add_point()
@@ -812,13 +816,12 @@ def _build_generic_attempt(r, s, seed, depth, progress):
             add_point()
         fit_ts, check_ts = ts[:-3], ts[-3:]
         guard = (len(fit_ts) - 1) // 2
+        xs = [Fraction(t) for t in fit_ts]
+        x_pows = [x ** guard for x in xs]
         for entry, k in pending:
             tvals = rho_data[entry][k]
-            ws = {t: Fraction(tvals.get(t, 0)) *
-                  linalg.laurent_eval(qdiff_pow, Fraction(t))
-                  for t in ts}
-            xs = [Fraction(t) for t in fit_ts]
-            ys = [ws[t] * Fraction(t) ** guard for t in fit_ts]
+            ws = {t: Fraction(tvals.get(t, 0)) * qdiff_at[t] for t in ts}
+            ys = [ws[t] * x_pow for t, x_pow in zip(fit_ts, x_pows)]
             coeffs = linalg.lagrange_poly(xs, ys)
             cand = {e - guard: c for e, c in enumerate(coeffs) if c}
             ok = all(linalg.laurent_eval(cand, Fraction(t)) == ws[t]

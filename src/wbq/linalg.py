@@ -11,6 +11,9 @@ Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
 """
 
+import functools
+import math
+import operator
 from fractions import Fraction
 
 from . import scalars
@@ -478,49 +481,61 @@ def laurent_eval(poly, t):
     return total
 
 
-def laurent_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
+@functools.lru_cache(maxsize=32)
+def _lagrange_basis(xs):
+    """Integer form of the Lagrange basis on the distinct nodes ``xs``.
 
-
-def laurent_pow(base, k):
-    out = {0: Fraction(1)}
-    for _ in range(k):
-        out = laurent_mul(out, base)
-    return out
+    Returns ``(rows, dens)``: with x_j = n_j/d_j in lowest terms, ``rows[i]``
+    holds the ascending integer coefficients of prod_{j != i} (d_j x - n_j)
+    and ``dens[i]`` is its value at x_i, so rows[i]/dens[i] is the i-th
+    basis polynomial.  Everything is a tuple, so cached rows cannot be
+    mutated by a caller.
+    """
+    ratios = [_as_ratio(x) for x in xs]
+    if len(set(ratios)) != len(ratios):
+        raise ZeroDivisionError("interpolation nodes are not distinct")
+    full = [1]
+    for num, den in ratios:
+        # full *= (den * x - num)
+        full = [den * a - num * b for a, b in zip([0] + full, full + [0])]
+    rows = []
+    dens = []
+    for i, (num, den) in enumerate(ratios):
+        # synthetic division of full by (den * x - num), from the top; the
+        # quotient is a product of integer linear factors, so it is exact
+        quot = [0] * (len(full) - 1)
+        carry = 0
+        for k in range(len(full) - 1, 0, -1):
+            carry = (full[k] + num * carry) // den
+            quot[k - 1] = carry
+        value = 1
+        for j, (other_num, other_den) in enumerate(ratios):
+            if j != i:
+                value *= other_den * num - other_num * den
+        rows.append(tuple(quot))
+        dens.append(Fraction(value, den ** (len(ratios) - 1)))
+    return tuple(rows), tuple(dens)
 
 
 def lagrange_poly(xs, ys):
     """Dense coefficients (ascending degree) of the unique polynomial of
-    degree < len(xs) through the points (xs[i], ys[i])."""
-    npts = len(xs)
-    if len(ys) != npts:
+    degree < len(xs) through the points (xs[i], ys[i]), as Fractions with
+    trailing zeros trimmed.
+
+    The integer basis of ``_lagrange_basis`` is cached per node tuple, so
+    calls that share their nodes build it once.  Each call divides the
+    nonzero values by the basis denominators, brings the quotients to one
+    common denominator L, and forms every coefficient as one integer dot
+    product with the basis rows, divided once by L.
+    """
+    if len(ys) != len(xs):
         raise ValueError("point/value length mismatch")
-    coeffs = [Fraction(0)] * npts
-    for i in range(npts):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(npts):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xs[j] * basis[k + 1]
-            denom = denom * (xs[i] - xs[j])
-        scale = ys[i] / denom
-        if scale:
-            for k in range(len(basis)):
-                if basis[k]:
-                    coeffs[k] += scale * basis[k]
+    rows, dens = _lagrange_basis(tuple(xs))
+    weights = [y / d if y else Fraction(0) for y, d in zip(ys, dens)]
+    common = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (common // w.denominator) for w in weights]
+    coeffs = [Fraction(sum(map(operator.mul, scaled, column)), common)
+              for column in zip(*rows)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs

@@ -5,6 +5,8 @@ import os
 import random
 import tempfile
 
+import pytest
+
 from wbq import combinat, engine, scalars, words
 from wbq.errors import NotInSpan
 from wbq.linalg import RationalPointContext
@@ -110,8 +112,27 @@ def test_structure_constants_b11_delta():
         table.certify()
 
 
-def test_generic_table_certifies_and_caches_bit_identically():
-    table = engine.build_generic_table(2, 1)
+@pytest.fixture(scope="module")
+def table_21():
+    """One generic (2,1) build at seed 0, shared by the tests that read it."""
+    return engine.build_generic_table(2, 1)
+
+
+def _serialised(table):
+    # the bytes save_table writes
+    return (json.dumps(table.to_json_dict(), sort_keys=True,
+                       separators=(",", ":")) + "\n").encode()
+
+
+def test_rebuilt_tables_match_the_bundled_files_byte_for_byte(table_21):
+    for r, s, table in ((1, 1, engine.build_generic_table(1, 1)),
+                        (2, 1, table_21)):
+        with open(engine.bundled_path(r, s), "rb") as fh:
+            assert _serialised(table) == fh.read()
+
+
+def test_generic_table_certifies_and_caches_bit_identically(table_21):
+    table = table_21
     table.certify()
     with tempfile.TemporaryDirectory() as tmp:
         first = os.path.join(tmp, "a.json")
@@ -143,9 +164,9 @@ def test_structure_constants_cache_file_lifecycle():
     engine._TABLE_MEMO.clear()
 
 
-def test_generic_specializes_to_directly_computed_constants():
+def test_generic_specializes_to_directly_computed_constants(table_21):
     # independently recompute the table inside the tensor model at rho=q^4
-    table = engine.build_generic_table(2, 1)
+    table = table_21
     spec = FieldSpec.qpower(4)
     seen = table.specialize(spec)
     direct = engine.direct_structure_constants(2, 1, spec)

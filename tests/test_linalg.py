@@ -1,6 +1,11 @@
 """Tests for the exact linear algebra layer."""
 
+import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbq.linalg import (
     FieldContext,
@@ -8,10 +13,12 @@ from wbq.linalg import (
     SpanTracker,
     invert_square,
     kernel_basis,
+    lagrange_poly,
     mat_mul,
     mat_vec,
     modp_rank,
     modp_rank_robust,
+    poly_eval,
     rank,
     rref,
     select_pivot_rows,
@@ -141,3 +148,120 @@ def test_mat_vec():
     out = mat_vec(ctx, mat, vec)
     assert ctx.eq(out[0], ctx.from_fraction(11))
     assert ctx.eq(out[1], ctx.from_fraction(4))
+
+
+def _reference_lagrange_poly(xs, ys):
+    """The O(n^3) routine the cached integer basis replaced: every basis
+    polynomial rebuilt in Fraction arithmetic on every call."""
+    npts = len(xs)
+    if len(ys) != npts:
+        raise ValueError("point/value length mismatch")
+    coeffs = [Fraction(0)] * npts
+    for i in range(npts):
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(npts):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for k in range(len(basis) - 1):
+                basis[k] -= xs[j] * basis[k + 1]
+            denom = denom * (xs[i] - xs[j])
+        scale = ys[i] / denom
+        if scale:
+            for k in range(len(basis)):
+                if basis[k]:
+                    coeffs[k] += scale * basis[k]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def test_lagrange_poly_matches_the_reference_routine():
+    rng = random.Random(20140330)
+    cases = []
+    for _ in range(300):
+        npts = rng.randint(0, 12)
+        pool = set()
+        while len(pool) < npts:
+            pool.add(Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 7))))
+        xs = rng.sample(sorted(pool), npts)
+        ys = [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+              if rng.random() < 0.7 else Fraction(0) for _ in xs]
+        cases.append((xs, ys))
+    # the table build's node sets: powers t^n of one q-point, and the
+    # q-points 2, 3, ... themselves, with values scaled by x^depth
+    for t in (2, 3, 7):
+        xs = [Fraction(t) ** n for n in range(3, 12)]
+        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * x ** 4
+              for x in xs]
+        cases.append((xs, ys))
+    cases.append(([Fraction(t) for t in range(2, 32)],
+                  [Fraction(rng.randint(-99, 99), 3 ** rng.randint(0, 6))
+                   for _ in range(30)]))
+    for xs, ys in cases:
+        assert lagrange_poly(xs, ys) == _reference_lagrange_poly(xs, ys)
+        # integer nodes where the nodes are integral
+        if all(x.denominator == 1 for x in xs):
+            int_xs = [int(x) for x in xs]
+            assert lagrange_poly(int_xs, ys) == _reference_lagrange_poly(xs, ys)
+
+
+_NODES = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+_VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_NODES, max_size=10, unique_by=Fraction).flatmap(
+    lambda xs: st.tuples(st.just(xs),
+                         st.lists(_VALUES, min_size=len(xs),
+                                  max_size=len(xs)))))
+def test_lagrange_poly_interpolates(case):
+    xs, ys = case
+    coeffs = lagrange_poly(xs, ys)
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    assert len(coeffs) <= len(xs)
+    if not any(ys):
+        assert coeffs == []
+    else:
+        assert coeffs[-1] != 0
+    for x, y in zip(xs, ys):
+        assert poly_eval(coeffs, x) == y
+    assert coeffs == _reference_lagrange_poly(
+        [Fraction(x) for x in xs], ys)
+    with pytest.raises(ValueError):
+        lagrange_poly(xs, ys + [Fraction(1)])
+    if xs:
+        with pytest.raises(ValueError):
+            lagrange_poly(xs, ys[:-1])
+
+
+def test_lagrange_poly_trims_trailing_zeros():
+    # y = 2x - 1 sampled at four nodes has degree 1, not 3
+    xs = [-3, 0, Fraction(1, 2), 5]
+    assert lagrange_poly(xs, [Fraction(2 * x - 1) for x in xs]) == [
+        Fraction(-1), Fraction(2)]
+    assert lagrange_poly(xs, [Fraction(0)] * 4) == []
+    assert lagrange_poly([], []) == []
+    with pytest.raises(ZeroDivisionError):
+        lagrange_poly([1, 2, 1], [Fraction(1), Fraction(2), Fraction(3)])
+
+
+def test_lagrange_poly_results_do_not_alias_the_cached_basis():
+    xs = [Fraction(2) ** n for n in range(3, 8)]
+    ys = [Fraction(1), Fraction(-2), Fraction(0), Fraction(5, 3), Fraction(7)]
+    expected = _reference_lagrange_poly(xs, ys)
+    first = lagrange_poly(xs, ys)
+    assert first == expected
+    first[0] += 1000
+    first.append(Fraction(3))
+    second = lagrange_poly(xs, ys)
+    assert second == expected
+    second.clear()
+    assert lagrange_poly(list(xs), list(ys)) == expected
