@@ -145,13 +145,6 @@ class CellLabel:
     def __repr__(self):
         return "CellLabel(f=%d, %s, %s)" % (self.f, self.lam1, self.lam2)
 
-    def to_json(self):
-        return {"f": self.f, "lambda1": list(self.lam1), "lambda2": list(self.lam2)}
-
-    @staticmethod
-    def from_json(obj):
-        return CellLabel(obj["f"], obj["lambda1"], obj["lambda2"])
-
 
 def enumerate_labels(r, s):
     """All cell labels for (r, s), sorted by the canonical total order."""

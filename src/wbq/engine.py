@@ -55,31 +55,6 @@ from .tensor import TensorVector, act_letters, act_word, weight_of_index, weight
 FORMAT_VERSION = 1
 
 
-# ---------------------------------------------------------------------------
-# element constructors
-# ---------------------------------------------------------------------------
-
-def young_symmetrizer_word(pair, f=0, sign=True):
-    """The (anti)symmetrizer n_lambda (sign=True) or m_lambda (sign=False)
-    of a bipartition, shifted past the first f strands."""
-    return words.young_symmetrizer(pair, f, sign=sign)
-
-
-def e_word(f):
-    """The product e_1 e_2 ... e_f as a word element (1 for f = 0)."""
-    return words.WordElement.from_word(words.e_power_letters(f))
-
-
-def e_ij_word(i, j):
-    """The conjugated contraction e_{i,j}."""
-    return words.WordElement.from_word(words.e_ij_letters(i, j))
-
-
-def sigma(x):
-    """The anti-involution fixing all generators (reverses every word)."""
-    return x.sigma()
-
-
 _BASIS_MEMO = {}
 
 
@@ -140,9 +115,10 @@ def _rational_value(ctx, value, t):
 class CoordinateSystem:
     """Images of every cellular basis word on a fixed seed family.
 
-    ``rows[a]`` is the flattened coordinate vector of basis word ``a``; the
-    rank certificate guarantees the rows are linearly independent, so the
-    pivot-column square is invertible and expansion coefficients are unique.
+    ``rows[a]`` is the flattened coordinate vector of basis word ``a``.  The
+    rank certificate proves the rows linearly independent and supplies the
+    pivot columns: their square is nonsingular mod p at a sample point, so
+    it is invertible over ``ctx`` and expansion coefficients are unique.
     """
 
     __slots__ = (
@@ -170,13 +146,16 @@ class CoordinateSystem:
 
     @classmethod
     def build(cls, r, s, seed=0, ctx=None, n=None, support=None,
-              max_seeds=4, require_full=True, pivot_hint=None):
+              max_seeds=4):
         """Build the coordinate system at rho = q^n (default n = r+s).
 
         Seed vectors have dense small random integer coefficients on
         ``support`` (all of the tensor space by default) and are drawn
         deterministically from ``seed``; more seeds are adjoined (up to
-        ``max_seeds``) until the exact rank reaches (r+s)!.
+        ``max_seeds``) until the certified rank reaches (r+s)!, otherwise
+        ``RankCertificationFailed`` is raised.  The pivot columns are the
+        ones the modular rank certificate chose, and their square is
+        inverted over ``ctx`` directly.
         """
         n = (r + s) if n is None else n
         if ctx is None:
@@ -194,7 +173,7 @@ class CoordinateSystem:
         seeds = []
         tensor_images = []
         rows = None
-        rank = 0
+        rank, pivots = 0, []
         for _ in range(max_seeds):
             vec = TensorVector(
                 ctx, {idx: ctx.from_monomial(rng.randint(1, 9)) for idx in support})
@@ -207,17 +186,15 @@ class CoordinateSystem:
                 for a in range(nbasis):
                     tensor_images[a].append(new_cols[a])
                     rows[a].extend(cls._flatten(ctx, [new_cols[a]], support))
-            rank = cls._certified_rank(ctx, rows)
+            rank, pivots = cls._certified_rank(ctx, rows)
             if rank == nbasis:
                 break
-        if rank < nbasis and require_full:
+        if rank < nbasis:
             raise RankCertificationFailed(
                 "rank %d < %d with %d seeds at (r,s,n)=(%d,%d,%d)"
                 % (rank, nbasis, len(seeds), r, s, n))
-        pivots = None
-        pivot_inverse = None
-        if rank == nbasis:
-            pivots, pivot_inverse = cls._solver_data(ctx, rows, pivot_hint)
+        square = [[row[p] for p in pivots] for row in rows]
+        pivot_inverse = linalg.invert_square(ctx, square)
         return cls(r, s, n, ctx, basis, support, seeds, tensor_images,
                    rows, rank, pivots, pivot_inverse)
 
@@ -233,50 +210,32 @@ class CoordinateSystem:
 
     @staticmethod
     def _certified_rank(ctx, rows):
-        """Exact lower-bound certificate: a modular rank at a rational point
-        never exceeds the true rank, and the row count bounds it above."""
-        last = 0
-        for t in (2, 3, 5):
-            try:
-                numeric = [[_rational_value(ctx, v, t) for v in row]
-                           for row in rows]
-            except ZeroDivisionError:
-                continue
-            last = max(last, linalg.modp_rank_robust(numeric))
-            if last == len(rows) or isinstance(ctx, RationalPointContext):
-                # a rational matrix has the same values at every t
-                return last
-        return last
+        """``(rank, pivot_columns)`` of the best sample point q = t.
 
-    @staticmethod
-    def _solver_data(ctx, rows, pivot_hint):
-        nbasis = len(rows)
-        if pivot_hint is not None and len(pivot_hint) == nbasis:
-            square = [[row[p] for p in pivot_hint] for row in rows]
-            inv = linalg.invert_square(ctx, square)
-            if inv is not None:
-                return list(pivot_hint), inv
+        A modular rank at a rational point never exceeds the true rank, and
+        the row count bounds it above, so a full rank is exact.  The pivots
+        are the greedy first independent columns mod p at that point."""
+        if isinstance(ctx, RationalPointContext):
+            # a rational matrix has the same values at every t
+            return linalg.modp_rank_robust(rows)
+        best = (0, [])
         for t in (2, 3, 5):
             try:
                 numeric = [[_rational_value(ctx, v, t) for v in row]
                            for row in rows]
             except ZeroDivisionError:
                 continue
-            point = RationalPointContext(t, 0)
-            pivots, _ = linalg.rref(point, numeric)
-            pivots = list(pivots[:nbasis])
-            square = [[row[p] for p in pivots] for row in rows]
-            inv = linalg.invert_square(ctx, square)
-            if inv is not None:
-                return pivots, inv
-        raise RankCertificationFailed("no invertible pivot square was found")
+            found = linalg.modp_rank_robust(numeric)
+            if found[0] > best[0]:
+                best = found
+            if best[0] == len(rows):
+                break
+        return best
 
     # -- solving ----------------------------------------------------------
 
     def _solve(self, coords, check=True):
         """Raw expansion in the flipped model (no boundary inversion)."""
-        if self.pivots is None:
-            raise RankCertificationFailed("system was built without full rank")
         ctx = self.ctx
         xp = [coords[p] for p in self.pivots]
         d = []
@@ -332,21 +291,6 @@ class CoordinateSystem:
     def element_matrix(self, element):
         """Right-multiplication matrix of a word element (flipped model)."""
         return self.action.element(element.flipped())
-
-
-def build_coordinates(r, s, seed=0, spec=None, n=None, max_seeds=4):
-    """Public front door: coordinate system at QPower(n) (n = r+s by default)
-    or at a supplied specialization of it."""
-    if spec is None:
-        ctx = None
-    elif isinstance(spec, (FieldContext, RationalPointContext)):
-        ctx = spec
-    else:
-        if isinstance(spec, str):
-            spec = FieldSpec.from_string(spec)
-        ctx = FieldContext(spec)
-    return CoordinateSystem.build(r, s, seed=seed, ctx=ctx, n=n,
-                                  max_seeds=max_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -700,18 +644,16 @@ def _support_indices(n, r, s):
     wt = weight_of_index(base, n, r, s)
     return weight_space(wt, n, r, s)
 
-def _node_expansions(r, s, n, t, seed, pivot_hints):
+def _node_expansions(r, s, n, t, seed):
     """All flipped-model expansions at the sample point (q, rho) = (t, t^n):
     the unit, every generator, and every product of two basis words."""
     ctx = RationalPointContext(t, n)
     support = _support_indices(n, r, s)
     try:
         system = CoordinateSystem.build(
-            r, s, seed=seed, ctx=ctx, n=n, support=support,
-            pivot_hint=pivot_hints.get(n))
+            r, s, seed=seed, ctx=ctx, n=n, support=support)
     except RankCertificationFailed:
         system = CoordinateSystem.build(r, s, seed=seed, ctx=ctx, n=n)
-    pivot_hints[n] = system.pivots
     nbasis = len(system.basis)
     out = {}
 
@@ -774,7 +716,6 @@ def _build_generic_attempt(r, s, seed, depth, progress):
     stab_node = r + s + 2 * depth + 1
     all_nodes = nodes + [stab_node]
     kmax = depth
-    pivot_hints = {}
     rho_data = {}         # (key, c) -> {rho_exp -> {t -> value}}
     accepted = {}         # (key, c) -> {rho_exp -> laurent dict}
     ts = []
@@ -787,7 +728,7 @@ def _build_generic_attempt(r, s, seed, depth, progress):
         next_t += 1
         if progress:
             progress("sampling q=%d (rho=q^%d..q^%d)" % (t, nodes[0], stab_node))
-        tables = {n: _node_expansions(r, s, n, t, seed, pivot_hints)
+        tables = {n: _node_expansions(r, s, n, t, seed)
                   for n in all_nodes}
         stage = _stage_one(tables, nodes, stab_node, t, depth)
         for (key, c), kdict in stage.items():

@@ -3,9 +3,11 @@
 A *context* packages the arithmetic of one exact coefficient domain.  Two
 domains are used throughout the package: elements of a ``FieldSpec`` field
 (``FieldContext``) and plain rational numbers obtained by evaluating ``q``
-and ``rho`` at an integer point (``RationalPointContext``).  Every routine
-in this module is plain Gaussian elimination with exact arithmetic and
-deterministic pivot choices, so all outputs are reproducible.
+and ``rho`` at an integer point (``RationalPointContext``).  The routines
+are Gaussian elimination with deterministic pivot choices, so all outputs
+are reproducible.  Every one is exact over its context except
+``modp_rank``, which eliminates a rational matrix modulo a large prime and
+so certifies a lower bound on its rank.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -265,17 +267,6 @@ def invert_square(ctx, matrix):
     return [row[n:] for row in work]
 
 
-def mat_vec(ctx, matrix, vec):
-    out = []
-    for row in matrix:
-        acc = ctx.zero()
-        for a, b in zip(row, vec):
-            if not ctx.is_zero(a) and not ctx.is_zero(b):
-                acc = ctx.add(acc, ctx.mul(a, b))
-        out.append(acc)
-    return out
-
-
 def mat_mul(ctx, a, b):
     bt = list(zip(*b))
     out = []
@@ -289,34 +280,6 @@ def mat_mul(ctx, a, b):
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def select_pivot_rows(ctx, rows, ncols):
-    """Indices of ``ncols`` rows forming an invertible square submatrix.
-
-    Greedy left-to-right column elimination with first-nonzero pivot
-    selection, so the choice is deterministic.  Raises ``ValueError`` when
-    the rows do not have full column rank.
-    """
-    work = {i: list(row) for i, row in enumerate(rows)}
-    chosen = []
-    for col in range(ncols):
-        pivot = None
-        for idx in sorted(work):
-            if not ctx.is_zero(work[idx][col]):
-                pivot = idx
-                break
-        if pivot is None:
-            raise ValueError("rows do not have full column rank")
-        chosen.append(pivot)
-        prow = work.pop(pivot)
-        inv = ctx.div(ctx.one(), prow[col])
-        prow = [ctx.mul(inv, a) for a in prow]
-        for idx, row in work.items():
-            c = row[col]
-            if not ctx.is_zero(c):
-                work[idx] = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(row, prow)]
-    return chosen
 
 
 class SpanTracker:
@@ -409,17 +372,21 @@ _MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 def modp_rank(rows, prime=None):
-    """Rank of a rational matrix modulo a large prime (numpy elimination).
+    """Rank and pivot columns of a rational matrix modulo a large prime
+    (numpy elimination).
 
-    This is a one-sided certificate: the modular rank never exceeds the
-    true rank.  Entries may be ints or Fractions; a
-    denominator divisible by the prime raises ValueError so the caller can
-    retry with the next prime in ``_MODP_PRIMES``.
+    Returns ``(rank, pivot_columns)``; the pivots are the greedy first
+    independent columns mod p, in increasing order.  This is a one-sided
+    certificate: the modular rank never exceeds the true rank, and the
+    rows restricted to the pivot columns form a square that is nonsingular
+    mod p, hence over Q.  Entries may be ints or Fractions; a denominator
+    divisible by the prime raises ValueError so the caller can retry with
+    the next prime in ``_MODP_PRIMES``.
     """
     import numpy
 
     if not rows:
-        return 0
+        return 0, []
     p = int(prime) if prime is not None else _MODP_PRIMES[0]
     mat = numpy.zeros((len(rows), len(rows[0])), dtype=numpy.int64)
     for i, row in enumerate(rows):
@@ -430,6 +397,7 @@ def modp_rank(rows, prime=None):
                 raise ValueError("prime divides a denominator")
             mat[i, j] = (num % p) * pow(den, p - 2, p) % p
     nrows, ncols = mat.shape
+    pivots = []
     r = 0
     for col in range(ncols):
         if r == nrows:
@@ -437,6 +405,7 @@ def modp_rank(rows, prime=None):
         nz = numpy.nonzero(mat[r:, col])[0]
         if nz.size == 0:
             continue
+        pivots.append(col)
         pivot = r + int(nz[0])
         if pivot != r:
             mat[[r, pivot]] = mat[[pivot, r]]
@@ -449,11 +418,12 @@ def modp_rank(rows, prime=None):
             block = mat[r + 1 :, col:][nzmask]
             mat[r + 1 :, col:][nzmask] = (block - factors * mat[r, col:]) % p
         r += 1
-    return r
+    return r, pivots
 
 
 def modp_rank_robust(rows):
-    """modp_rank, retrying across the prime list on bad denominators."""
+    """modp_rank's ``(rank, pivot_columns)``, retrying across the prime
+    list on bad denominators."""
     last = None
     for p in _MODP_PRIMES:
         try:

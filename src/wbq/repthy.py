@@ -301,9 +301,6 @@ class GramMatrix:
     def radical_basis(self):
         return linalg.kernel_basis(self.ctx, self.entries, self.dim)
 
-    def is_zero(self):
-        return self.rank == 0
-
 
 def gram_matrix(r, s, label, field=None, seed=0, cache_dir=None, table=None):
     """Gram matrix of the cell module: entry (i, j) is the coefficient of
@@ -330,14 +327,6 @@ def gram_matrix(r, s, label, field=None, seed=0, cache_dir=None, table=None):
                 raise OracleMismatch("Gram matrix is not symmetric at %s"
                                      % label_text(label))
     return gram
-
-
-def simple_quotient(r, s, label, field=None, **kw):
-    """Dimension of the simple head, or None when the form vanishes."""
-    gram = gram_matrix(r, s, label, field=field, **kw)
-    if gram.is_zero():
-        return None
-    return gram.rank
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +838,7 @@ def schur_weyl_rank(n, r, s):
     for t in (2, 3):
         ctx = RationalPointContext(t, n)
         rows = _operator_rows(ctx, n, r, s, basis)
-        lower = max(lower, linalg.modp_rank_robust(rows))
+        lower = max(lower, linalg.modp_rank_robust(rows)[0])
         if lower == nbasis:
             _SW_MEMO[key] = nbasis
             return nbasis

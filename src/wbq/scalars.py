@@ -742,13 +742,6 @@ def specialize(x, target):
     return Scalar(target, rep)
 
 
-def normalize(x):
-    """Return x with a canonically normalized representation (idempotent)."""
-    if isinstance(x.rep, CycloFrac):
-        return Scalar(x.spec, CycloFrac(x.rep.m, list(x.rep.num), list(x.rep.den)))
-    return x
-
-
 # ---------------------------------------------------------------------------
 # canonical text serialization
 # ---------------------------------------------------------------------------

@@ -222,14 +222,6 @@ def test_cell_dimensions_spot_values():
     assert dims31[(0, (2, 1), (1,))] == 2
 
 
-def test_label_json_round_trip():
-    for r, s in [(2, 2), (3, 1)]:
-        for lab in enumerate_labels(r, s):
-            j = lab.to_json()
-            assert CellLabel.from_json(j) == lab
-            assert set(j) == {"f", "lambda1", "lambda2"}
-
-
 def test_addable_removable_nodes():
     lam = (3, 1)
     assert combinat.removable_nodes(lam) == [(1, 3), (2, 1)]

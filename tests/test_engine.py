@@ -7,36 +7,62 @@ import tempfile
 
 import pytest
 
-from wbq import combinat, engine, scalars, words
+from wbq import combinat, engine, linalg, scalars, words
 from wbq.errors import NotInSpan
 from wbq.linalg import RationalPointContext
 from wbq.scalars import FieldSpec
 
 
 def test_symmetrizer_and_contraction_words():
-    n2 = engine.young_symmetrizer_word(((2,), ()))
+    n2 = words.young_symmetrizer(((2,), ()), 0, sign=True)
     assert sorted(n2.monomials()) == [
         ((), 1, 0, 0), ((("g", 1),), -1, -1, 0)]
-    m2 = engine.young_symmetrizer_word(((2,), ()), sign=False)
+    m2 = words.young_symmetrizer(((2,), ()), 0, sign=False)
     assert sorted(m2.monomials()) == [
         ((), 1, 0, 0), ((("g", 1),), 1, 1, 0)]
-    n11 = engine.young_symmetrizer_word(((1, 1), ()))
+    n11 = words.young_symmetrizer(((1, 1), ()), 0, sign=True)
     assert list(n11.monomials()) == [((), 1, 0, 0)]
-    assert list(engine.e_word(0).monomials()) == [((), 1, 0, 0)]
-    assert list(engine.e_word(1).monomials()) == [((("e",),), 1, 0, 0)]
-    assert engine.e_ij_word(1, 1) == words.WordElement.from_word((words.E1,))
+    e0 = words.WordElement.from_word(words.e_power_letters(0))
+    assert list(e0.monomials()) == [((), 1, 0, 0)]
+    e1 = words.WordElement.from_word(words.e_power_letters(1))
+    assert list(e1.monomials()) == [((("e",),), 1, 0, 0)]
+    assert (words.WordElement.from_word(words.e_ij_letters(1, 1))
+            == words.WordElement.from_word((words.E1,)))
 
 
 def test_build_coordinates_reaches_full_rank():
-    sys11 = engine.build_coordinates(1, 1)
+    sys11 = engine.CoordinateSystem.build(1, 1)
     assert sys11.rank == 2
     assert len(sys11.seeds) == 1
-    sys21 = engine.build_coordinates(2, 1)
+    sys21 = engine.CoordinateSystem.build(2, 1)
     assert sys21.rank == 6
 
 
+def _exact_rref_pivots(system):
+    """Reference pivot choice: an exact rref of the rows at the first
+    sample point q = t where they evaluate, cut to one pivot per basis
+    word."""
+    for t in (2, 3, 5):
+        try:
+            numeric = [[engine._rational_value(system.ctx, v, t) for v in row]
+                       for row in system.rows]
+        except ZeroDivisionError:
+            continue
+        pivots, _ = linalg.rref(RationalPointContext(t, 0), numeric)
+        return pivots[:len(system.rows)]
+    raise AssertionError("no sample point evaluates the rows")
+
+
+@pytest.mark.parametrize("ctx", [None, RationalPointContext(2, 3)],
+                         ids=["qpow3", "rational"])
+def test_certificate_pivots_match_the_exact_rref_choice(ctx):
+    system = engine.CoordinateSystem.build(2, 1, ctx=ctx)
+    assert len(system.pivots) == len(system.basis)
+    assert system.pivots == _exact_rref_pivots(system)
+
+
 def test_expand_returns_indicator_vectors():
-    system = engine.build_coordinates(2, 1)
+    system = engine.CoordinateSystem.build(2, 1)
     for a, rec in enumerate(system.basis):
         vec = system.expand(rec.element)
         for c, value in enumerate(vec):
@@ -47,7 +73,7 @@ def test_expand_returns_indicator_vectors():
 
 
 def test_expand_undoes_the_internal_parameter_flip():
-    system = engine.build_coordinates(2, 1)
+    system = engine.CoordinateSystem.build(2, 1)
     rec = system.basis[0]
     scaled = rec.element.scaled(1, 1, 0)  # q * C_0
     vec = system.expand(scaled)
@@ -58,7 +84,7 @@ def test_expand_undoes_the_internal_parameter_flip():
 
 
 def test_expand_e_squared_is_delta():
-    system = engine.build_coordinates(1, 1)
+    system = engine.CoordinateSystem.build(1, 1)
     e_sq = words.WordElement.from_word((words.E1, words.E1))
     vec = system.expand(e_sq)
     assert vec[0] == scalars.delta(system.ctx.spec)
@@ -66,7 +92,7 @@ def test_expand_e_squared_is_delta():
 
 
 def test_expand_rejects_vectors_outside_the_span():
-    system = engine.build_coordinates(1, 1)
+    system = engine.CoordinateSystem.build(1, 1)
     coords = system.coordinates(system.basis[0].element)
     bad = list(coords)
     bad[0] = system.ctx.add(bad[0], system.ctx.one())
@@ -79,7 +105,7 @@ def test_expand_rejects_vectors_outside_the_span():
 
 
 def test_relation_closure_under_expansion():
-    system = engine.build_coordinates(2, 1)
+    system = engine.CoordinateSystem.build(2, 1)
     for name, lhs, rhs in words.presentation_relations(2, 1):
         left = system.expand(lhs)
         right = system.expand(rhs)
@@ -87,10 +113,10 @@ def test_relation_closure_under_expansion():
 
 
 def test_sigma_transposes_basis_indices():
-    system = engine.build_coordinates(2, 1)
+    system = engine.CoordinateSystem.build(2, 1)
     table = engine.direct_structure_constants(2, 1, FieldSpec.qpower(3))
     for a, rec in enumerate(system.basis):
-        image = engine.sigma(rec.element)
+        image = rec.element.sigma()
         vec = system.expand(image)
         target = table.sigma_position(a)
         for c, value in enumerate(vec):

@@ -1,4 +1,4 @@
-"""Source hygiene: the package keeps no helper that nothing references."""
+"""Source hygiene: the package keeps no helper that only tests reference."""
 
 import ast
 import collections
@@ -35,11 +35,27 @@ def _defined_names(tree):
             if not (name.startswith("__") and name.endswith("__"))]
 
 
+# Names that may go without a caller in ``src/``, each with its reason.
+ALLOWED = {
+    # reference implementations kept to cross-check the main routes
+    "repthy.alt_cell_realization_check": "oracle for cell modules",
+    "repthy.route_agreement": "oracle for the two table routes",
+    "repthy.gram_certificate_numeric": "oracle for generic Gram ranks",
+    # partition helpers the LLT route of ROADMAP item 5 will call
+    "combinat.addable_nodes": "awaits the LLT route",
+    "combinat.removable_nodes": "awaits the LLT route",
+    "combinat.e_regular": "awaits the LLT route",
+    # their tests check mathematics, not the helper
+    "combinat.mixed_weights": "tests check the weight multiset",
+    "combinat.dominant_weight_order": "tests check the dominance order",
+    "combinat.apply_word_to_tableau": "tests check the tableau action",
+}
+
+
 def unreferenced_names():
     """Names defined in the package's modules that appear nowhere in
-    ``src/`` or ``tests/`` apart from their own definition."""
+    ``src/`` apart from their own definition."""
     corpus = _sources(os.path.join(ROOT, "src"))
-    corpus.update(_sources(HERE))
     uses = collections.Counter(re.findall(r"\w+", "\n".join(corpus.values())))
     dead = []
     for path in sorted(p for p in corpus
@@ -51,4 +67,9 @@ def unreferenced_names():
 
 
 def test_every_package_name_is_referenced():
-    assert unreferenced_names() == []
+    assert sorted(set(unreferenced_names()) - set(ALLOWED)) == []
+
+
+def test_every_allowed_name_still_lacks_a_caller():
+    # an exemption lapses once the name gets a caller or is deleted
+    assert sorted(set(ALLOWED) - set(unreferenced_names())) == []

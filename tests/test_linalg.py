@@ -15,13 +15,11 @@ from wbq.linalg import (
     kernel_basis,
     lagrange_poly,
     mat_mul,
-    mat_vec,
     modp_rank,
     modp_rank_robust,
     poly_eval,
     rank,
     rref,
-    select_pivot_rows,
 )
 from wbq.scalars import FieldSpec, quantum_integer
 
@@ -82,19 +80,6 @@ def test_invert_square():
     assert invert_square(ctx, singular) is None
 
 
-def test_select_pivot_rows():
-    ctx = _fc()
-    rows = _rows(ctx, [[0, 0], [1, 1], [2, 2], [0, 5]])
-    chosen = select_pivot_rows(ctx, rows, 2)
-    assert chosen == [1, 3]
-    try:
-        select_pivot_rows(ctx, _rows(ctx, [[1, 1], [2, 2]]), 2)
-        failed = False
-    except ValueError:
-        failed = True
-    assert failed
-
-
 def test_span_tracker_expressions():
     ctx = _fc()
     tracker = SpanTracker(ctx, 3)
@@ -133,21 +118,26 @@ def test_rational_point_context():
 
 def test_modp_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert modp_rank(rows) == 2
+    assert modp_rank(rows) == (2, [0, 1])
     rows_frac = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]]
-    assert modp_rank_robust(rows_frac) == 2
+    assert modp_rank_robust(rows_frac) == (2, [0, 1])
     rank_one = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert modp_rank_robust(rank_one) == 1
-    assert modp_rank([[0, 0], [0, 0]]) == 0
+    assert modp_rank_robust(rank_one) == (1, [0])
+    assert modp_rank([[0, 0], [0, 0]]) == (0, [])
+    assert modp_rank([]) == (0, [])
+    # a leading zero column is skipped, a later dependent one too
+    assert modp_rank([[0, 1, 2, 5], [0, 2, 4, 1]]) == (2, [1, 3])
 
 
-def test_mat_vec():
-    ctx = _fc()
-    mat = _rows(ctx, [[1, 2], [0, 1]])
-    vec = _rows(ctx, [[3, 4]])[0]
-    out = mat_vec(ctx, mat, vec)
-    assert ctx.eq(out[0], ctx.from_fraction(11))
-    assert ctx.eq(out[1], ctx.from_fraction(4))
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=6)))
+def test_modp_rank_matches_exact_rref(rows):
+    # Hadamard: every minor of at most 6 rows with |a| <= 9 is below
+    # 9^6 * 6^3 < 2^31 - 1, so no minor vanishes mod p unless it is zero
+    pivots, _ = rref(RationalPointContext(2, 0), rows)
+    assert modp_rank(rows) == (len(pivots), pivots)
 
 
 def _reference_lagrange_poly(xs, ys):

@@ -9,7 +9,7 @@ from wbq import engine, scalars
 from wbq.scalars import (
     FieldSpec, INFINITY, delta, flip, from_fraction, is_zero, monomial, one,
     parse_scalar, q_elem, quantum_characteristic, quantum_factorial,
-    quantum_integer, rho_elem, specialize, to_text, zero, normalize,
+    quantum_integer, rho_elem, specialize, to_text, zero,
     constant_value,
 )
 from wbq.errors import DenominatorVanishes
@@ -113,15 +113,6 @@ def test_field_axioms_random():
             if not is_zero(a):
                 assert a / a == one(spec)
                 assert a * (one(spec) / a) == one(spec)
-
-
-def test_normalization_idempotent():
-    rng = random.Random(7)
-    for spec in SAMPLE_SPECS:
-        for _ in range(5):
-            x = random_scalar(spec, rng)
-            assert normalize(x) == x
-            assert to_text(normalize(x)) == to_text(x)
 
 
 def test_serialization_round_trip():

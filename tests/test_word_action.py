@@ -13,7 +13,7 @@ from wbq import combinat, engine, linalg, repthy, words
 def _source(name):
     """(ctx, letter matrix, element matrix) of one kernel caller."""
     if name == "coordinates":
-        system = engine.build_coordinates(2, 1, spec="qpow:3")
+        system = engine.CoordinateSystem.build(2, 1)
         return system.ctx, system.action.letter, system.element_matrix
     tab = engine.structure_constants(2, 2, "qpow:4")
     if name == "table":
@@ -80,6 +80,6 @@ def test_inverse_letters_invert():
 
 
 def test_derived_inverse_matches_the_tensor_action():
-    system = engine.build_coordinates(2, 1, spec="qpow:3")
+    system = engine.CoordinateSystem.build(2, 1)
     assert _equal(system.ctx, system.action.letter(("gi", 1)),
                   system._letter_columns(("gi", 1)))
