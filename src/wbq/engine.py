@@ -142,7 +142,7 @@ class CoordinateSystem:
         self.pivot_inverse = pivot_inverse
         self.action = words.WordAction(
             ctx, len(basis), self._letter_columns,
-            ctx.sub(ctx.from_monomial(1, -1, 0), ctx.from_monomial(1, 1, 0)))
+            ctx.from_monomial(1, -1, 0) - ctx.from_monomial(1, 1, 0))
 
     @classmethod
     def build(cls, r, s, seed=0, ctx=None, n=None, support=None,
@@ -242,15 +242,15 @@ class CoordinateSystem:
         for j in range(len(xp)):
             acc = ctx.zero()
             for i in range(len(xp)):
-                acc = ctx.add(acc, ctx.mul(xp[i], self.pivot_inverse[i][j]))
+                acc += xp[i] * self.pivot_inverse[i][j]
             d.append(acc)
         if check:
             for pos in range(len(coords)):
                 acc = ctx.zero()
                 for a in range(len(d)):
-                    if not ctx.is_zero(d[a]):
-                        acc = ctx.add(acc, ctx.mul(d[a], self.rows[a][pos]))
-                if not ctx.eq(acc, coords[pos]):
+                    if d[a]:
+                        acc += d[a] * self.rows[a][pos]
+                if acc != coords[pos]:
                     raise NotInSpan("residual is nonzero at coordinate %d" % pos)
         return d
 
@@ -349,7 +349,7 @@ class ConstantsTable:
         ctx = self.ctx
         return words.WordAction(
             ctx, self.size, self._letter_columns,
-            ctx.sub(ctx.from_monomial(1, 1, 0), ctx.from_monomial(1, -1, 0)))
+            ctx.from_monomial(1, 1, 0) - ctx.from_monomial(1, -1, 0))
 
     def _letter_columns(self, letter):
         """Matrix of a positive letter, assembled from the table and the
@@ -358,11 +358,11 @@ class ConstantsTable:
         nbasis = self.size
         mat = [[ctx.zero()] * nbasis for _ in range(nbasis)]
         for b, coeff in self.generator_expansion(_letter_key(letter)).items():
-            if ctx.is_zero(coeff):
+            if not coeff:
                 continue
             for a in range(nbasis):
                 for c, val in self.product(a, b).items():
-                    mat[c][a] = ctx.add(mat[c][a], ctx.mul(coeff, val))
+                    mat[c][a] += coeff * val
         return mat
 
     def expand_word_element(self, element):
@@ -375,7 +375,7 @@ class ConstantsTable:
         for c in range(self.size):
             acc = ctx.zero()
             for a, val in unit.items():
-                acc = ctx.add(acc, ctx.mul(mat[c][a], val))
+                acc += mat[c][a] * val
             out.append(acc)
         return out
 
@@ -393,7 +393,7 @@ class ConstantsTable:
                 for c in keys:
                     lv = left.get(c, ctx.zero())
                     rv = right.get(perm[c], ctx.zero())
-                    if not ctx.eq(lv, rv):
+                    if lv != rv:
                         raise OracleMismatch(
                             "reversal symmetry fails at (%d,%d,%d)" % (a, b, c))
 
@@ -404,7 +404,7 @@ class ConstantsTable:
             rec_a = self.basis[a]
             for b in range(self.size):
                 for c, val in self.product(a, b).items():
-                    if self.ctx.is_zero(val):
+                    if not val:
                         continue
                     rec_c = self.basis[c]
                     order = combinat.label_order(rec_c.label, rec_a.label)
@@ -420,13 +420,12 @@ class ConstantsTable:
 
     def check_relations(self):
         """Every defining relation holds as a matrix identity on columns."""
-        ctx = self.ctx
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
             lmat = self.action.element(lhs)
             rmat = self.action.element(rhs)
             for i in range(self.size):
                 for j in range(self.size):
-                    if not ctx.eq(lmat[i][j], rmat[i][j]):
+                    if lmat[i][j] != rmat[i][j]:
                         raise OracleMismatch("relation %s fails on the table"
                                              % name)
 
@@ -438,7 +437,7 @@ class ConstantsTable:
             vec = self.expand_word_element(self.basis[a].element)
             for c in range(self.size):
                 want = ctx.one() if c == a else ctx.zero()
-                if not ctx.eq(vec[c], want):
+                if vec[c] != want:
                     raise OracleMismatch(
                         "basis word %d does not re-expand to itself" % a)
 

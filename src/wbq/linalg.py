@@ -1,9 +1,13 @@
 """Exact linear algebra over pluggable coefficient domains.
 
-A *context* packages the arithmetic of one exact coefficient domain.  Two
-domains are used throughout the package: elements of a ``FieldSpec`` field
-(``FieldContext``) and plain rational numbers obtained by evaluating ``q``
-and ``rho`` at an integer point (``RationalPointContext``).  The routines
+A *context* constructs the elements of one exact coefficient domain: its
+zero, its one, the monomials c * q^a * rho^b and the images of Generic-field
+scalars.  The elements carry their own arithmetic (``+ - * /``, unary minus,
+``==``, and truthiness for "nonzero").  Two domains are used throughout the
+package: elements of a ``FieldSpec`` field (``FieldContext``, whose elements
+are ``Scalar``) and plain rational numbers obtained by evaluating ``q`` and
+``rho`` at an integer point (``RationalPointContext``, whose elements are
+``Fraction``).  The routines
 are Gaussian elimination with deterministic pivot choices, so all outputs
 are reproducible.  Every one is exact over its context except
 ``modp_rank``, which eliminates a rational matrix modulo a large prime and
@@ -29,7 +33,8 @@ def _as_ratio(value):
 
 
 class FieldContext:
-    """Arithmetic of ``Scalar`` elements over a fixed ``FieldSpec``."""
+    """Constructs ``Scalar`` elements of a fixed ``FieldSpec``; the
+    elements carry their own arithmetic."""
 
     __slots__ = ("spec",)
 
@@ -45,30 +50,6 @@ class FieldContext:
     def from_monomial(self, c, qexp=0, rhoexp=0):
         return scalars.monomial(self.spec, c, qexp, rhoexp)
 
-    def from_fraction(self, c):
-        return scalars.from_fraction(c, self.spec)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def div(self, x, y):
-        return x / y
-
-    def is_zero(self, x):
-        return scalars.is_zero(x)
-
-    def eq(self, x, y):
-        return x == y
-
     def from_generic(self, x):
         """Map a Scalar over the Generic field into this field."""
         if x.spec == self.spec:
@@ -77,7 +58,8 @@ class FieldContext:
 
 
 class RationalPointContext:
-    """Exact rational arithmetic at ``q = t`` and ``rho = t**rho_exp``.
+    """Constructs ``Fraction`` elements, the values at ``q = t`` and
+    ``rho = t**rho_exp``; the elements carry their own arithmetic.
 
     ``t`` must be a nonzero rational with ``t**2 != 1`` so that every
     admissible denominator stays invertible.
@@ -115,31 +97,6 @@ class RationalPointContext:
         num, den = _as_ratio(c)
         return Fraction(num, den) * self._qpow(qexp + self.rhoexp * rhoexp)
 
-    def from_fraction(self, c):
-        num, den = _as_ratio(c)
-        return Fraction(num, den)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def div(self, x, y):
-        return x / y
-
-    def is_zero(self, x):
-        return x == 0
-
-    def eq(self, x, y):
-        return x == y
-
     def from_generic(self, x):
         """Evaluate a Scalar over the Generic field at this point."""
         num = self._eval_poly(x.rep.numer)
@@ -160,15 +117,6 @@ class RationalPointContext:
         return total
 
 
-def vec_zero(ctx, dim):
-    z = ctx.zero()
-    return [z] * dim
-
-
-def vec_is_zero(ctx, u):
-    return all(ctx.is_zero(a) for a in u)
-
-
 def rref(ctx, rows):
     """Reduced row echelon form.
 
@@ -183,27 +131,27 @@ def rref(ctx, rows):
     for col in range(ncols):
         pivot = None
         for idx, row in enumerate(work):
-            if not ctx.is_zero(row[col]):
+            if row[col]:
                 pivot = idx
                 break
         if pivot is None:
             continue
         row = work.pop(pivot)
-        inv = ctx.div(ctx.one(), row[col])
-        row = [ctx.mul(inv, a) for a in row]
+        inv = ctx.one() / row[col]
+        row = [inv * a for a in row]
         for other in work:
             c = other[col]
-            if not ctx.is_zero(c):
+            if c:
                 for j in range(col, ncols):
-                    other[j] = ctx.sub(other[j], ctx.mul(c, row[j]))
+                    other[j] -= c * row[j]
         for other in reduced:
             c = other[col]
-            if not ctx.is_zero(c):
+            if c:
                 for j in range(col, ncols):
-                    other[j] = ctx.sub(other[j], ctx.mul(c, row[j]))
+                    other[j] -= c * row[j]
         reduced.append(row)
         pivot_cols.append(col)
-        work = [r for r in work if not vec_is_zero(ctx, r)]
+        work = [r for r in work if any(r)]
     return pivot_cols, reduced
 
 
@@ -224,11 +172,11 @@ def kernel_basis(ctx, rows, dim):
     for free in range(dim):
         if free in pivot_set:
             continue
-        vec = vec_zero(ctx, dim)
+        vec = [ctx.zero()] * dim
         vec[free] = ctx.one()
         for prow, pcol in zip(reduced, pivot_cols):
-            if not ctx.is_zero(prow[free]):
-                vec[pcol] = ctx.neg(prow[free])
+            if prow[free]:
+                vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
 
@@ -248,22 +196,20 @@ def invert_square(ctx, matrix):
     for col in range(n):
         pivot = None
         for idx in range(col, n):
-            if not ctx.is_zero(work[idx][col]):
+            if work[idx][col]:
                 pivot = idx
                 break
         if pivot is None:
             return None
         work[col], work[pivot] = work[pivot], work[col]
-        inv = ctx.div(one, work[col][col])
-        work[col] = [ctx.mul(inv, a) for a in work[col]]
+        inv = one / work[col][col]
+        work[col] = [inv * a for a in work[col]]
         for idx in range(n):
             if idx == col:
                 continue
             c = work[idx][col]
-            if not ctx.is_zero(c):
-                row = work[idx]
-                prow = work[col]
-                work[idx] = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(row, prow)]
+            if c:
+                work[idx] = [a - c * b for a, b in zip(work[idx], work[col])]
     return [row[n:] for row in work]
 
 
@@ -275,8 +221,8 @@ def mat_mul(ctx, a, b):
         for col in bt:
             acc = ctx.zero()
             for x, y in zip(row, col):
-                if not ctx.is_zero(x) and not ctx.is_zero(y):
-                    acc = ctx.add(acc, ctx.mul(x, y))
+                if x and y:
+                    acc += x * y
             orow.append(acc)
         out.append(orow)
     return out
@@ -309,14 +255,13 @@ class SpanTracker:
         combo = {}
         for row, pivot, expr in zip(self.rows, self.pivots, self.exprs):
             c = vec[pivot]
-            if ctx.is_zero(c):
+            if not c:
                 continue
             for j in range(self.dim):
-                if not ctx.is_zero(row[j]):
-                    vec[j] = ctx.sub(vec[j], ctx.mul(c, row[j]))
+                if row[j]:
+                    vec[j] -= c * row[j]
             for k, e in expr.items():
-                prev = combo.get(k, ctx.zero())
-                combo[k] = ctx.add(prev, ctx.mul(c, e))
+                combo[k] = combo.get(k, ctx.zero()) + c * e
         return vec, combo
 
     def insert(self, vec):
@@ -327,28 +272,27 @@ class SpanTracker:
         residual, combo = self._reduce(vec)
         pivot = None
         for j in range(self.dim):
-            if not ctx.is_zero(residual[j]):
+            if residual[j]:
                 pivot = j
                 break
         if pivot is None:
             return False
         expr = {index: ctx.one()}
         for k, e in combo.items():
-            if not ctx.is_zero(e):
-                expr[k] = ctx.neg(e)
-        inv = ctx.div(ctx.one(), residual[pivot])
-        residual = [ctx.mul(inv, a) for a in residual]
-        expr = {k: ctx.mul(inv, e) for k, e in expr.items()}
+            if e:
+                expr[k] = -e
+        inv = ctx.one() / residual[pivot]
+        residual = [inv * a for a in residual]
+        expr = {k: inv * e for k, e in expr.items()}
         for row, rexpr in zip(self.rows, self.exprs):
             c = row[pivot]
-            if ctx.is_zero(c):
+            if not c:
                 continue
             for j in range(self.dim):
-                if not ctx.is_zero(residual[j]):
-                    row[j] = ctx.sub(row[j], ctx.mul(c, residual[j]))
+                if residual[j]:
+                    row[j] -= c * residual[j]
             for k, e in expr.items():
-                prev = rexpr.get(k, ctx.zero())
-                rexpr[k] = ctx.sub(prev, ctx.mul(c, e))
+                rexpr[k] = rexpr.get(k, ctx.zero()) - c * e
         self.rows.append(residual)
         self.pivots.append(pivot)
         self.exprs.append(expr)
@@ -361,11 +305,10 @@ class SpanTracker:
         ``insert`` call whether or not it enlarged the span) to a nonzero
         coefficient.
         """
-        ctx = self.ctx
         residual, combo = self._reduce(vec)
-        if not vec_is_zero(ctx, residual):
+        if any(residual):
             return None
-        return {k: e for k, e in combo.items() if not ctx.is_zero(e)}
+        return {k: e for k, e in combo.items() if e}
 
 
 _MODP_PRIMES = (2147483647, 2147483629, 2147483587)

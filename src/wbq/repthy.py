@@ -139,17 +139,16 @@ class CellModule:
         self.dim = len(index_set)
         self.action = words.WordAction(
             ctx, self.dim, letter_source,
-            ctx.sub(ctx.from_monomial(1, 1, 0), ctx.from_monomial(1, -1, 0)))
+            ctx.from_monomial(1, 1, 0) - ctx.from_monomial(1, -1, 0))
 
     def check_relations(self):
         """All defining relations hold on the action matrices."""
-        ctx = self.ctx
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
             lmat = self.action.element(lhs)
             rmat = self.action.element(rhs)
             for j in range(self.dim):
                 for k in range(self.dim):
-                    if not ctx.eq(lmat[j][k], rmat[j][k]):
+                    if lmat[j][k] != rmat[j][k]:
                         raise OracleMismatch(
                             "relation %s fails on the cell module %s"
                             % (name, label_text(self.label)))
@@ -179,13 +178,13 @@ def _table_module_letter(table, start, dim, frame, letter):
     for j in range(dim):
         pos = start + frame * dim + j
         for b, coeff in gen.items():
-            if ctx.is_zero(coeff):
+            if not coeff:
                 continue
             vec = table.product(pos, b)
             for k in range(dim):
                 val = vec.get(start + frame * dim + k)
-                if val is not None and not ctx.is_zero(val):
-                    mat[k][j] = ctx.add(mat[k][j], ctx.mul(coeff, val))
+                if val:
+                    mat[k][j] += coeff * val
     return mat
 
 
@@ -221,7 +220,7 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                     b = _table_module_letter(tab, start, dim, other, letter)
                     for j in range(dim):
                         for k in range(dim):
-                            if not tab.ctx.eq(a[j][k], b[j][k]):
+                            if a[j][k] != b[j][k]:
                                 raise OracleMismatch(
                                     "cell module depends on the frame at %s"
                                     % label_text(label))
@@ -323,7 +322,7 @@ def gram_matrix(r, s, label, field=None, seed=0, cache_dir=None, table=None):
     gram = GramMatrix(label, entries, ctx)
     for i in range(dim):
         for j in range(i):
-            if not ctx.eq(entries[i][j], entries[j][i]):
+            if entries[i][j] != entries[j][i]:
                 raise OracleMismatch("Gram matrix is not symmetric at %s"
                                      % label_text(label))
     return gram
@@ -343,7 +342,7 @@ def _layer_trace_table(tab, start, dim, frame):
             pos = start + frame * dim + j
             val = tab.product(pos, b).get(pos)
             if val is not None:
-                acc = ctx.add(acc, val)
+                acc += val
         out.append(acc)
     return out
 
@@ -374,22 +373,20 @@ def _quotient_trace_table(tab, start, dim, frame, gram, check=True):
             for vec in radical:
                 image = [ctx.zero()] * dim
                 for j in range(dim):
-                    if ctx.is_zero(vec[j]):
+                    if not vec[j]:
                         continue
                     for b, coeff in gen.items():
                         prod = tab.product(start + frame * dim + j, b)
                         for k in range(dim):
                             val = prod.get(start + frame * dim + k)
                             if val is not None:
-                                image[k] = ctx.add(
-                                    image[k],
-                                    ctx.mul(vec[j], ctx.mul(coeff, val)))
+                                image[k] += vec[j] * (coeff * val)
                 for check_row in gram.entries:
                     acc = ctx.zero()
                     for k in range(dim):
-                        if not ctx.is_zero(image[k]):
-                            acc = ctx.add(acc, ctx.mul(check_row[k], image[k]))
-                    if not ctx.is_zero(acc):
+                        if image[k]:
+                            acc += check_row[k] * image[k]
+                    if acc:
                         raise OracleMismatch(
                             "the form radical is not stable under the action")
     out = []
@@ -397,11 +394,11 @@ def _quotient_trace_table(tab, start, dim, frame, gram, check=True):
         mat = _module_rows(tab, start, dim, frame, b)
         acc = ctx.zero()
         for row_idx, p in enumerate(pivots):
-            acc = ctx.add(acc, mat[p][p])
+            acc += mat[p][p]
             for fcol in free:
                 corr = reduced[row_idx][fcol]
-                if not ctx.is_zero(corr) and not ctx.is_zero(mat[p][fcol]):
-                    acc = ctx.add(acc, ctx.mul(mat[p][fcol], corr))
+                if corr and mat[p][fcol]:
+                    acc += mat[p][fcol] * corr
         out.append(acc)
     return out
 
@@ -456,9 +453,9 @@ class DecompositionMatrix:
 
 def _integer_value(ctx, value, bound=64):
     for k in range(bound + 1):
-        if ctx.eq(value, ctx.from_monomial(k)):
+        if value == ctx.from_monomial(k):
             return k
-        if k and ctx.eq(value, ctx.from_monomial(-k)):
+        if k and value == ctx.from_monomial(-k):
             return -k
     raise IntegralityViolation("a decomposition entry is not a small integer")
 
@@ -692,7 +689,7 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
 
     generator = project(tab.expand_word_element(_alt_generator_element(label)))
     for p in range(nbasis):
-        if not ctx.is_zero(generator[p]):
+        if generator[p]:
             order = combinat.label_order(tab.basis[p].label, label)
             if order != "eq":
                 raise OracleMismatch(
@@ -712,12 +709,11 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
                 mat = tab.action.letter(letter)
                 image = [ctx.zero()] * nbasis
                 for a in range(nbasis):
-                    if ctx.is_zero(vec[a]):
+                    if not vec[a]:
                         continue
                     for c in range(nbasis):
-                        if not ctx.is_zero(mat[c][a]):
-                            image[c] = ctx.add(image[c],
-                                               ctx.mul(vec[a], mat[c][a]))
+                        if mat[c][a]:
+                            image[c] += vec[a] * mat[c][a]
                 image = project(image)
                 if tracker.insert(image):
                     new_frontier.append(image)
@@ -734,15 +730,15 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
         for i, vec in enumerate(basis_vectors):
             image = [ctx.zero()] * nbasis
             for a in range(nbasis):
-                if ctx.is_zero(vec[a]):
+                if not vec[a]:
                     continue
                 for c, val in tab.product(a, b).items():
-                    image[c] = ctx.add(image[c], ctx.mul(vec[a], val))
+                    image[c] += vec[a] * val
             expr = tracker.express(project(image))
             if expr is None:
                 return False
-            acc = ctx.add(acc, expr.get(ordinals[i], ctx.zero()))
-        if not ctx.eq(acc, reference[b]):
+            acc += expr.get(ordinals[i], ctx.zero())
+        if acc != reference[b]:
             return False
     return True
 
@@ -1019,7 +1015,7 @@ def route_agreement(r, s, n=None, seed=0, cache_dir=None):
             mat = module.action.element(tab.basis[b].element)
             acc = ctx.zero()
             for j in range(module.dim):
-                acc = ctx.add(acc, mat[j][j])
+                acc += mat[j][j]
             sing_traces.append(acc)
         form = [[tensor.contravariant_form(u, v, n, r, s)
                  for v in module.vectors] for u in module.vectors]
@@ -1029,7 +1025,7 @@ def route_agreement(r, s, n=None, seed=0, cache_dir=None):
                 "Gram ranks disagree between the two constructions at %s"
                 % label_text(label))
         for b in range(tab.size):
-            if not ctx.eq(table_traces[b], sing_traces[b]):
+            if table_traces[b] != sing_traces[b]:
                 raise OracleMismatch(
                     "trace tables disagree between the two constructions "
                     "at %s" % label_text(label))

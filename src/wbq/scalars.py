@@ -408,8 +408,8 @@ class FieldSpec:
     @staticmethod
     def cyclotomic(m, rho="free"):
         m = int(m)
-        if m in (1, 2):
-            raise ValueError("cyclotomic index m must not be 1 or 2 (q^2 = 1 is excluded)")
+        if m < 3:
+            raise ValueError("cyclotomic index m must be at least 3 (q^2 = 1 is excluded)")
         if rho == "free":
             return FieldSpec("cyclo", m=m, rho_kind="free")
         return FieldSpec("cyclo", m=m, rho_kind="power", rho_a=int(rho) % m)
@@ -506,6 +506,9 @@ class Scalar:
             return NotImplemented
         return self.spec == other.spec and self.rep == other.rep
 
+    def __bool__(self):
+        return not is_zero(self)
+
     def __hash__(self):
         return hash((self.spec.key(), repr(self.rep)))
 
@@ -563,32 +566,6 @@ def is_zero(x):
     if isinstance(rep, (CycloNum, CycloFrac)):
         return rep.is_zero()
     return rep == 0
-
-
-def constant_value(x):
-    """Return the Fraction value of x if x is a rational constant, else None."""
-    rep = x.rep
-    if isinstance(rep, CycloNum):
-        if all(c == 0 for c in rep.c[1:]):
-            return rep.c[0]
-        return None
-    if isinstance(rep, CycloFrac):
-        if len(rep.den) == 1 and len(rep.num) <= 1:
-            if not rep.num:
-                return Fraction(0)
-            val = Scalar(FieldSpec.cyclotomic(rep.m, 0), rep.num[0] * rep.den[0].inverse())
-            return constant_value(val)
-        return None
-    num, den = rep.numer, rep.denom
-    nt, dt = list(num.terms()), list(den.terms())
-    if len(dt) != 1 or any(e != 0 for e in dt[0][0]):
-        return None
-    if not nt:
-        return Fraction(0)
-    if len(nt) != 1 or any(e != 0 for e in nt[0][0]):
-        return None
-    cn, cd = nt[0][1], dt[0][1]
-    return Fraction(int(cn.numerator), int(cn.denominator)) / Fraction(int(cd.numerator), int(cd.denominator))
 
 
 def flip(x):

@@ -2,8 +2,8 @@
 
 The space has basis ``v_{i|j}`` indexed by tuples ``i`` in {1..n}^r and
 ``j`` in {1..n}^s, realized as sparse mappings from index tuples to exact
-coefficients.  The diagram algebra acts on the right by ``act_generator``,
-``act_letters`` and ``act_word``, which all apply one letter at a time
+coefficients.  The diagram algebra acts on the right by ``act_letters``
+and ``act_word``, which both apply one letter at a time
 through the kernel ``_act`` with letter constants built once per field
 and rank; the quantum enveloping algebra of gl_n acts on the left by
 ``act_E``, ``act_F``, ``act_K`` and the divided powers.  The letters act in
@@ -19,6 +19,7 @@ from left to right; the left action applies coproduct twists in that
 physical order.
 """
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -78,20 +79,20 @@ class TensorVector:
     def add(self, other):
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            _accum(self.ctx, out, idx, val)
+            _accum(out, idx, val)
         return TensorVector(self.ctx, out)
 
     def sub(self, other):
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            _accum(self.ctx, out, idx, self.ctx.neg(val))
+            _accum(out, idx, -val)
         return TensorVector(self.ctx, out)
 
     def scale(self, c):
-        if self.ctx.is_zero(c):
+        if not c:
             return TensorVector(self.ctx)
         return TensorVector(
-            self.ctx, {idx: self.ctx.mul(c, val) for idx, val in self.entries.items()}
+            self.ctx, {idx: c * val for idx, val in self.entries.items()}
         )
 
     def is_zero(self):
@@ -99,9 +100,6 @@ class TensorVector:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def coefficient(self, idx):
-        return self.entries.get(tuple(idx), self.ctx.zero())
 
     def __eq__(self, other):
         if not isinstance(other, TensorVector):
@@ -111,12 +109,12 @@ class TensorVector:
             a = self.entries.get(idx)
             b = other.entries.get(idx)
             if a is None:
-                if not self.ctx.is_zero(b):
+                if b:
                     return False
             elif b is None:
-                if not self.ctx.is_zero(a):
+                if a:
                     return False
-            elif not self.ctx.eq(a, b):
+            elif a != b:
                 return False
         return True
 
@@ -129,15 +127,15 @@ class TensorVector:
         return "TensorVector{%s}" % ", ".join(parts)
 
 
-def _accum(ctx, table, idx, val):
-    if ctx.is_zero(val):
+def _accum(table, idx, val):
+    if not val:
         return
     cur = table.get(idx)
     if cur is None:
         table[idx] = val
     else:
-        new = ctx.add(cur, val)
-        if ctx.is_zero(new):
+        new = cur + val
+        if not new:
             del table[idx]
         else:
             table[idx] = new
@@ -182,7 +180,7 @@ def _constants(ctx, n):
         qpos = ctx.from_monomial(1, 1)
         weights = [None] + [ctx.from_monomial(1, 2 * i - n - 1)
                             for i in range(1, n + 1)]
-        consts = (qinv, qpos, ctx.sub(qinv, qpos), ctx.sub(qpos, qinv), weights)
+        consts = (qinv, qpos, qinv - qpos, qpos - qinv, weights)
         _LETTER_CONSTANTS[key] = consts
     return consts
 
@@ -215,41 +213,34 @@ def _act(ctx, entries, letter, n, r, s, consts):
         for idx, coeff in entries.items():
             a, b = idx[p], idx[p + 1]
             if a == b:
-                _accum(ctx, out, idx, ctx.mul(coeff, same))
+                _accum(out, idx, coeff * same)
                 continue
-            _accum(ctx, out, idx[:p] + (b, a) + idx[p + 2 :], coeff)
+            _accum(out, idx[:p] + (b, a) + idx[p + 2 :], coeff)
             keep = ascending if a < b else descending
             if keep is not None:
-                _accum(ctx, out, idx, ctx.mul(coeff, keep))
+                _accum(out, idx, coeff * keep)
     elif kind == "e":
         if r < 1 or s < 1:
             raise IndexOutOfRange("e_1 needs r >= 1 and s >= 1")
         for idx, coeff in entries.items():
             if idx[0] != idx[r]:
                 continue
-            c = ctx.mul(coeff, weights[idx[0]])
+            c = coeff * weights[idx[0]]
             middle = idx[1:r]
             tail = idx[r + 1 :]
             for t in range(1, n + 1):
-                _accum(ctx, out, (t,) + middle + (t,) + tail, c)
+                _accum(out, (t,) + middle + (t,) + tail, c)
     else:
         raise IndexOutOfRange("unknown generator letter %r" % (letter,))
     return out
 
 
-def act_generator(v, x, n, r, s):
-    """Right action of one generator (or inverse generator) letter.
+def act_letters(v, letters, n, r, s):
+    """Apply a product of letters left to right (right action).
 
-    ``x`` is a letter tuple: ("e",), ("g", k), ("gs", k), ("gi", k) or
+    Each letter is a tuple: ("e",), ("g", k), ("gs", k), ("gi", k) or
     ("gsi", k).
     """
-    ctx = v.ctx
-    _check_field(ctx, n)
-    return TensorVector(ctx, _act(ctx, v.entries, x, n, r, s, _constants(ctx, n)))
-
-
-def act_letters(v, letters, n, r, s):
-    """Apply a product of letters left to right (right action)."""
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
@@ -268,15 +259,15 @@ def act_word(v, element, n, r, s):
     consts = _constants(ctx, n)
     out = {}
     for word, bucket in element.terms.items():
-        coeff = reduce(ctx.add, [ctx.from_monomial(c, -a, -b)
-                                 for (a, b), c in bucket.items()])
-        if ctx.is_zero(coeff):
+        coeff = reduce(operator.add, [ctx.from_monomial(c, -a, -b)
+                                      for (a, b), c in bucket.items()])
+        if not coeff:
             continue
         entries = v.entries
         for letter in word:
             entries = _act(ctx, entries, letter, n, r, s, consts)
         for idx, val in entries.items():
-            _accum(ctx, out, idx, ctx.mul(coeff, val))
+            _accum(out, idx, coeff * val)
     return TensorVector(ctx, out)
 
 
@@ -312,14 +303,14 @@ def act_E(v, i, n, r, s):
                 if idx[pos] != i + 1:
                     continue
                 new = idx[:pos] + (i,) + idx[pos + 1 :]
-                c = ctx.mul(coeff, ctx.from_monomial(1, twist))
+                c = coeff * ctx.from_monomial(1, twist)
             else:
                 pos = p
                 if idx[pos] != i:
                     continue
                 new = idx[:pos] + (i + 1,) + idx[pos + 1 :]
-                c = ctx.mul(coeff, ctx.from_monomial(-1, twist - 1))
-            _accum(ctx, out, new, c)
+                c = coeff * ctx.from_monomial(-1, twist - 1)
+            _accum(out, new, c)
     return TensorVector(ctx, out)
 
 
@@ -340,14 +331,14 @@ def act_F(v, i, n, r, s):
                 if idx[pos] != i:
                     continue
                 new = idx[:pos] + (i + 1,) + idx[pos + 1 :]
-                c = ctx.mul(coeff, ctx.from_monomial(1, twist))
+                c = coeff * ctx.from_monomial(1, twist)
             else:
                 pos = p
                 if idx[pos] != i + 1:
                     continue
                 new = idx[:pos] + (i,) + idx[pos + 1 :]
-                c = ctx.mul(coeff, ctx.from_monomial(-1, twist + 1))
-            _accum(ctx, out, new, c)
+                c = coeff * ctx.from_monomial(-1, twist + 1)
+            _accum(out, new, c)
     return TensorVector(ctx, out)
 
 
@@ -370,7 +361,7 @@ def act_K(v, h, n, r, s):
             if len(h) != n:
                 raise IndexOutOfRange("torus tuple must have length n")
             exp = sum(a * b for a, b in zip(h, wt))
-        _accum(ctx, out, idx, ctx.mul(coeff, ctx.from_monomial(1, exp)))
+        _accum(out, idx, coeff * ctx.from_monomial(1, exp))
     return TensorVector(ctx, out)
 
 
@@ -443,7 +434,7 @@ def act_divided_power(v, i, ell, n, r, s):
         table = _divided_power_table(n, r, s, i, ell, wt)
         for idx, coeff in pairs:
             for tgt, gval in table[idx]:
-                _accum(ctx, out, tgt, ctx.mul(coeff, ctx.from_generic(gval)))
+                _accum(out, tgt, coeff * ctx.from_generic(gval))
     return TensorVector(ctx, out)
 
 
@@ -489,7 +480,7 @@ def singular_space(wt, n, r, s, ell_max=None, spec=None):
     for vec in basis:
         entries = {}
         for pos, val in enumerate(vec):
-            if not ctx.is_zero(val):
+            if val:
                 entries[sources[pos]] = val
         out.append(TensorVector(ctx, entries))
     return out
@@ -594,8 +585,8 @@ def contravariant_form(x, y, n, r, s):
     total = ctx.zero()
     for idx, val in x.entries.items():
         other = y.entries.get(idx)
-        if other is None or ctx.is_zero(other):
+        if not other:
             continue
         weight = ctx.from_monomial(1, _form_exponent(idx, n, r, s))
-        total = ctx.add(total, ctx.mul(ctx.mul(val, other), weight))
+        total += val * other * weight
     return total

@@ -33,15 +33,6 @@ from .combinat import (
 
 E1 = ("e",)
 
-
-def g(i):
-    return ("g", i)
-
-
-def gs(j):
-    return ("gs", j)
-
-
 class WordElement:
     """Formal linear combination of generator words.
 
@@ -174,9 +165,8 @@ class WordAction:
         mat = self._letters.get(letter)
         if mat is None:
             if letter[0] in ("gi", "gsi"):
-                sub, shift = self.ctx.sub, self._shift
                 base = self.letter((letter[0][:-1], letter[1]))
-                mat = [[sub(x, shift) if a == c else x
+                mat = [[x - self._shift if a == c else x
                         for a, x in enumerate(row)]
                        for c, row in enumerate(base)]
             else:
@@ -202,12 +192,12 @@ class WordAction:
             mat = self._word(word)
             if mat is None:
                 for i in range(self.dim):
-                    total[i][i] = ctx.add(total[i][i], coeff)
+                    total[i][i] += coeff
                 continue
             for row, trow in zip(mat, total):
                 for j, x in enumerate(row):
-                    if not ctx.is_zero(x):
-                        trow[j] = ctx.add(trow[j], ctx.mul(coeff, x))
+                    if x:
+                        trow[j] += coeff * x
         return total
 
 

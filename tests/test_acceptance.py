@@ -102,14 +102,14 @@ def test_criterion_04_two_dimensional_algebra_brute_force():
     ctx = tab.ctx
     mult = [[tab.product(a, 0).get(c, ctx.zero()) for c in range(2)]
             for a in range(2)]
-    ok = ok and ctx.is_zero(mult[0][0]) and ctx.is_zero(mult[0][1])
-    ok = ok and ctx.eq(mult[1][0], ctx.one()) and ctx.is_zero(mult[1][1])
+    ok = ok and not mult[0][0] and not mult[0][1]
+    ok = ok and mult[1][0] == ctx.one() and not mult[1][1]
     for a in range(2):
         for c in range(2):
             acc = ctx.zero()
             for k in range(2):
-                acc = ctx.add(acc, ctx.mul(mult[a][k], mult[k][c]))
-            ok = ok and ctx.is_zero(acc)
+                acc += mult[a][k] * mult[k][c]
+            ok = ok and not acc
     _report(4, "rank-two algebra at rho^2 = 1: decomposition column "
                "[1], [1] confirmed by brute-force composition series", ok)
 

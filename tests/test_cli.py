@@ -35,6 +35,8 @@ def test_usage_errors_exit_one_with_single_line_reason():
     cases = [
         ["decomp"],
         ["decomp", "--r", "1", "--s", "1", "--field", "bogus"],
+        ["decomp", "--r", "1", "--s", "1", "--field", "cyclo:0"],
+        ["decomp", "--r", "1", "--s", "1", "--field", "cyclo:-4"],
         ["decomp", "--r", "0", "--s", "1"],
         ["decomp", "--r", "1", "--s", "1", "--jobs", "0"],
         ["singular", "--r", "1", "--s", "1", "--weight", "1,x"],
@@ -132,7 +134,7 @@ def test_gram_command_reports_the_contraction_scalar():
     qinv = ctx.from_monomial(1, -1)
     rho = ctx.from_monomial(1, 0, 1)
     rhoinv = ctx.from_monomial(1, 0, -1)
-    delta = ctx.div(ctx.sub(rho, rhoinv), ctx.sub(q, qinv))
+    delta = (rho - rhoinv) / (q - qinv)
     assert by_label["f=1,[]|[]"]["matrix"] == [[scalars.to_text(delta)]]
     assert by_label["f=1,[]|[]"]["rank"] == 1
     assert by_label["f=0,[1]|[1]"]["matrix"] == [["1"]]

@@ -144,14 +144,14 @@ def test_decomposition_b11_rho_square_one_vs_brute_force():
     ctx = tab.ctx
     mult = [[tab.product(a, 0).get(c, ctx.zero()) for c in range(2)]
             for a in range(2)]
-    assert ctx.is_zero(mult[0][0]) and ctx.is_zero(mult[0][1])
-    assert ctx.eq(mult[1][0], ctx.one()) and ctx.is_zero(mult[1][1])
+    assert not mult[0][0] and not mult[0][1]
+    assert mult[1][0] == ctx.one() and not mult[1][1]
     for a in range(2):
         for c in range(2):
             acc = ctx.zero()
             for k in range(2):
-                acc = ctx.add(acc, ctx.mul(mult[a][k], mult[k][c]))
-            assert ctx.is_zero(acc)
+                acc += mult[a][k] * mult[k][c]
+            assert not acc
 
 
 def test_decomposition_shape_checks_at_roots_of_unity():

@@ -10,7 +10,6 @@ from wbq.scalars import (
     FieldSpec, INFINITY, delta, flip, from_fraction, is_zero, monomial, one,
     parse_scalar, q_elem, quantum_characteristic, quantum_factorial,
     quantum_integer, rho_elem, specialize, to_text, zero,
-    constant_value,
 )
 from wbq.errors import DenominatorVanishes
 
@@ -183,13 +182,15 @@ def test_flip_is_field_automorphism():
         assert flip(rho_elem(spec)) == monomial(spec, 1, 0, -1)
 
 
-def test_constant_value():
-    for spec in SAMPLE_SPECS:
-        assert constant_value(from_fraction(Fraction(5, 3), spec)) == Fraction(5, 3)
-        assert constant_value(zero(spec)) == Fraction(0)
-        assert constant_value(q_elem(spec) + one(spec)) is None or spec.kind == "cyclo"
-    # q + 1 in a cyclotomic field is a genuine non-rational constant
-    assert constant_value(q_elem(FieldSpec.cyclotomic(4, 0)) + one(FieldSpec.cyclotomic(4, 0))) is None
+def test_truthiness_is_nonzero():
+    for text in ("generic", "qpow:3", "cyclo:4,rho=zeta^1", "cyclo:3,rho=free"):
+        spec = FieldSpec.from_string(text)
+        x = q_elem(spec) + rho_elem(spec)
+        values = [zero(spec), one(spec), x - x]
+        values.extend(v if spec == GEN else specialize(v, spec)
+                      for v in _bundled(1, 1)._iter_values())
+        for value in values:
+            assert bool(value) == (not is_zero(value)), (text, to_text(value))
 
 
 def test_field_spec_strings():

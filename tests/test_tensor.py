@@ -32,40 +32,40 @@ def _random_vector(ctx, n, size, rng, terms=4):
 def test_contraction_worked_example():
     ctx = _ctx(2)
     v = TensorVector.basis(ctx, (1, 1))
-    image = tensor.act_generator(v, ("e",), 2, 1, 1)
+    image = tensor.act_letters(v, [("e",)], 2, 1, 1)
     qinv = _mono(ctx, 1, -1)
     assert image == TensorVector(ctx, {(1, 1): qinv, (2, 2): qinv})
     # mismatched first entries are killed
     w = TensorVector.basis(ctx, (1, 2))
-    assert tensor.act_generator(w, ("e",), 2, 1, 1).is_zero()
+    assert tensor.act_letters(w, [("e",)], 2, 1, 1).is_zero()
     # coefficient grows with the contracted letter: q^{-n-1+2i}
     ctx3 = _ctx(3)
     u = TensorVector.basis(ctx3, (2, 1, 2))
-    image3 = tensor.act_generator(u, ("e",), 3, 2, 1)
-    assert ctx3.eq(image3.coefficient((1, 1, 1)), _mono(ctx3, 1, 0))
-    assert ctx3.eq(image3.coefficient((3, 1, 3)), _mono(ctx3, 1, 0))
+    image3 = tensor.act_letters(u, [("e",)], 3, 2, 1)
+    assert image3.entries.get((1, 1, 1)) == _mono(ctx3, 1, 0)
+    assert image3.entries.get((3, 1, 3)) == _mono(ctx3, 1, 0)
 
 
 def test_braid_action_cases():
     ctx = _ctx(3)
     n, r, s = 3, 2, 1
     equal = TensorVector.basis(ctx, (2, 2, 1))
-    assert tensor.act_generator(equal, ("g", 1), n, r, s) == equal.scale(
+    assert tensor.act_letters(equal, [("g", 1)], n, r, s) == equal.scale(
         _mono(ctx, 1, -1)
     )
     descending = TensorVector.basis(ctx, (3, 1, 1))
-    assert tensor.act_generator(descending, ("g", 1), n, r, s) == (
+    assert tensor.act_letters(descending, [("g", 1)], n, r, s) == (
         TensorVector.basis(ctx, (1, 3, 1))
     )
     ascending = TensorVector.basis(ctx, (1, 3, 1))
-    got = tensor.act_generator(ascending, ("g", 1), n, r, s)
-    correction = ctx.sub(_mono(ctx, 1, -1), _mono(ctx, 1, 1))
+    got = tensor.act_letters(ascending, [("g", 1)], n, r, s)
+    correction = _mono(ctx, 1, -1) - _mono(ctx, 1, 1)
     expected = TensorVector.basis(ctx, (3, 1, 1)).add(ascending.scale(correction))
     assert got == expected
     # the right-hand braid letters use the same orientation on j-entries
     ctx13 = _ctx(3)
     desc_j = TensorVector.basis(ctx13, (1, 3, 1))
-    assert tensor.act_generator(desc_j, ("gs", 1), 3, 1, 2) == TensorVector.basis(
+    assert tensor.act_letters(desc_j, [("gs", 1)], 3, 1, 2) == TensorVector.basis(
         ctx13, (1, 1, 3)
     )
 
@@ -80,12 +80,12 @@ def test_inverse_letters_compose_to_identity():
             (("g", 1), ("gi", 1)),
             (("gi", 1), ("g", 1)),
         ]:
-            w = tensor.act_generator(v, pair[0], n, r, s)
-            w = tensor.act_generator(w, pair[1], n, r, s)
+            w = tensor.act_letters(v, [pair[0]], n, r, s)
+            w = tensor.act_letters(w, [pair[1]], n, r, s)
             assert w == v
         if s > 1:
-            w = tensor.act_generator(v, ("gs", 1), n, r, s)
-            w = tensor.act_generator(w, ("gsi", 1), n, r, s)
+            w = tensor.act_letters(v, [("gs", 1)], n, r, s)
+            w = tensor.act_letters(w, [("gsi", 1)], n, r, s)
             assert w == v
 
 
@@ -151,12 +151,12 @@ def _reference_act_generator(v, x, n, r, s):
     ctx = v.ctx
     qinv = ctx.from_monomial(1, -1)
     qpos = ctx.from_monomial(1, 1)
-    desc = ctx.sub(qinv, qpos)
-    shift = ctx.sub(qpos, qinv)
+    desc = qinv - qpos
+    shift = qpos - qinv
     out = {}
 
     def accum(idx, val):
-        out[idx] = ctx.add(out[idx], val) if idx in out else val
+        out[idx] = out[idx] + val if idx in out else val
 
     kind = x[0]
     if kind in ("g", "gi"):
@@ -164,30 +164,30 @@ def _reference_act_generator(v, x, n, r, s):
         for idx, coeff in v.entries.items():
             a, b = idx[k - 1], idx[k]
             if a == b:
-                accum(idx, ctx.mul(coeff, qinv))
+                accum(idx, coeff * qinv)
             else:
                 accum(idx[: k - 1] + (b, a) + idx[k + 1 :], coeff)
                 if a < b:
-                    accum(idx, ctx.mul(coeff, desc))
+                    accum(idx, coeff * desc)
             if kind == "gi":
-                accum(idx, ctx.mul(coeff, shift))
+                accum(idx, coeff * shift)
     elif kind in ("gs", "gsi"):
         p = r + x[1] - 1
         for idx, coeff in v.entries.items():
             a, b = idx[p], idx[p + 1]
             if a == b:
-                accum(idx, ctx.mul(coeff, qinv))
+                accum(idx, coeff * qinv)
             else:
                 accum(idx[:p] + (b, a) + idx[p + 2 :], coeff)
                 if a < b:
-                    accum(idx, ctx.mul(coeff, desc))
+                    accum(idx, coeff * desc)
             if kind == "gsi":
-                accum(idx, ctx.mul(coeff, shift))
+                accum(idx, coeff * shift)
     else:
         for idx, coeff in v.entries.items():
             if idx[0] != idx[r]:
                 continue
-            c = ctx.mul(coeff, ctx.from_monomial(1, -n - 1 + 2 * idx[0]))
+            c = coeff * ctx.from_monomial(1, -n - 1 + 2 * idx[0])
             for t in range(1, n + 1):
                 accum((t,) + idx[1:r] + (t,) + idx[r + 1 :], c)
     return TensorVector(ctx, out)
@@ -217,7 +217,7 @@ def test_kernel_matches_reference_action():
             for _ in range(3):
                 v = _random_vector(ctx, 4, r + s, rng, terms=12)
                 for letter in letters:
-                    got = tensor.act_generator(v, letter, 4, r, s)
+                    got = tensor.act_letters(v, [letter], 4, r, s)
                     assert got == _reference_act_generator(v, letter, 4, r, s), (
                         ctx, r, s, letter)
                 word = [rng.choice(letters) for _ in range(4)]
@@ -285,7 +285,7 @@ def test_index_out_of_range():
     count = 0
     for letter in [("g", 0), ("g", 2), ("gs", 1), ("gsi", 1), ("x", 1)]:
         try:
-            tensor.act_generator(v, letter, n, r, s)
+            tensor.act_letters(v, [letter], n, r, s)
         except IndexOutOfRange:
             count += 1
     assert count == 5
@@ -309,7 +309,7 @@ def test_field_must_tie_rho_to_rank():
     v = TensorVector.basis(ctx, (1, 1))
     bad = False
     try:
-        tensor.act_generator(v, ("e",), 2, 1, 1)
+        tensor.act_letters(v, [("e",)], 2, 1, 1)
     except ValueError:
         bad = True
     assert bad
@@ -361,8 +361,8 @@ def test_quantum_group_axioms():
             h[i] = -sign
             return tensor.act_K(w, tuple(h), n, r, s)
 
-        shift = ctx.sub(_mono(ctx, 1, 1), _mono(ctx, 1, -1))
-        two = ctx.add(_mono(ctx, 1, 1), _mono(ctx, 1, -1))
+        shift = _mono(ctx, 1, 1) - _mono(ctx, 1, -1)
+        two = _mono(ctx, 1, 1) + _mono(ctx, 1, -1)
         for v in vecs:
             for i in range(1, n):
                 for j in range(1, n):
@@ -418,8 +418,8 @@ def test_actions_commute():
                         lambda w, i=i: tensor.act_F(w, i, n, r, s),
                         lambda w, i=i: tensor.act_K(w, i, n, r, s),
                     ):
-                        a = left(tensor.act_generator(v, letter, n, r, s))
-                        b = tensor.act_generator(left(v), letter, n, r, s)
+                        a = left(tensor.act_letters(v, [letter], n, r, s))
+                        b = tensor.act_letters(left(v), [letter], n, r, s)
                         assert a == b, (r, s, letter, i)
 
 
@@ -443,7 +443,7 @@ def test_weight_behaviour_of_actions():
     for idx in raised.entries:
         assert tensor.weight_of_index(idx, n, r, s) == (2, -1, 0)
     for letter in [("e",), ("g", 1)]:
-        image = tensor.act_generator(v, letter, n, r, s)
+        image = tensor.act_letters(v, [letter], n, r, s)
         for idx in image.entries:
             assert tensor.weight_of_index(idx, n, r, s) == wt
 
@@ -582,7 +582,7 @@ def test_contravariant_form_values():
     x = TensorVector.basis(ctx, (1, 2))
     assert scalars.to_text(tensor.contravariant_form(x, x, 2, 1, 1)) == "q^4"
     y = TensorVector.basis(ctx, (1, 1))
-    assert ctx.is_zero(tensor.contravariant_form(x, y, 2, 1, 1))
+    assert not tensor.contravariant_form(x, y, 2, 1, 1)
     # symmetry on random vectors
     rng = random.Random(13)
     for (r, s) in [(2, 1), (2, 2)]:
@@ -590,10 +590,8 @@ def test_contravariant_form_values():
         ctx = _ctx(n)
         a = _random_vector(ctx, n, r + s, rng)
         b = _random_vector(ctx, n, r + s, rng)
-        assert ctx.eq(
-            tensor.contravariant_form(a, b, n, r, s),
-            tensor.contravariant_form(b, a, n, r, s),
-        )
+        assert (tensor.contravariant_form(a, b, n, r, s)
+                == tensor.contravariant_form(b, a, n, r, s))
 
 
 def test_contravariant_form_algebra_side():
@@ -628,7 +626,7 @@ def test_contravariant_form_algebra_side():
             rhs = tensor.contravariant_form(
                 x, tensor.act_word(y, element.sigma(), n, r, s), n, r, s
             )
-            assert ctx.eq(lhs, rhs), (r, s, element)
+            assert lhs == rhs, (r, s, element)
 
 
 def test_contravariant_form_quantum_adjoints():
@@ -650,9 +648,7 @@ def test_contravariant_form_quantum_adjoints():
                     lhs = tensor.contravariant_form(
                         tensor.act_E(x, i, n, r, s), y, n, r, s
                     )
-                    assert ctx.eq(
-                        lhs, tensor.contravariant_form(x, adj_e, n, r, s)
-                    )
+                    assert lhs == tensor.contravariant_form(x, adj_e, n, r, s)
                     h_plus = [0] * n
                     h_plus[i - 1] = 2
                     h_plus[i] = -2
@@ -662,6 +658,4 @@ def test_contravariant_form_quantum_adjoints():
                     lhs_f = tensor.contravariant_form(
                         tensor.act_F(x, i, n, r, s), y, n, r, s
                     )
-                    assert ctx.eq(
-                        lhs_f, tensor.contravariant_form(x, adj_f, n, r, s)
-                    )
+                    assert lhs_f == tensor.contravariant_form(x, adj_f, n, r, s)
