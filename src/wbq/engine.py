@@ -502,7 +502,7 @@ class StructureConstants(ConstantsTable):
         def encode_vec(vec):
             out = {}
             for c in sorted(vec):
-                if not scalars.is_zero(vec[c]):
+                if vec[c]:
                     out[str(c)] = _encode_scalar(vec[c])
             return out
 
@@ -564,7 +564,7 @@ class SpecializedConstants(ConstantsTable):
         out = {}
         for c, value in vec.items():
             image = scalars.specialize(value, self.spec)
-            if not scalars.is_zero(image):
+            if image:
                 out[c] = image
         return out
 
@@ -782,7 +782,7 @@ def _build_generic_attempt(r, s, seed, depth, progress):
         if not num_terms:
             continue
         value = scalars.generic_from_terms(num_terms, qdiff_terms)
-        if not scalars.is_zero(value):
+        if value:
             values.setdefault(key, {})[c] = value
 
     products = {}
@@ -836,17 +836,17 @@ def direct_structure_constants(r, s, spec, seed=0):
         for a in range(nbasis):
             vec = {}
             for c in range(nbasis):
-                if not scalars.is_zero(mat[c][a]):
+                if mat[c][a]:
                     vec[c] = scalars.flip(mat[c][a])
             if vec:
                 products[(a, b)] = vec
     unit_vec = system.expand(words.WordElement.unit())
-    unit = {c: v for c, v in enumerate(unit_vec) if not scalars.is_zero(v)}
+    unit = {c: v for c, v in enumerate(unit_vec) if v}
     generators = {}
     for letter in generator_letters(r, s):
         vec = system.expand(words.WordElement.from_word((letter,)))
         generators[_letter_key(letter)] = {
-            c: v for c, v in enumerate(vec) if not scalars.is_zero(v)}
+            c: v for c, v in enumerate(vec) if v}
     return StructureConstants(r, s, spec, seed, 0, products, generators, unit)
 
 

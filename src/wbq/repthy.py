@@ -91,7 +91,7 @@ def predicted_simple_labels(r, s, spec):
     bipartitions, with the top contraction layer dropped in the degenerate
     square case delta = 0, r = s."""
     e = scalars.quantum_characteristic(spec)
-    delta_zero = scalars.is_zero(scalars.delta(spec))
+    delta_zero = not scalars.delta(spec)
     out = []
     for label in combinat.enumerate_labels(r, s):
         if not combinat.e_restricted((label.lam1, label.lam2), e):
@@ -107,7 +107,7 @@ def predicted_semisimple(r, s, spec):
     e = scalars.quantum_characteristic(spec)
     if not (e == INFINITY or e > max(r, s)):
         return False
-    if scalars.is_zero(scalars.delta(spec)):
+    if not scalars.delta(spec):
         return (r, s) in ((1, 2), (2, 1), (1, 3), (3, 1))
     return not rho_square_power_clash(spec, r + s - 2)
 
@@ -628,24 +628,26 @@ def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     return True
 
 
-def einfty_comparison(r, s, field=None, moduli=(7, 11), seed=0,
+def einfty_comparison(r, s, field=None, dec=None, moduli=(7, 11), seed=0,
                       cache_dir=None):
     """For rho = q^a over transcendental q, the decomposition matrix must
     agree with the one at a large root of unity carrying the same tie.
-    Returns None for fields where the comparison does not apply.
+    Returns None for fields where the comparison does not apply.  ``dec``
+    is the decomposition matrix at ``field`` when the caller has it.
     """
     spec = _as_spec(field)
     if spec.kind != "qpow":
         return None
-    base = decomposition_matrix(r, s, field=spec, seed=seed,
-                                cache_dir=cache_dir)
+    if dec is None:
+        dec = decomposition_matrix(r, s, field=spec, seed=seed,
+                                   cache_dir=cache_dir)
     for m in moduli:
         other_spec = FieldSpec.cyclotomic(m, spec.a % m)
         other = decomposition_matrix(r, s, field=other_spec, seed=seed,
                                      cache_dir=cache_dir)
-        if base.rows != other.rows or base.columns != other.columns:
+        if dec.rows != other.rows or dec.columns != other.columns:
             return False
-        if base.entries != other.entries:
+        if dec.entries != other.entries:
             return False
     return True
 
@@ -888,7 +890,7 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
     """Exact check: the combination annihilates every standard index."""
     ctx = FieldContext(spec)
     nonzero = [(a, entries[a]) for a in range(len(basis))
-               if not scalars.is_zero(entries[a])]
+               if entries[a]]
     if not nonzero:
         raise RankCertificationFailed("interpolated kernel element is zero")
     for idx in itertools.product(range(1, n + 1), repeat=r + s):
@@ -1107,7 +1109,7 @@ def analyze(r, s, field=None, seed=0, cache_dir=None):
     predicted = predicted_semisimple(r, s, spec)
     blocks1 = blocks1_comparison(r, s, field=spec, dec=dec, seed=seed,
                                  cache_dir=cache_dir)
-    einfty = einfty_comparison(r, s, field=spec, seed=seed,
+    einfty = einfty_comparison(r, s, field=spec, dec=dec, seed=seed,
                                cache_dir=cache_dir)
     return {
         "r": r,

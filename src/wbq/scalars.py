@@ -10,9 +10,17 @@ Three families of fields are supported:
 All arithmetic is exact; equality is decided on canonical normal forms.  The
 quantum characteristic e is the multiplicative order of q^2 (infinite in the
 first two families).
+
+An element of Q(zeta_m) (``CycloNum``) is an integer vector of length phi(m)
+over a positive integer denominator coprime to its content, so sums and
+products run on Python ints.  Its inverses come from one module-level cache,
+``_inverse``: table denominators map to c*zeta^e*(zeta^2-1)^K, so the same
+few inverses serve ``specialize``, ``linalg.rref`` pivots and the
+normalisation of ``CycloFrac``.
 """
 
 from fractions import Fraction
+import functools
 import math
 
 from sympy import QQ as _QQ
@@ -85,21 +93,19 @@ def _pdivmod(a, b):
 
 
 def _pxgcd(a, b):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic (or [])."""
+    """Half-extended Euclid: returns (g, u) with u*a = g modulo b, g monic
+    (or [])."""
     r0, r1 = list(a), list(b)
     u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, _padd(u0, _pneg(_pmul(q, u1)))
-        v0, v1 = v1, _padd(v0, _pneg(_pmul(q, v1)))
     if r0:
         lead = r0[-1]
         r0 = [x / lead for x in r0]
         u0 = [x / lead for x in u0]
-        v0 = [x / lead for x in v0]
-    return r0, u0, v0
+    return r0, u0
 
 
 _phi_cache = {}
@@ -130,52 +136,115 @@ def _phi(m):
     return _phi_cache[m]
 
 
-class CycloNum:
-    """An element of Q(zeta_m), stored as a residue modulo the m-th cyclotomic
-    polynomial with Fraction coefficients (ascending, fixed length)."""
+def _content_free(v, den):
+    """(v, den) divided by gcd(content(v), den): the integer normal form of
+    v / den, as a tuple and a positive int."""
+    g = math.gcd(den, *v)
+    if g == 1:
+        return tuple(v), den
+    return tuple(x // g for x in v), den // g
 
-    __slots__ = ("m", "c")
+
+def _cyclo(m, v, den):
+    """The CycloNum v / den, where v and den are in normal form already."""
+    x = object.__new__(CycloNum)
+    x.m, x.v, x.den = m, v, den
+    return x
+
+
+def _normal(m, v, den):
+    return _cyclo(m, *_content_free(v, den))
+
+
+@functools.lru_cache(maxsize=4096)
+def _inverse(m, v, den):
+    """(v, den) of the inverse of the nonzero v / den in Q(zeta_m), by the
+    extended Euclid algorithm against Phi_m.  Every table denominator maps to
+    c*zeta^e*(zeta^2-1)^K, so few distinct arguments recur many times."""
+    phi_c, d, _ = _phi(m)
+    g, u = _pxgcd(_ptrim([Fraction(x, den) for x in v]), phi_c)
+    if len(g) != 1:
+        raise ZeroDivisionError("element not invertible modulo cyclotomic polynomial")
+    u = u + [Fraction(0)] * (d - len(u))
+    lcm = math.lcm(*(x.denominator for x in u))
+    return _content_free([x.numerator * (lcm // x.denominator) for x in u], lcm)
+
+
+class CycloNum:
+    """An element of Q(zeta_m) in integer normal form v / den.
+
+    v is the tuple of phi(m) integer coordinates of a residue modulo the m-th
+    cyclotomic polynomial (ascending powers of zeta), den is a positive int,
+    and gcd(content(v), den) = 1; zero is v = 0, den = 1.  The form is
+    canonical, so ``==`` compares (m, v, den).  Sums and products run on
+    Python ints (products reduce through the zeta-power table of ``_phi``)
+    and normalise with one gcd pass.  Inverses come from the module cache
+    ``_inverse``, keyed by (m, v, den).
+    """
+
+    __slots__ = ("m", "v", "den")
 
     def __init__(self, m, coeffs):
-        phi_c, d, _ = _phi(m)
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > d:
-            _, c = _pdivmod(c, phi_c)
-        c = c + [Fraction(0)] * (d - len(c))
+        _, d, zpows = _phi(m)
+        coeffs = [Fraction(x) for x in coeffs]
+        den = math.lcm(*(x.denominator for x in coeffs))
+        v = [0] * d
+        for k, x in enumerate(coeffs):
+            if x:
+                n = x.numerator * (den // x.denominator)
+                if k < d:
+                    v[k] += n
+                else:
+                    for i, z in enumerate(zpows[k % m]):
+                        v[i] += n * z
         self.m = m
-        self.c = tuple(c[:d])
+        self.v, self.den = _content_free(v, den)
+
+    @property
+    def c(self):
+        """The coordinates as a tuple of Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.v)
 
     @staticmethod
     def const(m, value):
-        return CycloNum(m, [Fraction(value)])
+        value = Fraction(value)
+        d = _phi(m)[1]
+        return _cyclo(m, (value.numerator,) + (0,) * (d - 1), value.denominator)
 
     @staticmethod
     def zeta_pow(m, k):
-        return CycloNum(m, _phi(m)[2][k % m])
+        return _cyclo(m, _phi(m)[2][k % m], 1)
 
     def is_zero(self):
-        return all(x == 0 for x in self.c)
+        return not any(self.v)
 
     def __eq__(self, other):
-        return isinstance(other, CycloNum) and self.m == other.m and self.c == other.c
+        return (isinstance(other, CycloNum) and self.m == other.m
+                and self.v == other.v and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.m, self.c))
+        return hash((self.m, self.v, self.den))
 
     def __add__(self, other):
-        return CycloNum(self.m, [x + y for x, y in zip(self.c, other.c)])
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.m, [x + y for x, y in zip(self.v, other.v)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _normal(self.m, [x * fa + y * fb for x, y in zip(self.v, other.v)],
+                       da * fa)
 
     def __sub__(self, other):
-        return CycloNum(self.m, [x - y for x, y in zip(self.c, other.c)])
+        return self + -other
 
     def __neg__(self):
-        return CycloNum(self.m, [-x for x in self.c])
+        return _cyclo(self.m, tuple(-x for x in self.v), self.den)
 
     def __mul__(self, other):
         m = self.m
         _, d, zpows = _phi(m)
-        a, b = self.c, other.c
-        out = [Fraction(0)] * (2 * d - 1)
+        a, b = self.v, other.v
+        out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -185,36 +254,31 @@ class CycloNum:
         for k in range(d, 2 * d - 1):
             x = out[k]
             if x:
-                red = zpows[k % m]
-                for i in range(d):
-                    if red[i]:
-                        res[i] += x * red[i]
-        return CycloNum(m, res)
+                for i, z in enumerate(zpows[k % m]):
+                    if z:
+                        res[i] += x * z
+        return _normal(m, res, self.den * other.den)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_c, _, _ = _phi(self.m)
-        g, u, _ = _pxgcd(_ptrim(list(self.c)), phi_c)
-        if len(g) != 1:
-            raise ZeroDivisionError("element not invertible modulo cyclotomic polynomial")
-        inv_lead = 1 / g[0]
-        return CycloNum(self.m, [x * inv_lead for x in u])
+        return _cyclo(self.m, *_inverse(self.m, self.v, self.den))
 
     def scale(self, fr):
         fr = Fraction(fr)
-        return CycloNum(self.m, [x * fr for x in self.c])
+        return _normal(self.m, [x * fr.numerator for x in self.v],
+                       self.den * fr.denominator)
 
     def galois_invert_zeta(self):
         """Apply the automorphism zeta -> zeta^{-1}."""
-        zinv = CycloNum.zeta_pow(self.m, self.m - 1)
-        acc = CycloNum.const(self.m, 0)
-        power = CycloNum.const(self.m, 1)
-        for x in self.c:
+        m = self.m
+        _, d, zpows = _phi(m)
+        out = [0] * d
+        for k, x in enumerate(self.v):
             if x:
-                acc = acc + power.scale(x)
-            power = power * zinv
-        return acc
+                for i, z in enumerate(zpows[-k % m]):
+                    out[i] += x * z
+        return _normal(m, out, self.den)
 
     def __repr__(self):
         return "CycloNum(m=%d, %s)" % (self.m, list(self.c))
@@ -639,12 +703,14 @@ def _bucket(poly, key):
 def _zeta_sum(m, buckets):
     """The sum of c * zeta_m^k over the items (k, c) of buckets."""
     _, d, zpows = _phi(m)
-    out = [Fraction(0)] * d
+    den = math.lcm(*(c.denominator for c in buckets.values()))
+    out = [0] * d
     for k, c in buckets.items():
+        n = c.numerator * (den // c.denominator)
         for i, z in enumerate(zpows[k]):
             if z:
-                out[i] += c * z
-    return CycloNum(m, out)
+                out[i] += n * z
+    return _normal(m, out, den)
 
 
 def specialize(x, target):

@@ -21,9 +21,7 @@ from functools import lru_cache
 
 from . import linalg
 from .combinat import (
-    CellLabel,
     cell_dimension,
-    conjugate,
     coset_reps,
     d_of,
     enumerate_labels,

@@ -35,16 +35,43 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(identifier, node) for every name, attribute and imported name the
-    module refers to; docstrings and comments are not references."""
+    """(identifier, node) for every name and attribute the module refers
+    to; docstrings and comments are not references, and neither is an
+    import, which only binds a name."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.append((node.id, node))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node))
-        elif isinstance(node, ast.alias):
-            out.append((node.name.split(".")[-1], node))
+    return out
+
+
+def _exported(tree):
+    """The strings of a module-level ``__all__`` list."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unread_imports():
+    """module:name for every name a package module imports and never
+    reads; names that ``__init__.py`` lists in ``__all__`` are re-exports."""
+    out = []
+    for path, text in sorted(_sources(PACKAGE).items()):
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if os.path.basename(path) == "__init__.py":
+            read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        out.append("%s:%s" % (os.path.basename(path)[:-3], bound))
     return out
 
 
@@ -99,6 +126,10 @@ def unreferenced_names():
 
 def test_every_package_name_is_referenced():
     assert sorted(set(unreferenced_names()) - set(ALLOWED)) == []
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []
 
 
 def test_every_allowed_name_still_lacks_a_caller():

@@ -201,6 +201,27 @@ def test_einfty_comparison_examples():
         1, 1, field="cyclo:3,rho=free") is None
 
 
+def test_analyze_computes_the_qpow_matrix_once(monkeypatch):
+    real = repthy.decomposition_matrix
+    calls = []
+
+    def counting(r, s, field=None, **kw):
+        calls.append((r, s, repthy._as_spec(field)))
+        return real(r, s, field=field, **kw)
+
+    monkeypatch.setattr(repthy, "decomposition_matrix", counting)
+    spec = FieldSpec.qpower(1)
+    result = repthy.analyze(2, 1, field=spec)
+    assert calls.count((2, 1, spec)) == 1
+    assert result["oracles"]["einfty"] is True
+    dec = real(2, 1, field=spec)
+    assert repthy.einfty_comparison(2, 1, field=spec, dec=dec) == \
+        repthy.einfty_comparison(2, 1, field=spec)
+    # the given matrix is the one compared
+    other = real(2, 1, field=FieldSpec.qpower(0))
+    assert repthy.einfty_comparison(2, 1, field=spec, dec=other) is False
+
+
 def test_alt_cell_realization_small_shapes():
     for (r, s) in ((1, 1), (2, 1)):
         for label in _labels(r, s):

@@ -2,6 +2,8 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -322,3 +324,169 @@ def test_specialize_is_a_ring_homomorphism(x, y, target):
     fx, fy = specialize(x, target), specialize(y, target)
     assert specialize(x + y, target) == fx + fy
     assert specialize(x * y, target) == fx * fy
+
+
+# ---------------------------------------------------------------------------
+# CycloNum against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _rtrim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _rsub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _rtrim(out)
+
+
+def _rmul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _rtrim(out)
+
+
+def _rdivmod(a, b):
+    a = _rtrim(list(a))
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        c = a[-1] / b[-1]
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        _rtrim(a)
+    return _rtrim(q), a
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_phi(m):
+    x = sympy.Symbol("x")
+    poly = sympy.cyclotomic_poly(m, x).as_poly(x)
+    return [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+
+
+class _RefCycloNum:
+    """The Fraction form of Q(zeta_m) that scalars.CycloNum replaced:
+    residues modulo Phi_m with Fraction coefficients, every reduction by
+    polynomial division, inverses by extended Euclid.  It shares no code
+    with the package."""
+
+    def __init__(self, m, coeffs):
+        phi = _ref_phi(m)
+        _, c = _rdivmod([Fraction(x) for x in coeffs], phi)
+        self.m = m
+        self.c = tuple(c + [Fraction(0)] * (len(phi) - 1 - len(c)))
+
+    def __eq__(self, other):
+        return self.m == other.m and self.c == other.c
+
+    def __add__(self, other):
+        return _RefCycloNum(self.m, [x + y for x, y in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return _RefCycloNum(self.m, [x - y for x, y in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return _RefCycloNum(self.m, [-x for x in self.c])
+
+    def __mul__(self, other):
+        return _RefCycloNum(self.m, _rmul(list(self.c), list(other.c)))
+
+    def scale(self, fr):
+        return _RefCycloNum(self.m, [x * Fraction(fr) for x in self.c])
+
+    def inverse(self):
+        r0, r1 = _ref_phi(self.m), _rtrim(list(self.c))
+        u0, u1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _rdivmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, _rsub(u0, _rmul(q, u1))
+        return _RefCycloNum(self.m, [x / r1[0] for x in u1])
+
+    def galois_invert_zeta(self):
+        out = [Fraction(0)] * self.m
+        for i, x in enumerate(self.c):
+            out[-i % self.m] += x
+        return _RefCycloNum(self.m, out)
+
+
+MODULI = (3, 4, 5, 7, 8, 11, 12)
+_COEFFS = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                   max_size=14)
+
+
+@st.composite
+def _cyclo_pairs(draw):
+    """(m, a, b) as coefficient lists of any length; b is sometimes a plus
+    a multiple of Phi_m, so that equal elements with different inputs
+    occur."""
+    m = draw(st.sampled_from(MODULI))
+    a = draw(_COEFFS)
+    if draw(st.booleans()):
+        b = draw(_COEFFS)
+    else:
+        shift = [Fraction(0)] * draw(st.integers(0, 3)) + [draw(st.fractions(-3, 3, max_denominator=3))]
+        b = _rsub(a, _rmul(shift, _ref_phi(m)))
+    return m, a, b
+
+
+def _agrees(new, ref):
+    return new.m == ref.m and new.c == ref.c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cyclo_pairs(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_cyclonum_matches_the_fraction_reference(case, fr):
+    m, ca, cb = case
+    a, b = scalars.CycloNum(m, ca), scalars.CycloNum(m, cb)
+    ra, rb = _RefCycloNum(m, ca), _RefCycloNum(m, cb)
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, ra + rb)
+    assert _agrees(a - b, ra - rb)
+    assert _agrees(a * b, ra * rb)
+    assert _agrees(-a, -ra)
+    assert _agrees(a.scale(fr), ra.scale(fr))
+    assert _agrees(a.galois_invert_zeta(), ra.galois_invert_zeta())
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a.is_zero() == (not any(ra.c))
+    if not a.is_zero():
+        assert _agrees(a.inverse(), ra.inverse())
+        assert a * a.inverse() == scalars.CycloNum.const(m, 1)
+    spec = FieldSpec.cyclotomic(m, 0)
+    assert to_text(scalars.Scalar(spec, a)) == to_text(scalars.Scalar(spec, ra))
+
+
+def test_inverting_zero_raises_on_every_call():
+    for m in MODULI:
+        zero_num = scalars.CycloNum.const(m, 0)
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                zero_num.inverse()
+            with pytest.raises(ZeroDivisionError):
+                scalars._inverse(m, zero_num.v, zero_num.den)
+        spec = FieldSpec.cyclotomic(m, 1)
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                one(spec) / zero(spec)
+
+
+def test_cached_inverses_are_equal_and_unaliased():
+    x = scalars.CycloNum(7, [Fraction(-1, 3), 0, Fraction(1, 3)])
+    first = x.inverse()
+    hits = scalars._inverse.cache_info().hits
+    second = x.inverse()
+    assert scalars._inverse.cache_info().hits == hits + 1
+    assert first == second and first is not second
+    assert first * x == scalars.CycloNum.const(7, 1)
+    assert _agrees(second, _RefCycloNum(7, [Fraction(-1, 3), 0, Fraction(1, 3)]).inverse())
