@@ -10,6 +10,7 @@ problems, 2 when a computation contradicts one of the built-in oracles.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -508,7 +509,9 @@ def _add_common(sub, need_rs=True, rs_optional=False):
                      help="write the result to this file instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process on first use."""
     parser = _Parser(
         prog="wbq",
         description="Exact cell modules, Gram forms, decomposition "

@@ -43,6 +43,7 @@ from fractions import Fraction
 
 from . import combinat, linalg, scalars, words
 from .errors import (
+    DenominatorVanishes,
     InterpolationUnstable,
     NotInSpan,
     OracleMismatch,
@@ -80,32 +81,6 @@ def _letter_key(letter):
     if letter == words.E1:
         return "e"
     return "%s%d" % (letter[0], letter[1])
-
-
-# ---------------------------------------------------------------------------
-# rational evaluation of symbolic scalars (for rank certificates)
-# ---------------------------------------------------------------------------
-
-def _rational_value(ctx, value, t):
-    """Evaluate a coordinate entry at q = t, as an exact rational."""
-    if isinstance(ctx, RationalPointContext):
-        return value
-    spec = ctx.spec
-    if spec.kind != "qpow":
-        raise ValueError("rank certificates need q transcendental or numeric")
-    tq = Fraction(t)
-
-    def side(poly):
-        total = Fraction(0)
-        for mono, coeff in poly.terms():
-            c = Fraction(int(coeff.numerator), int(coeff.denominator))
-            total += c * tq ** mono[0]
-        return total
-
-    den = side(value.rep.denom)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanishes at the sample point")
-    return side(value.rep.numer) / den
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +196,9 @@ class CoordinateSystem:
         best = (0, [])
         for t in (2, 3, 5):
             try:
-                numeric = [[_rational_value(ctx, v, t) for v in row]
+                numeric = [[scalars.evaluate(v, t) for v in row]
                            for row in rows]
-            except ZeroDivisionError:
+            except DenominatorVanishes:
                 continue
             found = linalg.modp_rank_robust(numeric)
             if found[0] > best[0]:
@@ -421,13 +396,8 @@ class ConstantsTable:
     def check_relations(self):
         """Every defining relation holds as a matrix identity on columns."""
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
-            lmat = self.action.element(lhs)
-            rmat = self.action.element(rhs)
-            for i in range(self.size):
-                for j in range(self.size):
-                    if lmat[i][j] != rmat[i][j]:
-                        raise OracleMismatch("relation %s fails on the table"
-                                             % name)
+            if self.action.element(lhs) != self.action.element(rhs):
+                raise OracleMismatch("relation %s fails on the table" % name)
 
     def check_unit_expansions(self):
         """Re-expanding every basis word through the table must return its

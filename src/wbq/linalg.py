@@ -7,11 +7,12 @@ scalars.  The elements carry their own arithmetic (``+ - * /``, unary minus,
 package: elements of a ``FieldSpec`` field (``FieldContext``, whose elements
 are ``Scalar``) and plain rational numbers obtained by evaluating ``q`` and
 ``rho`` at an integer point (``RationalPointContext``, whose elements are
-``Fraction``).  The routines
-are Gaussian elimination with deterministic pivot choices, so all outputs
-are reproducible.  Every one is exact over its context except
-``modp_rank``, which eliminates a rational matrix modulo a large prime and
-so certifies a lower bound on its rank.
+``Fraction``; its ``from_generic`` is ``scalars.evaluate``, so this module
+never reads how a scalar is stored).  The routines are Gaussian elimination
+with deterministic pivot choices, so all outputs are reproducible.  Every
+one is exact over its context except ``modp_rank``, which eliminates a
+rational matrix modulo a large prime and so certifies a lower bound on its
+rank.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -99,22 +100,7 @@ class RationalPointContext:
 
     def from_generic(self, x):
         """Evaluate a Scalar over the Generic field at this point."""
-        num = self._eval_poly(x.rep.numer)
-        den = self._eval_poly(x.rep.denom)
-        if den == 0:
-            from .errors import DenominatorVanishes
-
-            raise DenominatorVanishes(
-                "denominator vanishes at q=%s, rho=q^%d" % (self.qval, self.rhoexp)
-            )
-        return num / den
-
-    def _eval_poly(self, poly):
-        total = Fraction(0)
-        for (eq, er), coeff in poly.terms():
-            num, den = _as_ratio(coeff)
-            total += Fraction(num, den) * self._qpow(eq + self.rhoexp * er)
-        return total
+        return scalars.evaluate(x, self.qval, self.rhoexp)
 
 
 def rref(ctx, rows):

@@ -144,14 +144,10 @@ class CellModule:
     def check_relations(self):
         """All defining relations hold on the action matrices."""
         for name, lhs, rhs in words.presentation_relations(self.r, self.s):
-            lmat = self.action.element(lhs)
-            rmat = self.action.element(rhs)
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if lmat[j][k] != rmat[j][k]:
-                        raise OracleMismatch(
-                            "relation %s fails on the cell module %s"
-                            % (name, label_text(self.label)))
+            if self.action.element(lhs) != self.action.element(rhs):
+                raise OracleMismatch(
+                    "relation %s fails on the cell module %s"
+                    % (name, label_text(self.label)))
 
 
 def _table_layer(table, label):
@@ -369,18 +365,10 @@ def _quotient_trace_table(tab, start, dim, frame, gram, check=True):
     if check and free:
         radical = gram.radical_basis()
         for letter in engine.generator_letters(tab.r, tab.s):
-            gen = tab.generator_expansion(engine._letter_key(letter))
+            mat = _table_module_letter(tab, start, dim, frame, letter)
             for vec in radical:
-                image = [ctx.zero()] * dim
-                for j in range(dim):
-                    if not vec[j]:
-                        continue
-                    for b, coeff in gen.items():
-                        prod = tab.product(start + frame * dim + j, b)
-                        for k in range(dim):
-                            val = prod.get(start + frame * dim + k)
-                            if val is not None:
-                                image[k] += vec[j] * (coeff * val)
+                image = [sum((x * y for x, y in zip(row, vec) if x and y),
+                             ctx.zero()) for row in mat]
                 for check_row in gram.entries:
                     acc = ctx.zero()
                     for k in range(dim):

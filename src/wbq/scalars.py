@@ -11,9 +11,21 @@ All arithmetic is exact; equality is decided on canonical normal forms.  The
 quantum characteristic e is the multiplicative order of q^2 (infinite in the
 first two families).
 
+This module is the only one that knows how a value is stored.  Other modules
+use the operators of ``Scalar``, its truthiness for "nonzero", and the
+functions below: ``specialize``, ``evaluate`` (the rational value at a
+point), ``flip``, ``to_text``/``parse_scalar``, and ``generic_terms`` /
+``generic_from_terms`` (an exponent-and-coefficient encoding of generic
+values).  Changing the representation of a field therefore changes this
+module only.
+
 An element of Q(zeta_m) (``CycloNum``) is an integer vector of length phi(m)
 over a positive integer denominator coprime to its content, so sums and
-products run on Python ints.  Its inverses come from one module-level cache,
+products run on Python ints.  Its inverse is the field norm's: for an
+algebraic integer x, y = prod_{k != 1} sigma_k(x) over the Galois group
+satisfies x*y = N(x), a rational integer, so 1/x = y/N(x) without any
+polynomial division (Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, section 4.3).  Inverses come from one module-level cache,
 ``_inverse``: table denominators map to c*zeta^e*(zeta^2-1)^K, so the same
 few inverses serve ``specialize``, ``linalg.rref`` pivots and the
 normalisation of ``CycloFrac``.
@@ -22,6 +34,7 @@ normalisation of ``CycloFrac``.
 from fractions import Fraction
 import functools
 import math
+import operator
 
 from sympy import QQ as _QQ
 from sympy import Symbol as _Symbol
@@ -41,88 +54,42 @@ def _qq(c):
     return _QQ(c.numerator, c.denominator)
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _terms(poly):
+    """The (exponent tuple, Fraction) pairs of a sympy polynomial."""
+    return [(mono, Fraction(int(c.numerator), int(c.denominator)))
+            for mono, c in poly.items()]
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
+def _from_terms(spec, num, den):
+    """The generic or qpow scalar num / den, where num and den map exponent
+    tuples to coefficients.  Exponents may be negative: both sides are
+    shifted by the same monomial before the quotient is normalised."""
+    if not den:
+        raise ZeroDivisionError("empty denominator")
+    field = _GFIELD if spec.kind == "generic" else _QFIELD
+    low = tuple(min(col) for col in zip(*num, *den))
 
+    def poly(terms):
+        if any(low):
+            terms = {tuple(map(operator.sub, mono, low)): c for mono, c in terms.items()}
+        return field.ring.from_dict({mono: _qq(c) for mono, c in terms.items()})
 
-def _pneg(a):
-    return [-x for x in a]
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    """Division with remainder over Fraction coefficients; b nonzero."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pxgcd(a, b):
-    """Half-extended Euclid: returns (g, u) with u*a = g modulo b, g monic
-    (or [])."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _padd(u0, _pneg(_pmul(q, u1)))
-    if r0:
-        lead = r0[-1]
-        r0 = [x / lead for x in r0]
-        u0 = [x / lead for x in u0]
-    return r0, u0
+    return Scalar(spec, field.new(poly(num), poly(den)))
 
 
 _phi_cache = {}
 
 
 def _phi(m):
-    """The m-th cyclotomic polynomial and its powers of zeta.
+    """The degree d of the m-th cyclotomic polynomial and the powers of zeta.
 
-    Returns (coeffs, d, zpows): the ascending Fraction coefficients of Phi_m,
-    its degree d, and for k = 0..m-1 the integer coefficient vector (length d)
-    of x^k reduced modulo Phi_m.  Since Phi_m divides x^m - 1, x^k reduces to
-    zpows[k % m] for every k >= 0.
+    Returns (d, zpows): for k = 0..m-1, zpows[k] is the integer coefficient
+    vector (length d) of x^k reduced modulo Phi_m.  Since Phi_m divides
+    x^m - 1, x^k reduces to zpows[k % m] for every k >= 0.
     """
     if m not in _phi_cache:
         x = _Symbol("x")
-        poly = _cyclotomic_poly(m, x).as_poly(x)
-        coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+        coeffs = [int(c) for c in reversed(_cyclotomic_poly(m, x).as_poly(x).all_coeffs())]
         d = len(coeffs) - 1
         cur = [1] + [0] * (d - 1)
         zpows = []
@@ -131,8 +98,8 @@ def _phi(m):
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
-                cur = [c - top * int(p) for c, p in zip(cur, coeffs)]
-        _phi_cache[m] = (coeffs, d, zpows)
+                cur = [c - top * p for c, p in zip(cur, coeffs)]
+        _phi_cache[m] = (d, zpows)
     return _phi_cache[m]
 
 
@@ -158,16 +125,23 @@ def _normal(m, v, den):
 
 @functools.lru_cache(maxsize=4096)
 def _inverse(m, v, den):
-    """(v, den) of the inverse of the nonzero v / den in Q(zeta_m), by the
-    extended Euclid algorithm against Phi_m.  Every table denominator maps to
-    c*zeta^e*(zeta^2-1)^K, so few distinct arguments recur many times."""
-    phi_c, d, _ = _phi(m)
-    g, u = _pxgcd(_ptrim([Fraction(x, den) for x in v]), phi_c)
-    if len(g) != 1:
-        raise ZeroDivisionError("element not invertible modulo cyclotomic polynomial")
-    u = u + [Fraction(0)] * (d - len(u))
-    lcm = math.lcm(*(x.denominator for x in u))
-    return _content_free([x.numerator * (lcm // x.denominator) for x in u], lcm)
+    """(v, den) of the inverse of the nonzero v / den in Q(zeta_m).
+
+    The integer vector v is an algebraic integer x; y, the product of its
+    conjugates sigma_k(x) for the units k != 1 mod m, is one too, and
+    x*y = N(x) is a nonzero rational integer.  So (v/den)^-1 = den*y/N(x).
+    Every table denominator maps to c*zeta^e*(zeta^2-1)^K, so few distinct
+    arguments recur many times."""
+    if not any(v):
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    x = _cyclo(m, v, 1)
+    y = CycloNum.const(m, 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            y = y * x.galois(k)
+    norm = (x * y).v[0]
+    sign = 1 if norm > 0 else -1
+    return _content_free([sign * den * c for c in y.v], abs(norm))
 
 
 class CycloNum:
@@ -176,16 +150,17 @@ class CycloNum:
     v is the tuple of phi(m) integer coordinates of a residue modulo the m-th
     cyclotomic polynomial (ascending powers of zeta), den is a positive int,
     and gcd(content(v), den) = 1; zero is v = 0, den = 1.  The form is
-    canonical, so ``==`` compares (m, v, den).  Sums and products run on
-    Python ints (products reduce through the zeta-power table of ``_phi``)
-    and normalise with one gcd pass.  Inverses come from the module cache
-    ``_inverse``, keyed by (m, v, den).
+    canonical, so ``==`` compares (m, v, den), and it is truthy exactly when
+    nonzero.  Sums, products and Galois conjugates run on Python ints
+    (through the zeta-power table of ``_phi``) and normalise with one gcd
+    pass.  Inverses come from the module cache ``_inverse``, keyed by
+    (m, v, den).
     """
 
     __slots__ = ("m", "v", "den")
 
     def __init__(self, m, coeffs):
-        _, d, zpows = _phi(m)
+        d, zpows = _phi(m)
         coeffs = [Fraction(x) for x in coeffs]
         den = math.lcm(*(x.denominator for x in coeffs))
         v = [0] * d
@@ -208,15 +183,15 @@ class CycloNum:
     @staticmethod
     def const(m, value):
         value = Fraction(value)
-        d = _phi(m)[1]
+        d = _phi(m)[0]
         return _cyclo(m, (value.numerator,) + (0,) * (d - 1), value.denominator)
 
     @staticmethod
     def zeta_pow(m, k):
-        return _cyclo(m, _phi(m)[2][k % m], 1)
+        return _cyclo(m, _phi(m)[1][k % m], 1)
 
-    def is_zero(self):
-        return not any(self.v)
+    def __bool__(self):
+        return any(self.v)
 
     def __eq__(self, other):
         return (isinstance(other, CycloNum) and self.m == other.m
@@ -242,7 +217,7 @@ class CycloNum:
 
     def __mul__(self, other):
         m = self.m
-        _, d, zpows = _phi(m)
+        d, zpows = _phi(m)
         a, b = self.v, other.v
         out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -259,9 +234,10 @@ class CycloNum:
                         res[i] += x * z
         return _normal(m, res, self.den * other.den)
 
+    def __truediv__(self, other):
+        return self * other.inverse()
+
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
         return _cyclo(self.m, *_inverse(self.m, self.v, self.den))
 
     def scale(self, fr):
@@ -269,15 +245,15 @@ class CycloNum:
         return _normal(self.m, [x * fr.numerator for x in self.v],
                        self.den * fr.denominator)
 
-    def galois_invert_zeta(self):
-        """Apply the automorphism zeta -> zeta^{-1}."""
+    def galois(self, k):
+        """Apply the automorphism sigma_k: zeta -> zeta^k (k a unit mod m)."""
         m = self.m
-        _, d, zpows = _phi(m)
+        d, zpows = _phi(m)
         out = [0] * d
-        for k, x in enumerate(self.v):
+        for i, x in enumerate(self.v):
             if x:
-                for i, z in enumerate(zpows[-k % m]):
-                    out[i] += x * z
+                for j, z in enumerate(zpows[k * i % m]):
+                    out[j] += x * z
         return _normal(m, out, self.den)
 
     def __repr__(self):
@@ -289,7 +265,7 @@ class CycloNum:
 # ---------------------------------------------------------------------------
 
 def _ctrim(c):
-    while c and c[-1].is_zero():
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -315,9 +291,9 @@ def _cmul(m, a, b):
     z = CycloNum.const(m, 0)
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x.is_zero():
+        if x:
             for j, y in enumerate(b):
-                if not y.is_zero():
+                if y:
                     out[i + j] = out[i + j] + x * y
     return _ctrim(out)
 
@@ -349,7 +325,8 @@ def _cgcd(m, a, b):
 
 
 class CycloFrac:
-    """A rational function in rho over Q(zeta_m), reduced with monic denominator."""
+    """A rational function in rho over Q(zeta_m), reduced with monic
+    denominator; truthy exactly when nonzero."""
 
     __slots__ = ("m", "num", "den")
 
@@ -369,7 +346,7 @@ class CycloFrac:
             self.den = (CycloNum.const(m, 1),)
             return
         g = _cgcd(m, num, den)
-        if len(g) > 1 or (g and not (g[0] - CycloNum.const(m, 1)).is_zero()):
+        if len(g) > 1 or (g and g[0] != CycloNum.const(m, 1)):
             num, _ = _cdivmod(m, num, g)
             den, _ = _cdivmod(m, den, g)
         inv = den[-1].inverse()
@@ -395,8 +372,8 @@ class CycloFrac:
             return CycloFrac(m, [zero] * k + [one], [one])
         return CycloFrac(m, [one], [zero] * (-k) + [one])
 
-    def is_zero(self):
-        return not self.num
+    def __bool__(self):
+        return bool(self.num)
 
     def __eq__(self, other):
         return (isinstance(other, CycloFrac) and self.m == other.m
@@ -423,23 +400,24 @@ class CycloFrac:
         return CycloFrac(m, _cmul(m, list(self.num), list(other.num)),
                          _cmul(m, list(self.den), list(other.den)))
 
+    def __truediv__(self, other):
+        return self * other.inverse()
+
     def inverse(self):
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero rho-fraction")
         return CycloFrac(self.m, list(self.den), list(self.num))
 
     def flip(self):
-        """Apply zeta -> zeta^{-1}, rho -> rho^{-1}."""
-        m = self.m
-        out = CycloFrac.const(m, 0)
-        for i, x in enumerate(self.num):
-            if not x.is_zero():
-                out = out + CycloFrac.from_cyclo(m, x.galois_invert_zeta()) * CycloFrac.rho_power(m, -i)
-        dens = CycloFrac.const(m, 0)
-        for i, x in enumerate(self.den):
-            if not x.is_zero():
-                dens = dens + CycloFrac.from_cyclo(m, x.galois_invert_zeta()) * CycloFrac.rho_power(m, -i)
-        return out * dens.inverse()
+        """Apply zeta -> zeta^{-1}, rho -> rho^{-1}: both sides are
+        conjugated and reversed to their common rho-degree."""
+        zero = CycloNum.const(self.m, 0)
+        deg = max(len(self.num), len(self.den))
+
+        def side(c):
+            return [zero] * (deg - len(c)) + [x.galois(-1) for x in reversed(c)]
+
+        return CycloFrac(self.m, side(self.num), side(self.den))
 
     def __repr__(self):
         return "CycloFrac(m=%d, num=%s, den=%s)" % (self.m, list(self.num), list(self.den))
@@ -559,10 +537,8 @@ class Scalar:
 
     def __truediv__(self, other):
         self._check(other)
-        if is_zero(other):
+        if not other:
             raise ZeroDivisionError("division by zero scalar")
-        if isinstance(self.rep, (CycloNum, CycloFrac)):
-            return Scalar(self.spec, self.rep * other.rep.inverse())
         return Scalar(self.spec, self.rep / other.rep)
 
     def __eq__(self, other):
@@ -571,7 +547,7 @@ class Scalar:
         return self.spec == other.spec and self.rep == other.rep
 
     def __bool__(self):
-        return not is_zero(self)
+        return bool(self.rep)
 
     def __hash__(self):
         return hash((self.spec.key(), repr(self.rep)))
@@ -625,35 +601,16 @@ def rho_elem(spec):
     return monomial(spec, 1, 0, 1)
 
 
-def is_zero(x):
-    rep = x.rep
-    if isinstance(rep, (CycloNum, CycloFrac)):
-        return rep.is_zero()
-    return rep == 0
-
-
 def flip(x):
     """The field automorphism q -> q^{-1}, rho -> rho^{-1}."""
     spec = x.spec
     if spec.kind in ("generic", "qpow"):
-        num, den = x.rep.numer, x.rep.denom
-        nume = zero(spec)
-        dene = zero(spec)
-        for mono, coeff in num.terms():
-            c = Fraction(int(coeff.numerator), int(coeff.denominator))
-            if spec.kind == "generic":
-                nume = nume + monomial(spec, c, -mono[0], -mono[1])
-            else:
-                nume = nume + Scalar(spec, _QFIELD.ground_new(_qq(c)) * _QGEN ** (-mono[0]))
-        for mono, coeff in den.terms():
-            c = Fraction(int(coeff.numerator), int(coeff.denominator))
-            if spec.kind == "generic":
-                dene = dene + monomial(spec, c, -mono[0], -mono[1])
-            else:
-                dene = dene + Scalar(spec, _QFIELD.ground_new(_qq(c)) * _QGEN ** (-mono[0]))
-        return nume / dene
+        def side(poly):
+            return {tuple(-e for e in mono): c for mono, c in _terms(poly)}
+
+        return _from_terms(spec, side(x.rep.numer), side(x.rep.denom))
     if spec.rho_kind == "power":
-        return Scalar(spec, x.rep.galois_invert_zeta())
+        return Scalar(spec, x.rep.galois(-1))
     return Scalar(spec, x.rep.flip())
 
 
@@ -694,15 +651,15 @@ def _bucket(poly, key):
     """Sum the coefficients of a sympy polynomial by key(monomial), as
     Fractions, dropping the keys whose sum is zero."""
     out = {}
-    for mono, coeff in poly.items():
+    for mono, c in _terms(poly):
         k = key(mono)
-        out[k] = out.get(k, 0) + Fraction(int(coeff.numerator), int(coeff.denominator))
+        out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
 def _zeta_sum(m, buckets):
     """The sum of c * zeta_m^k over the items (k, c) of buckets."""
-    _, d, zpows = _phi(m)
+    d, zpows = _phi(m)
     den = math.lcm(*(c.denominator for c in buckets.values()))
     out = [0] * d
     for k, c in buckets.items():
@@ -747,7 +704,7 @@ def specialize(x, target):
     m = target.m
     if target.kind == "qpow":
         a = target.a
-        key = lambda mono: mono[0] + a * mono[1]
+        key = lambda mono: (mono[0] + a * mono[1],)
     elif target.rho_kind == "power":
         a = target.rho_a
         key = lambda mono: (mono[0] + a * rho_of(mono)) % m
@@ -762,15 +719,12 @@ def specialize(x, target):
     if target.kind == "qpow":
         if not den:
             raise vanishes()
-        lo = min(list(num) + list(den))
-        ring = _QFIELD.ring
-        rep = _QFIELD.new(ring.from_dict({(e - lo,): _qq(c) for e, c in num.items()}),
-                          ring.from_dict({(e - lo,): _qq(c) for e, c in den.items()}))
-    elif target.rho_kind == "power":
+        return _from_terms(target, num, den)
+    if target.rho_kind == "power":
         den_val = _zeta_sum(m, den)
-        if den_val.is_zero():
+        if not den_val:
             raise vanishes()
-        rep = _zeta_sum(m, num) * den_val.inverse()
+        rep = _zeta_sum(m, num) / den_val
     else:
         sides = []
         for buckets in (num, den):
@@ -783,6 +737,26 @@ def specialize(x, target):
             raise vanishes()
         rep = CycloFrac(m, sides[0], sides[1])
     return Scalar(target, rep)
+
+
+def evaluate(x, t, rho_exp=0):
+    """The value of a generic or qpow scalar at q = t, rho = t^rho_exp, as a
+    Fraction; on qpow:a, rho is q^a already and rho_exp is not used.
+
+    Raises DenominatorVanishes if the denominator is zero at that point.
+    """
+    if x.spec.kind == "cyclo":
+        raise ValueError("evaluate expects a generic or qpow scalar")
+    t = Fraction(t)
+
+    def side(poly):
+        return sum(c * t ** (mono[0] + rho_exp * sum(mono[1:]))
+                   for mono, c in _terms(poly))
+
+    den = side(x.rep.denom)
+    if not den:
+        raise DenominatorVanishes("denominator vanishes at q=%s, rho=q^%d" % (t, rho_exp))
+    return side(x.rep.numer) / den
 
 
 # ---------------------------------------------------------------------------
@@ -835,20 +809,13 @@ def _integerize(num_terms, den_terms):
     return num_terms, den_terms
 
 
-def _sympy_terms(poly):
-    out = []
-    for mono, coeff in poly.terms():
-        out.append((tuple(mono), Fraction(int(coeff.numerator), int(coeff.denominator))))
-    return out
-
-
 def to_text(x):
     """Canonical text form; parse_scalar inverts it on the same field."""
     spec = x.spec
     if spec.kind in ("generic", "qpow"):
         names = ("q", "rho") if spec.kind == "generic" else ("q",)
-        num_terms = _sympy_terms(x.rep.numer)
-        den_terms = _sympy_terms(x.rep.denom)
+        num_terms = _terms(x.rep.numer)
+        den_terms = _terms(x.rep.denom)
         num_terms, den_terms = _integerize(num_terms, den_terms)
         num_s = _format_rational_poly(num_terms, names)
         den_s = _format_rational_poly(den_terms, names)
@@ -882,7 +849,7 @@ def to_text(x):
         chunks = []
         for i in reversed(range(len(coeffs))):
             cn = coeffs[i]
-            if cn.is_zero():
+            if not cn:
                 continue
             zterms = [((j,), c * L / g) for j, c in enumerate(cn.c) if c != 0]
             zs = _format_rational_poly(zterms, ("z",))
@@ -1049,12 +1016,7 @@ def generic_terms(x):
         raise ValueError("generic_terms expects a generic-mode scalar")
 
     def side(poly):
-        out = []
-        for mono, coeff in poly.terms():
-            out.append((int(mono[0]), int(mono[1]),
-                        Fraction(int(coeff.numerator), int(coeff.denominator))))
-        out.sort()
-        return out
+        return sorted((qe, re, c) for (qe, re), c in _terms(poly))
 
     return side(x.rep.numer), side(x.rep.denom)
 
@@ -1062,17 +1024,7 @@ def generic_terms(x):
 def generic_from_terms(num_terms, den_terms):
     """Rebuild a generic scalar from ``generic_terms`` output (or any
     equivalent term lists; negative exponents are allowed and normalized)."""
-    ring = _GFIELD.ring
-    if not den_terms:
-        raise ZeroDivisionError("empty denominator")
-    exps = [(int(qe), int(re)) for qe, re, _ in list(num_terms) + list(den_terms)]
-    shift_q = max(0, -min(e[0] for e in exps))
-    shift_r = max(0, -min(e[1] for e in exps))
-    num = {}
-    for qe, re, c in num_terms:
-        num[(int(qe) + shift_q, int(re) + shift_r)] = _qq(Fraction(c))
-    den = {}
-    for qe, re, c in den_terms:
-        den[(int(qe) + shift_q, int(re) + shift_r)] = _qq(Fraction(c))
-    rep = _GFIELD.new(ring.from_dict(num), ring.from_dict(den))
-    return Scalar(FieldSpec.generic(), rep)
+    def side(terms):
+        return {(int(qe), int(re)): c for qe, re, c in terms}
+
+    return _from_terms(FieldSpec.generic(), side(num_terms), side(den_terms))

@@ -20,7 +20,6 @@ physical order.
 """
 
 import operator
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -370,19 +369,16 @@ _DP_CACHE = {}
 
 def _assert_laurent(x):
     """Check that a Generic-field scalar lies in Z[q, q^{-1}]."""
-    rep = x.rep
-    dterms = rep.denom.terms()
-    if len(dterms) != 1:
-        raise IntegralityViolation("denominator %s is not a monomial" % rep.denom)
-    (deq, der), dc = dterms[0]
+    num, den = scalars.generic_terms(x)
+    if len(den) != 1:
+        raise IntegralityViolation("denominator of %s is not a monomial" % x)
+    _, der, dc = den[0]
     if der != 0:
         raise IntegralityViolation("denominator involves rho")
-    dfrac = Fraction(int(dc.numerator), int(dc.denominator))
-    for (neq, ner), nc in rep.numer.terms():
+    for _, ner, nc in num:
         if ner != 0:
             raise IntegralityViolation("numerator involves rho")
-        val = Fraction(int(nc.numerator), int(nc.denominator)) / dfrac
-        if val.denominator != 1:
+        if (nc / dc).denominator != 1:
             raise IntegralityViolation("entry %s is not integral" % x)
 
 

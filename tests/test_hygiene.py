@@ -124,6 +124,25 @@ def unreferenced_names():
     return dead
 
 
+def value_format_reads():
+    """module:line for every ``.rep`` read outside ``scalars.py``, the one
+    module that knows how a scalar is stored."""
+    out = []
+    for path, text in sorted(_sources(PACKAGE).items()):
+        module = os.path.basename(path)[:-3]
+        if module == "scalars":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute) and node.attr == "rep"
+                    and isinstance(node.ctx, ast.Load)):
+                out.append("%s:%d" % (module, node.lineno))
+    return out
+
+
+def test_only_scalars_reads_the_value_format():
+    assert value_format_reads() == []
+
+
 def test_every_package_name_is_referenced():
     assert sorted(set(unreferenced_names()) - set(ALLOWED)) == []
 

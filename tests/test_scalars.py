@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from wbq import engine, scalars
 from wbq.scalars import (
-    FieldSpec, INFINITY, delta, flip, from_fraction, is_zero, monomial, one,
-    parse_scalar, q_elem, quantum_characteristic, quantum_factorial,
-    quantum_integer, rho_elem, specialize, to_text, zero,
+    FieldSpec, INFINITY, Scalar, delta, evaluate, flip, from_fraction,
+    monomial, one, parse_scalar, q_elem, quantum_characteristic,
+    quantum_factorial, quantum_integer, rho_elem, specialize, to_text, zero,
 )
 from wbq.errors import DenominatorVanishes
 
@@ -41,7 +42,7 @@ def random_scalar(spec, rng, allow_frac=True):
         y = zero(spec)
         for _ in range(rng.randint(1, 2)):
             y = y + monomial(spec, rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-1, 1))
-        if not is_zero(y):
+        if y:
             x = x / y
     return x
 
@@ -63,9 +64,9 @@ def test_quantum_integer_vanishes_at_quantum_characteristic():
                  FieldSpec.cyclotomic(6, 0), FieldSpec.cyclotomic(5, 0),
                  FieldSpec.cyclotomic(7, 0), FieldSpec.cyclotomic(12, 0)):
         e = quantum_characteristic(spec)
-        assert is_zero(quantum_integer(e, spec))
+        assert not quantum_integer(e, spec)
         for ell in range(1, e):
-            assert not is_zero(quantum_integer(ell, spec))
+            assert quantum_integer(ell, spec)
 
 
 def test_quantum_characteristic():
@@ -83,9 +84,9 @@ def test_quantum_characteristic():
 
 def test_delta_examples():
     # delta = 0 whenever rho^2 = 1
-    assert is_zero(delta(FieldSpec.cyclotomic(4, 0)))
-    assert is_zero(delta(FieldSpec.cyclotomic(4, 2)))  # rho = -1
-    assert is_zero(delta(FieldSpec.qpower(0)))
+    assert not delta(FieldSpec.cyclotomic(4, 0))
+    assert not delta(FieldSpec.cyclotomic(4, 2))  # rho = -1
+    assert not delta(FieldSpec.qpower(0))
     # delta at rho = q^a equals [a] (checked by exact expansion)
     for a in range(1, 7):
         spec = FieldSpec.qpower(a)
@@ -111,7 +112,7 @@ def test_field_axioms_random():
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a - a == zero(spec)
-            if not is_zero(a):
+            if a:
                 assert a / a == one(spec)
                 assert a * (one(spec) / a) == one(spec)
 
@@ -157,7 +158,7 @@ def test_specialize_denominator_vanishes():
             hit = True
         assert hit, target
     # but the same element specializes fine when rho != q
-    assert not is_zero(specialize(x, FieldSpec.qpower(2)))
+    assert specialize(x, FieldSpec.qpower(2))
 
 
 def test_quantum_factorial_nonzero_iff_small():
@@ -167,7 +168,7 @@ def test_quantum_factorial_nonzero_iff_small():
     for spec in specs:
         e = quantum_characteristic(spec)
         for ell in range(0, 11):
-            nonzero = not is_zero(quantum_factorial(ell, spec))
+            nonzero = bool(quantum_factorial(ell, spec))
             assert nonzero == (ell < e or ell <= 1)
 
 
@@ -192,7 +193,7 @@ def test_truthiness_is_nonzero():
         values.extend(v if spec == GEN else specialize(v, spec)
                       for v in _bundled(1, 1)._iter_values())
         for value in values:
-            assert bool(value) == (not is_zero(value)), (text, to_text(value))
+            assert bool(value) == (value != zero(spec)), (text, to_text(value))
 
 
 def test_field_spec_strings():
@@ -233,7 +234,7 @@ def _reference_specialize(x, target):
         return out
 
     den = side(x.rep.denom)
-    if is_zero(den):
+    if not den:
         raise DenominatorVanishes("denominator vanishes under %s"
                                   % target.to_string())
     return side(x.rep.numer) / den
@@ -326,6 +327,64 @@ def test_specialize_is_a_ring_homomorphism(x, y, target):
     assert specialize(x * y, target) == fx * fy
 
 
+def _reference_flip(x):
+    """The term-by-term flip that ``flip`` replaced: every term of each side
+    goes to its flipped monomial (over Q(zeta)(rho), a conjugated
+    coefficient times a power of rho) through one field addition, then
+    one division."""
+    spec = x.spec
+    if spec.rho_kind == "power":
+        return Scalar(spec, x.rep.galois(-1))
+    if spec.kind == "cyclo":
+        def side(coeffs):
+            out = zero(spec)
+            for i, c in enumerate(coeffs):
+                if c:
+                    conj = Scalar(spec, scalars.CycloFrac.from_cyclo(spec.m, c.galois(-1)))
+                    out = out + conj * monomial(spec, 1, 0, -i)
+            return out
+
+        return side(x.rep.num) / side(x.rep.den)
+
+    def side(poly):
+        out = zero(spec)
+        for mono, coeff in poly.terms():
+            c = Fraction(int(coeff.numerator), int(coeff.denominator))
+            out = out + monomial(spec, c, -mono[0], -sum(mono[1:]))
+        return out
+
+    return side(x.rep.numer) / side(x.rep.denom)
+
+
+def test_flip_matches_the_term_by_term_reference_on_bundled_tables():
+    for shape in ((1, 1), (2, 1)):
+        values = list(_bundled(*shape)._iter_values())
+        for target in [GEN] + GRID:
+            for x in values:
+                y = x if target == GEN else specialize(x, target)
+                assert flip(y) == _reference_flip(y), (target, to_text(y))
+
+
+_POINTS = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-5, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_shaped_values(), _table_shaped_values(), st.sampled_from(_POINTS),
+       st.integers(-2, 4))
+def test_evaluate_is_the_value_at_the_point(x, y, t, a):
+    assert evaluate(x + y, t, a) == evaluate(x, t, a) + evaluate(y, t, a)
+    assert evaluate(x * y, t, a) == evaluate(x, t, a) * evaluate(y, t, a)
+    assert evaluate(specialize(x, FieldSpec.qpower(a)), t) == evaluate(x, t, a)
+    assert evaluate(flip(x), t, a) == evaluate(x, 1 / t, a)
+
+
+def test_evaluate_raises_where_the_denominator_vanishes():
+    x = one(GEN) / (q_elem(GEN) - from_fraction(2, GEN))
+    assert evaluate(x, 3) == 1
+    with pytest.raises(DenominatorVanishes, match="q=2, rho=q\\^0"):
+        evaluate(x, 2)
+
+
 # ---------------------------------------------------------------------------
 # CycloNum against the Fraction reference
 # ---------------------------------------------------------------------------
@@ -412,10 +471,10 @@ class _RefCycloNum:
             u0, u1 = u1, _rsub(u0, _rmul(q, u1))
         return _RefCycloNum(self.m, [x / r1[0] for x in u1])
 
-    def galois_invert_zeta(self):
+    def galois(self, k):
         out = [Fraction(0)] * self.m
         for i, x in enumerate(self.c):
-            out[-i % self.m] += x
+            out[k * i % self.m] += x
         return _RefCycloNum(self.m, out)
 
 
@@ -444,9 +503,12 @@ def _agrees(new, ref):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_cyclo_pairs(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
-def test_cyclonum_matches_the_fraction_reference(case, fr):
+@given(_cyclo_pairs(), st.fractions(min_value=-5, max_value=5, max_denominator=6),
+       st.integers(0, 99), st.integers(0, 99))
+def test_cyclonum_matches_the_fraction_reference(case, fr, pick_j, pick_k):
     m, ca, cb = case
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    j, k = units[pick_j % len(units)], units[pick_k % len(units)]
     a, b = scalars.CycloNum(m, ca), scalars.CycloNum(m, cb)
     ra, rb = _RefCycloNum(m, ca), _RefCycloNum(m, cb)
     assert _agrees(a, ra) and _agrees(b, rb)
@@ -455,12 +517,14 @@ def test_cyclonum_matches_the_fraction_reference(case, fr):
     assert _agrees(a * b, ra * rb)
     assert _agrees(-a, -ra)
     assert _agrees(a.scale(fr), ra.scale(fr))
-    assert _agrees(a.galois_invert_zeta(), ra.galois_invert_zeta())
+    assert _agrees(a.galois(-1), ra.galois(-1))
+    assert _agrees(a.galois(j), ra.galois(j))
+    assert a.galois(j).galois(k) == a.galois(j * k)
     assert (a == b) == (ra == rb)
     if a == b:
         assert hash(a) == hash(b)
-    assert a.is_zero() == (not any(ra.c))
-    if not a.is_zero():
+    assert bool(a) == any(ra.c)
+    if a:
         assert _agrees(a.inverse(), ra.inverse())
         assert a * a.inverse() == scalars.CycloNum.const(m, 1)
     spec = FieldSpec.cyclotomic(m, 0)

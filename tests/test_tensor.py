@@ -3,11 +3,12 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbq import combinat, engine, scalars, tensor, words
-from wbq.errors import IndexOutOfRange, RankTooSmall
+from wbq.errors import IndexOutOfRange, IntegralityViolation, RankTooSmall
 from wbq.linalg import FieldContext, RationalPointContext, rank
 from wbq.scalars import FieldSpec
 from wbq.tensor import TensorVector
@@ -471,6 +472,16 @@ def test_divided_power_at_root_of_unity():
     assert twice.is_zero()
     divided = tensor.act_divided_power(v, 1, 2, 2, 1, 1)
     assert divided == TensorVector(ctx, {(1, 2): _mono(ctx, -1, -1)})
+
+
+def test_laurent_check_accepts_only_integral_laurent_polynomials():
+    gen = FieldSpec.generic()
+    q, rho, one = scalars.q_elem(gen), scalars.rho_elem(gen), scalars.one(gen)
+    tensor._assert_laurent(q + one / q)
+    for bad in ((q + one) / (q - one), rho * q,
+                one / scalars.from_fraction(2, gen)):
+        with pytest.raises(IntegralityViolation):
+            tensor._assert_laurent(bad)
 
 
 def test_seed_vector_layout():
