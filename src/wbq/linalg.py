@@ -24,6 +24,7 @@ import operator
 from fractions import Fraction
 
 from . import scalars
+from .errors import RankCertificationFailed
 
 
 def _as_ratio(value):
@@ -308,9 +309,10 @@ def modp_rank(rows, prime=None):
     independent columns mod p, in increasing order.  This is a one-sided
     certificate: the modular rank never exceeds the true rank, and the
     rows restricted to the pivot columns form a square that is nonsingular
-    mod p, hence over Q.  Entries may be ints or Fractions; a denominator
-    divisible by the prime raises ValueError so the caller can retry with
-    the next prime in ``_MODP_PRIMES``.
+    mod p, hence over Q.  Entries may be ints or Fractions.  Only the
+    nonzero entries are reduced, with one modular inverse per distinct
+    denominator; a denominator divisible by the prime raises ValueError so
+    the caller can retry with the next prime in ``_MODP_PRIMES``.
     """
     import numpy
 
@@ -318,13 +320,19 @@ def modp_rank(rows, prime=None):
         return 0, []
     p = int(prime) if prime is not None else _MODP_PRIMES[0]
     mat = numpy.zeros((len(rows), len(rows[0])), dtype=numpy.int64)
+    inverses = {}
     for i, row in enumerate(rows):
-        for j, val in enumerate(row):
-            num, den = _as_ratio(val)
-            den %= p
-            if den == 0:
-                raise ValueError("prime divides a denominator")
-            mat[i, j] = (num % p) * pow(den, p - 2, p) % p
+        cols = [j for j, val in enumerate(row) if val]
+        residues = []
+        for j in cols:
+            num, den = _as_ratio(row[j])
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    raise ValueError("prime divides a denominator")
+                inv = inverses[den] = pow(den, p - 2, p)
+            residues.append(num % p * inv % p)
+        mat[i, cols] = residues
     nrows, ncols = mat.shape
     pivots = []
     r = 0
@@ -360,6 +368,32 @@ def modp_rank_robust(rows):
         except ValueError as exc:
             last = exc
     raise last
+
+
+def certified_kernel(ctx, rows, pivots):
+    """``kernel_basis`` of the equations ``sum_a v[a] * rows[a][j] = 0``,
+    solved on the columns ``pivots`` of ``modp_rank(rows)`` only.
+
+    Those equations are independent mod p, hence over Q, so their kernel
+    contains the full one.  Every basis vector is checked exactly against
+    every column, over the nonzero entries; a miss raises
+    ``RankCertificationFailed``.  The two kernels are then one subspace, so
+    the canonical basis is that of all the columns, entry for entry.
+    """
+    equations = [[row[j] for row in rows] for j in pivots]
+    kernel = kernel_basis(ctx, equations, len(rows))
+    zero = ctx.zero()
+    for vec in kernel:
+        total = {}
+        for coeff, row in zip(vec, rows):
+            if coeff:
+                for j, x in enumerate(row):
+                    if x:
+                        total[j] = total.get(j, zero) + coeff * x
+        if any(total.values()):
+            raise RankCertificationFailed(
+                "a kernel vector of the pivot equations misses an equation")
+    return kernel
 
 
 # ---------------------------------------------------------------------------

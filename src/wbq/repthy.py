@@ -755,12 +755,6 @@ def _operator_rows(ctx, n, r, s, basis):
     return rows
 
 
-def _as_fraction(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
 def _fit_rational(points, values, check_points, check_values):
     """Fit value(t) = P(t)/Q(t) with deg P, Q <= d, exact, smallest d that
     also matches the held-out points; returns (P, Q) coefficient lists."""
@@ -813,7 +807,8 @@ def schur_weyl_rank(n, r, s):
 
     The lower bound is a modular rank at a rational sample point; when it
     falls short of the number of basis words, the gap is certified by
-    exhibiting symbolically verified kernel elements.
+    exhibiting symbolically verified kernel elements.  The operator rows
+    and pivots of the two lower-bound points are reused as sample points.
     """
     key = (n, r, s)
     if key in _SW_MEMO:
@@ -821,15 +816,18 @@ def schur_weyl_rank(n, r, s):
     basis = engine.cell_basis(r, s)
     nbasis = len(basis)
     lower = 0
+    sampled = {}
     for t in (2, 3):
         ctx = RationalPointContext(t, n)
         rows = _operator_rows(ctx, n, r, s, basis)
-        lower = max(lower, linalg.modp_rank_robust(rows)[0])
+        rank_t, pivots = linalg.modp_rank_robust(rows)
+        sampled[t] = rows, pivots
+        lower = max(lower, rank_t)
         if lower == nbasis:
             _SW_MEMO[key] = nbasis
             return nbasis
     gap = nbasis - lower
-    kernels = _kernel_interpolation(n, r, s, basis, gap)
+    kernels = _kernel_interpolation(n, r, s, basis, gap, sampled)
     if len(kernels) != gap:
         raise RankCertificationFailed(
             "found %d certified kernel elements, wanted %d"
@@ -838,19 +836,26 @@ def schur_weyl_rank(n, r, s):
     return lower
 
 
-def _kernel_interpolation(n, r, s, basis, gap):
+def _kernel_interpolation(n, r, s, basis, gap, sampled):
     """Canonical kernel vectors over the rho = q^n field, interpolated from
-    rational sample points and then verified symbolically."""
+    rational sample points and then verified symbolically.
+
+    At each point q = t, ``linalg.certified_kernel`` solves only the tensor
+    positions that the modular rank picks as pivots and checks the result
+    exactly on every position.  ``sampled`` maps the points that the lower
+    bound already built to their ``(rows, pivots)``.
+    """
     nbasis = len(basis)
     sample_ts = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
     per_point = []
     for t in sample_ts:
         ctx = RationalPointContext(t, n)
-        rows = _operator_rows(ctx, n, r, s, basis)
-        rows_t = [[rows[a][pos] for a in range(nbasis)]
-                  for pos in range(len(rows[0]))]
-        rows_t = [row for row in rows_t if any(row)]
-        kern = linalg.kernel_basis(ctx, rows_t, nbasis)
+        if t in sampled:
+            rows, pivots = sampled[t]
+        else:
+            rows = _operator_rows(ctx, n, r, s, basis)
+            pivots = linalg.modp_rank_robust(rows)[1]
+        kern = linalg.certified_kernel(ctx, rows, pivots)
         if len(kern) != gap:
             raise RankCertificationFailed(
                 "kernel dimension varies across sample points")
@@ -861,8 +866,7 @@ def _kernel_interpolation(n, r, s, basis, gap):
     for which in range(gap):
         entries = []
         for pos in range(nbasis):
-            vals = [_as_fraction(per_point[i][which][pos])
-                    for i in range(len(sample_ts))]
+            vals = [kern[which][pos] for kern in per_point]
             fit_vals, check_vals = vals[:-3], vals[-3:]
             if not any(vals):
                 entries.append(scalars.zero(spec))

@@ -648,13 +648,16 @@ def quantum_characteristic(spec):
 
 
 def _bucket(poly, key):
-    """Sum the coefficients of a sympy polynomial by key(monomial), as
-    Fractions, dropping the keys whose sum is zero."""
+    """Sum the coefficients of a sympy polynomial by key(monomial) as
+    integer numerators over the lcm of all its denominators; returns the
+    nonzero sums as Fractions, each normalised once."""
+    terms = _terms(poly)
+    common = math.lcm(*(c.denominator for _, c in terms))
     out = {}
-    for mono, c in _terms(poly):
+    for mono, c in terms:
         k = key(mono)
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
+        out[k] = out.get(k, 0) + c.numerator * (common // c.denominator)
+    return {k: Fraction(c, common) for k, c in out.items() if c}
 
 
 def _zeta_sum(m, buckets):
@@ -677,8 +680,8 @@ def specialize(x, target):
     Laurent terms: a term c*q^i*rho^j goes to the bucket of its image
     exponent (i + a*j for qpow:a; (i + a*j) mod m for rho = zeta^a; the
     rho-degree j and then i mod m for free rho), coefficients are summed as
-    Fractions, and each side is built once from its buckets.  The quotient is
-    normalised once.  Normal forms are canonical, so the result equals the
+    integers over one common denominator, and each side is built once from
+    its buckets.  The quotient is normalised once.  Normal forms are canonical, so the result equals the
     sum of the term-by-term images divided in the target field.
 
     Raises DenominatorVanishes if the denominator evaluates to zero.

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbq.linalg import (
+    _MODP_PRIMES,
     FieldContext,
     RationalPointContext,
     SpanTracker,
+    certified_kernel,
     invert_square,
     kernel_basis,
     lagrange_poly,
@@ -138,6 +140,58 @@ def test_modp_rank_matches_exact_rref(rows):
     # 9^6 * 6^3 < 2^31 - 1, so no minor vanishes mod p unless it is zero
     pivots, _ = rref(RationalPointContext(2, 0), rows)
     assert modp_rank(rows) == (len(pivots), pivots)
+
+
+_NUMERATORS = st.one_of(st.just(0), st.integers(-9, 9))
+_DENOMINATORS = st.sampled_from((1, 2, 3, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda ncols: st.tuples(
+    st.lists(st.lists(st.tuples(_NUMERATORS, _DENOMINATORS),
+                      min_size=ncols, max_size=ncols),
+             min_size=1, max_size=4),
+    st.one_of(st.none(), _DENOMINATORS))))
+def test_modp_rank_matches_exact_rref_on_fractions(case):
+    # entries a/b with |a| <= 9 and b | 6, over one shared denominator or
+    # a denominator per entry.  Scaling each row by 6, a unit mod p, keeps
+    # the rank and the pivots and makes the entries integers of size at
+    # most 54; by Hadamard every minor of at most 4 rows is then below
+    # (54 * 2)^4 < 2^31 - 1, so no nonzero minor vanishes mod p
+    entries, shared = case
+    rows = [[Fraction(a, shared or b) for a, b in row] for row in entries]
+    pivots, _ = rref(RationalPointContext(2, 0), rows)
+    assert modp_rank(rows) == (len(pivots), pivots)
+    assert modp_rank_robust(rows) == (len(pivots), pivots)
+
+
+def test_modp_rank_moves_past_a_prime_that_divides_a_denominator():
+    p0, p1 = _MODP_PRIMES[:2]
+    # the bad denominator comes after a zero and after entries whose
+    # denominators have inverses already
+    rows = [[Fraction(1, 2), 0, Fraction(3, 2), Fraction(5, 2 * p0)],
+            [0, Fraction(1, 3), Fraction(1, 2), 1],
+            [1, 0, 3, Fraction(5, p0) + 1]]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            modp_rank(rows, p0)
+        with pytest.raises(ValueError):
+            modp_rank(rows)
+    pivots, _ = rref(RationalPointContext(2, 0), rows)
+    assert pivots == [0, 1, 3]
+    assert modp_rank(rows, p1) == (3, pivots)
+    assert modp_rank_robust(rows) == (3, pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5)))
+def test_certified_kernel_matches_the_kernel_of_every_column(rows):
+    ctx = RationalPointContext(2, 0)
+    columns = [list(col) for col in zip(*rows) if any(col)]
+    want = kernel_basis(ctx, columns, len(rows))
+    assert certified_kernel(ctx, rows, modp_rank(rows)[1]) == want
 
 
 def _reference_lagrange_poly(xs, ys):

@@ -2,9 +2,15 @@
 
 import json
 
-from wbq import combinat, engine, repthy, scalars
-from wbq.errors import IntegralityViolation, OracleMismatch
-from wbq.linalg import FieldContext
+import pytest
+
+from wbq import combinat, engine, linalg, repthy, scalars
+from wbq.errors import (
+    IntegralityViolation,
+    OracleMismatch,
+    RankCertificationFailed,
+)
+from wbq.linalg import FieldContext, RationalPointContext
 from wbq.scalars import FieldSpec
 
 
@@ -247,6 +253,38 @@ def test_schur_weyl_rank_equality_and_deficiency():
     # too few rows: the certified rank falls short of the word count
     assert repthy.schur_weyl_rank(1, 1, 1) == 1
     assert repthy.schur_weyl_rank(2, 2, 1) == 5
+
+
+def test_certified_kernel_matches_the_kernel_over_every_position(
+        monkeypatch):
+    # the pivot-equation kernel against the kernel over every nonzero
+    # tensor position that it replaced, with two inputs the exact check
+    # must reject: a pivot list missing one position, and a kernel vector
+    # with one entry perturbed
+    kernel_basis = linalg.kernel_basis
+    for n, r, s in ((2, 2, 2), (2, 3, 1), (2, 1, 3), (3, 2, 2), (2, 2, 1)):
+        basis = engine.cell_basis(r, s)
+        for t in (2, 5, 13):
+            ctx = RationalPointContext(t, n)
+            rows = repthy._operator_rows(ctx, n, r, s, basis)
+            positions = [list(col) for col in zip(*rows) if any(col)]
+            want = kernel_basis(ctx, positions, len(basis))
+            rank, pivots = linalg.modp_rank_robust(rows)
+            assert rank + len(want) == len(basis), (n, r, s, t)
+            assert linalg.certified_kernel(ctx, rows, pivots) == want
+            with pytest.raises(RankCertificationFailed):
+                linalg.certified_kernel(ctx, rows, pivots[1:])
+            word = next(a for a, row in enumerate(rows) if any(row))
+
+            def perturbed(*args):
+                out = kernel_basis(*args)
+                out[-1][word] += 1
+                return out
+
+            monkeypatch.setattr(linalg, "kernel_basis", perturbed)
+            with pytest.raises(RankCertificationFailed):
+                linalg.certified_kernel(ctx, rows, pivots)
+            monkeypatch.undo()
 
 
 def test_singular_dimension_check_counts():
