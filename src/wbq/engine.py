@@ -67,6 +67,29 @@ def cell_basis(r, s):
     return _BASIS_MEMO[key]
 
 
+@functools.lru_cache(maxsize=None)
+def cell_layout(r, s):
+    """The address book of the cell layers of B_{r,s}, the one place that
+    knows where a layer sits in ``cell_basis``.
+
+    Maps each label, in basis order, to ``(start, dim, frame)``: C[(i)(j)]
+    of the label is basis word ``start + i * dim + j``, with ``i`` and
+    ``j`` indexing ``words.cell_index_set(label, r, s)``, and ``frame`` is
+    the index of the distinguished ``words.initial_cell_index``.  A label
+    of another algebra raises ``KeyError`` on lookup.
+    """
+    basis = cell_basis(r, s)
+    out = {}
+    start = 0
+    for label in combinat.enumerate_labels(r, s):
+        dim = combinat.cell_dimension(label, r, s)
+        index_set = [rec.right for rec in basis[start:start + dim]]
+        frame = index_set.index(words.initial_cell_index(label, r, s))
+        out[label] = (start, dim, frame)
+        start += dim * dim
+    return out
+
+
 def generator_letters(r, s):
     """The generating letters e_1, g_1..g_{r-1}, g*_1..g*_{s-1}."""
     out = [words.E1]
@@ -235,7 +258,7 @@ class CoordinateSystem:
                   for vec in self.seeds]
         return self._flatten(self.ctx, images, self.support)
 
-    def expand(self, x, check=True):
+    def expand(self, x):
         """Coefficients of ``x`` over the cellular basis (exact; the residual
         must vanish identically, otherwise ``NotInSpan`` is raised).
 
@@ -244,7 +267,7 @@ class CoordinateSystem:
         field itself; a numeric system returns flipped-model rationals.
         """
         coords = self.coordinates(x) if isinstance(x, words.WordElement) else x
-        d = self._solve(coords, check=check)
+        d = self._solve(coords)
         if isinstance(self.ctx, RationalPointContext):
             return d
         return [scalars.flip(v) for v in d]
@@ -266,6 +289,23 @@ class CoordinateSystem:
     def element_matrix(self, element):
         """Right-multiplication matrix of a word element (flipped model)."""
         return self.action.element(element.flipped())
+
+    def products(self):
+        """Every nonzero product of two basis words, ``{(a, b): {c: value}}``
+        for C_a * C_b, read off the right-multiplication matrix of each
+        C_b.  Values are in ``expand``'s coefficients: the ground field on a
+        symbolic system, flipped-model rationals on a numeric one."""
+        flip = not isinstance(self.ctx, RationalPointContext)
+        nbasis = len(self.basis)
+        out = {}
+        for b in range(nbasis):
+            mat = self.element_matrix(self.basis[b].element)
+            for a in range(nbasis):
+                vec = {c: mat[c][a] for c in range(nbasis) if mat[c][a]}
+                if vec:
+                    out[(a, b)] = ({c: scalars.flip(v) for c, v in vec.items()}
+                                   if flip else vec)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +335,14 @@ class ConstantsTable:
     def size(self):
         return len(self.basis)
 
-    def label_layout(self):
-        """List of (label, start position, cell dimension) in basis order."""
-        if getattr(self, "_layout", None) is None:
-            out = []
-            start = 0
-            for label in combinat.enumerate_labels(self.r, self.s):
-                d = combinat.cell_dimension(label, self.r, self.s)
-                out.append((label, start, d))
-                start += d * d
-            self._layout = out
-        return self._layout
-
     def sigma_position(self, a):
         """Position of the image of basis word ``a`` under the reversal
         anti-involution: the same label with row and column swapped."""
-        for label, start, dim in self.label_layout():
-            if start <= a < start + dim * dim:
-                i, j = divmod(a - start, dim)
-                return start + j * dim + i
-        raise IndexError("basis position %d out of range" % a)
+        if not 0 <= a < self.size:
+            raise IndexError("basis position %d out of range" % a)
+        start, dim, _ = cell_layout(self.r, self.s)[self.basis[a].label]
+        i, j = divmod(a - start, dim)
+        return start + j * dim + i
 
     # -- right multiplication in cellular coordinates ----------------------
 
@@ -343,16 +371,9 @@ class ConstantsTable:
     def expand_word_element(self, element):
         """Expansion of an arbitrary word element in the cellular basis,
         through the unit expansion."""
-        ctx = self.ctx
-        mat = self.action.element(element)
         unit = self.unit_expansion()
-        out = []
-        for c in range(self.size):
-            acc = ctx.zero()
-            for a, val in unit.items():
-                acc += mat[c][a] * val
-            out.append(acc)
-        return out
+        vec = [unit.get(a, self.ctx.zero()) for a in range(self.size)]
+        return linalg.mat_vec(self.ctx, self.action.element(element), vec)
 
     # -- certification checks ----------------------------------------------
 
@@ -623,32 +644,15 @@ def _node_expansions(r, s, n, t, seed):
             r, s, seed=seed, ctx=ctx, n=n, support=support)
     except RankCertificationFailed:
         system = CoordinateSystem.build(r, s, seed=seed, ctx=ctx, n=n)
-    nbasis = len(system.basis)
-    out = {}
-
-    def store(key, vec):
-        entries = {c: vec[c] for c in range(nbasis) if vec[c]}
-        out[key] = entries
-
     seeds_coords = system._flatten(ctx, system.seeds, system.support)
-    store(("one",), system._solve(seeds_coords, check=False))
+    unit = system._solve(seeds_coords, check=False)
+    out = {("one",): {c: v for c, v in enumerate(unit) if v}}
     for letter in generator_letters(r, s):
-        mat = system.action.letter(letter)
-        unit = out[("one",)]
-        col = []
-        for c in range(nbasis):
-            acc = 0
-            for a, uval in unit.items():
-                if mat[c][a]:
-                    acc += mat[c][a] * uval
-            col.append(acc)
-        store(("gen", _letter_key(letter)), col)
-    for b in range(nbasis):
-        mat = system.element_matrix(system.basis[b].element)
-        for a in range(nbasis):
-            entries = {c: mat[c][a] for c in range(nbasis) if mat[c][a]}
-            if entries:
-                out[("p", a, b)] = entries
+        col = linalg.mat_vec(ctx, system.action.letter(letter), unit)
+        out[("gen", _letter_key(letter))] = {
+            c: v for c, v in enumerate(col) if v}
+    for (a, b), vec in system.products().items():
+        out[("p", a, b)] = vec
     return out
 
 
@@ -777,10 +781,10 @@ def _build_generic_attempt(r, s, seed, depth, progress):
     return table
 
 
-def build_generic_table(r, s, seed=0, depth=None, progress=None):
+def build_generic_table(r, s, seed=0, progress=None):
     """Compute the generic multiplication table, doubling the rho window
     once if the stability checks reject the first attempt."""
-    depth = depth if depth is not None else 2 * min(r, s) + 2
+    depth = 2 * min(r, s) + 2
     try:
         return _build_generic_attempt(r, s, seed, depth, progress)
     except InterpolationUnstable:
@@ -799,17 +803,7 @@ def direct_structure_constants(r, s, spec, seed=0):
         raise ValueError("direct computation needs rho = q^a with a >= r+s")
     system = CoordinateSystem.build(r, s, seed=seed,
                                     ctx=FieldContext(spec), n=spec.a)
-    nbasis = len(system.basis)
-    products = {}
-    for b in range(nbasis):
-        mat = system.element_matrix(system.basis[b].element)
-        for a in range(nbasis):
-            vec = {}
-            for c in range(nbasis):
-                if mat[c][a]:
-                    vec[c] = scalars.flip(mat[c][a])
-            if vec:
-                products[(a, b)] = vec
+    products = system.products()
     unit_vec = system.expand(words.WordElement.unit())
     unit = {c: v for c, v in enumerate(unit_vec) if v}
     generators = {}
@@ -874,11 +868,13 @@ def load_table(path, r, s):
 
 def generic_table(r, s, seed=0, cache_dir=None, progress=None):
     """The generic table, resolved through: in-memory memo, cache file,
-    bundled data file, full build (which then populates the cache)."""
-    key = (r, s)
+    bundled data file, full build (which then populates the cache).  The
+    memo is keyed by the cache file too, so a call naming another cache
+    directory resolves its own table."""
+    path = cache_path(r, s, cache_dir)
+    key = (r, s, path)
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
-    path = cache_path(r, s, cache_dir)
     for candidate in (path, bundled_path(r, s)):
         if os.path.exists(candidate):
             table = load_table(candidate, r, s)

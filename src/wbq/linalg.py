@@ -215,6 +215,20 @@ def mat_mul(ctx, a, b):
     return out
 
 
+def mat_vec(ctx, mat, vec):
+    """``mat`` times the column ``vec``, summing over the nonzero entries
+    of ``vec`` only."""
+    support = [(k, x) for k, x in enumerate(vec) if x]
+    out = []
+    for row in mat:
+        acc = ctx.zero()
+        for k, x in support:
+            if row[k]:
+                acc += row[k] * x
+        out.append(acc)
+    return out
+
+
 class SpanTracker:
     """Incremental reduced echelon with expressions over inserted vectors.
 

@@ -3,9 +3,14 @@
 Everything here reduces to the structure-constant tables: a cell module is
 the layer of the multiplication table attached to one label, its Gram form
 reads off the distinguished coefficient of products inside that layer, and
-decomposition numbers are recovered by the trace method: over a field of
-characteristic zero the traces of the basis elements on pairwise
-non-isomorphic simple modules are linearly independent, so the system
+decomposition numbers are recovered by the trace method.  Where a layer
+sits comes from one address book, ``engine.cell_layout``, and the table is
+read on a layer by one row reader, ``_layer_rows`` (the matrix of a basis
+word on the cell module), and one Gram reader, ``_gram_entries``.
+
+Over a field of characteristic zero the traces of the basis elements on
+pairwise non-isomorphic simple modules are linearly independent, so the
+system
 
     trace on C(nu) = sum over columns mu of d[nu][mu] * trace on D(mu)
 
@@ -150,35 +155,35 @@ class CellModule:
                     % (name, label_text(self.label)))
 
 
-def _table_layer(table, label):
-    for lab, start, dim in table.label_layout():
-        if lab == label:
-            return start, dim
-    raise KeyError("label %s not found in the table" % label_text(label))
+def _layer_rows(tab, label, b, frame=None):
+    """Matrix of basis word ``b`` on the cell module of ``label``, read off
+    the table through ``engine.cell_layout``: row ``j`` holds the
+    coefficients of v_j * C_b over v_0, ..., v_{dim-1}, where v_j is
+    C[(frame)(j)] modulo the higher layers.  ``frame`` defaults to the
+    distinguished index; any other row of the layer gives the same module.
+    """
+    start, dim, initial = engine.cell_layout(tab.r, tab.s)[label]
+    row = start + (initial if frame is None else frame) * dim
+    zero = tab.ctx.zero()
+    out = []
+    for j in range(dim):
+        vec = tab.product(row + j, b)
+        out.append([vec.get(row + k, zero) for k in range(dim)])
+    return out
 
 
-def _initial_offset(label, r, s, index_set):
-    initial = words.initial_cell_index(label, r, s)
-    for k, pair in enumerate(index_set):
-        if pair == initial:
-            return k
-    raise RuntimeError("distinguished index missing from the index set")
-
-
-def _table_module_letter(table, start, dim, frame, letter):
+def _table_module_letter(tab, label, letter, frame=None):
     """Same-label layer of right multiplication by a positive generator,
     on coefficient columns."""
-    ctx = table.ctx
-    gen = table.generator_expansion(engine._letter_key(letter))
+    ctx = tab.ctx
+    dim = engine.cell_layout(tab.r, tab.s)[label][1]
     mat = [[ctx.zero()] * dim for _ in range(dim)]
-    for j in range(dim):
-        pos = start + frame * dim + j
-        for b, coeff in gen.items():
-            if not coeff:
-                continue
-            vec = table.product(pos, b)
-            for k in range(dim):
-                val = vec.get(start + frame * dim + k)
+    gen = tab.generator_expansion(engine._letter_key(letter))
+    for b, coeff in gen.items():
+        if not coeff:
+            continue
+        for j, row in enumerate(_layer_rows(tab, label, b, frame)):
+            for k, val in enumerate(row):
                 if val:
                     mat[k][j] += coeff * val
     return mat
@@ -197,13 +202,10 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
         spec = _as_spec(field)
         tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
                              table=table)
-        start, dim = _table_layer(tab, label)
-        if dim != len(index_set):
-            raise RuntimeError("layer size disagrees with the index set")
-        frame = _initial_offset(label, r, s, index_set)
+        _, dim, frame = engine.cell_layout(r, s)[label]
 
-        def source(letter, _frame=frame):
-            return _table_module_letter(tab, start, dim, _frame, letter)
+        def source(letter):
+            return _table_module_letter(tab, label, letter)
 
         module = CellModule(r, s, label, spec, tab.ctx, provenance,
                             index_set, source)
@@ -212,14 +214,11 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
             other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
             if other != frame:
                 for letter in engine.generator_letters(r, s):
-                    a = module.action.letter(letter)
-                    b = _table_module_letter(tab, start, dim, other, letter)
-                    for j in range(dim):
-                        for k in range(dim):
-                            if a[j][k] != b[j][k]:
-                                raise OracleMismatch(
-                                    "cell module depends on the frame at %s"
-                                    % label_text(label))
+                    if module.action.letter(letter) != _table_module_letter(
+                            tab, label, letter, other):
+                        raise OracleMismatch(
+                            "cell module depends on the frame at %s"
+                            % label_text(label))
             module.check_relations()
         return module
     if provenance == "SingularVectors":
@@ -297,89 +296,65 @@ class GramMatrix:
         return linalg.kernel_basis(self.ctx, self.entries, self.dim)
 
 
+def _gram_entries(r, s, label, coefficient):
+    """Gram matrix of ``label``: entry (i, j) is the coefficient of the
+    distinguished diagonal basis word C[(a)(a)] in C[(a)(i)] * C[(j)(a)],
+    with positions from ``engine.cell_layout`` and ``coefficient(x, y, c)``
+    the coefficient of C_c in C_x * C_y."""
+    start, dim, frame = engine.cell_layout(r, s)[label]
+    row = start + frame * dim
+    return [[coefficient(row + i, start + j * dim + frame, row + frame)
+             for j in range(dim)] for i in range(dim)]
+
+
 def gram_matrix(r, s, label, field=None, seed=0, cache_dir=None, table=None):
     """Gram matrix of the cell module: entry (i, j) is the coefficient of
     the distinguished diagonal basis word in C[(a)(i)] * C[(j)(a)]."""
     spec = _as_spec(field)
     tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
                          table=table)
-    index_set = words.cell_index_set(label, r, s)
-    start, dim = _table_layer(tab, label)
-    frame = _initial_offset(label, r, s, index_set)
     ctx = tab.ctx
-    diag = start + frame * dim + frame
-    entries = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            vec = tab.product(start + frame * dim + i, start + j * dim + frame)
-            row.append(vec.get(diag, ctx.zero()))
-        entries.append(row)
-    gram = GramMatrix(label, entries, ctx)
-    for i in range(dim):
-        for j in range(i):
-            if entries[i][j] != entries[j][i]:
-                raise OracleMismatch("Gram matrix is not symmetric at %s"
-                                     % label_text(label))
-    return gram
+    zero = ctx.zero()
+    entries = _gram_entries(
+        r, s, label, lambda a, b, c: tab.product(a, b).get(c, zero))
+    if entries != [list(col) for col in zip(*entries)]:
+        raise OracleMismatch("Gram matrix is not symmetric at %s"
+                             % label_text(label))
+    return GramMatrix(label, entries, ctx)
 
 
 # ---------------------------------------------------------------------------
 # traces and the decomposition matrix
 # ---------------------------------------------------------------------------
 
-def _layer_trace_table(tab, start, dim, frame):
+def _layer_trace_table(tab, label):
     """Traces of every basis word on the cell module of one layer."""
-    ctx = tab.ctx
-    out = []
-    for b in range(tab.size):
-        acc = ctx.zero()
-        for j in range(dim):
-            pos = start + frame * dim + j
-            val = tab.product(pos, b).get(pos)
-            if val is not None:
-                acc += val
-        out.append(acc)
-    return out
+    return [sum((row[j] for j, row in enumerate(_layer_rows(tab, label, b))
+                 if row[j]), tab.ctx.zero())
+            for b in range(tab.size)]
 
 
-def _module_rows(tab, start, dim, frame, b):
-    """Rows of the action of basis word ``b`` on the layer module."""
-    ctx = tab.ctx
-    mat = []
-    for j in range(dim):
-        vec = tab.product(start + frame * dim + j, b)
-        mat.append([vec.get(start + frame * dim + k, ctx.zero())
-                    for k in range(dim)])
-    return mat
-
-
-def _quotient_trace_table(tab, start, dim, frame, gram, check=True):
-    """Traces of every basis word on the simple head of the layer module."""
+def _quotient_trace_table(tab, label, gram):
+    """Traces of every basis word on the simple head of the layer module,
+    after checking that the form radical is stable under the action."""
     ctx = tab.ctx
     pivots = gram._pivots
     reduced = gram._reduced
     pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
+    free = [j for j in range(gram.dim) if j not in pivot_set]
     # e_free = sum over pivots p of reduced_row(p)[free] * e_p  (mod radical)
-    if check and free:
+    if free:
         radical = gram.radical_basis()
         for letter in engine.generator_letters(tab.r, tab.s):
-            mat = _table_module_letter(tab, start, dim, frame, letter)
+            mat = _table_module_letter(tab, label, letter)
             for vec in radical:
-                image = [sum((x * y for x, y in zip(row, vec) if x and y),
-                             ctx.zero()) for row in mat]
-                for check_row in gram.entries:
-                    acc = ctx.zero()
-                    for k in range(dim):
-                        if image[k]:
-                            acc += check_row[k] * image[k]
-                    if acc:
-                        raise OracleMismatch(
-                            "the form radical is not stable under the action")
+                image = linalg.mat_vec(ctx, mat, vec)
+                if any(linalg.mat_vec(ctx, gram.entries, image)):
+                    raise OracleMismatch(
+                        "the form radical is not stable under the action")
     out = []
     for b in range(tab.size):
-        mat = _module_rows(tab, start, dim, frame, b)
+        mat = _layer_rows(tab, label, b)
         acc = ctx.zero()
         for row_idx, p in enumerate(pivots):
             acc += mat[p][p]
@@ -439,8 +414,9 @@ class DecompositionMatrix:
                       key=lambda block: self.rows.index(block[0]))
 
 
-def _integer_value(ctx, value, bound=64):
-    for k in range(bound + 1):
+def _integer_value(ctx, value):
+    """The integer k with |k| <= 64 that ``value`` equals."""
+    for k in range(65):
         if value == ctx.from_monomial(k):
             return k
         if k and value == ctx.from_monomial(-k):
@@ -449,7 +425,7 @@ def _integer_value(ctx, value, bound=64):
 
 
 def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
-                         table=None, check=True):
+                         table=None):
     """Exact decomposition matrix over the given field, by the trace method.
 
     Raises TraceSystemSingular when the simple traces fail to be linearly
@@ -462,14 +438,7 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
                          table=table)
     ctx = tab.ctx
     labels = list(combinat.enumerate_labels(r, s))
-    layer = {}
-    grams = {}
-    for label in labels:
-        start, dim = _table_layer(tab, label)
-        frame = _initial_offset(label, r, s,
-                                words.cell_index_set(label, r, s))
-        layer[label] = (start, dim, frame)
-        grams[label] = gram_matrix(r, s, label, table=tab)
+    grams = {label: gram_matrix(r, s, label, table=tab) for label in labels}
     columns = [label for label in labels if grams[label].rank > 0]
     predicted = predicted_simple_labels(r, s, spec)
     if columns != predicted:
@@ -477,18 +446,10 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
             "computed simple labels %s disagree with the predicted set %s"
             % ([label_text(l) for l in columns],
                [label_text(l) for l in predicted]))
-    trace_c = {}
-    trace_d = {}
-    for label in labels:
-        start, dim, frame = layer[label]
-        trace_c[label] = _layer_trace_table(tab, start, dim, frame)
-    for label in columns:
-        start, dim, frame = layer[label]
-        if grams[label].rank == dim:
-            trace_d[label] = trace_c[label]
-        else:
-            trace_d[label] = _quotient_trace_table(
-                tab, start, dim, frame, grams[label], check=check)
+    trace_c = {label: _layer_trace_table(tab, label) for label in labels}
+    trace_d = {label: trace_c[label] if grams[label].rank == grams[label].dim
+               else _quotient_trace_table(tab, label, grams[label])
+               for label in columns}
     ncols = len(columns)
     system = []
     for b in range(tab.size):
@@ -508,8 +469,7 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
         entries.append(row)
     dec = DecompositionMatrix(r, s, spec, labels, columns, entries,
                               {label: grams[label].rank for label in labels})
-    if check:
-        _check_decomposition_shape(dec)
+    _check_decomposition_shape(dec)
     return dec
 
 
@@ -616,10 +576,10 @@ def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     return True
 
 
-def einfty_comparison(r, s, field=None, dec=None, moduli=(7, 11), seed=0,
-                      cache_dir=None):
+def einfty_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     """For rho = q^a over transcendental q, the decomposition matrix must
-    agree with the one at a large root of unity carrying the same tie.
+    agree with the ones at the roots of unity of orders 7 and 11 carrying
+    the same tie.
     Returns None for fields where the comparison does not apply.  ``dec``
     is the decomposition matrix at ``field`` when the caller has it.
     """
@@ -629,7 +589,7 @@ def einfty_comparison(r, s, field=None, dec=None, moduli=(7, 11), seed=0,
     if dec is None:
         dec = decomposition_matrix(r, s, field=spec, seed=seed,
                                    cache_dir=cache_dir)
-    for m in moduli:
+    for m in (7, 11):
         other_spec = FieldSpec.cyclotomic(m, spec.a % m)
         other = decomposition_matrix(r, s, field=other_spec, seed=seed,
                                      cache_dir=cache_dir)
@@ -666,7 +626,7 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
     spec = _as_spec(field)
     tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
                          table=table)
-    start, dim = _table_layer(tab, label)
+    dim = engine.cell_layout(r, s)[label][1]
     ctx = tab.ctx
     nbasis = tab.size
     higher = [p for p in range(nbasis)
@@ -696,15 +656,8 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
         new_frontier = []
         for vec in frontier:
             for letter in letters:
-                mat = tab.action.letter(letter)
-                image = [ctx.zero()] * nbasis
-                for a in range(nbasis):
-                    if not vec[a]:
-                        continue
-                    for c in range(nbasis):
-                        if mat[c][a]:
-                            image[c] += vec[a] * mat[c][a]
-                image = project(image)
+                image = project(
+                    linalg.mat_vec(ctx, tab.action.letter(letter), vec))
                 if tracker.insert(image):
                     new_frontier.append(image)
                     basis_vectors.append(image)
@@ -713,8 +666,7 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
     if tracker.rank != dim:
         return False
     # traces of every basis word must match the cell module layer
-    frame = _initial_offset(label, r, s, words.cell_index_set(label, r, s))
-    reference = _layer_trace_table(tab, start, dim, frame)
+    reference = _layer_trace_table(tab, label)
     for b in range(nbasis):
         acc = ctx.zero()
         for i, vec in enumerate(basis_vectors):
@@ -901,10 +853,10 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
 # presentation relations on the tensor space
 # ---------------------------------------------------------------------------
 
-def random_tensor_vector(ctx, n, size, rng, terms=4):
-    """A sparse random vector with small monomial coefficients."""
+def random_tensor_vector(ctx, n, size, rng):
+    """A sparse random vector of at most four small monomial terms."""
     entries = {}
-    for _ in range(terms):
+    for _ in range(4):
         idx = tuple(rng.randrange(1, n + 1) for _ in range(size))
         entries[idx] = ctx.from_monomial(rng.randrange(1, 5),
                                          rng.randrange(-2, 3))
@@ -997,10 +949,7 @@ def route_agreement(r, s, n=None, seed=0, cache_dir=None):
     tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir)
     ctx = tab.ctx
     for label in combinat.enumerate_labels(r, s):
-        start, dim = _table_layer(tab, label)
-        frame = _initial_offset(label, r, s,
-                                words.cell_index_set(label, r, s))
-        table_traces = _layer_trace_table(tab, start, dim, frame)
+        table_traces = _layer_trace_table(tab, label)
         table_rank = gram_matrix(r, s, label, table=tab).rank
         module = cell_module(r, s, label, field=spec,
                              provenance="SingularVectors", n=n)
@@ -1042,13 +991,14 @@ def _faithful_support(n, r, s):
     return out
 
 
-def gram_certificate_numeric(r, s, points=(2, 3, 5)):
+def gram_certificate_numeric(r, s):
     """Certify that every Gram determinant is generically nonzero by exact
-    evaluation at rational sample points (sound one-sided certificate)."""
+    evaluation at the rational sample points q = 2, 3, 5 (sound one-sided
+    certificate)."""
     labels = list(combinat.enumerate_labels(r, s))
     unresolved = set(range(len(labels)))
     n = r + s
-    for t in points:
+    for t in (2, 3, 5):
         if not unresolved:
             break
         ctx = RationalPointContext(t, n)
@@ -1059,30 +1009,17 @@ def gram_certificate_numeric(r, s, points=(2, 3, 5)):
                                                    max_seeds=8)
         except RankCertificationFailed:
             continue
-        layout = {}
-        startpos = 0
-        for label in labels:
-            dim = combinat.cell_dimension(label, r, s)
-            layout[label] = (startpos, dim)
-            startpos += dim * dim
+
+        def coefficient(a, b, c):
+            # C_a * C_b on demand: only the Gram products are computed
+            images = [tensor.act_word(img, system.basis[b].element, n, r, s)
+                      for img in system.tensor_images[a]]
+            coords = system._flatten(ctx, images, system.support)
+            return system._solve(coords, check=False)[c]
+
         for li in list(unresolved):
-            label = labels[li]
-            start, dim = layout[label]
-            frame = _initial_offset(label, r, s,
-                                    words.cell_index_set(label, r, s))
-            entries = []
-            for i in range(dim):
-                row = []
-                img_list = system.tensor_images[start + frame * dim + i]
-                for j in range(dim):
-                    rec = system.basis[start + j * dim + frame]
-                    images = [tensor.act_word(img, rec.element, n, r, s)
-                              for img in img_list]
-                    coords = system._flatten(ctx, images, system.support)
-                    sol = system._solve(coords, check=False)
-                    row.append(sol[start + frame * dim + frame])
-                entries.append(row)
-            if linalg.rank(ctx, entries) == dim:
+            entries = _gram_entries(r, s, labels[li], coefficient)
+            if linalg.rank(ctx, entries) == len(entries):
                 unresolved.discard(li)
     return not unresolved
 

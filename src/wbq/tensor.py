@@ -434,17 +434,15 @@ def act_divided_power(v, i, ell, n, r, s):
     return TensorVector(ctx, out)
 
 
-def singular_space(wt, n, r, s, ell_max=None, spec=None):
+def singular_space(wt, n, r, s, spec=None):
     """Reduced-echelon basis of the joint kernel of all divided powers.
 
-    A vector is singular when every E_i^{(ell)} with 1 <= ell <= ell_max
+    A vector is singular when every E_i^{(ell)} with 1 <= ell <= r+s
     kills it.  Over a field of characteristic-zero Laurent series this is
     the kernel of the E_i alone, but at roots of unity the higher divided
     powers impose genuinely new conditions.
     """
     wt = tuple(wt)
-    if ell_max is None:
-        ell_max = r + s
     ctx = FieldContext(spec if spec is not None else _GENERIC_SPEC)
     sources = weight_space(wt, n, r, s)
     if not sources:
@@ -454,7 +452,7 @@ def singular_space(wt, n, r, s, ell_max=None, spec=None):
     for spos, src in enumerate(sources):
         base = TensorVector.basis(ctx, src)
         for i in range(1, n):
-            for ell in range(1, ell_max + 1):
+            for ell in range(1, r + s + 1):
                 image = act_divided_power(base, i, ell, n, r, s)
                 for tgt, val in image.entries.items():
                     key = (i, ell, tgt)

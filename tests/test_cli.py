@@ -2,6 +2,7 @@
 determinism, and schema validity."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -310,3 +311,21 @@ def test_label_text_round_trips_through_the_schema_pattern():
         assert re.match(pattern, text), text
     for text in ("f=,[1]|[1]", "f=0,[1]", "f=0,(1)|(1)", "0,[1]|[1]"):
         assert not re.match(pattern, text), text
+
+
+def test_golden_outputs_replay_byte_for_byte(tmp_path, monkeypatch):
+    # every recorded CLI key of the benchmark, replayed in-process on the
+    # bundled tables only
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    keys = [(key, want) for section in ("query_mix", "singular")
+            for key, want in golden[section].items()]
+    assert len(keys) == 504
+    mismatched = []
+    for key, want in keys:
+        code, out, _ = run_cli(key.split(" "))
+        if [hashlib.sha256(out.encode("utf-8")).hexdigest(), code] != want:
+            mismatched.append(key)
+    assert mismatched == []

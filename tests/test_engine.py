@@ -191,6 +191,46 @@ def test_structure_constants_cache_file_lifecycle():
     engine._TABLE_MEMO.clear()
 
 
+@pytest.mark.parametrize("default_first", [True, False])
+def test_table_memo_is_keyed_by_the_cache_file(
+        default_first, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path / "empty"))
+    other = str(tmp_path / "other")
+    table = engine.load_table(engine.bundled_path(1, 1), 1, 1)
+    table.seed = 99
+    engine.save_table(table, engine.cache_path(1, 1, other))
+    calls = [(None, 0), (other, 99)]
+    for cache_dir, seed in calls if default_first else calls[::-1]:
+        assert engine.generic_table(1, 1, cache_dir=cache_dir).seed == seed
+
+
+BUNDLED_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
+def test_cell_layout_addresses_every_basis_record(r, s):
+    # checked against the records of words.cell_basis, which place each
+    # word without the address book
+    basis = engine.cell_basis(r, s)
+    layout = engine.cell_layout(r, s)
+    assert list(layout) == list(combinat.enumerate_labels(r, s))
+    assert sum(dim * dim for _, dim, _ in layout.values()) == len(basis)
+    for label, (start, dim, frame) in layout.items():
+        index_set = words.cell_index_set(label, r, s)
+        assert len(index_set) == dim
+        assert index_set[frame] == words.initial_cell_index(label, r, s)
+        for i in range(dim):
+            for j in range(dim):
+                rec = basis[start + i * dim + j]
+                assert rec.label == label
+                assert (rec.left, rec.right) == (index_set[i], index_set[j])
+    table = engine.structure_constants(r, s)
+    for a in (-1, table.size):
+        with pytest.raises(IndexError):
+            table.sigma_position(a)
+
+
 def test_generic_specializes_to_directly_computed_constants(table_21):
     # independently recompute the table inside the tensor model at rho=q^4
     table = table_21
@@ -210,8 +250,7 @@ def test_triangularity_and_symmetry_exhaustive_21():
     table.check_triangularity()
     table.check_sigma_symmetry()
     # the lowest cell layer multiplies into itself and above, never below
-    layout = table.label_layout()
-    top_label, top_start, top_dim = layout[0]
+    top_label, (top_start, _, _) = next(iter(engine.cell_layout(2, 1).items()))
     assert top_label.f == 1
     vec = table.product(top_start, top_start)
     for c in vec:

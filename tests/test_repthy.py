@@ -234,6 +234,23 @@ def test_alt_cell_realization_small_shapes():
             assert repthy.alt_cell_realization_check(r, s, label)
 
 
+@pytest.mark.parametrize("r, s", [(2, 1), (3, 1)])
+@pytest.mark.parametrize("field", ["qpow:2", "cyclo:3,rho=zeta^1"])
+def test_layer_rows_match_the_table_action(r, s, field):
+    # the full right-multiplication matrix of each basis word, restricted
+    # to the distinguished row of every layer; (3,1) has a frame of 1
+    tab = engine.structure_constants(r, s, field)
+    layout = engine.cell_layout(r, s)
+    assert any(frame for _, _, frame in layout.values()) == (r == 3)
+    for b in range(tab.size):
+        full = tab.action.element(tab.basis[b].element)
+        for label, (start, dim, frame) in layout.items():
+            row = start + frame * dim
+            rows = repthy._layer_rows(tab, label, b)
+            assert rows == [[full[row + k][row + j] for k in range(dim)]
+                            for j in range(dim)]
+
+
 def test_foreign_labels_raise_key_error():
     cases = [((2, 1), combinat.CellLabel(0, (1,), (1,))),
              ((1, 1), combinat.CellLabel(0, (2,), (1,)))]
