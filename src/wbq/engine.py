@@ -9,24 +9,28 @@ residual.
 
 Structure constants come in two flavours.  ``mode="generic"`` produces the
 multiplication table over the two-parameter ground field: the table is
-computed at the chain of specializations rho = q^n (n = r+s, ..., r+s+2D),
-Lagrange-interpolated in rho with a stability check at one extra sample,
-with every per-sample table itself obtained from exact rational evaluations
-at integer values of q followed by adaptive interpolation in q.  The
-assembled table is then certified symbolically: all defining relations hold
-as matrix identities, every basis word re-expands to its own indicator
-vector, the table is triangular with respect to the cell order, compatible
-with the reversal anti-involution, and all denominators are powers of
-(q - q^{-1}) times integers.  Specialized tables are obtained either by
-specializing a generic table or, for q-power fields with a large enough
-exponent, directly from a coordinate system over that field.
+computed from residues modulo a large prime.  Each sample point (q, rho) =
+(t, t^n) with integer t and n = r+s, ..., r+s+2D+1 is a rational point, so
+its expansions are reduced mod p in one modular pass through the tensor
+model.  At each q = t they are Lagrange-interpolated in rho, with a
+stability check at the extra sample, and then adaptively in q, all mod p.
+Every resulting Laurent coefficient is lifted to a small rational by
+rational reconstruction, over the product of all primes used so far (CRT).
+The lifted table is accepted only if it is certified symbolically: all
+defining relations hold as matrix identities, every basis word re-expands
+to its own indicator vector, the table is triangular with respect to the
+cell order, compatible with the reversal anti-involution, and all
+denominators are powers of (q - q^{-1}) times integers.  A failed lift or
+certificate moves on to the next prime.  Specialized tables are obtained
+either by specializing a generic table or, for q-power fields with a large
+enough exponent, directly from a coordinate system over that field.
 
 One convention matters for reading this module: solving inside the tensor
 model produces coefficients with q and rho inverted (the action routes
 every element through the coefficient flip (q, rho) -> (q^{-1}, rho^{-1})),
 so a coordinate system's matrices live in that flipped model and the
 inversion is undone exactly once, at the public boundary.  Numeric
-(rational-point) systems cannot undo it and return flipped-model
+(rational-point or residue) systems cannot undo it and return flipped-model
 coefficients; they are only used inside the interpolation pipeline and for
 rank certificates, where this does not matter.  Coordinate systems and
 tables take their right-multiplication matrices from ``words.WordAction``,
@@ -36,6 +40,7 @@ which states the matrix convention.
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import tempfile
@@ -215,7 +220,11 @@ class CoordinateSystem:
         are the greedy first independent columns mod p at that point."""
         if isinstance(ctx, RationalPointContext):
             # a rational matrix has the same values at every t
-            return linalg.modp_rank_robust(rows)
+            if ctx.prime is None:
+                return linalg.modp_rank_robust(rows)
+            # residues certify over their own prime only
+            return linalg.modp_rank([[int(x) for x in row] for row in rows],
+                                    ctx.prime)
         best = (0, [])
         for t in (2, 3, 5):
             try:
@@ -634,10 +643,12 @@ def _support_indices(n, r, s):
     wt = weight_of_index(base, n, r, s)
     return weight_space(wt, n, r, s)
 
-def _node_expansions(r, s, n, t, seed):
-    """All flipped-model expansions at the sample point (q, rho) = (t, t^n):
-    the unit, every generator, and every product of two basis words."""
-    ctx = RationalPointContext(t, n)
+
+def _node_expansions(r, s, ctx, seed):
+    """All flipped-model expansions at the sample point of ``ctx``, (q, rho)
+    = (t, t^n) with n = ``ctx.rhoexp``: the unit, every generator, and every
+    product of two basis words, as elements of ``ctx``."""
+    n = ctx.rhoexp
     support = _support_indices(n, r, s)
     try:
         system = CoordinateSystem.build(
@@ -656,26 +667,25 @@ def _node_expansions(r, s, n, t, seed):
     return out
 
 
-def _stage_one(values_by_node, nodes, stab_node, t, depth):
-    """Interpolate the rho-dependence at one q-point: Laurent window
+def _stage_one(values_by_node, nodes, stab_node, t, depth, p):
+    """Interpolate the rho-dependence at one q-point mod p: Laurent window
     [-depth, depth], checked against the extra stabilization node."""
-    xs = [Fraction(t) ** n for n in nodes]
-    x_pows = [x ** depth for x in xs]
-    x_stab = Fraction(t) ** stab_node
-    x_stab_pow = x_stab ** depth
+    xs = [pow(t, n, p) for n in nodes]
+    x_pows = [pow(x, depth, p) for x in xs]
+    x_stab = pow(t, stab_node, p)
+    x_stab_pow = pow(x_stab, depth, p)
     keys = set()
     for table in values_by_node.values():
         keys.update((key, c) for key, vec in table.items() for c in vec)
     out = {}
     for key, c in keys:
-        vals = [Fraction(values_by_node[n].get(key, {}).get(c, 0))
-                for n in nodes]
-        stab_val = Fraction(values_by_node[stab_node].get(key, {}).get(c, 0))
+        vals = [int(values_by_node[n].get(key, {}).get(c, 0)) for n in nodes]
+        stab_val = int(values_by_node[stab_node].get(key, {}).get(c, 0))
         if not any(vals) and not stab_val:
             continue
-        ys = [val * x_pow for val, x_pow in zip(vals, x_pows)]
-        coeffs = linalg.lagrange_poly(xs, ys)
-        if linalg.poly_eval(coeffs, x_stab) != stab_val * x_stab_pow:
+        ys = [val * x_pow % p for val, x_pow in zip(vals, x_pows)]
+        coeffs = linalg.lagrange_poly(xs, ys, p)
+        if linalg.poly_eval(coeffs, x_stab, p) != stab_val * x_stab_pow % p:
             raise InterpolationUnstable(
                 "rho window [-%d, %d] too small at q=%d" % (depth, depth, t))
         for k, coeff in enumerate(coeffs):
@@ -684,16 +694,20 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth):
     return out
 
 
-def _build_generic_attempt(r, s, seed, depth, progress):
+def _interpolate_mod(r, s, seed, depth, p, progress):
+    """The numerators of the table over (q - q^{-1})^depth mod p, in the
+    flipped model: ``{(key, c, k, e): residue}`` for the coefficient of
+    q^e rho^k of entry c of ``key``.  The rho-dependence is fitted at each
+    q-point, then the q-dependence adaptively, adding q-points until three
+    extra ones confirm every fit."""
     nodes = [r + s + k for k in range(2 * depth + 1)]
     stab_node = r + s + 2 * depth + 1
     all_nodes = nodes + [stab_node]
-    kmax = depth
     rho_data = {}         # (key, c) -> {rho_exp -> {t -> value}}
     accepted = {}         # (key, c) -> {rho_exp -> laurent dict}
     ts = []
     next_t = 2
-    qdiff_at = {}         # t -> (t - 1/t)^kmax
+    qdiff_at = {}         # t -> (t - 1/t)^depth
 
     def add_point():
         nonlocal next_t
@@ -701,15 +715,16 @@ def _build_generic_attempt(r, s, seed, depth, progress):
         next_t += 1
         if progress:
             progress("sampling q=%d (rho=q^%d..q^%d)" % (t, nodes[0], stab_node))
-        tables = {n: _node_expansions(r, s, n, t, seed)
+        tables = {n: _node_expansions(r, s, RationalPointContext(t, n, p),
+                                      seed)
                   for n in all_nodes}
-        stage = _stage_one(tables, nodes, stab_node, t, depth)
+        stage = _stage_one(tables, nodes, stab_node, t, depth, p)
         for (key, c), kdict in stage.items():
             slot = rho_data.setdefault((key, c), {})
             for k, val in kdict.items():
                 slot.setdefault(k, {})[t] = val
         ts.append(t)
-        qdiff_at[t] = (Fraction(t) - Fraction(1, t)) ** kmax
+        qdiff_at[t] = pow(t - pow(t, -1, p), depth, p)
 
     for _ in range(9):
         add_point()
@@ -730,32 +745,64 @@ def _build_generic_attempt(r, s, seed, depth, progress):
             add_point()
         fit_ts, check_ts = ts[:-3], ts[-3:]
         guard = (len(fit_ts) - 1) // 2
-        xs = [Fraction(t) for t in fit_ts]
-        x_pows = [x ** guard for x in xs]
+        t_pows = {t: pow(t, guard, p) for t in ts}
         for entry, k in pending:
             tvals = rho_data[entry][k]
-            ws = {t: Fraction(tvals.get(t, 0)) * qdiff_at[t] for t in ts}
-            ys = [ws[t] * x_pow for t, x_pow in zip(fit_ts, x_pows)]
-            coeffs = linalg.lagrange_poly(xs, ys)
-            cand = {e - guard: c for e, c in enumerate(coeffs) if c}
-            ok = all(linalg.laurent_eval(cand, Fraction(t)) == ws[t]
-                     for t in check_ts)
-            if ok:
-                accepted.setdefault(entry, {})[k] = cand
+            ys = {t: tvals.get(t, 0) * qdiff_at[t] * t_pows[t] % p for t in ts}
+            coeffs = linalg.lagrange_poly(fit_ts, [ys[t] for t in fit_ts], p)
+            if all(linalg.poly_eval(coeffs, t, p) == ys[t] for t in check_ts):
+                accepted.setdefault(entry, {})[k] = {
+                    e - guard: c for e, c in enumerate(coeffs) if c}
+    return {(key, c, k, e): coeff
+            for (key, c), kdict in accepted.items()
+            for k, laur in kdict.items()
+            for e, coeff in laur.items()}
 
-    # assemble, undoing the coefficient flip: (q, rho) -> (q^{-1}, rho^{-1})
+
+def _crt(residues, modulus, found, p):
+    """Residues mod ``modulus`` and residues mod the prime ``p`` combined
+    into residues mod ``modulus * p``; a missing key is zero."""
+    inverse = pow(modulus, -1, p)
+    out = {}
+    for key in residues.keys() | found.keys():
+        x = residues.get(key, 0)
+        out[key] = x + modulus * ((found.get(key, 0) - x) * inverse % p)
+    return out, modulus * p
+
+
+def _lift(residues, modulus):
+    """Every residue u mod ``modulus`` lifted to the fraction a/b with
+    |a|, b <= sqrt(modulus/2) and a = b*u mod modulus, zeros dropped; None
+    if some residue has no such fraction (rational reconstruction by the
+    half extended Euclidean algorithm; von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 5.10)."""
+    bound = math.isqrt(modulus // 2)
+    out = {}
+    for key, u in residues.items():
+        r0, r1, s0, s1 = modulus, u, 0, 1
+        while r1 > bound:
+            quo = r0 // r1
+            r0, r1 = r1, r0 - quo * r1
+            s0, s1 = s1, s0 - quo * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        if r1:
+            out[key] = Fraction(r1, s1)
+    return out
+
+
+def _assemble(r, s, seed, depth, coefficients):
+    """The generic table from its flipped-model numerators over
+    (q - q^{-1})^depth, undoing the flip (q, rho) -> (q^{-1}, rho^{-1})."""
+    qdiff_terms = [(depth - 2 * i, 0, (-1) ** i * _binomial(depth, i))
+                   for i in range(depth + 1)]
+    sign = (-1) ** depth
+    num_terms = {}
+    for (key, c, k, e), coeff in coefficients.items():
+        num_terms.setdefault((key, c), []).append((-e, -k, sign * coeff))
     values = {}
-    qdiff_terms = [(kmax - 2 * i, 0, Fraction((-1) ** i) * _binomial(kmax, i))
-                   for i in range(kmax + 1)]
-    for (key, c), kdict in accepted.items():
-        num_terms = []
-        for k, laur in kdict.items():
-            sign = Fraction((-1) ** kmax)
-            for e, coeff in laur.items():
-                num_terms.append((-e, -k, sign * coeff))
-        if not num_terms:
-            continue
-        value = scalars.generic_from_terms(num_terms, qdiff_terms)
+    for (key, c), terms in num_terms.items():
+        value = scalars.generic_from_terms(terms, qdiff_terms)
         if value:
             values.setdefault(key, {})[c] = value
 
@@ -769,21 +816,46 @@ def _build_generic_attempt(r, s, seed, depth, progress):
             generators[key[1]] = vec
     for letter in generator_letters(r, s):
         generators.setdefault(_letter_key(letter), {})
-    table = StructureConstants(r, s, FieldSpec.generic(), seed, depth,
-                               products, generators, unit)
-    if progress:
-        progress("certifying the interpolated table")
-    try:
-        table.certify()
-    except OracleMismatch as exc:
-        raise InterpolationUnstable("certification rejected the table: %s"
-                                    % exc)
-    return table
+    return StructureConstants(r, s, FieldSpec.generic(), seed, depth,
+                              products, generators, unit)
+
+
+def _build_generic_attempt(r, s, seed, depth, progress):
+    """The table for one rho window, from residues: the numerators are
+    interpolated mod each prime of ``linalg._MODP_PRIMES`` in turn, lifted
+    from every prime used so far by CRT and rational reconstruction, and
+    accepted only through ``certify()``.  A rank deficit or a vanishing
+    denominator mod the prime, a failed lift or a rejected table moves to
+    the next prime; after the last, ``InterpolationUnstable``."""
+    residues, modulus = {}, 1
+    failure = "no prime was tried"
+    for p in linalg._MODP_PRIMES:
+        try:
+            found = _interpolate_mod(r, s, seed, depth, p, progress)
+        except (RankCertificationFailed, DenominatorVanishes) as exc:
+            failure = "mod %d: %s" % (p, exc)
+            continue
+        residues, modulus = _crt(residues, modulus, found, p)
+        coefficients = _lift(residues, modulus)
+        if coefficients is None:
+            failure = "rational reconstruction failed mod %d" % modulus
+            continue
+        table = _assemble(r, s, seed, depth, coefficients)
+        if progress:
+            progress("certifying the interpolated table")
+        try:
+            table.certify()
+        except OracleMismatch as exc:
+            failure = "certification rejected the table: %s" % exc
+            continue
+        return table
+    raise InterpolationUnstable(failure)
 
 
 def build_generic_table(r, s, seed=0, progress=None):
     """Compute the generic multiplication table, doubling the rho window
-    once if the stability checks reject the first attempt."""
+    once if the stability checks, or every prime, reject the first
+    attempt."""
     depth = 2 * min(r, s) + 2
     try:
         return _build_generic_attempt(r, s, seed, depth, progress)

@@ -1,18 +1,21 @@
 """Exact linear algebra over pluggable coefficient domains.
 
-A *context* constructs the elements of one exact coefficient domain: its
-zero, its one, the monomials c * q^a * rho^b and the images of Generic-field
+A *context* constructs the elements of one coefficient domain: its zero,
+its one, the monomials c * q^a * rho^b and the images of Generic-field
 scalars.  The elements carry their own arithmetic (``+ - * /``, unary minus,
-``==``, and truthiness for "nonzero").  Two domains are used throughout the
-package: elements of a ``FieldSpec`` field (``FieldContext``, whose elements
-are ``Scalar``) and plain rational numbers obtained by evaluating ``q`` and
-``rho`` at an integer point (``RationalPointContext``, whose elements are
-``Fraction``; its ``from_generic`` is ``scalars.evaluate``, so this module
-never reads how a scalar is stored).  The routines are Gaussian elimination
-with deterministic pivot choices, so all outputs are reproducible.  Every
-one is exact over its context except ``modp_rank``, which eliminates a
-rational matrix modulo a large prime and so certifies a lower bound on its
-rank.
+``==``, and truthiness for "nonzero").  Three domains are used throughout
+the package: elements of a ``FieldSpec`` field (``FieldContext``, whose
+elements are ``Scalar``), plain rational numbers obtained by evaluating
+``q`` and ``rho`` at a rational point (``RationalPointContext``, whose
+elements are ``Fraction``; its ``from_generic`` is ``scalars.evaluate``, so
+this module never reads how a scalar is stored), and the residues of those
+rational values modulo a large prime (``RationalPointContext`` with a
+``prime``).  The routines are Gaussian elimination with deterministic pivot
+choices, so all outputs are reproducible.  Every one is exact over its
+context.  Two kinds of result are modular and hold over Q only behind a
+check: ``modp_rank`` eliminates a rational matrix modulo a large prime and
+so certifies a lower bound on its rank, and ``lagrange_poly`` interpolates
+residues, whose rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -24,7 +27,7 @@ import operator
 from fractions import Fraction
 
 from . import scalars
-from .errors import RankCertificationFailed
+from .errors import DenominatorVanishes, RankCertificationFailed
 
 
 def _as_ratio(value):
@@ -36,18 +39,21 @@ def _as_ratio(value):
 
 class FieldContext:
     """Constructs ``Scalar`` elements of a fixed ``FieldSpec``; the
-    elements carry their own arithmetic."""
+    elements carry their own arithmetic.  Values are immutable, so the
+    zero and the one are built once per context and shared."""
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "_zero", "_one")
 
     def __init__(self, spec):
         self.spec = spec
+        self._zero = scalars.zero(spec)
+        self._one = scalars.one(spec)
 
     def zero(self):
-        return scalars.zero(self.spec)
+        return self._zero
 
     def one(self):
-        return scalars.one(self.spec)
+        return self._one
 
     def from_monomial(self, c, qexp=0, rhoexp=0):
         return scalars.monomial(self.spec, c, qexp, rhoexp)
@@ -59,49 +65,115 @@ class FieldContext:
         return scalars.specialize(x, self.spec)
 
 
+_new = object.__new__
+
+
+class _Residue:
+    """An element of Z/p: a value in 0..p-1 and its prime p."""
+
+    __slots__ = ("v", "p")
+
+    def __add__(self, other):
+        out = _new(_Residue)
+        out.p = p = self.p
+        out.v = (self.v + other.v) % p
+        return out
+
+    def __sub__(self, other):
+        out = _new(_Residue)
+        out.p = p = self.p
+        out.v = (self.v - other.v) % p
+        return out
+
+    def __mul__(self, other):
+        out = _new(_Residue)
+        out.p = p = self.p
+        out.v = self.v * other.v % p
+        return out
+
+    def __truediv__(self, other):
+        if not other.v:
+            raise ZeroDivisionError("division by a residue that is zero")
+        out = _new(_Residue)
+        out.p = p = self.p
+        out.v = self.v * pow(other.v, -1, p) % p
+        return out
+
+    def __neg__(self):
+        out = _new(_Residue)
+        out.p = p = self.p
+        out.v = -self.v % p
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, _Residue):
+            return NotImplemented
+        return self.v == other.v and self.p == other.p
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __int__(self):
+        return self.v
+
+
 class RationalPointContext:
-    """Constructs ``Fraction`` elements, the values at ``q = t`` and
-    ``rho = t**rho_exp``; the elements carry their own arithmetic.
+    """Constructs the values at ``q = t`` and ``rho = t**rho_exp``: exact
+    ``Fraction``s, or with ``prime`` their residues mod that prime.  The
+    elements carry their own arithmetic.
 
     ``t`` must be a nonzero rational with ``t**2 != 1`` so that every
-    admissible denominator stays invertible.
+    admissible denominator stays invertible; with a prime, the numerator
+    and denominator of ``t`` and ``t**2 - 1`` must also be units mod the
+    prime, otherwise ``DenominatorVanishes`` is raised.
     """
 
-    __slots__ = ("qval", "rhoexp", "_qpowers")
+    __slots__ = ("qval", "rhoexp", "prime", "_zero", "_one", "_qpowers")
 
-    def __init__(self, t, rho_exp):
+    def __init__(self, t, rho_exp, prime=None):
         num, den = _as_ratio(Fraction(t) if not isinstance(t, int) else t)
         self.qval = Fraction(num, den)
         if self.qval == 0 or self.qval * self.qval == 1:
             raise ValueError("evaluation point must satisfy t != 0, t^2 != 1")
+        if prime is not None and \
+                num * den * (num * num - den * den) % prime == 0:
+            raise DenominatorVanishes(
+                "t or t^2 - 1 is not invertible mod %d at t = %s"
+                % (prime, self.qval))
         self.rhoexp = int(rho_exp)
-        self._qpowers = {0: Fraction(1), 1: self.qval}
+        self.prime = prime
+        self._zero = self._element(0)
+        self._one = self._element(1)
+        self._qpowers = {}
+
+    def _element(self, value):
+        """An int or Fraction as an element: itself, or its residue."""
+        if self.prime is None:
+            return Fraction(value)
+        num, den = _as_ratio(value)
+        out = _new(_Residue)
+        out.p = p = self.prime
+        out.v = num * pow(den, -1, p) % p
+        return out
 
     def _qpow(self, k):
-        cache = self._qpowers
-        val = cache.get(k)
+        val = self._qpowers.get(k)
         if val is None:
-            if k > 0:
-                val = cache[k - 1] if (k - 1) in cache else self.qval ** (k - 1)
-                val = val * self.qval
-            else:
-                val = 1 / self._qpow(-k)
-            cache[k] = val
+            val = self._qpowers[k] = self._element(self.qval ** k)
         return val
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def from_monomial(self, c, qexp=0, rhoexp=0):
-        num, den = _as_ratio(c)
-        return Fraction(num, den) * self._qpow(qexp + self.rhoexp * rhoexp)
+        return self._element(c) * self._qpow(qexp + self.rhoexp * rhoexp)
 
     def from_generic(self, x):
         """Evaluate a Scalar over the Generic field at this point."""
-        return scalars.evaluate(x, self.qval, self.rhoexp)
+        return self._element(scalars.evaluate(x, self.qval, self.rhoexp))
 
 
 def rref(ctx, rows):
@@ -411,85 +483,60 @@ def certified_kernel(ctx, rows, pivots):
 
 
 # ---------------------------------------------------------------------------
-# rational interpolation helpers
+# interpolation mod p
 #
-# Laurent polynomials in one variable are dicts {exponent: rational}; zero
-# coefficients are never stored.  All arithmetic is exact.
+# Polynomials are dense lists of residues in 0..p-1 (ints), ascending in
+# degree, with trailing zeros trimmed.
 # ---------------------------------------------------------------------------
 
-def laurent_eval(poly, t):
-    """Evaluate a Laurent dict at the nonzero rational point t."""
-    total = 0
-    for e, c in poly.items():
-        if e >= 0:
-            total += c * t ** e
-        else:
-            total += c / t ** (-e)
-    return total
-
-
 @functools.lru_cache(maxsize=32)
-def _lagrange_basis(xs):
-    """Integer form of the Lagrange basis on the distinct nodes ``xs``.
+def _lagrange_basis(xs, p):
+    """The Lagrange basis on the nodes ``xs`` (residues mod ``p``).
 
-    Returns ``(rows, dens)``: with x_j = n_j/d_j in lowest terms, ``rows[i]``
-    holds the ascending integer coefficients of prod_{j != i} (d_j x - n_j)
-    and ``dens[i]`` is its value at x_i, so rows[i]/dens[i] is the i-th
-    basis polynomial.  Everything is a tuple, so cached rows cannot be
-    mutated by a caller.
+    Returns one tuple per node: the ascending coefficients of
+    prod_{j != i} (x - x_j) / (x_i - x_j) mod p.  Raises
+    ``DenominatorVanishes`` when two nodes agree mod p.
     """
-    ratios = [_as_ratio(x) for x in xs]
-    if len(set(ratios)) != len(ratios):
-        raise ZeroDivisionError("interpolation nodes are not distinct")
+    if len(set(xs)) != len(xs):
+        raise DenominatorVanishes("interpolation nodes agree mod %d" % p)
     full = [1]
-    for num, den in ratios:
-        # full *= (den * x - num)
-        full = [den * a - num * b for a, b in zip([0] + full, full + [0])]
+    for x in xs:
+        # full *= (x - node)
+        full = [(a - x * b) % p for a, b in zip([0] + full, full + [0])]
     rows = []
-    dens = []
-    for i, (num, den) in enumerate(ratios):
-        # synthetic division of full by (den * x - num), from the top; the
-        # quotient is a product of integer linear factors, so it is exact
+    for x in xs:
+        # synthetic division of full by (x - node), from the top
         quot = [0] * (len(full) - 1)
         carry = 0
         for k in range(len(full) - 1, 0, -1):
-            carry = (full[k] + num * carry) // den
+            carry = (full[k] + x * carry) % p
             quot[k - 1] = carry
-        value = 1
-        for j, (other_num, other_den) in enumerate(ratios):
-            if j != i:
-                value *= other_den * num - other_num * den
-        rows.append(tuple(quot))
-        dens.append(Fraction(value, den ** (len(ratios) - 1)))
-    return tuple(rows), tuple(dens)
+        scale = pow(math.prod(x - other for other in xs if other != x), -1, p)
+        rows.append(tuple(c * scale % p for c in quot))
+    return tuple(rows)
 
 
-def lagrange_poly(xs, ys):
-    """Dense coefficients (ascending degree) of the unique polynomial of
-    degree < len(xs) through the points (xs[i], ys[i]), as Fractions with
-    trailing zeros trimmed.
+def lagrange_poly(xs, ys, p):
+    """Coefficients mod the prime ``p`` (ascending degree, trailing zeros
+    trimmed) of the unique polynomial of degree < len(xs) through the
+    points (xs[i], ys[i]); nodes and values are ints, read mod p.
 
-    The integer basis of ``_lagrange_basis`` is cached per node tuple, so
-    calls that share their nodes build it once.  Each call divides the
-    nonzero values by the basis denominators, brings the quotients to one
-    common denominator L, and forms every coefficient as one integer dot
-    product with the basis rows, divided once by L.
+    The basis of ``_lagrange_basis`` is cached per node tuple and prime,
+    so calls that share their nodes build it once; each coefficient is
+    then one integer dot product with the values, reduced once.
     """
     if len(ys) != len(xs):
         raise ValueError("point/value length mismatch")
-    rows, dens = _lagrange_basis(tuple(xs))
-    weights = [y / d if y else Fraction(0) for y, d in zip(ys, dens)]
-    common = math.lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (common // w.denominator) for w in weights]
-    coeffs = [Fraction(sum(map(operator.mul, scaled, column)), common)
-              for column in zip(*rows)]
+    rows = _lagrange_basis(tuple(x % p for x in xs), p)
+    coeffs = [sum(map(operator.mul, ys, column)) % p for column in zip(*rows)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def poly_eval(coeffs, t):
+def poly_eval(coeffs, x, p):
+    """The value mod ``p`` of the polynomial ``coeffs`` at ``x``."""
     total = 0
     for c in reversed(coeffs):
-        total = total * t + c
+        total = (total * x + c) % p
     return total

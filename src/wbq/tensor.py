@@ -170,8 +170,11 @@ _LETTER_CONSTANTS = {}
 
 def _constants(ctx, n):
     """q^{-1}, q, q^{-1} - q, q - q^{-1} and the e_1 weights q^{2i-n-1}
-    (at position i), built once per field or rational point and ``n``."""
-    point = ctx.qval if isinstance(ctx, RationalPointContext) else ctx.spec
+    (at position i), built once per field or rational point and ``n``; a
+    point's key names its prime, so residues never stand in for
+    Fractions."""
+    point = ((ctx.qval, ctx.prime) if isinstance(ctx, RationalPointContext)
+             else ctx.spec)
     key = (point, n)
     consts = _LETTER_CONSTANTS.get(key)
     if consts is None:

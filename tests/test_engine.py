@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wbq import combinat, engine, linalg, scalars, words
+from wbq import combinat, engine, linalg, scalars, tensor, words
 from wbq.errors import DenominatorVanishes, NotInSpan
 from wbq.linalg import RationalPointContext
 from wbq.scalars import FieldSpec
@@ -151,11 +151,115 @@ def _serialised(table):
                        separators=(",", ":")) + "\n").encode()
 
 
+def _bundled_bytes(r, s):
+    with open(engine.bundled_path(r, s), "rb") as fh:
+        return fh.read()
+
+
 def test_rebuilt_tables_match_the_bundled_files_byte_for_byte(table_21):
     for r, s, table in ((1, 1, engine.build_generic_table(1, 1)),
-                        (2, 1, table_21)):
-        with open(engine.bundled_path(r, s), "rb") as fh:
-            assert _serialised(table) == fh.read()
+                        (2, 1, table_21),
+                        (1, 2, engine.build_generic_table(1, 2))):
+        assert _serialised(table) == _bundled_bytes(r, s)
+
+
+def _residue(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("t,n", [(2, 3), (5, 7), (13, 12)])
+@pytest.mark.parametrize("r,s", [(2, 1), (1, 2)])
+def test_modular_node_expansions_reduce_the_exact_ones(r, s, t, n):
+    p = linalg._MODP_PRIMES[0]
+    exact = engine._node_expansions(r, s, RationalPointContext(t, n), 0)
+    modular = engine._node_expansions(r, s, RationalPointContext(t, n, p), 0)
+    want = {}
+    for key, vec in exact.items():
+        assert all(isinstance(v, Fraction) for v in vec.values())
+        reduced = {c: _residue(v, p) for c, v in vec.items()
+                   if _residue(v, p)}
+        if reduced:
+            want[key] = reduced
+    assert {key: {c: int(v) for c, v in vec.items()}
+            for key, vec in modular.items()} == want
+
+
+def test_a_modular_point_keys_its_letter_constants_apart(monkeypatch):
+    # residues and Fractions at the same (t, n), in both orders
+    p = linalg._MODP_PRIMES[0]
+    letters = [words.E1, ("g", 1), ("gs", 1)]
+    for first_prime, then in ((p, None), (None, p)):
+        monkeypatch.setattr(tensor, "_LETTER_CONSTANTS", {})
+        for prime in (first_prime, then):
+            ctx = RationalPointContext(3, 4, prime)
+            vec = tensor.TensorVector.basis(ctx, (1, 2, 1, 2))
+            image = tensor.act_letters(vec, letters, 4, 2, 2)
+            assert image.entries
+            kind = Fraction if prime is None else type(ctx.one())
+            assert all(type(v) is kind for v in image.entries.values())
+    exact = tensor.act_letters(tensor.TensorVector.basis(
+        RationalPointContext(3, 4), (1, 2, 1, 2)), letters, 4, 2, 2)
+    assert {idx: int(v) for idx, v in image.entries.items()} == {
+        idx: _residue(v, p) for idx, v in exact.entries.items()}
+
+
+def _reject_once(monkeypatch):
+    """Make ``certify`` reject the first table it sees."""
+    original = engine.StructureConstants.certify
+    seen = []
+
+    def certify(table):
+        seen.append(table)
+        if len(seen) == 1:
+            raise engine.OracleMismatch("rejected for the test")
+        original(table)
+
+    monkeypatch.setattr(engine.StructureConstants, "certify", certify)
+    return seen
+
+
+@pytest.mark.parametrize("first,reason", [
+    (67, "reconstruction failed"), (73, "nodes agree mod 73"),
+    (None, "certification rejected")])
+def test_a_failing_first_prime_moves_on_to_the_next(first, reason,
+                                                    monkeypatch):
+    # mod 67 every residue is right but too large to lift; mod 73 the
+    # rho-nodes 2^n collide (2 has order 9); without a prime of its own,
+    # the certify() gate refuses the lift of the usual first prime
+    primes = linalg._MODP_PRIMES
+    if first is None:
+        seen = _reject_once(monkeypatch)
+        tried = primes[:1]
+    else:
+        tried = (first,)
+        primes = tried + primes
+    monkeypatch.setattr(linalg, "_MODP_PRIMES", tried)
+    with pytest.raises(engine.InterpolationUnstable, match=reason):
+        engine._build_generic_attempt(1, 1, 0, 4, None)
+    monkeypatch.setattr(linalg, "_MODP_PRIMES", primes)
+    if first is None:
+        seen.clear()
+    messages = []
+    table = engine.build_generic_table(1, 1, progress=messages.append)
+    assert _serialised(table) == _bundled_bytes(1, 1)
+    # the next prime serves the same rho window: no doubled retry
+    assert table.depth == 4
+    if first is None:
+        assert len(seen) == 2
+        assert messages.count("certifying the interpolated table") == 2
+
+
+def test_lift_needs_enough_primes():
+    p0, p1 = linalg._MODP_PRIMES[:2]
+    small = {0: Fraction(-3, 7), 1: Fraction(0), 2: Fraction(5)}
+    large = Fraction(10 ** 6 + 3, 10 ** 5 + 7)  # beyond sqrt(p0 / 2)
+    residues = {k: _residue(v, p0) for k, v in small.items()}
+    assert engine._lift(residues, p0) == {0: Fraction(-3, 7), 2: 5}
+    assert engine._lift({0: _residue(large, p0)}, p0) != {0: large}
+    both, modulus = engine._crt({0: _residue(large, p0)}, p0,
+                                {0: _residue(large, p1)}, p1)
+    assert modulus == p0 * p1
+    assert engine._lift(both, modulus) == {0: large}
 
 
 def test_generic_table_certifies_and_caches_bit_identically(table_21):

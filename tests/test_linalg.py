@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbq.errors import DenominatorVanishes
 from wbq.linalg import (
     _MODP_PRIMES,
     FieldContext,
@@ -118,6 +119,38 @@ def test_rational_point_context():
     assert bad == 3
 
 
+def test_rational_point_context_mod_p_reduces_the_exact_values():
+    exact = RationalPointContext(3, 2)
+    for p in _MODP_PRIMES:
+        ctx = RationalPointContext(3, 2, p)
+        for c, qe, re in ((1, 1, 0), (Fraction(-5, 7), -3, 1), (4, 2, -2)):
+            value = exact.from_monomial(c, qe, re)
+            assert int(ctx.from_monomial(c, qe, re)) == _mod(value, p)
+        two = quantum_integer(2, FieldSpec.generic())
+        assert int(ctx.from_generic(two)) == _mod(Fraction(10, 3), p)
+        x, y = ctx.from_monomial(Fraction(2, 5), 1), ctx.from_monomial(7, -2)
+        for got, want in ((x + y, Fraction(6, 5) + Fraction(7, 9)),
+                          (x - y, Fraction(6, 5) - Fraction(7, 9)),
+                          (x * y, Fraction(6, 5) * Fraction(7, 9)),
+                          (x / y, Fraction(6, 5) / Fraction(7, 9)),
+                          (-x, -Fraction(6, 5))):
+            assert int(got) == _mod(want, p)
+        assert not ctx.zero() and ctx.one() == ctx.from_monomial(1)
+        with pytest.raises(ZeroDivisionError):
+            ctx.one() / ctx.zero()
+    # t is admissible over Q but t, 1/t, t - 1 or t + 1 vanishes mod p
+    for t in (P, Fraction(3, P), P + 1, P - 1, 2 * P + 1):
+        with pytest.raises(DenominatorVanishes):
+            RationalPointContext(t, 2, P)
+
+
+def test_contexts_share_their_zero_and_one():
+    for ctx in (_fc(), FieldContext(FieldSpec.from_string("cyclo:5")),
+                RationalPointContext(3, 2), RationalPointContext(3, 2, P)):
+        assert ctx.zero() is ctx.zero() and not ctx.zero()
+        assert ctx.one() is ctx.one() and ctx.one() == ctx.from_monomial(1)
+
+
 def test_modp_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert modp_rank(rows) == (2, [0, 1])
@@ -221,6 +254,23 @@ def _reference_lagrange_poly(xs, ys):
     return coeffs
 
 
+P = _MODP_PRIMES[0]
+
+
+def _mod(x, p=P):
+    """The residue of a rational mod p."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _reduced(coeffs, p=P):
+    """Rational coefficients reduced mod p, trailing zeros trimmed."""
+    out = [_mod(c, p) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def test_lagrange_poly_matches_the_reference_routine():
     rng = random.Random(20140330)
     cases = []
@@ -244,11 +294,15 @@ def test_lagrange_poly_matches_the_reference_routine():
                   [Fraction(rng.randint(-99, 99), 3 ** rng.randint(0, 6))
                    for _ in range(30)]))
     for xs, ys in cases:
-        assert lagrange_poly(xs, ys) == _reference_lagrange_poly(xs, ys)
-        # integer nodes where the nodes are integral
+        want = _reference_lagrange_poly(xs, ys)
+        for p in _MODP_PRIMES:
+            residues = [_mod(y, p) for y in ys]
+            assert lagrange_poly([_mod(x, p) for x in xs], residues, p) \
+                == _reduced(want, p)
+        # integer nodes are read mod p
         if all(x.denominator == 1 for x in xs):
-            int_xs = [int(x) for x in xs]
-            assert lagrange_poly(int_xs, ys) == _reference_lagrange_poly(xs, ys)
+            assert lagrange_poly([int(x) for x in xs],
+                                 [_mod(y) for y in ys], P) == _reduced(want)
 
 
 _NODES = st.one_of(
@@ -265,47 +319,56 @@ _VALUES = st.one_of(
 @given(st.lists(_NODES, max_size=10, unique_by=Fraction).flatmap(
     lambda xs: st.tuples(st.just(xs),
                          st.lists(_VALUES, min_size=len(xs),
-                                  max_size=len(xs)))))
+                                  max_size=len(xs)),
+                         st.sampled_from(_MODP_PRIMES))))
 def test_lagrange_poly_interpolates(case):
-    xs, ys = case
-    coeffs = lagrange_poly(xs, ys)
-    assert all(isinstance(c, Fraction) for c in coeffs)
+    # the modular routine is the reference routine reduced mod p: the
+    # nodes differ by less than p, so they stay distinct mod p
+    xs, ys, p = case
+    nodes = [_mod(x, p) for x in xs]
+    values = [_mod(y, p) for y in ys]
+    coeffs = lagrange_poly(nodes, values, p)
+    assert all(isinstance(c, int) and 0 <= c < p for c in coeffs)
     assert len(coeffs) <= len(xs)
-    if not any(ys):
+    if not any(values):
         assert coeffs == []
     else:
         assert coeffs[-1] != 0
-    for x, y in zip(xs, ys):
-        assert poly_eval(coeffs, x) == y
-    assert coeffs == _reference_lagrange_poly(
-        [Fraction(x) for x in xs], ys)
+    for x, y in zip(nodes, values):
+        assert poly_eval(coeffs, x, p) == y
+    assert coeffs == _reduced(
+        _reference_lagrange_poly([Fraction(x) for x in xs], ys), p)
     with pytest.raises(ValueError):
-        lagrange_poly(xs, ys + [Fraction(1)])
+        lagrange_poly(nodes, values + [1], p)
     if xs:
         with pytest.raises(ValueError):
-            lagrange_poly(xs, ys[:-1])
+            lagrange_poly(nodes, values[:-1], p)
 
 
 def test_lagrange_poly_trims_trailing_zeros():
     # y = 2x - 1 sampled at four nodes has degree 1, not 3
-    xs = [-3, 0, Fraction(1, 2), 5]
-    assert lagrange_poly(xs, [Fraction(2 * x - 1) for x in xs]) == [
-        Fraction(-1), Fraction(2)]
-    assert lagrange_poly(xs, [Fraction(0)] * 4) == []
-    assert lagrange_poly([], []) == []
-    with pytest.raises(ZeroDivisionError):
-        lagrange_poly([1, 2, 1], [Fraction(1), Fraction(2), Fraction(3)])
+    xs = [_mod(x) for x in (-3, 0, Fraction(1, 2), 5)]
+    assert lagrange_poly(xs, [(2 * x - 1) % P for x in xs], P) == [P - 1, 2]
+    assert lagrange_poly(xs, [0] * 4, P) == []
+    assert lagrange_poly([], [], P) == []
+    # nodes that agree mod p, as integers or not
+    for nodes in ([1, 2, 1], [1, 2, 1 + P]):
+        with pytest.raises(DenominatorVanishes):
+            lagrange_poly(nodes, [1, 2, 3], P)
 
 
 def test_lagrange_poly_results_do_not_alias_the_cached_basis():
-    xs = [Fraction(2) ** n for n in range(3, 8)]
-    ys = [Fraction(1), Fraction(-2), Fraction(0), Fraction(5, 3), Fraction(7)]
-    expected = _reference_lagrange_poly(xs, ys)
-    first = lagrange_poly(xs, ys)
+    xs = [pow(2, n, P) for n in range(3, 8)]
+    ys = [1, P - 2, 0, _mod(Fraction(5, 3)), 7]
+    expected = _reduced(_reference_lagrange_poly(
+        [Fraction(2) ** n for n in range(3, 8)],
+        [Fraction(1), Fraction(-2), Fraction(0), Fraction(5, 3),
+         Fraction(7)]))
+    first = lagrange_poly(xs, ys, P)
     assert first == expected
     first[0] += 1000
-    first.append(Fraction(3))
-    second = lagrange_poly(xs, ys)
+    first.append(3)
+    second = lagrange_poly(xs, ys, P)
     assert second == expected
     second.clear()
-    assert lagrange_poly(list(xs), list(ys)) == expected
+    assert lagrange_poly(tuple(xs), tuple(ys), P) == expected
