@@ -317,10 +317,10 @@ def cmd_cache(config):
     if action == "build":
         path = engine.cache_path(config.r, config.s, config.cache_dir)
         existed = os.path.exists(path)
-        table = engine.structure_constants(
-            config.r, config.s, mode="generic", seed=config.seed,
-            cache_dir=config.cache_dir, progress=_progress)
-        if not os.path.exists(path):
+        if not existed:
+            # built, not resolved: a bundled table must not stand in
+            table = engine.build_generic_table(config.r, config.s,
+                                               config.seed, _progress)
             engine.save_table(table, path)
         payload = {
             "kind": "cache",

@@ -831,19 +831,29 @@ def _kernel_interpolation(n, r, s, basis, gap, sampled):
 
 
 def _verify_kernel_element(n, r, s, basis, spec, entries):
-    """Exact check: the combination annihilates every standard index."""
+    """Exact check: the combination annihilates every standard index.
+
+    The entries P_a / Q_a are brought over the common denominator, which
+    is nonzero, into one ``WordElement`` X = sum_a P_a * prod_{b != a} Q_b
+    * basis[a], with each coefficient flipped because ``act_word`` reads
+    its coefficients in the presentation convention; X kills the tensor
+    space exactly when the combination does."""
     ctx = FieldContext(spec)
-    nonzero = [(a, entries[a]) for a in range(len(basis))
-               if entries[a]]
-    if not nonzero:
+    fractions = [(a, entries[a].to_laurent()) for a in range(len(basis))
+                 if entries[a]]
+    if not fractions:
         raise RankCertificationFailed("interpolated kernel element is zero")
+    combination = words.WordElement.zero()
+    for a, (num, _) in fractions:
+        for b, (_, den) in fractions:
+            if b != a and den is not None:
+                num = num * den
+        for exp, c in num.items():
+            combination = combination + basis[a].element.scaled(c, -exp)
     for idx in itertools.product(range(1, n + 1), repeat=r + s):
-        total = tensor.TensorVector.zero(ctx)
-        for a, coeff in nonzero:
-            image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
-                                    basis[a].element, n, r, s)
-            total = total.add(image.scale(coeff))
-        if not total.is_zero():
+        image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
+                                combination, n, r, s)
+        if not image.is_zero():
             raise RankCertificationFailed(
                 "the interpolated kernel element does not annihilate "
                 "the tensor space")
@@ -883,10 +893,9 @@ def relation_suite(r, s, field=None, n=None, sample=None, seed=11):
                    for _ in range(sample)]
     failures = []
     for name, lhs, rhs in words.presentation_relations(r, s):
+        difference = lhs - rhs
         for v in vectors:
-            a = tensor.act_word(v, lhs, n, r, s)
-            b = tensor.act_word(v, rhs, n, r, s)
-            if not (a == b):
+            if not tensor.act_word(v, difference, n, r, s).is_zero():
                 failures.append(name)
                 break
     return failures

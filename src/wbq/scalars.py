@@ -14,10 +14,13 @@ first two families).
 This module is the only one that knows how a value is stored.  Other modules
 use the operators of ``Scalar``, its truthiness for "nonzero", and the
 functions below: ``specialize``, ``evaluate`` (the rational value at a
-point), ``flip``, ``to_text``/``parse_scalar``, and ``generic_terms`` /
+point), ``flip``, ``to_text``/``parse_scalar``, ``generic_terms`` /
 ``generic_from_terms`` (an exponent-and-coefficient encoding of generic
-values).  Changing the representation of a field therefore changes this
-module only.
+values), and ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of
+a ``qpow`` or ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over
+a denominator and the lowering back, on which the tensor action runs.
+Changing the representation of a field therefore changes this module
+only.
 
 An element of Q(zeta_m) (``CycloNum``) is an integer vector of length phi(m)
 over a positive integer denominator coprime to its content, so sums and
@@ -555,6 +558,89 @@ class Scalar:
     def __repr__(self):
         return to_text(self)
 
+    def to_laurent(self):
+        """The value as ``(numerator, denominator)``, two ``Laurent``
+        polynomials in q, on a ``qpow`` or ``rho = zeta^a`` field.  A
+        monomial denominator is folded into the numerator and returned as
+        None; only a ``qpow`` value can have any other.  ``from_laurent``
+        maps a Laurent polynomial back."""
+        spec = self.spec
+        if spec.kind == "qpow":
+            num = _terms(self.rep.numer)
+            den = _terms(self.rep.denom)
+            if len(den) == 1:
+                [((low,), c)] = den
+                return Laurent({e - low: _coefficient(x / c)
+                                for (e,), x in num}), None
+            return (Laurent({e: _coefficient(x) for (e,), x in num}),
+                    Laurent({e: _coefficient(x) for (e,), x in den}))
+        if spec.rho_kind == "power":
+            x = self.rep
+            return Laurent({k: _coefficient(Fraction(c, x.den))
+                            for k, c in enumerate(x.v) if c}), None
+        raise ValueError("no Laurent form on the field %s" % spec.to_string())
+
+    @staticmethod
+    def from_laurent(spec, x):
+        """The value of the ``Laurent`` polynomial x on a ``qpow`` or
+        ``rho = zeta^a`` field, where q is q or zeta."""
+        if spec.kind == "qpow":
+            return _from_terms(spec, {(e,): c for e, c in x.items()}, {(0,): 1})
+        if spec.rho_kind == "power":
+            return Scalar(spec, _zeta_sum(spec.m, x))
+        raise ValueError("no Laurent form on the field %s" % spec.to_string())
+
+
+def _coefficient(c):
+    """A Fraction as an int where it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+class Laurent(dict):
+    """A Laurent polynomial in q with rational coefficients: a map from
+    exponent to nonzero coefficient, an int where it is integral.
+
+    No zero coefficient is stored, so the dict's own ``==`` is equality
+    and its truthiness means "nonzero".  ``+ - *`` and unary minus return
+    new values.  ``Scalar.to_laurent`` and ``Scalar.from_laurent`` lift
+    ``qpow`` and ``rho = zeta^a`` values into Q[q, q^-1] over a
+    denominator and lower them back; on ``cyclo:m`` lowering reduces the
+    exponents mod m.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = Laurent(self)
+        for e, c in other.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return out
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return Laurent({e: -c for e, c in self.items()})
+
+    def __mul__(self, other):
+        if len(self) < len(other):
+            self, other = other, self
+        if len(other) == 1:
+            [(f, d)] = other.items()
+            return Laurent({e + f: c * d for e, c in self.items()})
+        out = {}
+        for e, c in self.items():
+            for f, d in other.items():
+                out[e + f] = out.get(e + f, 0) + c * d
+        return Laurent({e: c for e, c in out.items() if c})
+
+    def __repr__(self):
+        return "Laurent(%s)" % dict.__repr__(self)
+
 
 def zero(spec):
     return from_fraction(0, spec)
@@ -661,13 +747,14 @@ def _bucket(poly, key):
 
 
 def _zeta_sum(m, buckets):
-    """The sum of c * zeta_m^k over the items (k, c) of buckets."""
+    """The sum of c * zeta_m^k over the items (k, c) of buckets; k is any
+    integer, c an int or a Fraction."""
     d, zpows = _phi(m)
     den = math.lcm(*(c.denominator for c in buckets.values()))
     out = [0] * d
     for k, c in buckets.items():
         n = c.numerator * (den // c.denominator)
-        for i, z in enumerate(zpows[k]):
+        for i, z in enumerate(zpows[k % m]):
             if z:
                 out[i] += n * z
     return _normal(m, out, den)

@@ -3,11 +3,20 @@
 The space has basis ``v_{i|j}`` indexed by tuples ``i`` in {1..n}^r and
 ``j`` in {1..n}^s, realized as sparse mappings from index tuples to exact
 coefficients.  The diagram algebra acts on the right by ``act_letters``
-and ``act_word``, which both apply one letter at a time
-through the kernel ``_act`` with letter constants built once per field
-and rank; the quantum enveloping algebra of gl_n acts on the left by
-``act_E``, ``act_F``, ``act_K`` and the divided powers.  The letters act in
-the convention whose braid eigenvalues are ``q^{-1}`` and ``-q``.
+and ``act_word``, which both apply one letter at a time through the
+kernel ``_act``.  The letters only multiply by q^{+-1}, q^{-1} - q and
+q^{2i-n-1}, and add, so over a field (``qpow:n``, or ``cyclo:m`` with
+rho = zeta^a, a = n mod m) the kernel runs on ``scalars.Laurent``
+polynomials in q: the vector's entries are lifted once on entry (an entry
+whose denominator is not a monomial goes in a group of its own, divided
+back in at the end), the word coefficients q^{-a} rho^{-b} become
+q^{-a-nb}, and each output entry is lowered to a field value once.  The
+Laurent letter constants are built once per n.  At a rational point, or
+its residues mod a prime, the kernel runs on the point's own values with
+constants built once per point and n.  The quantum enveloping algebra of
+gl_n acts on the left by ``act_E``, ``act_F``, ``act_K`` and the divided
+powers.  The letters act in the convention whose braid eigenvalues are
+``q^{-1}`` and ``-q``.
 ``act_word`` takes a ``WordElement`` written in the presentation
 convention (braid eigenvalues ``q`` and ``-q^{-1}``) and always translates
 it by inverting ``q`` and ``rho`` in its coefficients, which is a ring
@@ -20,6 +29,7 @@ physical order.
 """
 
 import operator
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -66,10 +76,6 @@ class TensorVector:
     def __init__(self, ctx, entries=None):
         self.ctx = ctx
         self.entries = entries if entries is not None else {}
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx)
 
     @classmethod
     def basis(cls, ctx, idx):
@@ -168,26 +174,74 @@ def weight_space(wt, n, r, s):
 _LETTER_CONSTANTS = {}
 
 
+def _monomials(ctx, n):
+    """The monomial constructor of the kernel's domain: a rational point's
+    own values, or for a field Laurent polynomials in q, with rho = q^n."""
+    if isinstance(ctx, RationalPointContext):
+        return ctx.from_monomial
+
+    def laurent(c, qexp=0, rhoexp=0):
+        c = Fraction(c)
+        return scalars.Laurent({qexp + n * rhoexp: c.numerator
+                                if c.denominator == 1 else c})
+
+    return laurent
+
+
 def _constants(ctx, n):
     """q^{-1}, q, q^{-1} - q, q - q^{-1} and the e_1 weights q^{2i-n-1}
-    (at position i), built once per field or rational point and ``n``; a
-    point's key names its prime, so residues never stand in for
-    Fractions."""
+    (at position i) in the kernel's domain, built once per ``n`` and, for
+    a rational point, per point; a point's key names its prime, so
+    residues never stand in for Fractions."""
     point = ((ctx.qval, ctx.prime) if isinstance(ctx, RationalPointContext)
-             else ctx.spec)
+             else None)
     key = (point, n)
     consts = _LETTER_CONSTANTS.get(key)
     if consts is None:
-        qinv = ctx.from_monomial(1, -1)
-        qpos = ctx.from_monomial(1, 1)
-        weights = [None] + [ctx.from_monomial(1, 2 * i - n - 1)
+        monomial = _monomials(ctx, n)
+        qinv = monomial(1, -1)
+        qpos = monomial(1, 1)
+        weights = [None] + [monomial(1, 2 * i - n - 1)
                             for i in range(1, n + 1)]
         consts = (qinv, qpos, qinv - qpos, qpos - qinv, weights)
         _LETTER_CONSTANTS[key] = consts
     return consts
 
 
-def _act(ctx, entries, letter, n, r, s, consts):
+def _lift(v):
+    """The entries of ``v`` in the kernel's domain, as ``(denominator,
+    entries)`` groups: one group with denominator None for a rational
+    point, and for a field one per denominator that is not a monomial
+    besides the group of all the others (always present, even empty)."""
+    if isinstance(v.ctx, RationalPointContext):
+        return [(None, v.entries)]
+    groups = {None: (None, {})}
+    for idx, val in v.entries.items():
+        num, den = val.to_laurent()
+        key = None if den is None else tuple(sorted(den.items()))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (den, {})
+        group[1][idx] = num
+    return list(groups.values())
+
+
+def _lower(ctx, den, entries, out):
+    """Add the field values of kernel ``entries``, divided by ``den``, to
+    ``out`` and return it.  A rational point's entries are its own values
+    already, and its only group is the whole vector."""
+    if isinstance(ctx, RationalPointContext):
+        return entries
+    spec = ctx.spec
+    lower = scalars.Scalar.from_laurent
+    divisor = None if den is None else lower(spec, den)
+    for idx, val in entries.items():
+        val = lower(spec, val)
+        _accum(out, idx, val if divisor is None else val / divisor)
+    return out
+
+
+def _act(entries, letter, n, r, s, consts):
     """Apply one letter to a coefficient dict and return the new dict.
 
     A braid letter scales an equal slot pair by q^{-1} and swaps an unequal
@@ -246,10 +300,12 @@ def act_letters(v, letters, n, r, s):
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
-    entries = v.entries
-    for letter in letters:
-        entries = _act(ctx, entries, letter, n, r, s, consts)
-    return TensorVector(ctx, entries)
+    out = {}
+    for den, entries in _lift(v):
+        for letter in letters:
+            entries = _act(entries, letter, n, r, s, consts)
+        out = _lower(ctx, den, entries, out)
+    return TensorVector(ctx, out)
 
 
 def act_word(v, element, n, r, s):
@@ -259,17 +315,23 @@ def act_word(v, element, n, r, s):
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
-    out = {}
+    monomial = _monomials(ctx, n)
+    terms = []
     for word, bucket in element.terms.items():
-        coeff = reduce(operator.add, [ctx.from_monomial(c, -a, -b)
+        coeff = reduce(operator.add, [monomial(c, -a, -b)
                                       for (a, b), c in bucket.items()])
-        if not coeff:
-            continue
-        entries = v.entries
-        for letter in word:
-            entries = _act(ctx, entries, letter, n, r, s, consts)
-        for idx, val in entries.items():
-            _accum(out, idx, coeff * val)
+        if coeff:
+            terms.append((word, coeff))
+    out = {}
+    for den, entries in _lift(v):
+        image = {}
+        for word, coeff in terms:
+            part = entries
+            for letter in word:
+                part = _act(part, letter, n, r, s, consts)
+            for idx, val in part.items():
+                _accum(image, idx, coeff * val)
+        out = _lower(ctx, den, image, out)
     return TensorVector(ctx, out)
 
 

@@ -10,7 +10,7 @@ import tempfile
 
 import jsonschema
 
-from wbq import cli, repthy, scalars, tensor
+from wbq import cli, engine, repthy, scalars, tensor
 from wbq.errors import OracleMismatch, RankTooSmall
 from wbq.linalg import FieldContext
 from wbq.scalars import FieldSpec
@@ -198,6 +198,28 @@ def test_cache_build_list_clear_roundtrip():
     assert json.loads(out)["removed"] == ["constants_1_1_generic.json"]
     code, out, _ = run_cli(["cache", "list"] + base)
     assert json.loads(out)["files"] == []
+
+
+def test_cache_build_builds_the_table_at_the_given_seed():
+    # a bundled shape is built, not copied: the seed lands in the file, and
+    # at seed 0 the build reproduces the bundled bytes
+    with open(engine.bundled_path(1, 1)) as handle:
+        bundled = handle.read()
+    for seed in (3, 0):
+        tmp = tempfile.mkdtemp(prefix="wbq-build-")
+        code, out, _ = run_cli(["cache", "build", "--r", "1", "--s", "1",
+                                "--seed", str(seed), "--cache-dir", tmp])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["existed"] is False
+        with open(doc["path"]) as handle:
+            built = handle.read()
+        if seed == 0:
+            assert built == bundled
+        else:
+            got, want = json.loads(built), json.loads(bundled)
+            assert got.pop("seed") == seed and want.pop("seed") == 0
+            assert got == want
 
 
 def test_cache_dir_defaults_to_the_environment_variable():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wbq import combinat, engine, linalg, repthy, scalars
+from wbq import combinat, engine, linalg, repthy, scalars, words
 from wbq.errors import (
     IntegralityViolation,
     OracleMismatch,
@@ -302,6 +302,68 @@ def test_certified_kernel_matches_the_kernel_over_every_position(
             with pytest.raises(RankCertificationFailed):
                 linalg.certified_kernel(ctx, rows, pivots)
             monkeypatch.undo()
+
+
+def test_verify_kernel_element_accepts_the_kernel_and_rejects_perturbations():
+    n, r, s = 3, 2, 2
+    basis = engine.cell_basis(r, s)
+    spec = FieldSpec.qpower(n)
+    [kernel] = repthy._kernel_interpolation(n, r, s, basis, 1, {})
+    repthy._verify_kernel_element(n, r, s, basis, spec, kernel)
+    # a rational multiple is a kernel vector too, over a denominator that
+    # is not a monomial
+    q = scalars.q_elem(spec)
+    one = scalars.one(spec)
+    factor = (one + q) / (q - one - one)
+    repthy._verify_kernel_element(n, r, s, basis, spec,
+                                  [x * factor for x in kernel])
+    a = next(k for k, x in enumerate(kernel) if x)
+    zero_at = next(k for k, x in enumerate(kernel) if not x)
+    for pos, bump in ((a, one), (a, kernel[a] * q / (q + one)),
+                      (zero_at, q)):
+        bad = list(kernel)
+        bad[pos] = bad[pos] + bump
+        with pytest.raises(RankCertificationFailed):
+            repthy._verify_kernel_element(n, r, s, basis, spec, bad)
+    with pytest.raises(RankCertificationFailed):
+        repthy._verify_kernel_element(n, r, s, basis, spec,
+                                      [scalars.zero(spec)] * len(basis))
+
+
+def test_relation_suite_names_an_injected_false_relation(monkeypatch):
+    original = words.presentation_relations
+    W = words.WordElement.from_word
+    g1 = (("g", 1),)
+
+    def injected(r, s):
+        rels = list(original(r, s))
+        # the quadratic relation of the other braid convention
+        wrong = W(g1, -1, 1, 0) + W(g1, 1, -1, 0) + words.WordElement.unit()
+        rels.insert(1, ("g1_quadratic_other_convention", W(g1 + g1), wrong))
+        # a true relation written another way is not named
+        rels.append(("g1_doubled", W(g1) + W(g1), W(g1, 2)))
+        return rels
+
+    monkeypatch.setattr(words, "presentation_relations", injected)
+    for sample in (None, 10):
+        assert repthy.relation_suite(2, 2, sample=sample) == \
+            ["g1_quadratic_other_convention"]
+
+
+def test_relation_suites_run_without_field_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def counted(self, other, _original=getattr(scalars.Scalar, name),
+                    _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(scalars.Scalar, name, counted)
+    assert repthy.relation_suite(2, 2, sample=10) == []
+    assert calls == []
+    spec = FieldSpec.qpower(4)
+    scalars.one(spec) * scalars.one(spec) + scalars.one(spec)
+    assert calls == ["__mul__", "__add__"]
 
 
 def test_singular_dimension_check_counts():

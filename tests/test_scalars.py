@@ -554,3 +554,86 @@ def test_cached_inverses_are_equal_and_unaliased():
     assert first == second and first is not second
     assert first * x == scalars.CycloNum.const(7, 1)
     assert _agrees(second, _RefCycloNum(7, [Fraction(-1, 3), 0, Fraction(1, 3)]).inverse())
+
+
+# ---------------------------------------------------------------------------
+# Laurent values: the tensor action's lift of qpow and rho = zeta^a values
+# ---------------------------------------------------------------------------
+
+LAURENT_SPECS = [FieldSpec.qpower(3), FieldSpec.qpower(4),
+                 FieldSpec.cyclotomic(3, 0), FieldSpec.cyclotomic(4, 0)]
+
+
+@st.composite
+def _laurents(draw, low=-6, high=6):
+    coefficient = st.builds(Fraction, st.integers(-5, 5),
+                            st.sampled_from([1, 1, 2, 3]))
+    terms = draw(st.dictionaries(st.integers(low, high), coefficient,
+                                 max_size=4))
+    # an int where the coefficient is integral, as the lift stores it
+    return scalars.Laurent({e: c.numerator if c.denominator == 1 else c
+                            for e, c in terms.items() if c})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_laurents(), _laurents(), st.sampled_from(LAURENT_SPECS))
+def test_lowering_laurent_values_is_a_ring_homomorphism(x, y, spec):
+    def lower(z):
+        return Scalar.from_laurent(spec, z)
+
+    lx, ly = lower(x), lower(y)
+    assert lower(x + y) == lx + ly
+    assert lower(x - y) == lx - ly
+    assert lower(x * y) == lx * ly
+    assert lower(-x) == -lx
+    assert lower(x + y) == lower(y + x) and lower(x * y) == lower(y * x)
+    # no zero coefficient is ever stored
+    for value in (x + y, x - y, x * y, -x, x - x):
+        assert all(value.values())
+    assert not (x - x) and (x - x) == scalars.Laurent()
+    assert (lx == ly) == (not lower(x - y))
+    if spec.kind == "qpow":
+        # Q[q, 1/q] embeds in Q(q): equality and truthiness carry over
+        assert (x == y) == (lx == ly)
+        assert bool(x) == bool(lx)
+    else:
+        # Z[q, 1/q] -> Q(zeta_m) has a kernel: only one direction holds
+        assert x != y or lx == ly
+        assert bool(x) or not lx
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurents(), _laurents(0, 1), st.sampled_from(LAURENT_SPECS))
+def test_lift_after_lower_is_the_identity(x, reduced, spec):
+    value = Scalar.from_laurent(spec, x)
+    num, den = value.to_laurent()
+    assert den is None
+    assert Scalar.from_laurent(spec, num) == value
+    if spec.kind == "qpow":
+        assert num == x
+    else:
+        # exponents below phi(m) = 2 are the coordinates of Q(zeta_3), Q(zeta_4)
+        assert Scalar.from_laurent(spec, reduced).to_laurent() == (reduced, None)
+
+
+def test_to_laurent_splits_off_denominators_that_are_not_monomials():
+    rng = random.Random(7)
+    spec = FieldSpec.qpower(3)
+    seen = set()
+    for _ in range(60):
+        x = random_scalar(spec, rng)
+        num, den = x.to_laurent()
+        seen.add(den is None)
+        back = Scalar.from_laurent(spec, num)
+        if den is not None:
+            assert len(den) > 1
+            back = back / Scalar.from_laurent(spec, den)
+        assert back == x
+    assert seen == {True, False}
+    half = monomial(spec, Fraction(1, 2), -2)
+    assert half.to_laurent() == (scalars.Laurent({-2: Fraction(1, 2)}), None)
+    for bad in (GEN, FieldSpec.cyclotomic(4, "free")):
+        with pytest.raises(ValueError):
+            one(bad).to_laurent()
+        with pytest.raises(ValueError):
+            Scalar.from_laurent(bad, scalars.Laurent({0: 1}))

@@ -1,6 +1,9 @@
 """Tests for the mixed tensor space and its two commuting actions."""
 
+import operator
 import random
+from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -277,6 +280,89 @@ def test_act_word_is_a_linear_right_action(picks, x, y, seed):
         assert tensor.act_word(v, x * y, n, 2, 2) == tensor.act_word(vx, y, n, 2, 2)
         assert tensor.act_word(v, x + y, n, 2, 2) == vx.add(vy)
         assert vx == _reference_act_word(v, x, n, 2, 2), (ctx, n)
+
+
+# The Scalar action that the Laurent lift replaced: the same kernel ``_act``
+# fed with field constants and field coefficients, one field operation per
+# term and no lift or lowering.
+_SCALAR_CONSTANTS = {}
+
+
+def _scalar_constants(ctx, n):
+    key = (ctx.spec, n)
+    consts = _SCALAR_CONSTANTS.get(key)
+    if consts is None:
+        qinv = ctx.from_monomial(1, -1)
+        qpos = ctx.from_monomial(1, 1)
+        weights = [None] + [ctx.from_monomial(1, 2 * i - n - 1)
+                            for i in range(1, n + 1)]
+        consts = (qinv, qpos, qinv - qpos, qpos - qinv, weights)
+        _SCALAR_CONSTANTS[key] = consts
+    return consts
+
+
+def _scalar_act_word(v, element, n, r, s):
+    ctx = v.ctx
+    consts = _scalar_constants(ctx, n)
+    out = {}
+    for word, bucket in element.terms.items():
+        coeff = reduce(operator.add, [ctx.from_monomial(c, -a, -b)
+                                      for (a, b), c in bucket.items()])
+        if not coeff:
+            continue
+        entries = v.entries
+        for letter in word:
+            entries = tensor._act(entries, letter, n, r, s, consts)
+        for idx, val in entries.items():
+            tensor._accum(out, idx, coeff * val)
+    return TensorVector(ctx, out)
+
+
+def _multi_word_elements(r, s, rng, count):
+    letters = _all_letters(r, s)
+    out = []
+    for _ in range(count):
+        element = words.WordElement.zero()
+        for _ in range(rng.randint(2, 5)):
+            word = [rng.choice(letters) for _ in range(rng.randint(0, 4))]
+            element = element + words.WordElement.from_word(
+                word, rng.choice([-2, -1, 1, 3, Fraction(1, 2)]),
+                rng.randint(-2, 2), rng.randint(-1, 1))
+        out.append(element)
+    return out
+
+
+def test_laurent_action_matches_the_scalar_action():
+    rng = random.Random(31)
+    for spec, n, (r, s) in [(FieldSpec.qpower(4), 4, (2, 2)),
+                            (FieldSpec.qpower(3), 3, (2, 1)),
+                            (FieldSpec.cyclotomic(4, 0), 4, (2, 2)),
+                            (FieldSpec.cyclotomic(3, 0), 6, (3, 1))]:
+        ctx = FieldContext(spec)
+        elements = _multi_word_elements(r, s, rng, 4)
+        elements.append(words.young_symmetrizer(((2,), (1, 1)), 0, sign=True)
+                        if (r, s) == (2, 2) else elements[0] * elements[1])
+        vectors = [_random_vector(ctx, n, r + s, rng, terms=8)
+                   for _ in range(2)]
+        if spec.kind == "qpow":
+            # rational-function entries: two share the denominator 1 + q,
+            # one has another, one a monomial denominator
+            q = _mono(ctx, 1, 1)
+            v = _random_vector(ctx, n, r + s, rng, terms=3)
+            for k, val in enumerate([q / (ctx.one() + q),
+                                     (_mono(ctx, 2) - q * q) / (ctx.one() + q),
+                                     _mono(ctx, 3) / (q * q + q - _mono(ctx, 5)),
+                                     ctx.one() / _mono(ctx, 2, 1)]):
+                v.entries[(k % n + 1,) + (1,) * (r + s - 1)] = val
+            vectors.append(v)
+        for v in vectors:
+            for element in elements:
+                assert tensor.act_word(v, element, n, r, s) == \
+                    _scalar_act_word(v, element, n, r, s), (spec, element)
+                word = next(iter(element.terms))
+                assert tensor.act_letters(v, word, n, r, s) == \
+                    _scalar_act_word(v, words.WordElement.from_word(word),
+                                     n, r, s)
 
 
 def test_index_out_of_range():
