@@ -689,22 +689,54 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
 # the image inside endomorphisms of the tensor space
 # ---------------------------------------------------------------------------
 
-def _operator_rows(ctx, n, r, s, basis):
-    """One row per basis word: its action on every standard tensor index,
-    flattened over all index pairs."""
+def _laurent_rows(n, r, s, basis):
+    """The operator of each basis word on the tensor space over rho = q^n,
+    as a sparse row ``{column: k}`` into a list of the distinct ``Laurent``
+    entries, and the position of each column: ``(rows, values, support)``.
+
+    Position i * width + j holds the coefficient of the i-th standard
+    basis vector in the image of the j-th, in the lexicographic order of
+    the width standard indices.  Only the positions where some row is
+    nonzero are columns, in their order; a position that is zero as a
+    Laurent polynomial is zero at every q = t, so dropping it changes
+    neither the rank, nor which columns are pivots, nor the left kernel."""
     indices = list(itertools.product(range(1, n + 1), repeat=r + s))
     slot = {idx: k for k, idx in enumerate(indices)}
     width = len(indices)
-    rows = []
+    distinct = {}
+    values = []
+    sparse = []
     for rec in basis:
-        row = [ctx.zero()] * (width * width)
+        images = tensor.basis_images(rec.element, n, r, s)
+        row = {}
         for col, idx in enumerate(indices):
-            image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
-                                    rec.element, n, r, s)
-            for out_idx, value in image.items():
-                row[slot[out_idx] * width + col] = value
-        rows.append(row)
-    return rows
+            for out_idx, value in images[idx].items():
+                key = tuple(sorted(value.items()))
+                if key not in distinct:
+                    distinct[key] = len(values)
+                    values.append(value)
+                row[slot[out_idx] * width + col] = distinct[key]
+        sparse.append(row)
+    support = sorted(set().union(*sparse))
+    column = {pos: k for k, pos in enumerate(support)}
+    rows = [{column[pos]: k for pos, k in row.items()} for row in sparse]
+    return rows, values, support
+
+
+def _rows_at(ctx, operator):
+    """The rows of ``_laurent_rows`` evaluated exactly at the rational
+    point of ``ctx``, as dense lists of Fractions; each distinct entry is
+    evaluated once."""
+    rows, values, support = operator
+    t = ctx.qval
+    at = [value(t) for value in values]
+    out = []
+    for row in rows:
+        dense = [ctx.zero()] * len(support)
+        for col, k in row.items():
+            dense[col] = at[k]
+        out.append(dense)
+    return out
 
 
 def _fit_rational(points, values, check_points, check_values):
@@ -757,21 +789,24 @@ def schur_weyl_rank(n, r, s):
     """Exact dimension of the image of the algebra inside the endomorphism
     ring of the mixed tensor space with ``n`` rows.
 
-    The lower bound is a modular rank at a rational sample point; when it
-    falls short of the number of basis words, the gap is certified by
-    exhibiting symbolically verified kernel elements.  The operator rows
-    and pivots of the two lower-bound points are reused as sample points.
+    The operator rows of the basis words are built once, as Laurent
+    polynomials on the positions where some row is nonzero, and evaluated
+    exactly at each rational sample point.  The lower bound is a modular
+    rank at such a point; when it falls short of the number of basis
+    words, the gap is certified by exhibiting symbolically verified kernel
+    elements.  The evaluated rows and pivots of the two lower-bound points
+    are reused as sample points.
     """
     key = (n, r, s)
     if key in _SW_MEMO:
         return _SW_MEMO[key]
     basis = engine.cell_basis(r, s)
     nbasis = len(basis)
+    operator = _laurent_rows(n, r, s, basis)
     lower = 0
     sampled = {}
     for t in (2, 3):
-        ctx = RationalPointContext(t, n)
-        rows = _operator_rows(ctx, n, r, s, basis)
+        rows = _rows_at(RationalPointContext(t, n), operator)
         rank_t, pivots = linalg.modp_rank_robust(rows)
         sampled[t] = rows, pivots
         lower = max(lower, rank_t)
@@ -779,7 +814,7 @@ def schur_weyl_rank(n, r, s):
             _SW_MEMO[key] = nbasis
             return nbasis
     gap = nbasis - lower
-    kernels = _kernel_interpolation(n, r, s, basis, gap, sampled)
+    kernels = _kernel_interpolation(n, r, s, basis, gap, operator, sampled)
     if len(kernels) != gap:
         raise RankCertificationFailed(
             "found %d certified kernel elements, wanted %d"
@@ -788,14 +823,15 @@ def schur_weyl_rank(n, r, s):
     return lower
 
 
-def _kernel_interpolation(n, r, s, basis, gap, sampled):
+def _kernel_interpolation(n, r, s, basis, gap, operator, sampled):
     """Canonical kernel vectors over the rho = q^n field, interpolated from
     rational sample points and then verified symbolically.
 
-    At each point q = t, ``linalg.certified_kernel`` solves only the tensor
-    positions that the modular rank picks as pivots and checks the result
-    exactly on every position.  ``sampled`` maps the points that the lower
-    bound already built to their ``(rows, pivots)``.
+    At each point q = t, the rows of ``operator`` (from ``_laurent_rows``)
+    are evaluated exactly, and ``linalg.certified_kernel`` solves only the
+    columns that the modular rank picks as pivots and checks the result
+    exactly on every column.  ``sampled`` maps the points that the lower
+    bound already evaluated to their ``(rows, pivots)``.
     """
     nbasis = len(basis)
     sample_ts = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
@@ -805,7 +841,7 @@ def _kernel_interpolation(n, r, s, basis, gap, sampled):
         if t in sampled:
             rows, pivots = sampled[t]
         else:
-            rows = _operator_rows(ctx, n, r, s, basis)
+            rows = _rows_at(ctx, operator)
             pivots = linalg.modp_rank_robust(rows)[1]
         kern = linalg.certified_kernel(ctx, rows, pivots)
         if len(kern) != gap:

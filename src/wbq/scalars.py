@@ -602,7 +602,8 @@ class Laurent(dict):
 
     No zero coefficient is stored, so the dict's own ``==`` is equality
     and its truthiness means "nonzero".  ``+ - *`` and unary minus return
-    new values.  ``Scalar.to_laurent`` and ``Scalar.from_laurent`` lift
+    new values, and calling the value at a rational t evaluates it
+    exactly.  ``Scalar.to_laurent`` and ``Scalar.from_laurent`` lift
     ``qpow`` and ``rho = zeta^a`` values into Q[q, q^-1] over a
     denominator and lower them back; on ``cyclo:m`` lowering reduces the
     exponents mod m.
@@ -637,6 +638,22 @@ class Laurent(dict):
             for f, d in other.items():
                 out[e + f] = out.get(e + f, 0) + c * d
         return Laurent({e: c for e, c in out.items() if c})
+
+    def __call__(self, t):
+        """The exact value at a rational q = t != 0, as a Fraction.  With
+        t = a/b it is a^low b^-high times the Horner sum of c_e a^(e-low)
+        b^(high-e), an integer when the coefficients are, so one Fraction
+        is built, at the end."""
+        if not self:
+            return Fraction(0)
+        a, b = t.numerator, t.denominator
+        low, high = min(self), max(self)
+        total, bpow = 0, 1
+        for e in range(high, low - 1, -1):
+            total = total * a + self.get(e, 0) * bpow
+            bpow *= b
+        return Fraction(total * a ** max(low, 0) * b ** max(-high, 0),
+                        a ** max(-low, 0) * b ** max(high, 0))
 
     def __repr__(self):
         return "Laurent(%s)" % dict.__repr__(self)

@@ -13,7 +13,12 @@ back in at the end), the word coefficients q^{-a} rho^{-b} become
 q^{-a-nb}, and each output entry is lowered to a field value once.  The
 Laurent letter constants are built once per n.  At a rational point, or
 its residues mod a prime, the kernel runs on the point's own values with
-constants built once per point and n.  The quantum enveloping algebra of
+constants built once per point and n.  A vector whose context is None
+lives on the Laurent domain itself (rho = q^n): its entries are
+``Laurent`` polynomials, which the kernel takes and returns unlifted and
+unlowered.  ``basis_images`` acts there on all the standard basis vectors
+in one call; the Schur-Weyl rows are built from it once per (n, r, s) and
+then evaluated at rational points.  The quantum enveloping algebra of
 gl_n acts on the left by ``act_E``, ``act_F``, ``act_K`` and the divided
 powers.  The letters act in the convention whose braid eigenvalues are
 ``q^{-1}`` and ``-q``.
@@ -55,13 +60,15 @@ def spec_matches_rho(spec, n):
 
 
 def _check_field(ctx, n):
+    """A rational point or field must set rho = q^n; the Laurent domain
+    (``ctx`` None) has it built in."""
     if isinstance(ctx, RationalPointContext):
         if ctx.rhoexp != n:
             raise ValueError(
                 "evaluation point sets rho = q^%d but the tensor space "
                 "needs rho = q^%d" % (ctx.rhoexp, n)
             )
-    elif not spec_matches_rho(ctx.spec, n):
+    elif ctx is not None and not spec_matches_rho(ctx.spec, n):
         raise ValueError(
             "field %s does not identify rho with q^%d"
             % (scalars.FieldSpec.to_string(ctx.spec), n)
@@ -80,25 +87,6 @@ class TensorVector:
     @classmethod
     def basis(cls, ctx, idx):
         return cls(ctx, {tuple(idx): ctx.one()})
-
-    def add(self, other):
-        out = dict(self.entries)
-        for idx, val in other.entries.items():
-            _accum(out, idx, val)
-        return TensorVector(self.ctx, out)
-
-    def sub(self, other):
-        out = dict(self.entries)
-        for idx, val in other.entries.items():
-            _accum(out, idx, -val)
-        return TensorVector(self.ctx, out)
-
-    def scale(self, c):
-        if not c:
-            return TensorVector(self.ctx)
-        return TensorVector(
-            self.ctx, {idx: c * val for idx, val in self.entries.items()}
-        )
 
     def is_zero(self):
         return not self.entries
@@ -176,7 +164,8 @@ _LETTER_CONSTANTS = {}
 
 def _monomials(ctx, n):
     """The monomial constructor of the kernel's domain: a rational point's
-    own values, or for a field Laurent polynomials in q, with rho = q^n."""
+    own values, or for a field (or ``ctx`` None) Laurent polynomials in q,
+    with rho = q^n."""
     if isinstance(ctx, RationalPointContext):
         return ctx.from_monomial
 
@@ -192,7 +181,8 @@ def _constants(ctx, n):
     """q^{-1}, q, q^{-1} - q, q - q^{-1} and the e_1 weights q^{2i-n-1}
     (at position i) in the kernel's domain, built once per ``n`` and, for
     a rational point, per point; a point's key names its prime, so
-    residues never stand in for Fractions."""
+    residues never stand in for Fractions.  A field and ``ctx`` None share
+    the Laurent constants."""
     point = ((ctx.qval, ctx.prime) if isinstance(ctx, RationalPointContext)
              else None)
     key = (point, n)
@@ -211,9 +201,10 @@ def _constants(ctx, n):
 def _lift(v):
     """The entries of ``v`` in the kernel's domain, as ``(denominator,
     entries)`` groups: one group with denominator None for a rational
-    point, and for a field one per denominator that is not a monomial
-    besides the group of all the others (always present, even empty)."""
-    if isinstance(v.ctx, RationalPointContext):
+    point or the Laurent domain, and for a field one per denominator that
+    is not a monomial besides the group of all the others (always present,
+    even empty)."""
+    if isinstance(v.ctx, RationalPointContext) or v.ctx is None:
         return [(None, v.entries)]
     groups = {None: (None, {})}
     for idx, val in v.entries.items():
@@ -229,8 +220,9 @@ def _lift(v):
 def _lower(ctx, den, entries, out):
     """Add the field values of kernel ``entries``, divided by ``den``, to
     ``out`` and return it.  A rational point's entries are its own values
-    already, and its only group is the whole vector."""
-    if isinstance(ctx, RationalPointContext):
+    already, as are those of the Laurent domain, and their only group is
+    the whole vector."""
+    if isinstance(ctx, RationalPointContext) or ctx is None:
         return entries
     spec = ctx.spec
     lower = scalars.Scalar.from_laurent
@@ -333,6 +325,25 @@ def act_word(v, element, n, r, s):
                 _accum(image, idx, coeff * val)
         out = _lower(ctx, den, image, out)
     return TensorVector(ctx, out)
+
+
+def basis_images(element, n, r, s):
+    """The images of the standard basis vectors under the right action of
+    a ``WordElement``, over rho = q^n, as ``{idx: {out_idx: Laurent}}``
+    with ``idx`` running over {1..n}^(r+s) in lexicographic order.
+
+    One ``act_word`` call on the Laurent domain does it: each basis vector
+    gets its column number as a trailing index entry, which the letters
+    never read or move, so the images stay apart.
+    """
+    indices = list(product(range(1, n + 1), repeat=r + s))
+    one = scalars.Laurent({0: 1})
+    tagged = TensorVector(None, {idx + (col,): one
+                                 for col, idx in enumerate(indices)})
+    images = {idx: {} for idx in indices}
+    for out, value in act_word(tagged, element, n, r, s).entries.items():
+        images[indices[out[-1]]][out[:-1]] = value
+    return images
 
 
 def _slot_pairings(idx, n, r, s, i):

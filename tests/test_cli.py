@@ -176,6 +176,16 @@ def test_schur_weyl_command_flags_equality_and_deficiency():
     assert doc["rank"] == 1 and doc["order"] == 2 and doc["equal"] is False
 
 
+def test_schur_weyl_command_reports_the_n2_certification_defect():
+    # a known defect: for n = 2 and r + s = 4 no small rational function
+    # fits the interpolated kernel, so the rank is not certified
+    code, out, err = run_cli(["schur-weyl", "--n", "2", "--r", "2", "--s", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == ("RankCertificationFailed: no small rational function "
+                   "fits the data\n")
+
+
 def test_cache_build_list_clear_roundtrip():
     tmp = tempfile.mkdtemp(prefix="wbq-cache-")
     base = ["--cache-dir", tmp]

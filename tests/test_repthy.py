@@ -1,10 +1,12 @@
 """Tests for cell modules, Gram forms, decomposition matrices and blocks."""
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from wbq import combinat, engine, linalg, repthy, scalars, words
+from wbq import combinat, engine, linalg, repthy, scalars, tensor, words
 from wbq.errors import (
     IntegralityViolation,
     OracleMismatch,
@@ -272,18 +274,80 @@ def test_schur_weyl_rank_equality_and_deficiency():
     assert repthy.schur_weyl_rank(2, 2, 1) == 5
 
 
+# the Schur-Weyl keys of the tensor_certify workload, then two more
+SCHUR_WEYL_KEYS = [(2, 2, 1), (3, 2, 2), (4, 3, 1), (2, 2, 2), (2, 3, 1),
+                   (2, 1, 3), (3, 2, 1), (4, 2, 2)]
+
+
+def _dense_operator_rows(ctx, n, r, s, basis):
+    """Reference: one row per basis word, its action at the point of
+    ``ctx`` on every standard tensor index, flattened over all width**2
+    index pairs (the rows before the Laurent builder)."""
+    indices = list(itertools.product(range(1, n + 1), repeat=r + s))
+    slot = {idx: k for k, idx in enumerate(indices)}
+    width = len(indices)
+    rows = []
+    for rec in basis:
+        row = [ctx.zero()] * (width * width)
+        for col, idx in enumerate(indices):
+            image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
+                                    rec.element, n, r, s)
+            for out_idx, value in image.items():
+                row[slot[out_idx] * width + col] = value
+        rows.append(row)
+    return rows
+
+
+def test_laurent_rows_match_the_dense_operator_rows():
+    for n, r, s in SCHUR_WEYL_KEYS:
+        basis = engine.cell_basis(r, s)
+        operator = repthy._laurent_rows(n, r, s, basis)
+        support = operator[2]
+        assert support == sorted(set(support))
+        for t in (2, 5, 13):
+            ctx = RationalPointContext(t, n)
+            dense = _dense_operator_rows(ctx, n, r, s, basis)
+            rows = repthy._rows_at(ctx, operator)
+            assert len(rows) == len(dense) == len(basis)
+            for row, full in zip(rows, dense):
+                assert row == [full[pos] for pos in support], (n, r, s, t)
+                assert all(type(x) is Fraction for x in row)
+                assert {pos for pos, x in enumerate(full) if x} <= \
+                    set(support), (n, r, s, t)
+            rank, pivots = linalg.modp_rank_robust(rows)
+            assert (rank, [support[j] for j in pivots]) == \
+                linalg.modp_rank_robust(dense), (n, r, s, t)
+
+
+def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
+    # the ranks and the n = 2, r + s = 4 defect of the dense rows, for the
+    # keys above and those of acceptance criterion 07, computed afresh
+    monkeypatch.setattr(repthy, "_SW_MEMO", {})
+    ranks = {(2, 2, 1): 5, (3, 2, 2): 23, (4, 3, 1): 24, (3, 2, 1): 6,
+             (4, 2, 2): 24, (2, 1, 1): 2, (3, 1, 1): 2, (3, 1, 2): 6,
+             (1, 1, 1): 1}
+    for key, rank in ranks.items():
+        assert repthy.schur_weyl_rank(*key) == rank, key
+    for key in ((2, 2, 2), (2, 3, 1), (2, 1, 3)):
+        with pytest.raises(RankCertificationFailed) as info:
+            repthy.schur_weyl_rank(*key)
+        assert str(info.value) == "no small rational function fits the data"
+    assert set(repthy._SW_MEMO) == set(ranks)
+
+
 def test_certified_kernel_matches_the_kernel_over_every_position(
         monkeypatch):
-    # the pivot-equation kernel against the kernel over every nonzero
-    # tensor position that it replaced, with two inputs the exact check
-    # must reject: a pivot list missing one position, and a kernel vector
-    # with one entry perturbed
+    # the pivot-equation kernel against the kernel over every column of
+    # the evaluated Laurent rows, with two inputs the exact check must
+    # reject: a pivot list missing one position, and a kernel vector with
+    # one entry perturbed
     kernel_basis = linalg.kernel_basis
     for n, r, s in ((2, 2, 2), (2, 3, 1), (2, 1, 3), (3, 2, 2), (2, 2, 1)):
         basis = engine.cell_basis(r, s)
+        operator = repthy._laurent_rows(n, r, s, basis)
         for t in (2, 5, 13):
             ctx = RationalPointContext(t, n)
-            rows = repthy._operator_rows(ctx, n, r, s, basis)
+            rows = repthy._rows_at(ctx, operator)
             positions = [list(col) for col in zip(*rows) if any(col)]
             want = kernel_basis(ctx, positions, len(basis))
             rank, pivots = linalg.modp_rank_robust(rows)
@@ -308,7 +372,8 @@ def test_verify_kernel_element_accepts_the_kernel_and_rejects_perturbations():
     n, r, s = 3, 2, 2
     basis = engine.cell_basis(r, s)
     spec = FieldSpec.qpower(n)
-    [kernel] = repthy._kernel_interpolation(n, r, s, basis, 1, {})
+    operator = repthy._laurent_rows(n, r, s, basis)
+    [kernel] = repthy._kernel_interpolation(n, r, s, basis, 1, operator, {})
     repthy._verify_kernel_element(n, r, s, basis, spec, kernel)
     # a rational multiple is a kernel vector too, over a denominator that
     # is not a monomial

@@ -602,6 +602,27 @@ def test_lowering_laurent_values_is_a_ring_homomorphism(x, y, spec):
         assert bool(x) or not lx
 
 
+_EVALUATION_POINTS = st.builds(Fraction, st.integers(-9, 9),
+                               st.integers(1, 5)).filter(
+    lambda t: t not in (0, 1, -1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_laurents(), _laurents(), _EVALUATION_POINTS, st.integers(-3, 4))
+def test_evaluating_laurent_values_is_a_ring_homomorphism(x, y, t, n):
+    vx, vy = x(t), y(t)
+    for value in (vx, vy, (x + y)(t), (x * y)(t)):
+        assert type(value) is Fraction
+    assert (x + y)(t) == vx + vy
+    assert (x - y)(t) == vx - vy
+    assert (x * y)(t) == vx * vy
+    assert (-x)(t) == -vx
+    assert scalars.Laurent()(t) == 0
+    # the same value as lowering to qpow:n and evaluating there
+    spec = FieldSpec.qpower(n)
+    assert evaluate(Scalar.from_laurent(spec, x), t) == vx
+
+
 @settings(max_examples=80, deadline=None)
 @given(_laurents(), _laurents(0, 1), st.sampled_from(LAURENT_SPECS))
 def test_lift_after_lower_is_the_identity(x, reduced, spec):
