@@ -1,16 +1,16 @@
 """Exact linear algebra over pluggable coefficient domains.
 
 A *context* constructs the elements of one coefficient domain: its zero,
-its one, the monomials c * q^a * rho^b and the images of Generic-field
-scalars.  The elements carry their own arithmetic (``+ - * /``, unary minus,
-``==``, and truthiness for "nonzero").  Three domains are used throughout
-the package: elements of a ``FieldSpec`` field (``FieldContext``, whose
-elements are ``Scalar``), plain rational numbers obtained by evaluating
-``q`` and ``rho`` at a rational point (``RationalPointContext``, whose
-elements are ``Fraction``; its ``from_generic`` is ``scalars.evaluate``, so
-this module never reads how a scalar is stored), and the residues of those
-rational values modulo a large prime (``RationalPointContext`` with a
-``prime``).  The routines are Gaussian elimination with deterministic pivot
+its one, the monomials c * q^a * rho^b and the values of ``Laurent``
+polynomials in q.  The elements carry their own arithmetic (``+ - * /``,
+unary minus, ``==``, and truthiness for "nonzero").  Three domains are
+used throughout the package: elements of a ``FieldSpec`` field
+(``FieldContext``, whose elements are ``Scalar``), plain rational numbers
+obtained by evaluating ``q`` and ``rho`` at a rational point
+(``RationalPointContext``, whose elements are ``Fraction``), and the
+residues of those rational values modulo a large prime
+(``RationalPointContext`` with a ``prime``).  Neither reads how a scalar
+is stored.  The routines are Gaussian elimination with deterministic pivot
 choices, so all outputs are reproducible.  Every one is exact over its
 context.  Two kinds of result are modular and hold over Q only behind a
 check: ``modp_rank`` eliminates a rational matrix modulo a large prime and
@@ -58,11 +58,9 @@ class FieldContext:
     def from_monomial(self, c, qexp=0, rhoexp=0):
         return scalars.monomial(self.spec, c, qexp, rhoexp)
 
-    def from_generic(self, x):
-        """Map a Scalar over the Generic field into this field."""
-        if x.spec == self.spec:
-            return x
-        return scalars.specialize(x, self.spec)
+    def from_laurent(self, x):
+        """The value in this field of a ``Laurent`` polynomial in q."""
+        return scalars.Scalar.from_laurent(self.spec, x)
 
 
 _new = object.__new__
@@ -171,9 +169,9 @@ class RationalPointContext:
     def from_monomial(self, c, qexp=0, rhoexp=0):
         return self._element(c) * self._qpow(qexp + self.rhoexp * rhoexp)
 
-    def from_generic(self, x):
-        """Evaluate a Scalar over the Generic field at this point."""
-        return self._element(scalars.evaluate(x, self.qval, self.rhoexp))
+    def from_laurent(self, x):
+        """The value at this point of a ``Laurent`` polynomial in q."""
+        return self._element(x(self.qval))
 
 
 def rref(ctx, rows):

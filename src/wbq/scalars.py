@@ -44,7 +44,7 @@ from sympy import Symbol as _Symbol
 from sympy import cyclotomic_poly as _cyclotomic_poly
 from sympy.polys.fields import field as _frac_field
 
-from .errors import DenominatorVanishes
+from .errors import DenominatorVanishes, IntegralityViolation
 
 INFINITY = float("inf")
 
@@ -582,13 +582,16 @@ class Scalar:
 
     @staticmethod
     def from_laurent(spec, x):
-        """The value of the ``Laurent`` polynomial x on a ``qpow`` or
-        ``rho = zeta^a`` field, where q is q or zeta."""
-        if spec.kind == "qpow":
-            return _from_terms(spec, {(e,): c for e, c in x.items()}, {(0,): 1})
-        if spec.rho_kind == "power":
-            return Scalar(spec, _zeta_sum(spec.m, x))
-        raise ValueError("no Laurent form on the field %s" % spec.to_string())
+        """The value of the ``Laurent`` polynomial x on any field, where q
+        is q or zeta."""
+        if spec.kind != "cyclo":
+            rho = (0,) if spec.kind == "generic" else ()
+            return _from_terms(spec, {(e,) + rho: c for e, c in x.items()},
+                               {(0,) + rho: 1})
+        value = _zeta_sum(spec.m, x)
+        if spec.rho_kind == "free":
+            value = CycloFrac.from_cyclo(spec.m, value)
+        return Scalar(spec, value)
 
 
 def _coefficient(c):
@@ -601,12 +604,12 @@ class Laurent(dict):
     exponent to nonzero coefficient, an int where it is integral.
 
     No zero coefficient is stored, so the dict's own ``==`` is equality
-    and its truthiness means "nonzero".  ``+ - *`` and unary minus return
-    new values, and calling the value at a rational t evaluates it
-    exactly.  ``Scalar.to_laurent`` and ``Scalar.from_laurent`` lift
-    ``qpow`` and ``rho = zeta^a`` values into Q[q, q^-1] over a
-    denominator and lower them back; on ``cyclo:m`` lowering reduces the
-    exponents mod m.
+    and its truthiness means "nonzero".  ``+ - *``, unary minus and the
+    exact division ``/`` return new values, and calling the value at a
+    rational t evaluates it exactly.  ``Scalar.to_laurent`` lifts ``qpow``
+    and ``rho = zeta^a`` values into Q[q, q^-1] over a denominator, and
+    ``Scalar.from_laurent`` lowers a Laurent polynomial onto any field; on
+    ``cyclo:m`` lowering reduces the exponents mod m.
     """
 
     __slots__ = ()
@@ -626,6 +629,20 @@ class Laurent(dict):
 
     def __neg__(self):
         return Laurent({e: -c for e, c in self.items()})
+
+    def __truediv__(self, other):
+        """The exact quotient by a nonzero ``other``, by long division from
+        the top; ``IntegralityViolation`` when a remainder is left, that is
+        when the quotient is no Laurent polynomial."""
+        top, span = max(other), max(other) - min(other)
+        rest, out = self, {}
+        while rest and max(rest) - min(rest) >= span:
+            e = max(rest)
+            c = out[e - top] = _coefficient(Fraction(rest[e]) / other[top])
+            rest = rest - other * Laurent({e - top: c})
+        if rest:
+            raise IntegralityViolation("%r does not divide %r" % (other, self))
+        return Laurent(out)
 
     def __mul__(self, other):
         if len(self) < len(other):

@@ -18,10 +18,16 @@ lives on the Laurent domain itself (rho = q^n): its entries are
 ``Laurent`` polynomials, which the kernel takes and returns unlifted and
 unlowered.  ``basis_images`` acts there on all the standard basis vectors
 in one call; the Schur-Weyl rows are built from it once per (n, r, s) and
-then evaluated at rational points.  The quantum enveloping algebra of
-gl_n acts on the left by ``act_E``, ``act_F``, ``act_K`` and the divided
-powers.  The letters act in the convention whose braid eigenvalues are
-``q^{-1}`` and ``-q``.
+then evaluated at rational points.
+
+The quantum enveloping algebra of gl_n acts on the left by ``act_E``,
+``act_F``, ``act_K`` and the divided powers E_i^{(ell)} on the same
+domains.  The left action never needs rho = q^n, so it also runs over
+``generic`` and ``cyclo:m`` with rho free, the two fields with no Laurent
+form, on their own values (``_native``).  The matrix of E_i^ell on a
+weight space is built once on the Laurent domain and divided exactly by
+[ell]! in Z[q, q^{-1}].  The letters act in the convention whose braid
+eigenvalues are ``q^{-1}`` and ``-q``.
 ``act_word`` takes a ``WordElement`` written in the presentation
 convention (braid eigenvalues ``q`` and ``-q^{-1}``) and always translates
 it by inverting ``q`` and ``rho`` in its coefficients, which is a ring
@@ -40,12 +46,9 @@ from itertools import product
 
 from . import scalars
 from .combinat import conjugate
-from .errors import IndexOutOfRange, IntegralityViolation, RankTooSmall
+from .errors import IndexOutOfRange, RankTooSmall
 from .linalg import FieldContext, RationalPointContext, kernel_basis
 from .words import WordElement, d_letters, young_symmetrizer
-
-_GENERIC_SPEC = scalars.FieldSpec.generic()
-_GENERIC_CTX = FieldContext(_GENERIC_SPEC)
 
 
 def spec_matches_rho(spec, n):
@@ -162,11 +165,22 @@ def weight_space(wt, n, r, s):
 _LETTER_CONSTANTS = {}
 
 
+def _native(ctx):
+    """Whether the kernels run on the context's own values: at a rational
+    point, and over the two fields with no Laurent form, ``generic`` and
+    ``cyclo:m`` with rho free, which only the left action admits.  Every
+    other field's values are lifted to ``Laurent`` polynomials in q, and
+    ``ctx`` None is that domain."""
+    if isinstance(ctx, FieldContext):
+        return ctx.spec.kind == "generic" or ctx.spec.rho_kind == "free"
+    return ctx is not None
+
+
 def _monomials(ctx, n):
-    """The monomial constructor of the kernel's domain: a rational point's
-    own values, or for a field (or ``ctx`` None) Laurent polynomials in q,
-    with rho = q^n."""
-    if isinstance(ctx, RationalPointContext):
+    """The monomial constructor of the kernel's domain: a native context's
+    ``from_monomial``, or else that of Laurent polynomials in q, with
+    rho = q^n."""
+    if _native(ctx):
         return ctx.from_monomial
 
     def laurent(c, qexp=0, rhoexp=0):
@@ -200,11 +214,11 @@ def _constants(ctx, n):
 
 def _lift(v):
     """The entries of ``v`` in the kernel's domain, as ``(denominator,
-    entries)`` groups: one group with denominator None for a rational
-    point or the Laurent domain, and for a field one per denominator that
-    is not a monomial besides the group of all the others (always present,
-    even empty)."""
-    if isinstance(v.ctx, RationalPointContext) or v.ctx is None:
+    entries)`` groups: one group with denominator None for a native
+    context or the Laurent domain, and for a field with a Laurent form one
+    per denominator that is not a monomial besides the group of all the
+    others (always present, even empty)."""
+    if v.ctx is None or _native(v.ctx):
         return [(None, v.entries)]
     groups = {None: (None, {})}
     for idx, val in v.entries.items():
@@ -219,10 +233,10 @@ def _lift(v):
 
 def _lower(ctx, den, entries, out):
     """Add the field values of kernel ``entries``, divided by ``den``, to
-    ``out`` and return it.  A rational point's entries are its own values
+    ``out`` and return it.  A native context's entries are its own values
     already, as are those of the Laurent domain, and their only group is
     the whole vector."""
-    if isinstance(ctx, RationalPointContext) or ctx is None:
+    if ctx is None or _native(ctx):
         return entries
     spec = ctx.spec
     lower = scalars.Scalar.from_laurent
@@ -358,63 +372,64 @@ def _slot_pairings(idx, n, r, s, i):
     return vals
 
 
+def _act_left(v, n, images):
+    """The left action of the operator that sends each basis index to the
+    sum of c q^k times the index ``new``, over the ``(new, c, k)`` of
+    ``images(idx)``, run in the kernel's domain."""
+    ctx = v.ctx
+    monomial = _monomials(ctx, n)
+    out = {}
+    for den, entries in _lift(v):
+        image = {}
+        for idx, coeff in entries.items():
+            for new, c, k in images(idx):
+                _accum(image, new, coeff * monomial(c, k))
+        out = _lower(ctx, den, image, out)
+    return TensorVector(ctx, out)
+
+
+def _check_root(name, i, n):
+    if not 1 <= i <= n - 1:
+        raise IndexOutOfRange("%s_%d needs 1 <= %d <= n-1 = %d"
+                              % (name, i, i, n - 1))
+
+
 def act_E(v, i, n, r, s):
     """Left action of the raising generator E_i (weight goes up by alpha_i)."""
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange("E_%d needs 1 <= %d <= n-1 = %d" % (i, i, n - 1))
-    ctx = v.ctx
-    out = {}
-    for idx, coeff in v.entries.items():
+    _check_root("E", i, n)
+
+    def images(idx):
         vals = _slot_pairings(idx, n, r, s, i)
-        suffix = 0
-        suffixes = [0] * (r + s)
-        for p in range(r + s - 1, -1, -1):
-            suffixes[p] = suffix
-            suffix += vals[p]
+        suffix = sum(vals)
         for p in range(r + s):
-            twist = -suffixes[p]
+            suffix -= vals[p]
             if p < r:
                 pos = r - 1 - p
-                if idx[pos] != i + 1:
-                    continue
-                new = idx[:pos] + (i,) + idx[pos + 1 :]
-                c = coeff * ctx.from_monomial(1, twist)
-            else:
-                pos = p
-                if idx[pos] != i:
-                    continue
-                new = idx[:pos] + (i + 1,) + idx[pos + 1 :]
-                c = coeff * ctx.from_monomial(-1, twist - 1)
-            _accum(out, new, c)
-    return TensorVector(ctx, out)
+                if idx[pos] == i + 1:
+                    yield idx[:pos] + (i,) + idx[pos + 1 :], 1, -suffix
+            elif idx[p] == i:
+                yield idx[:p] + (i + 1,) + idx[p + 1 :], -1, -suffix - 1
+
+    return _act_left(v, n, images)
 
 
 def act_F(v, i, n, r, s):
     """Left action of the lowering generator F_i (weight drops by alpha_i)."""
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange("F_%d needs 1 <= %d <= n-1 = %d" % (i, i, n - 1))
-    ctx = v.ctx
-    out = {}
-    for idx, coeff in v.entries.items():
+    _check_root("F", i, n)
+
+    def images(idx):
         vals = _slot_pairings(idx, n, r, s, i)
         prefix = 0
         for p in range(r + s):
-            twist = prefix
-            prefix += vals[p]
             if p < r:
                 pos = r - 1 - p
-                if idx[pos] != i:
-                    continue
-                new = idx[:pos] + (i + 1,) + idx[pos + 1 :]
-                c = coeff * ctx.from_monomial(1, twist)
-            else:
-                pos = p
-                if idx[pos] != i + 1:
-                    continue
-                new = idx[:pos] + (i,) + idx[pos + 1 :]
-                c = coeff * ctx.from_monomial(-1, twist + 1)
-            _accum(out, new, c)
-    return TensorVector(ctx, out)
+                if idx[pos] == i:
+                    yield idx[:pos] + (i + 1,) + idx[pos + 1 :], 1, prefix
+            elif idx[p] == i + 1:
+                yield idx[:p] + (i,) + idx[p + 1 :], -1, prefix + 1
+            prefix += vals[p]
+
+    return _act_left(v, n, images)
 
 
 def act_K(v, h, n, r, s):
@@ -424,89 +439,69 @@ def act_K(v, h, n, r, s):
     vector by q^{weight_i}) or an integer tuple of length n pairing with the
     full weight.
     """
-    ctx = v.ctx
-    out = {}
-    for idx, coeff in v.entries.items():
+    if isinstance(h, int):
+        if not 1 <= h <= n:
+            raise IndexOutOfRange("q^h coordinate %d out of range" % h)
+        h = tuple(int(k == h) for k in range(1, n + 1))
+    elif len(h) != n:
+        raise IndexOutOfRange("torus tuple must have length n")
+
+    def images(idx):
         wt = weight_of_index(idx, n, r, s)
-        if isinstance(h, int):
-            if not 1 <= h <= n:
-                raise IndexOutOfRange("q^h coordinate %d out of range" % h)
-            exp = wt[h - 1]
-        else:
-            if len(h) != n:
-                raise IndexOutOfRange("torus tuple must have length n")
-            exp = sum(a * b for a, b in zip(h, wt))
-        _accum(out, idx, coeff * ctx.from_monomial(1, exp))
-    return TensorVector(ctx, out)
+        return [(idx, 1, sum(a * b for a, b in zip(h, wt)))]
+
+    return _act_left(v, n, images)
 
 
 _DP_CACHE = {}
-
-
-def _assert_laurent(x):
-    """Check that a Generic-field scalar lies in Z[q, q^{-1}]."""
-    num, den = scalars.generic_terms(x)
-    if len(den) != 1:
-        raise IntegralityViolation("denominator of %s is not a monomial" % x)
-    _, der, dc = den[0]
-    if der != 0:
-        raise IntegralityViolation("denominator involves rho")
-    for _, ner, nc in num:
-        if ner != 0:
-            raise IntegralityViolation("numerator involves rho")
-        if (nc / dc).denominator != 1:
-            raise IntegralityViolation("entry %s is not integral" % x)
+_QFACTORIALS = {}
 
 
 def _divided_power_table(n, r, s, i, ell, wt):
+    """The matrix of E_i^{(ell)} on the weight space ``wt``, as ``{source:
+    [(target, Laurent)]}``: E_i^ell acts on the Laurent domain and each
+    entry is divided exactly by [ell]!, which raises
+    ``IntegralityViolation`` if it leaves a remainder."""
     key = (n, r, s, i, ell, wt)
     table = _DP_CACHE.get(key)
-    if table is not None:
-        return table
-    qfact = scalars.quantum_factorial(ell, _GENERIC_SPEC)
-    table = {}
-    for src in weight_space(wt, n, r, s):
-        vec = TensorVector.basis(_GENERIC_CTX, src)
-        for _ in range(ell):
-            vec = act_E(vec, i, n, r, s)
-        row = []
-        for tgt, val in vec.items():
-            quo = val / qfact
-            _assert_laurent(quo)
-            row.append((tgt, quo))
-        table[src] = row
-    _DP_CACHE[key] = table
+    if table is None:
+        qfact = _QFACTORIALS.get(ell)
+        if qfact is None:
+            qfact = _QFACTORIALS[ell] = scalars.quantum_factorial(
+                ell, scalars.FieldSpec.qpower(0)).to_laurent()[0]
+        table = {}
+        for src in weight_space(wt, n, r, s):
+            vec = TensorVector(None, {src: scalars.Laurent({0: 1})})
+            for _ in range(ell):
+                vec = act_E(vec, i, n, r, s)
+            table[src] = [(tgt, val / qfact) for tgt, val in vec.items()]
+        _DP_CACHE[key] = table
     return table
 
 
 def act_divided_power(v, i, ell, n, r, s):
     """Left action of the divided power E_i^{(ell)} = E_i^ell / [ell]!.
 
-    The matrix of E_i^ell is built once over the Generic field on each
-    weight space, each entry is divided exactly by the quantum factorial,
-    the quotient is checked to be a Laurent polynomial with integer
-    coefficients (``IntegralityViolation`` otherwise), and only then is it
-    mapped into the coefficient domain of ``v``.  This is what makes the
-    operator meaningful at roots of unity where [ell]! vanishes.
+    The matrix of E_i^ell is built once per weight space on the Laurent
+    domain, and each entry is divided exactly by the quantum factorial in
+    Z[q, q^{-1}] (``IntegralityViolation`` otherwise).  The entries then
+    act in the kernel's domain: as they are on a lifted vector, through
+    ``from_laurent`` on a native context.  This is what makes the operator
+    meaningful at roots of unity where [ell]! vanishes.
     """
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange("E_%d needs 1 <= %d <= n-1 = %d" % (i, i, n - 1))
+    _check_root("E", i, n)
     if ell < 0:
         raise IndexOutOfRange("divided power exponent must be nonnegative")
-    if ell == 0:
-        return TensorVector(v.ctx, dict(v.entries))
-    if ell == 1:
-        return act_E(v, i, n, r, s)
     ctx = v.ctx
-    groups = {}
-    for idx, coeff in v.entries.items():
-        groups.setdefault(weight_of_index(idx, n, r, s), []).append((idx, coeff))
+    embed = ctx.from_laurent if _native(ctx) else None
     out = {}
-    for wt, pairs in groups.items():
-        table = _divided_power_table(n, r, s, i, ell, wt)
-        for idx, coeff in pairs:
-            for tgt, gval in table[idx]:
-                _accum(out, tgt, coeff * ctx.from_generic(gval))
+    for den, entries in _lift(v):
+        image = {}
+        for idx, coeff in entries.items():
+            wt = weight_of_index(idx, n, r, s)
+            for tgt, val in _divided_power_table(n, r, s, i, ell, wt)[idx]:
+                _accum(image, tgt, coeff * (embed(val) if embed else val))
+        out = _lower(ctx, den, image, out)
     return TensorVector(ctx, out)
 
 
@@ -519,35 +514,23 @@ def singular_space(wt, n, r, s, spec=None):
     powers impose genuinely new conditions.
     """
     wt = tuple(wt)
-    ctx = FieldContext(spec if spec is not None else _GENERIC_SPEC)
+    ctx = FieldContext(spec if spec is not None else scalars.FieldSpec.generic())
     sources = weight_space(wt, n, r, s)
     if not sources:
         return []
     rows_by_key = {}
-    zero_row = None
     for spos, src in enumerate(sources):
         base = TensorVector.basis(ctx, src)
         for i in range(1, n):
             for ell in range(1, r + s + 1):
                 image = act_divided_power(base, i, ell, n, r, s)
                 for tgt, val in image.entries.items():
-                    key = (i, ell, tgt)
-                    row = rows_by_key.get(key)
-                    if row is None:
-                        if zero_row is None:
-                            zero_row = [ctx.zero()] * len(sources)
-                        row = list(zero_row)
-                        rows_by_key[key] = row
-                    row[spos] = val
-    rows = [rows_by_key[key] for key in sorted(rows_by_key)]
-    basis = kernel_basis(ctx, rows, len(sources)) if rows else []
-    if not rows:
-        basis = [
-            [ctx.one() if k == j else ctx.zero() for k in range(len(sources))]
-            for j in range(len(sources))
-        ]
+                    rows_by_key.setdefault((i, ell, tgt), {})[spos] = val
+    zero = ctx.zero()
+    rows = [[row.get(k, zero) for k in range(len(sources))]
+            for _, row in sorted(rows_by_key.items())]
     out = []
-    for vec in basis:
+    for vec in kernel_basis(ctx, rows, len(sources)):
         entries = {}
         for pos, val in enumerate(vec):
             if val:
