@@ -530,11 +530,13 @@ class StructureConstants(ConstantsTable):
         if data.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported table format %r"
                              % data.get("format_version"))
-        spec = FieldSpec.from_string(data["mode"])
+        if data.get("mode") != "generic":
+            raise ValueError("stored table has mode %r, only generic tables "
+                             "are stored" % data.get("mode"))
         r, s = data["r"], data["s"]
 
         def decode_vec(obj):
-            return {int(c): _decode_scalar(v, spec) for c, v in obj.items()}
+            return {int(c): _decode_scalar(v) for c, v in obj.items()}
 
         products = {}
         for key, vec in data["products"].items():
@@ -542,7 +544,7 @@ class StructureConstants(ConstantsTable):
             products[(int(a), int(b))] = decode_vec(vec)
         generators = {k: decode_vec(v) for k, v in data["generators"].items()}
         unit = decode_vec(data["one"])
-        table = cls(r, s, spec, data["seed"], data["D"],
+        table = cls(r, s, FieldSpec.generic(), data["seed"], data["D"],
                     products, generators, unit)
         if len(table.basis) != data["size"]:
             raise ValueError("basis size mismatch in stored table")
@@ -625,13 +627,10 @@ def _encode_scalar(x):
             [[qe, re, str(c)] for qe, re, c in den]]
 
 
-def _decode_scalar(obj, spec):
+def _decode_scalar(obj):
     num = [(qe, re, Fraction(c)) for qe, re, c in obj[0]]
     den = [(qe, re, Fraction(c)) for qe, re, c in obj[1]]
-    value = scalars.generic_from_terms(num, den)
-    if spec.kind == "generic":
-        return value
-    return scalars.specialize(value, spec)
+    return scalars.generic_from_terms(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,20 @@ first two families).
 
 This module is the only one that knows how a value is stored.  Other modules
 use the operators of ``Scalar``, its truthiness for "nonzero", and the
-functions below: ``specialize``, ``evaluate`` (the rational value at a
-point), ``flip``, ``to_text``/``parse_scalar``, ``generic_terms`` /
-``generic_from_terms`` (an exponent-and-coefficient encoding of generic
-values), and ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of
-a ``qpow`` or ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over
-a denominator and the lowering back, on which the tensor action runs.
-Changing the representation of a field therefore changes this module
-only.
+functions below: ``monomial`` (with ``zero`` and ``one``), ``specialize``,
+``evaluate`` (the rational value at a point), ``flip``,
+``to_text``/``parse_scalar``, ``generic_terms`` / ``generic_from_terms``
+(an exponent-and-coefficient encoding of generic values), and
+``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of a ``qpow`` or
+``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
+and the lowering back, on which the tensor action runs.  Changing the
+representation of a field therefore changes this module only.
+
+Where q and rho go in each field kind is written once, in the private
+``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
+denominator and builds their quotient in the field.  ``monomial``,
+``Scalar.from_laurent``, ``specialize`` and the generic and ``qpow`` half
+of ``flip`` each build their values through it.
 
 An element of Q(zeta_m) (``CycloNum``) is an integer vector of length phi(m)
 over a positive integer denominator coprime to its content, so sums and
@@ -189,10 +195,6 @@ class CycloNum:
         d = _phi(m)[0]
         return _cyclo(m, (value.numerator,) + (0,) * (d - 1), value.denominator)
 
-    @staticmethod
-    def zeta_pow(m, k):
-        return _cyclo(m, _phi(m)[1][k % m], 1)
-
     def __bool__(self):
         return any(self.v)
 
@@ -242,11 +244,6 @@ class CycloNum:
 
     def inverse(self):
         return _cyclo(self.m, *_inverse(self.m, self.v, self.den))
-
-    def scale(self, fr):
-        fr = Fraction(fr)
-        return _normal(self.m, [x * fr.numerator for x in self.v],
-                       self.den * fr.denominator)
 
     def galois(self, k):
         """Apply the automorphism sigma_k: zeta -> zeta^k (k a unit mod m)."""
@@ -360,20 +357,8 @@ class CycloFrac:
         self.den = tuple(den)
 
     @staticmethod
-    def const(m, value):
-        return CycloFrac(m, [CycloNum.const(m, value)], [CycloNum.const(m, 1)])
-
-    @staticmethod
     def from_cyclo(m, x):
         return CycloFrac(m, [x], [CycloNum.const(m, 1)])
-
-    @staticmethod
-    def rho_power(m, k):
-        one = CycloNum.const(m, 1)
-        zero = CycloNum.const(m, 0)
-        if k >= 0:
-            return CycloFrac(m, [zero] * k + [one], [one])
-        return CycloFrac(m, [one], [zero] * (-k) + [one])
 
     def __bool__(self):
         return bool(self.num)
@@ -584,14 +569,7 @@ class Scalar:
     def from_laurent(spec, x):
         """The value of the ``Laurent`` polynomial x on any field, where q
         is q or zeta."""
-        if spec.kind != "cyclo":
-            rho = (0,) if spec.kind == "generic" else ()
-            return _from_terms(spec, {(e,) + rho: c for e, c in x.items()},
-                               {(0,) + rho: 1})
-        value = _zeta_sum(spec.m, x)
-        if spec.rho_kind == "free":
-            value = CycloFrac.from_cyclo(spec.m, value)
-        return Scalar(spec, value)
+        return _substitute(spec, [((e, 0), c) for e, c in x.items()])
 
 
 def _coefficient(c):
@@ -676,41 +654,102 @@ class Laurent(dict):
         return "Laurent(%s)" % dict.__repr__(self)
 
 
+def _zeta_sum(m, buckets, common):
+    """The sum of n * zeta_m^k / common over the items (k, n) of buckets,
+    where 0 <= k < m and n is an int."""
+    d, zpows = _phi(m)
+    out = [0] * d
+    for k, n in buckets.items():
+        for i, z in enumerate(zpows[k]):
+            if z:
+                out[i] += n * z
+    return _normal(m, out, common)
+
+
+def _substitute(spec, num, den=None):
+    """The value num / den in the field ``spec``: the one place where q
+    and rho map into each field kind.
+
+    num and den are lists of ((i, j), c) terms c * q^i * rho^j, c a
+    Fraction or an int; den None means 1.  Each side's terms are summed by
+    image exponent as integer numerators over one common denominator: (i, j)
+    on ``generic``, i + a*j on ``qpow:a``, (i + b*j) mod m on
+    ``cyclo:m,rho=zeta^b``, and the rho-row j, zeta-power i mod m on
+    ``cyclo:m,rho=free``, where negative rho-exponents are shifted into the
+    denominator.  Each side is built once and the quotient normalised once;
+    with den None the cyclotomic kinds divide by nothing.
+
+    Raises DenominatorVanishes if the denominator maps to zero.
+    """
+    kind, m = spec.kind, spec.m
+    if kind == "generic":
+        key = lambda mono: mono
+    elif kind == "qpow":
+        a = spec.a
+        key = lambda mono: (mono[0] + a * mono[1],)
+    elif spec.rho_kind == "power":
+        b = spec.rho_a
+        key = lambda mono: (mono[0] + b * mono[1]) % m
+    else:
+        key = lambda mono: (mono[1], mono[0] % m)
+
+    def bucket(terms):
+        common = math.lcm(*[c.denominator for _, c in terms])
+        out = {}
+        for mono, c in terms:
+            k = key(mono)
+            out[k] = out.get(k, 0) + c.numerator * (common // c.denominator)
+        return {k: n for k, n in out.items() if n}, common
+
+    nb, nc = bucket(num)
+    db, dc = ({key((0, 0)): 1}, 1) if den is None else bucket(den)
+
+    def vanishes():
+        return DenominatorVanishes("denominator vanishes under %s" % spec.to_string())
+
+    if kind != "cyclo":
+        if not db:
+            raise vanishes()
+        return _from_terms(spec, {k: Fraction(n, nc) for k, n in nb.items()},
+                           {k: Fraction(n, dc) for k, n in db.items()})
+    if spec.rho_kind == "power":
+        value = _zeta_sum(m, nb, nc)
+        if den is not None:
+            den_value = _zeta_sum(m, db, dc)
+            if not den_value:
+                raise vanishes()
+            value = value / den_value
+        return Scalar(spec, value)
+
+    low = min(0, *(j for j, _ in nb), *(j for j, _ in db))
+
+    def poly(buckets, common):
+        rows = {}
+        for (j, k), n in buckets.items():
+            rows.setdefault(j - low, {})[k] = n
+        return _ctrim([_zeta_sum(m, rows.get(j, {}), common)
+                       for j in range(max(rows, default=-1) + 1)])
+
+    num_poly, den_poly = poly(nb, nc), poly(db, dc)
+    if not den_poly:
+        raise vanishes()
+    # over 1, the trimmed numerator is in normal form already
+    return Scalar(spec, CycloFrac(m, num_poly, den_poly,
+                                  normalized=den is None and low == 0))
+
+
 def zero(spec):
-    return from_fraction(0, spec)
+    return monomial(spec, 0)
 
 
 def one(spec):
-    return from_fraction(1, spec)
-
-
-def from_fraction(c, spec):
-    c = Fraction(c)
-    if spec.kind == "generic":
-        return Scalar(spec, _GFIELD.ground_new(_qq(c)))
-    if spec.kind == "qpow":
-        return Scalar(spec, _QFIELD.ground_new(_qq(c)))
-    if spec.rho_kind == "power":
-        return Scalar(spec, CycloNum.const(spec.m, c))
-    return Scalar(spec, CycloFrac.const(spec.m, c))
+    return monomial(spec, 1)
 
 
 def monomial(spec, c, qexp=0, rhoexp=0):
-    """The scalar c * q^qexp * rho^rhoexp in the given field."""
-    c = Fraction(c)
-    if c == 0:
-        return zero(spec)
-    if spec.kind == "generic":
-        rep = _GFIELD.ground_new(_qq(c)) * _GQ ** qexp * _GRHO ** rhoexp
-        return Scalar(spec, rep)
-    if spec.kind == "qpow":
-        rep = _QFIELD.ground_new(_qq(c)) * _QGEN ** (qexp + spec.a * rhoexp)
-        return Scalar(spec, rep)
-    if spec.rho_kind == "power":
-        k = (qexp + spec.rho_a * rhoexp) % spec.m
-        return Scalar(spec, CycloNum.zeta_pow(spec.m, k).scale(c))
-    zpart = CycloNum.zeta_pow(spec.m, qexp % spec.m).scale(c)
-    return Scalar(spec, CycloFrac.from_cyclo(spec.m, zpart) * CycloFrac.rho_power(spec.m, rhoexp))
+    """The scalar c * q^qexp * rho^rhoexp in the field ``spec``, c any
+    rational: the image of one term under ``_substitute``."""
+    return _substitute(spec, [((qexp, rhoexp), Fraction(c))])
 
 
 def q_elem(spec):
@@ -721,14 +760,23 @@ def rho_elem(spec):
     return monomial(spec, 1, 0, 1)
 
 
+def _rational_terms(x):
+    """The numerator and denominator of a generic or qpow scalar as lists
+    of ((i, j), c) terms c * q^i * rho^j; on qpow, where rho is q^a
+    already, j is 0."""
+    num, den = _terms(x.rep.numer), _terms(x.rep.denom)
+    if x.spec.kind == "generic":
+        return num, den
+    return [((i, 0), c) for (i,), c in num], [((i, 0), c) for (i,), c in den]
+
+
 def flip(x):
     """The field automorphism q -> q^{-1}, rho -> rho^{-1}."""
     spec = x.spec
     if spec.kind in ("generic", "qpow"):
-        def side(poly):
-            return {tuple(-e for e in mono): c for mono, c in _terms(poly)}
-
-        return _from_terms(spec, side(x.rep.numer), side(x.rep.denom))
+        num, den = _rational_terms(x)
+        return _substitute(spec, [((-i, -j), c) for (i, j), c in num],
+                           [((-i, -j), c) for (i, j), c in den])
     if spec.rho_kind == "power":
         return Scalar(spec, x.rep.galois(-1))
     return Scalar(spec, x.rep.flip())
@@ -767,42 +815,14 @@ def quantum_characteristic(spec):
     return m // math.gcd(m, 2)
 
 
-def _bucket(poly, key):
-    """Sum the coefficients of a sympy polynomial by key(monomial) as
-    integer numerators over the lcm of all its denominators; returns the
-    nonzero sums as Fractions, each normalised once."""
-    terms = _terms(poly)
-    common = math.lcm(*(c.denominator for _, c in terms))
-    out = {}
-    for mono, c in terms:
-        k = key(mono)
-        out[k] = out.get(k, 0) + c.numerator * (common // c.denominator)
-    return {k: Fraction(c, common) for k, c in out.items() if c}
-
-
-def _zeta_sum(m, buckets):
-    """The sum of c * zeta_m^k over the items (k, c) of buckets; k is any
-    integer, c an int or a Fraction."""
-    d, zpows = _phi(m)
-    den = math.lcm(*(c.denominator for c in buckets.values()))
-    out = [0] * d
-    for k, c in buckets.items():
-        n = c.numerator * (den // c.denominator)
-        for i, z in enumerate(zpows[k % m]):
-            if z:
-                out[i] += n * z
-    return _normal(m, out, den)
-
-
 def specialize(x, target):
     """Map a generic-mode (or qpow-mode) scalar into the target field.
 
-    Each side of the source fraction is specialised in one pass over its
-    Laurent terms: a term c*q^i*rho^j goes to the bucket of its image
-    exponent (i + a*j for qpow:a; (i + a*j) mod m for rho = zeta^a; the
-    rho-degree j and then i mod m for free rho), coefficients are summed as
-    integers over one common denominator, and each side is built once from
-    its buckets.  The quotient is normalised once.  Normal forms are canonical, so the result equals the
+    A generic value maps into every field.  A ``qpow:a`` value maps only
+    into ``cyclo:m,rho=zeta^b`` with b = a mod m, and its terms carry
+    rho-exponent 0, since rho is q^a there already.  The terms of both
+    sides go through ``_substitute`` in one pass, and the quotient is
+    normalised once.  Normal forms are canonical, so the result equals the
     sum of the term-by-term images divided in the target field.
 
     Raises DenominatorVanishes if the denominator evaluates to zero.
@@ -818,49 +838,9 @@ def specialize(x, target):
                 raise ValueError("specialization would not respect rho = q^%d" % spec.a)
         elif target.kind == "generic":
             raise ValueError("cannot lift a qpow scalar to the generic field")
-        # rho is q^a already: the exponent of q is the whole image exponent
-        rho_of = lambda mono: 0
-    elif spec.kind == "generic":
-        rho_of = lambda mono: mono[1]
-    else:
+    elif spec.kind != "generic":
         raise ValueError("specialize expects a generic or qpow source scalar")
-
-    m = target.m
-    if target.kind == "qpow":
-        a = target.a
-        key = lambda mono: (mono[0] + a * mono[1],)
-    elif target.rho_kind == "power":
-        a = target.rho_a
-        key = lambda mono: (mono[0] + a * rho_of(mono)) % m
-    else:
-        key = lambda mono: (mono[1], mono[0] % m)
-    num = _bucket(x.rep.numer, key)
-    den = _bucket(x.rep.denom, key)
-
-    def vanishes():
-        return DenominatorVanishes("denominator vanishes under %s" % target.to_string())
-
-    if target.kind == "qpow":
-        if not den:
-            raise vanishes()
-        return _from_terms(target, num, den)
-    if target.rho_kind == "power":
-        den_val = _zeta_sum(m, den)
-        if not den_val:
-            raise vanishes()
-        rep = _zeta_sum(m, num) / den_val
-    else:
-        sides = []
-        for buckets in (num, den):
-            rows = {}
-            for (j, k), c in buckets.items():
-                rows.setdefault(j, {})[k] = c
-            sides.append(_ctrim([_zeta_sum(m, rows.get(j, {}))
-                                 for j in range(max(rows, default=-1) + 1)]))
-        if not sides[1]:
-            raise vanishes()
-        rep = CycloFrac(m, sides[0], sides[1])
-    return Scalar(target, rep)
+    return _substitute(target, *_rational_terms(x))
 
 
 def evaluate(x, t, rho_exp=0):
@@ -912,62 +892,34 @@ def _format_rational_poly(terms, names):
 def _integerize(num_terms, den_terms):
     """Scale two Fraction-coefficient term lists to coprime integer contents,
     with the leading denominator coefficient positive."""
-    denoms = [c.denominator for _, c in num_terms] + [c.denominator for _, c in den_terms]
-    L = 1
-    for d in denoms:
-        L = L * d // math.gcd(L, d)
-    num_terms = [(m, c * L) for m, c in num_terms]
-    den_terms = [(m, c * L) for m, c in den_terms]
-    g = 0
-    for _, c in num_terms:
-        g = math.gcd(g, int(c))
-    for _, c in den_terms:
-        g = math.gcd(g, int(c))
-    if g > 1:
-        num_terms = [(m, c / g) for m, c in num_terms]
-        den_terms = [(m, c / g) for m, c in den_terms]
-    lead = max(den_terms, key=lambda t: t[0])[1] if den_terms else Fraction(1)
-    if lead < 0:
-        num_terms = [(m, -c) for m, c in num_terms]
-        den_terms = [(m, -c) for m, c in den_terms]
-    return num_terms, den_terms
+    coeffs = [c for _, c in num_terms + den_terms]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(L, math.gcd(*(int(c * L) for c in coeffs)) or 1)
+    if den_terms and max(den_terms, key=lambda t: t[0])[1] < 0:
+        scale = -scale
+    return ([(m, c * scale) for m, c in num_terms],
+            [(m, c * scale) for m, c in den_terms])
 
 
 def to_text(x):
     """Canonical text form; parse_scalar inverts it on the same field."""
     spec = x.spec
-    if spec.kind in ("generic", "qpow"):
-        names = ("q", "rho") if spec.kind == "generic" else ("q",)
-        num_terms = _terms(x.rep.numer)
-        den_terms = _terms(x.rep.denom)
-        num_terms, den_terms = _integerize(num_terms, den_terms)
-        num_s = _format_rational_poly(num_terms, names)
-        den_s = _format_rational_poly(den_terms, names)
-        if den_s == "1":
-            return num_s
-        return "(%s)/(%s)" % (num_s, den_s)
-    if spec.rho_kind == "power":
-        num_terms = [((i,), c) for i, c in enumerate(x.rep.c) if c != 0]
-        den_terms = [((0,), Fraction(1))]
-        num_terms, den_terms = _integerize(num_terms, den_terms)
-        num_s = _format_rational_poly(num_terms, ("z",))
-        den_s = _format_rational_poly(den_terms, ("z",))
-        if den_s == "1":
-            return num_s
-        return "(%s)/(%s)" % (num_s, den_s)
+    if spec.rho_kind != "free":
+        if spec.kind == "cyclo":
+            names = ("z",)
+            num_terms = [((i,), c) for i, c in enumerate(x.rep.c) if c != 0]
+            den_terms = [((0,), Fraction(1))]
+        else:
+            names = ("q", "rho") if spec.kind == "generic" else ("q",)
+            num_terms, den_terms = _terms(x.rep.numer), _terms(x.rep.denom)
+        num_s, den_s = (_format_rational_poly(terms, names)
+                        for terms in _integerize(num_terms, den_terms))
+        return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
     # cyclotomic with free rho: polynomials in rho with cyclotomic coefficients
     rep = x.rep
-    all_fracs = []
-    for cn in list(rep.num) + list(rep.den):
-        all_fracs.extend(cn.c)
-    L = 1
-    for f in all_fracs:
-        L = L * f.denominator // math.gcd(L, f.denominator)
-    g = 0
-    for f in all_fracs:
-        g = math.gcd(g, int(f * L))
-    if g == 0:
-        g = 1
+    all_fracs = [f for cn in rep.num + rep.den for f in cn.c]
+    L = math.lcm(*(f.denominator for f in all_fracs))
+    g = math.gcd(*(int(f * L) for f in all_fracs)) or 1
 
     def fmt_side(coeffs):
         chunks = []
@@ -985,11 +937,8 @@ def to_text(x):
                 chunks.append("(%s)*rho^%d" % (zs, i))
         return " + ".join(chunks) if chunks else "(0)"
 
-    num_s = fmt_side(list(rep.num))
-    den_s = fmt_side(list(rep.den))
-    if den_s == "(1)":
-        return num_s
-    return "(%s)/(%s)" % (num_s, den_s)
+    num_s, den_s = fmt_side(rep.num), fmt_side(rep.den)
+    return num_s if den_s == "(1)" else "(%s)/(%s)" % (num_s, den_s)
 
 
 class _Tok:
@@ -1098,7 +1047,7 @@ def _parse_term(tok, spec):
         expect_factor = tok.peek() == "*"
         if expect_factor:
             tok.take("*")
-    out = from_fraction(coeff, spec)
+    out = monomial(spec, coeff)
     if acc is not None:
         out = out * acc
     return out

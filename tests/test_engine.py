@@ -309,6 +309,18 @@ def test_table_memo_is_keyed_by_the_cache_file(
         assert engine.generic_table(1, 1, cache_dir=cache_dir).seed == seed
 
 
+def test_load_table_rejects_a_table_that_is_not_generic(tmp_path):
+    # the package writes generic tables only; a stored qpow table would
+    # otherwise load as the generic one
+    with open(engine.bundled_path(1, 1)) as handle:
+        data = json.load(handle)
+    data["mode"] = "qpow:3"
+    path = tmp_path / "qpow.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="mode 'qpow:3'"):
+        engine.load_table(str(path), 1, 1)
+
+
 BUNDLED_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 

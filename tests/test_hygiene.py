@@ -107,7 +107,8 @@ ALLOWED = {
 def unreferenced_names():
     """Names defined in the package's modules that no name, attribute or
     import in ``src/`` refers to outside the name's own definition, so
-    self-recursion is not a use."""
+    self-recursion is not a use.  A method is referenced only through an
+    attribute (``x.name``): a bare variable of the same name is no use."""
     trees = {path: ast.parse(text)
              for path, text in _sources(os.path.join(ROOT, "src")).items()}
     refs = {path: _references(tree) for path, tree in trees.items()}
@@ -115,7 +116,9 @@ def unreferenced_names():
     for path in sorted(p for p in trees if os.path.dirname(p) == PACKAGE):
         for name, node in _definitions(trees[path]):
             inside = {id(sub) for sub in ast.walk(node)}
+            method = "." in name
             used = any(ident == node.name
+                       and not (method and isinstance(ref, ast.Name))
                        and not (where == path and id(ref) in inside)
                        for where, pairs in refs.items()
                        for ident, ref in pairs)
