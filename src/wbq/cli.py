@@ -44,6 +44,18 @@ _OUTPUTS = {
     "cache": ("json",),
 }
 
+# The shared flags each command reads, besides --r, --s, --output and --out.
+_FLAGS = {
+    "decomp": ("field", "seed", "cache-dir"),
+    "verify": (),
+    "gram": ("field", "seed", "cache-dir"),
+    "blocks": ("field", "seed", "cache-dir"),
+    "semisimple": ("field", "seed", "cache-dir"),
+    "singular": ("field", "n"),
+    "schur-weyl": ("n",),
+    "cache": ("field", "seed", "cache-dir"),
+}
+
 _VERIFY_SUITES = ("relations", "schur-weyl", "singular", "semisimple",
                   "blocks1", "einfty")
 
@@ -108,19 +120,10 @@ class JobConfig:
             n = r + s
         if n is not None and n < 1:
             raise UsageError("--n must be a positive integer")
-        output = getattr(args, "output", None)
-        if output is None:
-            output = "table" if command == "verify" else "json"
-        allowed = _OUTPUTS[command]
-        if output not in allowed:
-            raise UsageError(
-                "output format %r is not available for %r (choose from %s)"
-                % (output, command, ", ".join(sorted(set(allowed) - {"table"})
-                                              or allowed)))
         config = cls(command, r=r, s=s, field=field, n=n,
                      seed=getattr(args, "seed", 0),
                      cache_dir=getattr(args, "cache_dir", None),
-                     output=output, out=getattr(args, "out", None))
+                     output=args.output, out=args.out)
         config._validate_options(args)
         return config
 
@@ -486,25 +489,31 @@ def cmd_verify(config):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, need_rs=True, rs_optional=False):
-    if need_rs:
-        required = not rs_optional
-        sub.add_argument("--r", type=int, required=required,
-                         help="number of left tensor factors")
-        sub.add_argument("--s", type=int, required=required,
-                         help="number of right (dual) tensor factors")
-    sub.add_argument("--field", default=None,
-                     help="generic | qpow:<a> | "
-                          "cyclo:<m>[,rho=zeta^<a>|rho=free]")
-    sub.add_argument("--n", type=int, default=None,
-                     help="rows of the tensor model (default r+s)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized certificates")
-    sub.add_argument("--cache-dir", default=None,
-                     help="structure-constant cache directory "
-                          "(default $WBQ_CACHE_DIR)")
-    sub.add_argument("--output", choices=("json", "latex", "csv"),
-                     default=None, help="output format")
+def _add_common(sub, command, rs_optional=False):
+    """The shared options of ``command``: --r and --s, the flags it reads
+    from ``_FLAGS``, and --output (first format of ``_OUTPUTS`` by
+    default) and --out."""
+    flags = _FLAGS[command]
+    sub.add_argument("--r", type=int, required=not rs_optional,
+                     help="number of left tensor factors")
+    sub.add_argument("--s", type=int, required=not rs_optional,
+                     help="number of right (dual) tensor factors")
+    if "field" in flags:
+        sub.add_argument("--field", default=None,
+                         help="generic | qpow:<a> | "
+                              "cyclo:<m>[,rho=zeta^<a>|rho=free]")
+    if "n" in flags:
+        sub.add_argument("--n", type=int, default=None,
+                         help="rows of the tensor model (default r+s)")
+    if "seed" in flags:
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for randomized certificates")
+    if "cache-dir" in flags:
+        sub.add_argument("--cache-dir", default=None,
+                         help="structure-constant cache directory "
+                              "(default $WBQ_CACHE_DIR)")
+    sub.add_argument("--output", choices=_OUTPUTS[command],
+                     default=_OUTPUTS[command][0], help="output format")
     sub.add_argument("--out", default=None,
                      help="write the result to this file instead of stdout")
 
@@ -522,44 +531,44 @@ def build_parser():
 
     sub = subs.add_parser("decomp", help="decomposition matrix with Gram "
                                          "ranks, blocks and oracle checks")
-    _add_common(sub)
+    _add_common(sub, "decomp")
 
     sub = subs.add_parser("verify", help="run the invariant suites over "
                                          "the versioned grid")
-    _add_common(sub, rs_optional=True)
+    _add_common(sub, "verify", rs_optional=True)
     sub.add_argument("--only", default=None,
                      help="restrict to one suite: %s"
                           % ", ".join(_VERIFY_SUITES))
 
     sub = subs.add_parser("gram", help="per-label Gram matrices and ranks")
-    _add_common(sub)
+    _add_common(sub, "gram")
     sub.add_argument("--label", action="append", default=None,
                      help="restrict to this label (repeatable), e.g. "
                           "'f=0,[1]|[1]'")
 
     sub = subs.add_parser("blocks", help="partition of the labels into "
                                          "blocks")
-    _add_common(sub)
+    _add_common(sub, "blocks")
 
     sub = subs.add_parser("semisimple", help="computed vs predicted "
                                              "semisimplicity")
-    _add_common(sub)
+    _add_common(sub, "semisimple")
 
     sub = subs.add_parser("singular", help="basis of one singular weight "
                                            "space of the tensor model")
-    _add_common(sub)
+    _add_common(sub, "singular")
     sub.add_argument("--weight", required=True,
                      help="comma-separated weight, one entry per row, "
                           "e.g. '1,-1'")
 
     sub = subs.add_parser("schur-weyl", help="rank of the algebra image "
                                              "on the tensor space")
-    _add_common(sub)
+    _add_common(sub, "schur-weyl")
 
     sub = subs.add_parser("cache", help="list, clear or prebuild "
                                         "structure-constant caches")
     sub.add_argument("action", choices=("list", "clear", "build"))
-    _add_common(sub, rs_optional=True)
+    _add_common(sub, "cache", rs_optional=True)
 
     return parser
 

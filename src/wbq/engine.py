@@ -25,16 +25,12 @@ certificate moves on to the next prime.  Specialized tables are obtained
 either by specializing a generic table or, for q-power fields with a large
 enough exponent, directly from a coordinate system over that field.
 
-One convention matters for reading this module: solving inside the tensor
-model produces coefficients with q and rho inverted (the action routes
-every element through the coefficient flip (q, rho) -> (q^{-1}, rho^{-1})),
-so a coordinate system's matrices live in that flipped model and the
-inversion is undone exactly once, at the public boundary.  Numeric
-(rational-point or residue) systems cannot undo it and return flipped-model
-coefficients; they are only used inside the interpolation pipeline and for
-rank certificates, where this does not matter.  Coordinate systems and
-tables take their right-multiplication matrices from ``words.WordAction``,
-which states the matrix convention.
+The tensor model acts in the convention of the presentation, so a
+coordinate system's expansions are the cellular coefficients themselves:
+over a field, at a rational point (their values there) and mod a prime
+(their residues).  Coordinate systems and tables take their
+right-multiplication matrices from ``words.WordAction``, which states the
+matrix convention.
 """
 
 import functools
@@ -143,9 +139,7 @@ class CoordinateSystem:
         self.rank = rank
         self.pivots = pivots
         self.pivot_inverse = pivot_inverse
-        self.action = words.WordAction(
-            ctx, len(basis), self._letter_columns,
-            ctx.from_monomial(1, -1, 0) - ctx.from_monomial(1, 1, 0))
+        self.action = words.WordAction(ctx, len(basis), self._letter_columns)
 
     @classmethod
     def build(cls, r, s, seed=0, ctx=None, n=None, support=None,
@@ -242,7 +236,7 @@ class CoordinateSystem:
     # -- solving ----------------------------------------------------------
 
     def _solve(self, coords, check=True):
-        """Raw expansion in the flipped model (no boundary inversion)."""
+        """Expansion of a coordinate vector over the cellular basis."""
         ctx = self.ctx
         xp = [coords[p] for p in self.pivots]
         d = []
@@ -272,20 +266,17 @@ class CoordinateSystem:
         must vanish identically, otherwise ``NotInSpan`` is raised).
 
         ``x`` is a word element or an already-computed coordinate vector.
-        On a symbolic system the coefficients are returned in the ground
-        field itself; a numeric system returns flipped-model rationals.
+        The coefficients are elements of ``ctx``: field values on a symbolic
+        system, their values at the point on a numeric one.
         """
         coords = self.coordinates(x) if isinstance(x, words.WordElement) else x
-        d = self._solve(coords)
-        if isinstance(self.ctx, RationalPointContext):
-            return d
-        return [scalars.flip(v) for v in d]
+        return self._solve(coords)
 
-    # -- right-multiplication matrices in the flipped model ----------------
+    # -- right-multiplication matrices -------------------------------------
 
     def _letter_columns(self, letter):
-        """Flipped-model matrix of a positive letter, read off its action
-        on the stored tensor images of the basis words."""
+        """Matrix of a positive letter, read off its action on the stored
+        tensor images of the basis words."""
         nbasis = len(self.basis)
         cols = []
         for a in range(nbasis):
@@ -295,25 +286,18 @@ class CoordinateSystem:
             cols.append(self._solve(coords, check=False))
         return [[cols[a][c] for a in range(nbasis)] for c in range(nbasis)]
 
-    def element_matrix(self, element):
-        """Right-multiplication matrix of a word element (flipped model)."""
-        return self.action.element(element.flipped())
-
     def products(self):
         """Every nonzero product of two basis words, ``{(a, b): {c: value}}``
         for C_a * C_b, read off the right-multiplication matrix of each
-        C_b.  Values are in ``expand``'s coefficients: the ground field on a
-        symbolic system, flipped-model rationals on a numeric one."""
-        flip = not isinstance(self.ctx, RationalPointContext)
+        C_b, in ``expand``'s coefficients."""
         nbasis = len(self.basis)
         out = {}
         for b in range(nbasis):
-            mat = self.element_matrix(self.basis[b].element)
+            mat = self.action.element(self.basis[b].element)
             for a in range(nbasis):
                 vec = {c: mat[c][a] for c in range(nbasis) if mat[c][a]}
                 if vec:
-                    out[(a, b)] = ({c: scalars.flip(v) for c, v in vec.items()}
-                                   if flip else vec)
+                    out[(a, b)] = vec
         return out
 
 
@@ -358,10 +342,7 @@ class ConstantsTable:
     @functools.cached_property
     def action(self):
         """Right multiplication by word elements on coefficient columns."""
-        ctx = self.ctx
-        return words.WordAction(
-            ctx, self.size, self._letter_columns,
-            ctx.from_monomial(1, 1, 0) - ctx.from_monomial(1, -1, 0))
+        return words.WordAction(self.ctx, self.size, self._letter_columns)
 
     def _letter_columns(self, letter):
         """Matrix of a positive letter, assembled from the table and the
@@ -605,20 +586,13 @@ def _check_denominator_shape(value):
     if lead is None:
         raise OracleMismatch("denominator missing its leading term")
     for i in range(k + 1):
-        want = lead * _binomial(k, i) * (-1) ** i
+        want = lead * math.comb(k, i) * (-1) ** i
         have = by_exp.get(span - 2 * i, Fraction(0))
         if have != want:
             raise OracleMismatch("denominator is not c*q^A*(q^2-1)^K")
     for e in qexps:
         if (e - lo) % 2 != 0:
             raise OracleMismatch("denominator has stray odd q powers")
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _encode_scalar(x):
@@ -644,9 +618,9 @@ def _support_indices(n, r, s):
 
 
 def _node_expansions(r, s, ctx, seed):
-    """All flipped-model expansions at the sample point of ``ctx``, (q, rho)
-    = (t, t^n) with n = ``ctx.rhoexp``: the unit, every generator, and every
-    product of two basis words, as elements of ``ctx``."""
+    """All expansions at the sample point of ``ctx``, (q, rho) = (t, t^n)
+    with n = ``ctx.rhoexp``: the unit, every generator, and every product
+    of two basis words, as elements of ``ctx``."""
     n = ctx.rhoexp
     support = _support_indices(n, r, s)
     try:
@@ -694,9 +668,9 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth, p):
 
 
 def _interpolate_mod(r, s, seed, depth, p, progress):
-    """The numerators of the table over (q - q^{-1})^depth mod p, in the
-    flipped model: ``{(key, c, k, e): residue}`` for the coefficient of
-    q^e rho^k of entry c of ``key``.  The rho-dependence is fitted at each
+    """The numerators of the table over (q - q^{-1})^depth mod p, ``{(key,
+    c, k, e): residue}`` for the coefficient of q^e rho^k of entry c of
+    ``key``.  The rho-dependence is fitted at each
     q-point, then the q-dependence adaptively, adding q-points until three
     extra ones confirm every fit."""
     nodes = [r + s + k for k in range(2 * depth + 1)]
@@ -791,14 +765,12 @@ def _lift(residues, modulus):
 
 
 def _assemble(r, s, seed, depth, coefficients):
-    """The generic table from its flipped-model numerators over
-    (q - q^{-1})^depth, undoing the flip (q, rho) -> (q^{-1}, rho^{-1})."""
-    qdiff_terms = [(depth - 2 * i, 0, (-1) ** i * _binomial(depth, i))
+    """The generic table from its numerators over (q - q^{-1})^depth."""
+    qdiff_terms = [(depth - 2 * i, 0, (-1) ** i * math.comb(depth, i))
                    for i in range(depth + 1)]
-    sign = (-1) ** depth
     num_terms = {}
     for (key, c, k, e), coeff in coefficients.items():
-        num_terms.setdefault((key, c), []).append((-e, -k, sign * coeff))
+        num_terms.setdefault((key, c), []).append((e, k, coeff))
     values = {}
     for (key, c), terms in num_terms.items():
         value = scalars.generic_from_terms(terms, qdiff_terms)

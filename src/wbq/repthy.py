@@ -142,9 +142,7 @@ class CellModule:
         self.provenance = provenance
         self.index_set = index_set
         self.dim = len(index_set)
-        self.action = words.WordAction(
-            ctx, self.dim, letter_source,
-            ctx.from_monomial(1, 1, 0) - ctx.from_monomial(1, -1, 0))
+        self.action = words.WordAction(ctx, self.dim, letter_source)
 
     def check_relations(self):
         """All defining relations hold on the action matrices."""
@@ -261,7 +259,7 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                     raise RankCertificationFailed(
                         "the singular span is not stable at %s"
                         % label_text(label))
-                cols.append([scalars.flip(expr.get(k, ctx.zero()))
+                cols.append([expr.get(k, ctx.zero())
                              for k in range(len(vectors))])
             return [list(row) for row in zip(*cols)]
 
@@ -871,9 +869,8 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
 
     The entries P_a / Q_a are brought over the common denominator, which
     is nonzero, into one ``WordElement`` X = sum_a P_a * prod_{b != a} Q_b
-    * basis[a], with each coefficient flipped because ``act_word`` reads
-    its coefficients in the presentation convention; X kills the tensor
-    space exactly when the combination does."""
+    * basis[a]; X kills the tensor space exactly when the combination
+    does."""
     ctx = FieldContext(spec)
     fractions = [(a, entries[a].to_laurent()) for a in range(len(basis))
                  if entries[a]]
@@ -885,7 +882,7 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
             if b != a and den is not None:
                 num = num * den
         for exp, c in num.items():
-            combination = combination + basis[a].element.scaled(c, -exp)
+            combination = combination + basis[a].element.scaled(c, exp)
     for idx in itertools.product(range(1, n + 1), repeat=r + s):
         image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
                                 combination, n, r, s)

@@ -14,9 +14,9 @@ first two families).
 This module is the only one that knows how a value is stored.  Other modules
 use the operators of ``Scalar``, its truthiness for "nonzero", and the
 functions below: ``monomial`` (with ``zero`` and ``one``), ``specialize``,
-``evaluate`` (the rational value at a point), ``flip``,
-``to_text``/``parse_scalar``, ``generic_terms`` / ``generic_from_terms``
-(an exponent-and-coefficient encoding of generic values), and
+``evaluate`` (the rational value at a point), ``to_text``/``parse_scalar``,
+``generic_terms`` / ``generic_from_terms`` (an exponent-and-coefficient
+encoding of generic values), and
 ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of a ``qpow`` or
 ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
 and the lowering back, on which the tensor action runs.  Changing the
@@ -25,8 +25,8 @@ representation of a field therefore changes this module only.
 Where q and rho go in each field kind is written once, in the private
 ``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
 denominator and builds their quotient in the field.  ``monomial``,
-``Scalar.from_laurent``, ``specialize`` and the generic and ``qpow`` half
-of ``flip`` each build their values through it.
+``Scalar.from_laurent`` and ``specialize`` each build their values
+through it.
 
 An element of Q(zeta_m) (``CycloNum``) is an integer vector of length phi(m)
 over a positive integer denominator coprime to its content, so sums and
@@ -396,17 +396,6 @@ class CycloFrac:
             raise ZeroDivisionError("inverse of zero rho-fraction")
         return CycloFrac(self.m, list(self.den), list(self.num))
 
-    def flip(self):
-        """Apply zeta -> zeta^{-1}, rho -> rho^{-1}: both sides are
-        conjugated and reversed to their common rho-degree."""
-        zero = CycloNum.const(self.m, 0)
-        deg = max(len(self.num), len(self.den))
-
-        def side(c):
-            return [zero] * (deg - len(c)) + [x.galois(-1) for x in reversed(c)]
-
-        return CycloFrac(self.m, side(self.num), side(self.den))
-
     def __repr__(self):
         return "CycloFrac(m=%d, num=%s, den=%s)" % (self.m, list(self.num), list(self.den))
 
@@ -768,18 +757,6 @@ def _rational_terms(x):
     if x.spec.kind == "generic":
         return num, den
     return [((i, 0), c) for (i,), c in num], [((i, 0), c) for (i,), c in den]
-
-
-def flip(x):
-    """The field automorphism q -> q^{-1}, rho -> rho^{-1}."""
-    spec = x.spec
-    if spec.kind in ("generic", "qpow"):
-        num, den = _rational_terms(x)
-        return _substitute(spec, [((-i, -j), c) for (i, j), c in num],
-                           [((-i, -j), c) for (i, j), c in den])
-    if spec.rho_kind == "power":
-        return Scalar(spec, x.rep.galois(-1))
-    return Scalar(spec, x.rep.flip())
 
 
 def quantum_integer(ell, spec):

@@ -4,13 +4,13 @@ The space has basis ``v_{i|j}`` indexed by tuples ``i`` in {1..n}^r and
 ``j`` in {1..n}^s, realized as sparse mappings from index tuples to exact
 coefficients.  The diagram algebra acts on the right by ``act_letters``
 and ``act_word``, which both apply one letter at a time through the
-kernel ``_act``.  The letters only multiply by q^{+-1}, q^{-1} - q and
-q^{2i-n-1}, and add, so over a field (``qpow:n``, or ``cyclo:m`` with
+kernel ``_act``.  The letters only multiply by q^{+-1}, +-(q - q^{-1})
+and q^{2i-n-1}, and add, so over a field (``qpow:n``, or ``cyclo:m`` with
 rho = zeta^a, a = n mod m) the kernel runs on ``scalars.Laurent``
 polynomials in q: the vector's entries are lifted once on entry (an entry
 whose denominator is not a monomial goes in a group of its own, divided
-back in at the end), the word coefficients q^{-a} rho^{-b} become
-q^{-a-nb}, and each output entry is lowered to a field value once.  The
+back in at the end), the word coefficients q^a rho^b become q^{a+nb},
+and each output entry is lowered to a field value once.  The
 Laurent letter constants are built once per n.  At a rational point, or
 its residues mod a prime, the kernel runs on the point's own values with
 constants built once per point and n.  A vector whose context is None
@@ -26,12 +26,10 @@ domains.  The left action never needs rho = q^n, so it also runs over
 ``generic`` and ``cyclo:m`` with rho free, the two fields with no Laurent
 form, on their own values (``_native``).  The matrix of E_i^ell on a
 weight space is built once on the Laurent domain and divided exactly by
-[ell]! in Z[q, q^{-1}].  The letters act in the convention whose braid
-eigenvalues are ``q^{-1}`` and ``-q``.
-``act_word`` takes a ``WordElement`` written in the presentation
-convention (braid eigenvalues ``q`` and ``-q^{-1}``) and always translates
-it by inverting ``q`` and ``rho`` in its coefficients, which is a ring
-isomorphism between the two presentations.
+[ell]! in Z[q, q^{-1}].  The letters act in the convention of
+``words.presentation_relations``: each braid letter has eigenvalues ``q``
+and ``-q^{-1}``, so ``act_word`` reads a ``WordElement``'s coefficients as
+written.
 
 Index tuples list ``i_1..i_r`` then ``j_1..j_s``.  Physically the slots of
 the tensor product run ``v_{i_r}, ..., v_{i_1}, w_{j_1}, ..., w_{j_s}``
@@ -250,12 +248,13 @@ def _lower(ctx, den, entries, out):
 def _act(entries, letter, n, r, s, consts):
     """Apply one letter to a coefficient dict and return the new dict.
 
-    A braid letter scales an equal slot pair by q^{-1} and swaps an unequal
-    one, which keeps (q^{-1} - q) times itself when ascending (the left
-    factors are written in reversed slot order).  Its inverse, g + (q -
-    q^{-1}), scales by q and keeps (q - q^{-1}) times a descending pair.
+    A braid letter scales an equal slot pair by q and swaps an unequal one,
+    which keeps (q - q^{-1}) times itself when descending (the left factors
+    are written in reversed slot order).  Its inverse, g - (q - q^{-1}),
+    scales by q^{-1} and keeps (q^{-1} - q) times an ascending pair.  These
+    lines are the only place that knows the braid eigenvalues.
     """
-    qinv, qpos, desc, shift, weights = consts
+    qinv, qpos, down, up, weights = consts
     kind = letter[0]
     out = {}
     if kind in ("g", "gi", "gs", "gsi"):
@@ -269,9 +268,9 @@ def _act(entries, letter, n, r, s, consts):
                 raise IndexOutOfRange("g*_%d needs 1 <= %d <= s-1 = %d" % (k, k, s - 1))
             p = r + k - 1
         if kind in ("g", "gs"):
-            same, ascending, descending = qinv, desc, None
+            same, ascending, descending = qpos, None, up
         else:
-            same, ascending, descending = qpos, None, shift
+            same, ascending, descending = qinv, down, None
         for idx, coeff in entries.items():
             a, b = idx[p], idx[p + 1]
             if a == b:
@@ -315,16 +314,15 @@ def act_letters(v, letters, n, r, s):
 
 
 def act_word(v, element, n, r, s):
-    """Right action of a ``WordElement`` in the presentation convention:
-    each coefficient is rewritten by q -> q^{-1}, rho -> rho^{-1} before it
-    scales the image of its word."""
+    """Right action of a ``WordElement``: each coefficient, read as
+    written with rho = q^n, scales the image of its word."""
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
     monomial = _monomials(ctx, n)
     terms = []
     for word, bucket in element.terms.items():
-        coeff = reduce(operator.add, [monomial(c, -a, -b)
+        coeff = reduce(operator.add, [monomial(c, a, b)
                                       for (a, b), c in bucket.items()])
         if coeff:
             terms.append((word, coeff))

@@ -110,13 +110,6 @@ class WordElement:
                 self._merge(out, rev, exps, c)
         return WordElement(out)
 
-    def flipped(self):
-        """Apply q -> q^{-1}, rho -> rho^{-1} to every coefficient."""
-        out = {}
-        for word, bucket in self.terms.items():
-            out[word] = {(-a, -b): c for (a, b), c in bucket.items()}
-        return WordElement(out)
-
     def monomials(self):
         """Iterate over (word, coeff, qexp, rhoexp) monomial terms."""
         for word, bucket in sorted(self.terms.items()):
@@ -146,15 +139,16 @@ class WordAction:
     is the coefficient of basis vector ``c`` in ``(basis vector a) * x``,
     so the matrix of ``x * y`` is ``M(y) M(x)``.  An inverse letter comes
     from the quadratic relation g^2 = (q - q^{-1}) g + 1 as
-    ``M(g^{-1}) = M(g) - shift * I``, where ``shift`` is q - q^{-1} written
-    in the caller's coefficients.  Word matrices are memoised by prefix.
+    ``M(g^{-1}) = M(g) - (q - q^{-1}) I``.  Every source, the tensor space
+    included, acts in this one convention, and coefficients are read in
+    ``ctx`` as written.  Word matrices are memoised by prefix.
     """
 
-    def __init__(self, ctx, dim, source, shift):
+    def __init__(self, ctx, dim, source):
         self.ctx = ctx
         self.dim = dim
         self._source = source
-        self._shift = shift
+        self._shift = ctx.from_monomial(1, 1, 0) - ctx.from_monomial(1, -1, 0)
         self._letters = {}
         self._words = {(): None}
 

@@ -49,12 +49,33 @@ def test_usage_errors_exit_one_with_single_line_reason():
         ["cache", "build", "--r", "1", "--s", "1", "--field", "qpow:2"],
         ["gram", "--r", "1", "--s", "1", "--label", "f=9,[9]|[9]"],
         ["nonsense"],
+        # a flag the command does not read is rejected, not ignored
+        ["decomp", "--r", "1", "--s", "1", "--n", "7"],
+        ["gram", "--r", "1", "--s", "1", "--n", "2"],
+        ["blocks", "--r", "1", "--s", "1", "--n", "2"],
+        ["semisimple", "--r", "1", "--s", "1", "--n", "2"],
+        ["cache", "list", "--n", "2"],
+        ["schur-weyl", "--r", "1", "--s", "1", "--field", "cyclo:3"],
+        ["schur-weyl", "--r", "1", "--s", "1", "--seed", "1"],
+        ["schur-weyl", "--r", "1", "--s", "1", "--cache-dir", "x"],
+        ["singular", "--r", "1", "--s", "1", "--weight", "1,-1",
+         "--seed", "1"],
+        ["singular", "--r", "1", "--s", "1", "--weight", "1,-1",
+         "--cache-dir", "x"],
+        ["verify", "--field", "generic"],
+        ["verify", "--n", "2"],
+        ["verify", "--seed", "1"],
+        ["verify", "--cache-dir", "x"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
         assert code == 1, argv
         assert len(err.strip().splitlines()) == 1, (argv, err)
         assert "Traceback" not in err, argv
+    # a rejected format names every format the command takes
+    code, out, err = run_cli(["verify", "--output", "latex"])
+    assert code == 1
+    assert "table" in err and "json" in err, err
 
 
 def test_decomp_b11_at_rho_one_quantum_characteristic_two():
@@ -108,6 +129,8 @@ def test_verify_output_independent_of_pool_size():
     lone = run_cli(argv)
     assert lone[0] == 0
     assert lone[1] == "PASS semisimple:r1s1\n"
+    # the default format can also be named
+    assert run_cli(argv + ["--output", "table"]) == lone
 
 
 def test_decomp_latex_and_csv_formats():

@@ -84,6 +84,29 @@ def test_expand_undoes_the_internal_parameter_flip():
         assert not value
 
 
+def test_numeric_expansions_are_the_values_of_the_symbolic_ones():
+    # a coordinate system at the rational point (q, rho) = (t, t^(r+s))
+    # expands into the values there of the field coefficients
+    W = words.WordElement.from_word
+    for r, s in ((2, 1), (1, 2)):
+        symbolic = engine.CoordinateSystem.build(r, s)
+        braid = engine.generator_letters(r, s)[1]
+        inverse = (braid[0] + "i", braid[1])
+        elements = [
+            W((braid,), 1, 1, 0),
+            W((words.E1,), 2, 0, -1) + W((braid, words.E1), -1, -2, 1),
+            W((inverse, words.E1, braid), 3, 1, 1) + W((), 1, 0, 2),
+            symbolic.basis[3].element.scaled(Fraction(1, 2), -1, 1),
+        ]
+        for t in (2, 3):
+            numeric = engine.CoordinateSystem.build(
+                r, s, ctx=RationalPointContext(t, r + s))
+            for x in elements:
+                assert numeric.expand(x) == [scalars.evaluate(v, t)
+                                             for v in symbolic.expand(x)], (
+                    r, s, t, x)
+
+
 def test_expand_e_squared_is_delta():
     system = engine.CoordinateSystem.build(1, 1)
     e_sq = words.WordElement.from_word((words.E1, words.E1))

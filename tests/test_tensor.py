@@ -63,23 +63,23 @@ def test_braid_action_cases():
     n, r, s = 3, 2, 1
     equal = TensorVector.basis(ctx, (2, 2, 1))
     assert tensor.act_letters(equal, [("g", 1)], n, r, s) == _combine(
-        ctx, (_mono(ctx, 1, -1), equal)
-    )
-    descending = TensorVector.basis(ctx, (3, 1, 1))
-    assert tensor.act_letters(descending, [("g", 1)], n, r, s) == (
-        TensorVector.basis(ctx, (1, 3, 1))
+        ctx, (_mono(ctx, 1, 1), equal)
     )
     ascending = TensorVector.basis(ctx, (1, 3, 1))
-    got = tensor.act_letters(ascending, [("g", 1)], n, r, s)
-    correction = _mono(ctx, 1, -1) - _mono(ctx, 1, 1)
-    expected = _combine(ctx, (ctx.one(), TensorVector.basis(ctx, (3, 1, 1))),
-                        (correction, ascending))
+    assert tensor.act_letters(ascending, [("g", 1)], n, r, s) == (
+        TensorVector.basis(ctx, (3, 1, 1))
+    )
+    descending = TensorVector.basis(ctx, (3, 1, 1))
+    got = tensor.act_letters(descending, [("g", 1)], n, r, s)
+    correction = _mono(ctx, 1, 1) - _mono(ctx, 1, -1)
+    expected = _combine(ctx, (ctx.one(), TensorVector.basis(ctx, (1, 3, 1))),
+                        (correction, descending))
     assert got == expected
     # the right-hand braid letters use the same orientation on j-entries
     ctx13 = _ctx(3)
-    desc_j = TensorVector.basis(ctx13, (1, 3, 1))
-    assert tensor.act_letters(desc_j, [("gs", 1)], 3, 1, 2) == TensorVector.basis(
-        ctx13, (1, 1, 3)
+    asc_j = TensorVector.basis(ctx13, (1, 1, 3))
+    assert tensor.act_letters(asc_j, [("gs", 1)], 3, 1, 2) == TensorVector.basis(
+        ctx13, (1, 3, 1)
     )
 
 
@@ -151,7 +151,7 @@ def test_act_word_conventions():
     v = TensorVector.basis(ctx, (1, 2))
     q_unit = words.WordElement.unit(1, 1, 0)
     assert tensor.act_word(v, q_unit, 2, 1, 1) == _combine(
-        ctx, (_mono(ctx, 1, -1), v))
+        ctx, (_mono(ctx, 1, 1), v))
 
 
 def _all_letters(r, s):
@@ -165,7 +165,6 @@ def _reference_act_generator(v, x, n, r, s):
     ctx = v.ctx
     qinv = ctx.from_monomial(1, -1)
     qpos = ctx.from_monomial(1, 1)
-    desc = qinv - qpos
     shift = qpos - qinv
     out = {}
 
@@ -178,25 +177,25 @@ def _reference_act_generator(v, x, n, r, s):
         for idx, coeff in v.entries.items():
             a, b = idx[k - 1], idx[k]
             if a == b:
-                accum(idx, coeff * qinv)
+                accum(idx, coeff * qpos)
             else:
                 accum(idx[: k - 1] + (b, a) + idx[k + 1 :], coeff)
-                if a < b:
-                    accum(idx, coeff * desc)
+                if a > b:
+                    accum(idx, coeff * shift)
             if kind == "gi":
-                accum(idx, coeff * shift)
+                accum(idx, -coeff * shift)
     elif kind in ("gs", "gsi"):
         p = r + x[1] - 1
         for idx, coeff in v.entries.items():
             a, b = idx[p], idx[p + 1]
             if a == b:
-                accum(idx, coeff * qinv)
+                accum(idx, coeff * qpos)
             else:
                 accum(idx[:p] + (b, a) + idx[p + 2 :], coeff)
-                if a < b:
-                    accum(idx, coeff * desc)
+                if a > b:
+                    accum(idx, coeff * shift)
             if kind == "gsi":
-                accum(idx, coeff * shift)
+                accum(idx, -coeff * shift)
     else:
         for idx, coeff in v.entries.items():
             if idx[0] != idx[r]:
@@ -214,7 +213,7 @@ def _reference_act_word(v, element, n, r, s):
         w = v
         for letter in word:
             w = _reference_act_generator(w, letter, n, r, s)
-        terms.append((ctx.from_monomial(c, -a, -b), w))
+        terms.append((ctx.from_monomial(c, a, b), w))
     return _combine(ctx, *terms)
 
 
@@ -336,7 +335,7 @@ def _scalar_act_word(v, element, n, r, s):
     consts = _scalar_constants(ctx, n)
     out = {}
     for word, bucket in element.terms.items():
-        coeff = reduce(operator.add, [ctx.from_monomial(c, -a, -b)
+        coeff = reduce(operator.add, [ctx.from_monomial(c, a, b)
                                       for (a, b), c in bucket.items()])
         if not coeff:
             continue

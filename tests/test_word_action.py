@@ -14,7 +14,7 @@ def _source(name):
     """(ctx, letter matrix, element matrix) of one kernel caller."""
     if name == "coordinates":
         system = engine.CoordinateSystem.build(2, 1)
-        return system.ctx, system.action.letter, system.element_matrix
+        return system.ctx, system.action.letter, system.action.element
     tab = engine.structure_constants(2, 2, "qpow:4")
     if name == "table":
         return tab.ctx, tab.action.letter, tab.action.element
