@@ -1,8 +1,14 @@
 """Batch command line front end.
 
-Every subcommand parses and validates its whole configuration before any
-computation starts; a rejected configuration exits with code 1 and a
-single-line reason.  Results go to standard output (or ``--out``), always
+Every subcommand validates its whole configuration before any computation
+starts, in two stages: argparse checks each argument on its own (the
+``type=`` callables ``_positive``, ``_field`` and ``_weight``, and
+``choices``), and the top of each handler checks what spans arguments
+(the ``--weight`` length against n, ``--r`` with ``--s``, the labels of
+``gram``, the shape and field of ``cache build``).  A rejected
+configuration exits with code 1 and a single-line reason.  The command
+set, with each command's handler, formats and arguments, is written once,
+in ``_COMMANDS``.  Results go to standard output (or ``--out``), always
 in a deterministic byte order, while progress chatter is confined to
 standard error.  Exit codes: 0 for success, 1 for usage or environment
 problems, 2 when a computation contradicts one of the built-in oracles.
@@ -33,32 +39,6 @@ EXIT_MISMATCH = 2
 _MISMATCH_ERRORS = (OracleMismatch, IntegralityViolation,
                     TraceSystemSingular)
 
-_OUTPUTS = {
-    "decomp": ("json", "latex", "csv"),
-    "verify": ("table", "json"),
-    "gram": ("json", "csv"),
-    "blocks": ("json",),
-    "semisimple": ("json",),
-    "singular": ("json",),
-    "schur-weyl": ("json",),
-    "cache": ("json",),
-}
-
-# The shared flags each command reads, besides --r, --s, --output and --out.
-_FLAGS = {
-    "decomp": ("field", "seed", "cache-dir"),
-    "verify": (),
-    "gram": ("field", "seed", "cache-dir"),
-    "blocks": ("field", "seed", "cache-dir"),
-    "semisimple": ("field", "seed", "cache-dir"),
-    "singular": ("field", "n"),
-    "schur-weyl": ("n",),
-    "cache": ("field", "seed", "cache-dir"),
-}
-
-_VERIFY_SUITES = ("relations", "schur-weyl", "singular", "semisimple",
-                  "blocks1", "einfty")
-
 
 class UsageError(Exception):
     """A configuration problem reported as a one-line reason, exit 1."""
@@ -79,89 +59,34 @@ def _progress(message):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# argument types: each rejects a bad value through the parser's error
 # ---------------------------------------------------------------------------
 
-class JobConfig:
-    """A fully validated run: shared parameters plus per-command options."""
+def _positive(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %r" % text)
+    return value
 
-    __slots__ = ("command", "r", "s", "field", "n", "seed", "cache_dir",
-                 "output", "out", "options")
 
-    def __init__(self, command, r=None, s=None, field=None, n=None, seed=0,
-                 cache_dir=None, output="json", out=None, options=None):
-        self.command = command
-        self.r = r
-        self.s = s
-        self.field = field
-        self.n = n
-        self.seed = seed
-        self.cache_dir = cache_dir
-        self.output = output
-        self.out = out
-        self.options = options or {}
+def _field(text):
+    try:
+        return FieldSpec.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            "malformed field expression: %s" % exc)
 
-    @classmethod
-    def from_args(cls, args):
-        command = args.command
-        r = getattr(args, "r", None)
-        s = getattr(args, "s", None)
-        for name, value in (("r", r), ("s", s)):
-            if value is not None and value < 1:
-                raise UsageError("--%s must be a positive integer" % name)
-        field = None
-        if getattr(args, "field", None) is not None:
-            try:
-                field = FieldSpec.from_string(args.field)
-            except ValueError as exc:
-                raise UsageError("malformed field expression: %s" % exc)
-        n = getattr(args, "n", None)
-        if n is None and r is not None and s is not None:
-            n = r + s
-        if n is not None and n < 1:
-            raise UsageError("--n must be a positive integer")
-        config = cls(command, r=r, s=s, field=field, n=n,
-                     seed=getattr(args, "seed", 0),
-                     cache_dir=getattr(args, "cache_dir", None),
-                     output=args.output, out=args.out)
-        config._validate_options(args)
-        return config
 
-    def _validate_options(self, args):
-        if self.command == "singular":
-            text = args.weight
-            try:
-                weight = tuple(int(part) for part in text.split(","))
-            except ValueError:
-                raise UsageError("--weight must be a comma-separated list "
-                                 "of integers")
-            if len(weight) != self.n:
-                raise UsageError("--weight needs exactly n=%d entries, got "
-                                 "%d" % (self.n, len(weight)))
-            self.options["weight"] = weight
-        elif self.command == "verify":
-            only = getattr(args, "only", None)
-            if only is not None and only not in _VERIFY_SUITES:
-                raise UsageError("unknown suite %r (choose from %s)"
-                                 % (only, ", ".join(_VERIFY_SUITES)))
-            if (self.r is None) != (self.s is None):
-                raise UsageError("--r and --s must be given together")
-            self.options["only"] = only
-        elif self.command == "gram":
-            self.options["labels"] = getattr(args, "label", None)
-        elif self.command == "cache":
-            action = args.action
-            self.options["action"] = action
-            if action == "build":
-                if self.r is None or self.s is None:
-                    raise UsageError("cache build needs --r and --s")
-                if self.field is not None and self.field.kind != "generic":
-                    raise UsageError("only the generic table is cached; "
-                                     "drop --field or pass generic")
-
-    @property
-    def spec(self):
-        return self.field if self.field is not None else FieldSpec.generic()
+def _weight(text):
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be a comma-separated list of integers, got %r" % text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +97,9 @@ def _dump_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config, text):
-    if config.out:
-        with open(config.out, "w") as handle:
+def _emit(args, text):
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -184,18 +109,18 @@ def _emit(config, text):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_decomp(config):
-    result = repthy.analyze(config.r, config.s, field=config.spec,
-                            seed=config.seed, cache_dir=config.cache_dir)
-    if config.output == "latex":
+def cmd_decomp(args):
+    result = repthy.analyze(args.r, args.s, field=args.field,
+                            seed=args.seed, cache_dir=args.cache_dir)
+    if args.output == "latex":
         text = repthy.result_to_latex(result)
-    elif config.output == "csv":
+    elif args.output == "csv":
         text = repthy.result_to_csv(result)
     else:
         payload = dict(result)
         payload["kind"] = "decomposition"
         text = _dump_json(payload)
-    _emit(config, text)
+    _emit(args, text)
     violations = repthy.oracle_violations(result)
     if violations:
         sys.stderr.write("oracle mismatch: %s\n" % ",".join(violations))
@@ -203,24 +128,23 @@ def cmd_decomp(config):
     return EXIT_OK
 
 
-def cmd_gram(config):
-    spec = config.spec
-    table = engine.structure_constants(
-        config.r, config.s, mode=spec,
-        seed=config.seed, cache_dir=config.cache_dir)
-    labels = list(combinat.enumerate_labels(config.r, config.s))
-    wanted = config.options.get("labels")
-    if wanted:
-        known = {repthy.label_text(label): label for label in labels}
-        missing = [text for text in wanted if text not in known]
+def cmd_gram(args):
+    known = {repthy.label_text(label): label
+             for label in combinat.enumerate_labels(args.r, args.s)}
+    labels = list(known.values())
+    if args.label:
+        missing = [text for text in args.label if text not in known]
         if missing:
             raise UsageError("unknown label %r (known: %s)"
                              % (missing[0], "; ".join(sorted(known))))
-        labels = [label for label in labels
-                  if repthy.label_text(label) in set(wanted)]
+        labels = [label for text, label in known.items()
+                  if text in args.label]
+    table = engine.structure_constants(
+        args.r, args.s, mode=args.field,
+        seed=args.seed, cache_dir=args.cache_dir)
     rows = []
     for label in labels:
-        gram = repthy.gram_matrix(config.r, config.s, label, table=table)
+        gram = repthy.gram_matrix(args.r, args.s, label, table=table)
         rows.append({
             "label": repthy.label_text(label),
             "dimension": gram.dim,
@@ -228,7 +152,7 @@ def cmd_gram(config):
             "matrix": [[scalars.to_text(value) for value in row]
                        for row in gram.entries],
         })
-    if config.output == "csv":
+    if args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "dimension", "rank"])
@@ -236,48 +160,50 @@ def cmd_gram(config):
             writer.writerow([row["label"], row["dimension"], row["rank"]])
         text = buf.getvalue()
     else:
-        text = _dump_json({"kind": "gram", "r": config.r, "s": config.s,
-                           "field": spec.to_string(), "labels": rows})
-    _emit(config, text)
+        text = _dump_json({"kind": "gram", "r": args.r, "s": args.s,
+                           "field": args.field.to_string(), "labels": rows})
+    _emit(args, text)
     return EXIT_OK
 
 
-def cmd_blocks(config):
-    partition = repthy.blocks(config.r, config.s, field=config.spec,
-                              seed=config.seed, cache_dir=config.cache_dir)
+def cmd_blocks(args):
+    partition = repthy.blocks(args.r, args.s, field=args.field,
+                              seed=args.seed, cache_dir=args.cache_dir)
     payload = {
         "kind": "blocks",
-        "r": config.r,
-        "s": config.s,
-        "field": config.spec.to_string(),
+        "r": args.r,
+        "s": args.s,
+        "field": args.field.to_string(),
         "blocks": [[repthy.label_text(label) for label in block]
                    for block in partition],
     }
-    _emit(config, _dump_json(payload))
+    _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
-def cmd_semisimple(config):
+def cmd_semisimple(args):
     computed, predicted = repthy.semisimplicity(
-        config.r, config.s, field=config.spec, seed=config.seed,
-        cache_dir=config.cache_dir)
+        args.r, args.s, field=args.field, seed=args.seed,
+        cache_dir=args.cache_dir)
     payload = {
         "kind": "semisimple",
-        "r": config.r,
-        "s": config.s,
-        "field": config.spec.to_string(),
+        "r": args.r,
+        "s": args.s,
+        "field": args.field.to_string(),
         "computed": computed,
         "predicted": predicted,
     }
-    _emit(config, _dump_json(payload))
+    _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
-def cmd_singular(config):
-    weight = config.options["weight"]
-    spec = config.spec
-    vectors = tensor.singular_space(weight, config.n, config.r, config.s,
-                                    spec=spec)
+def cmd_singular(args):
+    n = args.n or args.r + args.s
+    if len(args.weight) != n:
+        raise UsageError("--weight needs exactly n=%d entries, got %d"
+                         % (n, len(args.weight)))
+    vectors = tensor.singular_space(args.weight, n, args.r, args.s,
+                                    spec=args.field)
     basis = []
     for vec in vectors:
         basis.append([
@@ -286,44 +212,48 @@ def cmd_singular(config):
         ])
     payload = {
         "kind": "singular",
-        "r": config.r,
-        "s": config.s,
-        "n": config.n,
-        "field": spec.to_string(),
-        "weight": list(weight),
+        "r": args.r,
+        "s": args.s,
+        "n": n,
+        "field": args.field.to_string(),
+        "weight": list(args.weight),
         "dimension": len(vectors),
         "basis": basis,
     }
-    _emit(config, _dump_json(payload))
+    _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
-def cmd_schur_weyl(config):
-    rank = repthy.schur_weyl_rank(config.n, config.r, config.s)
-    order = math.factorial(config.r + config.s)
+def cmd_schur_weyl(args):
+    n = args.n or args.r + args.s
+    rank = repthy.schur_weyl_rank(n, args.r, args.s)
+    order = math.factorial(args.r + args.s)
     payload = {
         "kind": "schur_weyl",
-        "n": config.n,
-        "r": config.r,
-        "s": config.s,
+        "n": n,
+        "r": args.r,
+        "s": args.s,
         "rank": rank,
         "order": order,
         "equal": rank == order,
     }
-    _emit(config, _dump_json(payload))
+    _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
-def cmd_cache(config):
-    action = config.options["action"]
-    directory = engine.cache_directory(config.cache_dir)
-    if action == "build":
-        path = engine.cache_path(config.r, config.s, config.cache_dir)
+def cmd_cache(args):
+    if args.action == "build":
+        if args.r is None or args.s is None:
+            raise UsageError("cache build needs --r and --s")
+        if args.field.kind != "generic":
+            raise UsageError("only the generic table is cached; "
+                             "drop --field or pass generic")
+        path = engine.cache_path(args.r, args.s, args.cache_dir)
         existed = os.path.exists(path)
         if not existed:
             # built, not resolved: a bundled table must not stand in
-            table = engine.build_generic_table(config.r, config.s,
-                                               config.seed, _progress)
+            table = engine.build_generic_table(args.r, args.s,
+                                               args.seed, _progress)
             engine.save_table(table, path)
         payload = {
             "kind": "cache",
@@ -333,12 +263,13 @@ def cmd_cache(config):
             "bytes": os.path.getsize(path),
         }
     else:
+        directory = engine.cache_directory(args.cache_dir)
         names = []
         if os.path.isdir(directory):
             names = sorted(name for name in os.listdir(directory)
                            if name.startswith("constants_")
                            and name.endswith(".json"))
-        if action == "clear":
+        if args.action == "clear":
             for name in names:
                 os.unlink(os.path.join(directory, name))
             payload = {"kind": "cache", "action": "clear",
@@ -353,7 +284,7 @@ def cmd_cache(config):
                                os.path.join(directory, name))}
                           for name in names],
             }
-    _emit(config, _dump_json(payload))
+    _emit(args, _dump_json(payload))
     return EXIT_OK
 
 
@@ -421,6 +352,7 @@ def _check_einfty(r, s):
     return (True, "")
 
 
+# The verify suites, in canonical order.
 _SUITE_RUNNERS = {
     "relations": _check_relations,
     "schur-weyl": _check_schur_weyl,
@@ -431,54 +363,29 @@ _SUITE_RUNNERS = {
 }
 
 
-def verify_checks(shapes, only=None):
-    """The (identifier, thunk) list for a verify run, in canonical order."""
-    suites = [only] if only else list(_VERIFY_SUITES)
+def cmd_verify(args):
+    """Run each suite on each shape; a ``WbqError`` fails only its check."""
+    if (args.r is None) != (args.s is None):
+        raise UsageError("--r and --s must be given together")
+    shapes = [(args.r, args.s)] if args.r else [(1, 1), (1, 2), (2, 1)]
     checks = []
-    for suite in suites:
-        runner = _SUITE_RUNNERS[suite]
+    for suite in [args.only] if args.only else _SUITE_RUNNERS:
         for (r, s) in shapes:
-            identifier = "%s:r%ds%d" % (suite, r, s)
-            checks.append((identifier,
-                           (lambda fn=runner, a=r, b=s: fn(a, b))))
-    return checks
-
-
-def _guarded(fn):
-    try:
-        ok, detail = fn()
-        return (bool(ok), detail)
-    except WbqError as exc:
-        return (False, "%s: %s" % (type(exc).__name__, exc))
-
-
-def cmd_verify(config):
-    if config.r is not None:
-        shapes = [(config.r, config.s)]
+            try:
+                ok, detail = _SUITE_RUNNERS[suite](r, s)
+            except WbqError as exc:
+                ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
+            checks.append({"id": "%s:r%ds%d" % (suite, r, s),
+                           "ok": bool(ok), "detail": detail})
+    failures = [check["id"] for check in checks if not check["ok"]]
+    if args.output == "json":
+        _emit(args, _dump_json({"kind": "verify", "checks": checks,
+                                "failures": failures}))
     else:
-        shapes = [(r, s) for total in (2, 3)
-                  for r in range(1, total) for s in (total - r,)]
-    checks = verify_checks(shapes, only=config.options.get("only"))
-    results = [_guarded(fn) for _, fn in checks]
-    failures = []
-    lines = []
-    for (identifier, _), (ok, detail) in zip(checks, results):
-        if ok:
-            lines.append("PASS %s" % identifier)
-        else:
-            lines.append("FAIL %s  (%s)" % (identifier, detail))
-            failures.append(identifier)
-    if config.output == "json":
-        payload = {
-            "kind": "verify",
-            "checks": [{"id": identifier, "ok": ok, "detail": detail}
-                       for (identifier, _), (ok, detail)
-                       in zip(checks, results)],
-            "failures": failures,
-        }
-        _emit(config, _dump_json(payload))
-    else:
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "".join(
+            "PASS %s\n" % check["id"] if check["ok"]
+            else "FAIL %s  (%s)\n" % (check["id"], check["detail"])
+            for check in checks))
     if failures:
         sys.stderr.write("failed: %s\n" % ",".join(failures))
         return EXIT_MISMATCH
@@ -489,33 +396,62 @@ def cmd_verify(config):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, command, rs_optional=False):
-    """The shared options of ``command``: --r and --s, the flags it reads
-    from ``_FLAGS``, and --output (first format of ``_OUTPUTS`` by
-    default) and --out."""
-    flags = _FLAGS[command]
-    sub.add_argument("--r", type=int, required=not rs_optional,
-                     help="number of left tensor factors")
-    sub.add_argument("--s", type=int, required=not rs_optional,
-                     help="number of right (dual) tensor factors")
-    if "field" in flags:
-        sub.add_argument("--field", default=None,
-                         help="generic | qpow:<a> | "
-                              "cyclo:<m>[,rho=zeta^<a>|rho=free]")
-    if "n" in flags:
-        sub.add_argument("--n", type=int, default=None,
-                         help="rows of the tensor model (default r+s)")
-    if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for randomized certificates")
-    if "cache-dir" in flags:
-        sub.add_argument("--cache-dir", default=None,
-                         help="structure-constant cache directory "
-                              "(default $WBQ_CACHE_DIR)")
-    sub.add_argument("--output", choices=_OUTPUTS[command],
-                     default=_OUTPUTS[command][0], help="output format")
-    sub.add_argument("--out", default=None,
-                     help="write the result to this file instead of stdout")
+# The add_argument settings of every argument a command may take.
+_ARGUMENTS = {
+    "action": dict(choices=("list", "clear", "build")),
+    "--r": dict(type=_positive, required=True,
+                help="number of left tensor factors"),
+    "--s": dict(type=_positive, required=True,
+                help="number of right (dual) tensor factors"),
+    "--field": dict(type=_field, default=FieldSpec.generic(),
+                    help="generic | qpow:<a> | "
+                         "cyclo:<m>[,rho=zeta^<a>|rho=free]"),
+    "--n": dict(type=_positive,
+                help="rows of the tensor model (default r+s)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for randomized certificates"),
+    "--cache-dir": dict(help="structure-constant cache directory "
+                             "(default $WBQ_CACHE_DIR)"),
+    "--only": dict(choices=tuple(_SUITE_RUNNERS),
+                   help="restrict to one suite"),
+    "--label": dict(action="append",
+                    help="restrict to this label (repeatable), e.g. "
+                         "'f=0,[1]|[1]'"),
+    "--weight": dict(type=_weight, required=True,
+                     help="comma-separated weight, one entry per row, "
+                          "e.g. '1,-1'"),
+}
+
+_SHAPE = ("--r", "--s")
+# what a command that resolves a structure-constant table reads
+_TABLE = ("--field", "--seed", "--cache-dir")
+
+# Each command: its handler, its help text, its output formats (the first
+# is the default) and the arguments of ``_ARGUMENTS`` it takes besides
+# --output and --out.  A name ending in "?" is optional on that command.
+_COMMANDS = {
+    "decomp": (cmd_decomp, "decomposition matrix with Gram ranks, blocks "
+                           "and oracle checks",
+               ("json", "latex", "csv"), _SHAPE + _TABLE),
+    "verify": (cmd_verify, "run the invariant suites over the versioned "
+                           "grid",
+               ("table", "json"), ("--r?", "--s?", "--only")),
+    "gram": (cmd_gram, "per-label Gram matrices and ranks",
+             ("json", "csv"), _SHAPE + _TABLE + ("--label",)),
+    "blocks": (cmd_blocks, "partition of the labels into blocks",
+               ("json",), _SHAPE + _TABLE),
+    "semisimple": (cmd_semisimple, "computed vs predicted semisimplicity",
+                   ("json",), _SHAPE + _TABLE),
+    "singular": (cmd_singular, "basis of one singular weight space of the "
+                               "tensor model",
+                 ("json",), _SHAPE + ("--field", "--n", "--weight")),
+    "schur-weyl": (cmd_schur_weyl, "rank of the algebra image on the "
+                                   "tensor space",
+                   ("json",), _SHAPE + ("--n",)),
+    "cache": (cmd_cache, "list, clear or prebuild structure-constant "
+                         "caches",
+              ("json",), ("action", "--r?", "--s?") + _TABLE),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,61 +464,20 @@ def build_parser():
                     "algebras.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="command")
-
-    sub = subs.add_parser("decomp", help="decomposition matrix with Gram "
-                                         "ranks, blocks and oracle checks")
-    _add_common(sub, "decomp")
-
-    sub = subs.add_parser("verify", help="run the invariant suites over "
-                                         "the versioned grid")
-    _add_common(sub, "verify", rs_optional=True)
-    sub.add_argument("--only", default=None,
-                     help="restrict to one suite: %s"
-                          % ", ".join(_VERIFY_SUITES))
-
-    sub = subs.add_parser("gram", help="per-label Gram matrices and ranks")
-    _add_common(sub, "gram")
-    sub.add_argument("--label", action="append", default=None,
-                     help="restrict to this label (repeatable), e.g. "
-                          "'f=0,[1]|[1]'")
-
-    sub = subs.add_parser("blocks", help="partition of the labels into "
-                                         "blocks")
-    _add_common(sub, "blocks")
-
-    sub = subs.add_parser("semisimple", help="computed vs predicted "
-                                             "semisimplicity")
-    _add_common(sub, "semisimple")
-
-    sub = subs.add_parser("singular", help="basis of one singular weight "
-                                           "space of the tensor model")
-    _add_common(sub, "singular")
-    sub.add_argument("--weight", required=True,
-                     help="comma-separated weight, one entry per row, "
-                          "e.g. '1,-1'")
-
-    sub = subs.add_parser("schur-weyl", help="rank of the algebra image "
-                                             "on the tensor space")
-    _add_common(sub, "schur-weyl")
-
-    sub = subs.add_parser("cache", help="list, clear or prebuild "
-                                        "structure-constant caches")
-    sub.add_argument("action", choices=("list", "clear", "build"))
-    _add_common(sub, "cache", rs_optional=True)
-
+    for command, (handler, text, outputs, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        sub.set_defaults(handler=handler)
+        for name in names:
+            settings = dict(_ARGUMENTS[name.rstrip("?")])
+            if name.endswith("?"):
+                settings["required"] = False
+            sub.add_argument(name.rstrip("?"), **settings)
+        sub.add_argument("--output", choices=outputs, default=outputs[0],
+                         help="output format")
+        sub.add_argument("--out",
+                         help="write the result to this file instead of "
+                              "stdout")
     return parser
-
-
-_DISPATCH = {
-    "decomp": cmd_decomp,
-    "verify": cmd_verify,
-    "gram": cmd_gram,
-    "blocks": cmd_blocks,
-    "semisimple": cmd_semisimple,
-    "singular": cmd_singular,
-    "schur-weyl": cmd_schur_weyl,
-    "cache": cmd_cache,
-}
 
 
 def main(argv=None):
@@ -591,12 +486,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = JobConfig.from_args(args)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
-    try:
-        return _DISPATCH[config.command](config)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

@@ -57,15 +57,10 @@ from .tensor import TensorVector, act_letters, act_word, weight_of_index, weight
 FORMAT_VERSION = 1
 
 
-_BASIS_MEMO = {}
-
-
+@functools.lru_cache(maxsize=None)
 def cell_basis(r, s):
     """Memoized canonical cellular basis of B_{r,s}."""
-    key = (r, s)
-    if key not in _BASIS_MEMO:
-        _BASIS_MEMO[key] = tuple(words.cell_basis(r, s))
-    return _BASIS_MEMO[key]
+    return tuple(words.cell_basis(r, s))
 
 
 @functools.lru_cache(maxsize=None)

@@ -86,9 +86,7 @@ def _from_terms(spec, num, den):
     return Scalar(spec, field.new(poly(num), poly(den)))
 
 
-_phi_cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _phi(m):
     """The degree d of the m-th cyclotomic polynomial and the powers of zeta.
 
@@ -96,20 +94,18 @@ def _phi(m):
     vector (length d) of x^k reduced modulo Phi_m.  Since Phi_m divides
     x^m - 1, x^k reduces to zpows[k % m] for every k >= 0.
     """
-    if m not in _phi_cache:
-        x = _Symbol("x")
-        coeffs = [int(c) for c in reversed(_cyclotomic_poly(m, x).as_poly(x).all_coeffs())]
-        d = len(coeffs) - 1
-        cur = [1] + [0] * (d - 1)
-        zpows = []
-        for _ in range(m):
-            zpows.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c - top * p for c, p in zip(cur, coeffs)]
-        _phi_cache[m] = (d, zpows)
-    return _phi_cache[m]
+    x = _Symbol("x")
+    coeffs = [int(c) for c in reversed(_cyclotomic_poly(m, x).as_poly(x).all_coeffs())]
+    d = len(coeffs) - 1
+    cur = [1] + [0] * (d - 1)
+    zpows = []
+    for _ in range(m):
+        zpows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, coeffs)]
+    return d, zpows
 
 
 def _content_free(v, den):
@@ -749,16 +745,6 @@ def rho_elem(spec):
     return monomial(spec, 1, 0, 1)
 
 
-def _rational_terms(x):
-    """The numerator and denominator of a generic or qpow scalar as lists
-    of ((i, j), c) terms c * q^i * rho^j; on qpow, where rho is q^a
-    already, j is 0."""
-    num, den = _terms(x.rep.numer), _terms(x.rep.denom)
-    if x.spec.kind == "generic":
-        return num, den
-    return [((i, 0), c) for (i,), c in num], [((i, 0), c) for (i,), c in den]
-
-
 def quantum_integer(ell, spec):
     """[ell] = (q^ell - q^{-ell}) / (q - q^{-1}), as a Laurent polynomial."""
     ell = int(ell)
@@ -793,31 +779,20 @@ def quantum_characteristic(spec):
 
 
 def specialize(x, target):
-    """Map a generic-mode (or qpow-mode) scalar into the target field.
+    """Map a generic-mode scalar into the target field.
 
-    A generic value maps into every field.  A ``qpow:a`` value maps only
-    into ``cyclo:m,rho=zeta^b`` with b = a mod m, and its terms carry
-    rho-exponent 0, since rho is q^a there already.  The terms of both
-    sides go through ``_substitute`` in one pass, and the quotient is
-    normalised once.  Normal forms are canonical, so the result equals the
-    sum of the term-by-term images divided in the target field.
+    The terms of both sides go through ``_substitute`` in one pass, and the
+    quotient is normalised once.  Normal forms are canonical, so the result
+    equals the sum of the term-by-term images divided in the target field.
 
-    Raises DenominatorVanishes if the denominator evaluates to zero.
+    Raises DenominatorVanishes if the denominator evaluates to zero, and
+    ValueError for a source that is not generic.
     """
-    spec = x.spec
-    if spec == target:
+    if x.spec.kind != "generic":
+        raise ValueError("specialize expects a generic source scalar")
+    if x.spec == target:
         return x
-    if spec.kind == "qpow":
-        if target.kind == "qpow":
-            raise ValueError("cannot respecialize between distinct qpow fields")
-        if target.kind == "cyclo":
-            if target.rho_kind != "power" or (spec.a - target.rho_a) % target.m != 0:
-                raise ValueError("specialization would not respect rho = q^%d" % spec.a)
-        elif target.kind == "generic":
-            raise ValueError("cannot lift a qpow scalar to the generic field")
-    elif spec.kind != "generic":
-        raise ValueError("specialize expects a generic or qpow source scalar")
-    return _substitute(target, *_rational_terms(x))
+    return _substitute(target, _terms(x.rep.numer), _terms(x.rep.denom))
 
 
 def evaluate(x, t, rho_exp=0):

@@ -39,7 +39,7 @@ physical order.
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 from . import scalars
@@ -145,19 +145,18 @@ def weight_of_index(idx, n, r, s):
     return tuple(wt)
 
 
-_WEIGHT_SPACES = {}
+@lru_cache(maxsize=None)
+def _weight_spaces(n, r, s):
+    """Every basis index tuple, grouped by weight in lexicographic order."""
+    table = {}
+    for idx in product(range(1, n + 1), repeat=r + s):
+        table.setdefault(weight_of_index(idx, n, r, s), []).append(idx)
+    return table
 
 
 def weight_space(wt, n, r, s):
     """All basis index tuples of the given weight, in lexicographic order."""
-    key = (n, r, s)
-    table = _WEIGHT_SPACES.get(key)
-    if table is None:
-        table = {}
-        for idx in product(range(1, n + 1), repeat=r + s):
-            table.setdefault(weight_of_index(idx, n, r, s), []).append(idx)
-        _WEIGHT_SPACES[key] = table
-    return list(table.get(tuple(wt), ()))
+    return list(_weight_spaces(n, r, s).get(tuple(wt), ()))
 
 
 _LETTER_CONSTANTS = {}
@@ -451,29 +450,26 @@ def act_K(v, h, n, r, s):
     return _act_left(v, n, images)
 
 
-_DP_CACHE = {}
-_QFACTORIALS = {}
+@lru_cache(maxsize=None)
+def _qfactorial(ell):
+    """[ell]! as a ``Laurent`` polynomial in q."""
+    return scalars.quantum_factorial(
+        ell, scalars.FieldSpec.qpower(0)).to_laurent()[0]
 
 
+@lru_cache(maxsize=None)
 def _divided_power_table(n, r, s, i, ell, wt):
     """The matrix of E_i^{(ell)} on the weight space ``wt``, as ``{source:
     [(target, Laurent)]}``: E_i^ell acts on the Laurent domain and each
     entry is divided exactly by [ell]!, which raises
     ``IntegralityViolation`` if it leaves a remainder."""
-    key = (n, r, s, i, ell, wt)
-    table = _DP_CACHE.get(key)
-    if table is None:
-        qfact = _QFACTORIALS.get(ell)
-        if qfact is None:
-            qfact = _QFACTORIALS[ell] = scalars.quantum_factorial(
-                ell, scalars.FieldSpec.qpower(0)).to_laurent()[0]
-        table = {}
-        for src in weight_space(wt, n, r, s):
-            vec = TensorVector(None, {src: scalars.Laurent({0: 1})})
-            for _ in range(ell):
-                vec = act_E(vec, i, n, r, s)
-            table[src] = [(tgt, val / qfact) for tgt, val in vec.items()]
-        _DP_CACHE[key] = table
+    qfact = _qfactorial(ell)
+    table = {}
+    for src in weight_space(wt, n, r, s):
+        vec = TensorVector(None, {src: scalars.Laurent({0: 1})})
+        for _ in range(ell):
+            vec = act_E(vec, i, n, r, s)
+        table[src] = [(tgt, val / qfact) for tgt, val in vec.items()]
     return table
 
 

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 
 import jsonschema
@@ -16,6 +19,14 @@ from wbq.linalg import FieldContext
 from wbq.scalars import FieldSpec
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _golden():
+    with open(os.path.join(HERE, "..", "perfbench", "golden.json")) as fh:
+        return json.load(fh)
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -24,8 +35,7 @@ def run_cli(argv):
 
 
 def _schema_validator():
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, "..", "schemas", "result.json")
+    path = os.path.join(HERE, "..", "schemas", "result.json")
     with open(path) as handle:
         schema = json.load(handle)
     jsonschema.Draft7Validator.check_schema(schema)
@@ -39,9 +49,14 @@ def test_usage_errors_exit_one_with_single_line_reason():
         ["decomp", "--r", "1", "--s", "1", "--field", "cyclo:0"],
         ["decomp", "--r", "1", "--s", "1", "--field", "cyclo:-4"],
         ["decomp", "--r", "0", "--s", "1"],
+        ["decomp", "--r", "x", "--s", "1"],
         ["decomp", "--r", "1", "--s", "1", "--jobs", "0"],
         ["singular", "--r", "1", "--s", "1", "--weight", "1,x"],
         ["singular", "--r", "1", "--s", "1", "--weight", "1,0,-1"],
+        ["singular", "--r", "1", "--s", "1", "--weight", ""],
+        ["singular", "--r", "1", "--s", "1", "--weight", "1,-1",
+         "--n", "0"],
+        ["schur-weyl", "--r", "1", "--s", "1", "--n", "-1"],
         ["verify", "--only", "nonsense"],
         ["verify", "--r", "2"],
         ["blocks", "--r", "1", "--s", "1", "--output", "latex"],
@@ -76,6 +91,43 @@ def test_usage_errors_exit_one_with_single_line_reason():
     code, out, err = run_cli(["verify", "--output", "latex"])
     assert code == 1
     assert "table" in err and "json" in err, err
+
+
+def test_every_command_help_names_exactly_its_flags():
+    for command, (_, _, _, names) in cli._COMMANDS.items():
+        code, out, err = run_cli([command, "--help"])
+        assert code == 0 and err == "", command
+        usage = out.split("\n\n")[0]
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage))
+        want = {name.rstrip("?") for name in names if name.startswith("--")}
+        assert flags == want | {"--output", "--out"}, (command, usage)
+
+
+def test_gram_rejects_an_unknown_label_before_resolving_a_table(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "structure_constants",
+                        lambda *args, **kw: calls.append(args))
+    code, out, err = run_cli(["gram", "--r", "1", "--s", "1",
+                              "--label", "f=9,[9]|[9]"])
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert calls == []
+
+
+def test_exit_status_crosses_the_process_boundary(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"),
+               WBQ_CACHE_DIR=str(tmp_path))
+    key = "blocks --r 1 --s 1 --field generic"
+    run = subprocess.run([sys.executable, "-m", "wbq.cli"] + key.split(" "),
+                         env=env, capture_output=True, timeout=300)
+    assert [hashlib.sha256(run.stdout).hexdigest(),
+            run.returncode] == _golden()["query_mix"][key]
+    run = subprocess.run([sys.executable, "-m", "wbq.cli", "decomp",
+                          "--r", "0", "--s", "1"],
+                         env=env, capture_output=True, timeout=300)
+    assert run.returncode == 1 and run.stdout == b""
+    assert len(run.stderr.decode().strip().splitlines()) == 1, run.stderr
 
 
 def test_decomp_b11_at_rho_one_quantum_characteristic_two():
@@ -371,9 +423,7 @@ def test_label_text_round_trips_through_the_schema_pattern():
 def test_golden_outputs_replay_byte_for_byte(tmp_path, monkeypatch):
     # every recorded CLI key of the benchmark, replayed in-process on the
     # bundled tables only
-    here = os.path.dirname(os.path.abspath(__file__))
-    with open(os.path.join(here, "..", "perfbench", "golden.json")) as fh:
-        golden = json.load(fh)
+    golden = _golden()
     monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
     keys = [(key, want) for section in ("query_mix", "singular")
             for key, want in golden[section].items()]
