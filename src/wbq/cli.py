@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import combinat, engine, repthy, scalars, tensor
@@ -46,7 +47,13 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit with code 1 and a
-    single-line reason."""
+    single-line reason, and which takes integers after a minus sign, alone
+    or comma-separated (``--weight -1,0,0``), as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message):
         sys.stderr.write("error: %s: %s\n" % (self.prog, message))

@@ -12,9 +12,10 @@ residues of those rational values modulo a large prime
 (``RationalPointContext`` with a ``prime``).  Neither reads how a scalar
 is stored.  The routines are Gaussian elimination with deterministic pivot
 choices, so all outputs are reproducible.  Every one is exact over its
-context.  Two kinds of result are modular and hold over Q only behind a
-check: ``modp_rank`` eliminates a rational matrix modulo a large prime and
-so certifies a lower bound on its rank, and ``lagrange_poly`` interpolates
+context.  Some results are modular and hold over Q, or the field, only
+behind a check: ``modp_rank`` and ``independent_mod_p`` (a field matrix
+through the ring map ``Scalar.mod_p``) eliminate modulo a large prime and
+so certify a lower bound on a rank, and ``lagrange_poly`` interpolates
 residues, whose rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
@@ -223,7 +224,13 @@ def kernel_basis(ctx, rows, dim):
     vector for free column ``f`` has entry one at ``f`` and zeros at every
     other free column, which makes the output canonical.
     """
-    pivot_cols, reduced = rref(ctx, rows)
+    return echelon_kernel(ctx, *rref(ctx, rows), dim)
+
+
+def echelon_kernel(ctx, pivot_cols, reduced, dim):
+    """``kernel_basis`` of the rows whose ``rref`` is ``(pivot_cols,
+    reduced)``, by back-substitution; ``reduced`` is read only when some
+    column is free."""
     pivot_set = set(pivot_cols)
     basis = []
     for free in range(dim):
@@ -440,6 +447,25 @@ def modp_rank(rows, prime=None):
             mat[r + 1 :, col:][nzmask] = (block - factors * mat[r, col:]) % p
         r += 1
     return r, pivots
+
+
+def independent_mod_p(rows):
+    """True when the columns of ``rows``, ``Scalar``s of one field, are
+    independent mod p: ``rref`` over their images under ``Scalar.mod_p``.
+
+    A one-sided certificate, like ``modp_rank``'s: a ring map takes the
+    maximal minors to those of the images, so one nonzero mod p proves full
+    column rank over the field.  False, also where an entry has no image,
+    proves nothing."""
+    images = [[x.mod_p() for x in row] for row in rows]
+    if any(None in row for row in images):
+        return False
+    if not images or not images[0]:
+        return True
+    # a point context mod p builds the residues; its point is not read
+    ctx = RationalPointContext(2, 0, images[0][0][1])
+    matrix = [[ctx._element(v) for v, _ in row] for row in images]
+    return len(rref(ctx, matrix)[0]) == len(matrix[0])
 
 
 def modp_rank_robust(rows):

@@ -17,6 +17,13 @@ system
 has a unique solution, which is asserted to be a non-negative integer
 matrix, unitriangular against the cell order.
 
+A Gram matrix whose image mod p has full rank is non-degenerate with no
+elimination (``linalg.independent_mod_p``), and so is the trace system of
+a field where every Gram matrix is; its solution is the identity.  The
+exact ``linalg.rref`` runs only where the residues certify nothing: on
+degenerate forms, whose reduced rows give the radical and the simple
+traces, and on every trace system with a proper simple head.
+
 A second, independent realization of each cell module lives inside the
 mixed tensor space as a span of singular vectors; it is kept deliberately
 separate from the table route so the two constructions can be compared
@@ -278,20 +285,25 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
 # ---------------------------------------------------------------------------
 
 class GramMatrix:
-    """The cellular bilinear form of one label, with its exact rank."""
+    """The cellular bilinear form of one label, with its exact rank; only
+    a form that ``linalg.independent_mod_p`` does not certify is reduced."""
 
     def __init__(self, label, entries, ctx):
         self.label = label
         self.entries = entries
         self.ctx = ctx
         self.dim = len(entries)
-        pivots, reduced = linalg.rref(ctx, entries) if entries else ([], [])
+        if linalg.independent_mod_p(entries):
+            pivots, reduced = list(range(self.dim)), None
+        else:
+            pivots, reduced = linalg.rref(ctx, entries)
         self.rank = len(pivots)
         self._pivots = pivots
         self._reduced = reduced
 
     def radical_basis(self):
-        return linalg.kernel_basis(self.ctx, self.entries, self.dim)
+        return linalg.echelon_kernel(self.ctx, self._pivots, self._reduced,
+                                     self.dim)
 
 
 def _gram_entries(r, s, label, coefficient):
@@ -449,22 +461,21 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
                else _quotient_trace_table(tab, label, grams[label])
                for label in columns}
     ncols = len(columns)
-    system = []
-    for b in range(tab.size):
-        row = [trace_d[col][b] for col in columns]
-        row.extend(trace_c[lab][b] for lab in labels)
-        system.append(row)
-    pivots, reduced = linalg.rref(ctx, system)
-    if pivots[:ncols] != list(range(ncols)) or len(pivots) != ncols:
-        raise TraceSystemSingular(
-            "simple trace vectors are dependent or inconsistent")
-    entries = []
-    for i, lab in enumerate(labels):
-        row = []
-        for j in range(ncols):
-            value = reduced[j][ncols + i]
-            row.append(_integer_value(ctx, value))
-        entries.append(row)
+    simple = [[trace_d[col][b] for col in columns] for b in range(tab.size)]
+    if all(trace_d.get(lab) is trace_c[lab] for lab in labels) and \
+            linalg.independent_mod_p(simple):
+        # every cell module is simple: the system is [T | T] with the
+        # columns of T independent, whose reduced form is [I | I]
+        entries = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    else:
+        system = [row + [trace_c[lab][b] for lab in labels]
+                  for b, row in enumerate(simple)]
+        pivots, reduced = linalg.rref(ctx, system)
+        if pivots[:ncols] != list(range(ncols)) or len(pivots) != ncols:
+            raise TraceSystemSingular(
+                "simple trace vectors are dependent or inconsistent")
+        entries = [[_integer_value(ctx, reduced[j][ncols + i])
+                    for j in range(ncols)] for i in range(len(labels))]
     dec = DecompositionMatrix(r, s, spec, labels, columns, entries,
                               {label: grams[label].rank for label in labels})
     _check_decomposition_shape(dec)

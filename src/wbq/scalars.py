@@ -19,8 +19,10 @@ functions below: ``monomial`` (with ``zero`` and ``one``), ``specialize``,
 encoding of generic values), and
 ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of a ``qpow`` or
 ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
-and the lowering back, on which the tensor action runs.  Changing the
-representation of a field therefore changes this module only.
+and the lowering back, on which the tensor action runs, and
+``Scalar.mod_p``, the image of a value in Z/p under one fixed ring map per
+field.  Changing the representation of a field therefore changes this
+module only.
 
 Where q and rho go in each field kind is written once, in the private
 ``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
@@ -42,12 +44,14 @@ normalisation of ``CycloFrac``.
 
 from fractions import Fraction
 import functools
+import itertools
 import math
 import operator
 
 from sympy import QQ as _QQ
 from sympy import Symbol as _Symbol
 from sympy import cyclotomic_poly as _cyclotomic_poly
+from sympy import isprime as _isprime
 from sympy.polys.fields import field as _frac_field
 
 from .errors import DenominatorVanishes, IntegralityViolation
@@ -556,6 +560,28 @@ class Scalar:
         is q or zeta."""
         return _substitute(spec, [((e, 0), c) for e, c in x.items()])
 
+    def mod_p(self):
+        """The image ``(value, p)`` of this value under the fixed ring map
+        of its field to Z/p (``_modp_point``), or None when a denominator
+        or a coefficient's denominator maps to zero."""
+        spec, rep = self.spec, self.rep
+        if spec.kind != "cyclo":
+            sides = [[(mono, int(c.numerator), int(c.denominator))
+                      for mono, c in poly.items()]
+                     for poly in (rep.numer, rep.denom)]
+        elif spec.rho_kind == "power":
+            sides = [[((k,), c, rep.den) for k, c in enumerate(rep.v)],
+                     [((), 1, 1)]]
+        else:
+            sides = [[((k, j), c, x.den) for j, x in enumerate(side)
+                      for k, c in enumerate(x.v)]
+                     for side in (rep.num, rep.den)]
+        p, point = _modp_point(spec)
+        num, den = (_terms_mod(terms, point, p) for terms in sides)
+        if num is None or not den:
+            return None
+        return num * pow(den, -1, p) % p, p
+
 
 def _coefficient(c):
     """A Fraction as an int where it is integral."""
@@ -813,6 +839,36 @@ def evaluate(x, t, rho_exp=0):
     if not den:
         raise DenominatorVanishes("denominator vanishes at q=%s, rho=q^%d" % (t, rho_exp))
     return side(x.rep.numer) / den
+
+
+@functools.lru_cache(maxsize=None)
+def _modp_point(spec):
+    """``(p, (image of q, image of rho))`` for the fixed ring map of the
+    field ``spec`` to Z/p: p is the largest prime below 2^31 that is 1 mod
+    m (2^31 - 1 off ``cyclo:m``), q -> 16807 and rho -> 48271 (primitive
+    roots mod 2^31 - 1), except that on ``cyclo:m`` zeta goes to the first
+    g^((p-1)/m), g = 2, 3, ..., of order m: a root of Phi_m mod p."""
+    m = spec.m or 1
+    p = 2 ** 31 - 1 - (2 ** 31 - 2) % m
+    while not _isprime(p):
+        p -= m
+    if spec.kind != "cyclo":
+        return p, (16807, 48271)
+    omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
+    return p, (next(w for w in omegas
+                    if all(pow(w, k, p) != 1 for k in range(1, m))), 48271)
+
+
+def _terms_mod(terms, point, p):
+    """The value mod p at ``point`` of a sum of (exponents, numerator,
+    denominator) terms, or None if p divides a denominator."""
+    total = 0
+    for mono, num, den in terms:
+        if den % p == 0:
+            return None
+        total += num * pow(den, -1, p) * math.prod(
+            pow(x, e, p) for x, e in zip(point, mono))
+    return total % p
 
 
 # ---------------------------------------------------------------------------

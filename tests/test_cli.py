@@ -240,6 +240,36 @@ def test_singular_command_matches_the_library():
     assert doc["basis"] == expected
 
 
+def test_a_weight_starting_with_a_minus_sign_needs_no_equals_sign():
+    for argv, weight in ((["--r", "1", "--s", "2"], "-1,0,0"),
+                         (["--r", "1", "--s", "3", "--n", "2"], "-1,-1")):
+        spaced = run_cli(["singular"] + argv + ["--weight", weight])
+        joined = run_cli(["singular"] + argv + ["--weight=" + weight])
+        assert spaced[0] == joined[0] == 0, spaced[2]
+        assert spaced[1] == joined[1]
+    assert json.loads(spaced[1])["dimension"] > 0
+
+
+def test_queries_do_not_import_numpy():
+    # numpy on the query path costs the query workload its peak memory
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from wbq import cli",
+        "for field in ('qpow:3', 'cyclo:4,rho=zeta^1', 'cyclo:3,rho=free',",
+        "              'generic'):",
+        "    for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
+        "        with contextlib.redirect_stdout(io.StringIO()):",
+        "            code = cli.main([command, '--r', '2', '--s', '2',",
+        "                             '--field', field])",
+        "        assert code == 0, (command, field)",
+        "assert 'numpy' not in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+
+
 def test_schur_weyl_command_flags_equality_and_deficiency():
     code, out, _ = run_cli(["schur-weyl", "--n", "2", "--r", "1", "--s", "1"])
     assert code == 0

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from wbq import combinat, engine, linalg, repthy, scalars, tensor, words
+from wbq import cli, combinat, engine, linalg, repthy, scalars, tensor, words
 from wbq.errors import (
     IntegralityViolation,
     OracleMismatch,
     RankCertificationFailed,
+    TraceSystemSingular,
 )
 from wbq.linalg import FieldContext, RationalPointContext
 from wbq.scalars import FieldSpec
@@ -128,6 +129,61 @@ def test_gram_matrices_nonsingular_over_the_generic_field():
         for label in _labels(r, s):
             gram = repthy.gram_matrix(r, s, label)
             assert gram.rank == gram.dim
+
+
+BUNDLED_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+
+
+def _outcome(r, s, spec):
+    try:
+        dec = repthy.decomposition_matrix(r, s, field=spec)
+    except (OracleMismatch, IntegralityViolation, TraceSystemSingular) as exc:
+        return type(exc), str(exc)
+    return dec.rows, dec.columns, dec.entries, dec.gram_ranks
+
+
+@pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
+def test_residue_certificates_agree_with_exact_elimination(r, s,
+                                                           monkeypatch):
+    # the ranks and decomposition matrices certified mod p, against the
+    # exact elimination of every Gram matrix and trace system
+    for spec in cli.grid_fields():
+        tab = engine.structure_constants(r, s, spec)
+        for label in _labels(r, s):
+            gram = repthy.gram_matrix(r, s, label, table=tab)
+            assert gram.rank == len(linalg.rref(tab.ctx, gram.entries)[0])
+    fast = {spec: _outcome(r, s, spec) for spec in cli.grid_fields()}
+    monkeypatch.setattr(linalg, "independent_mod_p", lambda rows: False)
+    for spec in cli.grid_fields():
+        assert _outcome(r, s, spec) == fast[spec], spec
+
+
+def test_a_rank_the_residues_miss_falls_back_to_exact_elimination():
+    # an entry that vanishes at the fixed point, and one whose denominator
+    # does, are each a nonzero 1 x 1 form of rank one
+    for text in ("qpow:3", "generic", "cyclo:4,rho=zeta^1",
+                 "cyclo:3,rho=free"):
+        spec = FieldSpec.from_string(text)
+        ctx = FieldContext(spec)
+        t = scalars.q_elem(spec).mod_p()[0]
+        vanishing = scalars.q_elem(spec) - ctx.from_monomial(t)
+        assert vanishing.mod_p()[0] == 0
+        assert (scalars.one(spec) / vanishing).mod_p() is None
+        for entry in (vanishing, scalars.one(spec) / vanishing):
+            assert not linalg.independent_mod_p([[entry]])
+            gram = repthy.GramMatrix(None, [[entry]], ctx)
+            assert (gram.rank, gram._pivots) == (1, [0])
+            assert gram.radical_basis() == []
+
+
+def test_radical_basis_is_the_kernel_of_the_gram_matrix():
+    spec = FieldSpec.from_string("cyclo:4,rho=zeta^0")
+    for r, s in ((2, 1), (2, 2)):
+        tab = engine.structure_constants(r, s, spec)
+        for label in _labels(r, s):
+            gram = repthy.gram_matrix(r, s, label, table=tab)
+            assert gram.radical_basis() == linalg.kernel_basis(
+                tab.ctx, gram.entries, gram.dim)
 
 
 def test_decomposition_matrix_generic_is_identity():

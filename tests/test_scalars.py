@@ -357,6 +357,27 @@ def test_monomial_and_from_laurent_match_the_value_classes(spec, c, i, j):
             == _term(spec, c, i, 0) + _term(spec, 1, j, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_table_shaped_values(), _table_shaped_values(),
+       st.sampled_from([GEN] + GRID), st.integers(-6, 6), st.integers(-3, 3))
+def test_mod_p_is_a_ring_map(x, y, target, i, j):
+    fx, fy = specialize(x, target), specialize(y, target)
+    (vx, p), (vy, _) = fx.mod_p(), fy.mod_p()
+    assert (fx + fy).mod_p() == ((vx + vy) % p, p)
+    assert (fx * fy).mod_p() == (vx * vy % p, p)
+    if vy:
+        assert (fx / fy).mod_p() == (vx * pow(vy, -1, p) % p, p)
+    assert one(target).mod_p() == (1, p)
+    t, u = q_elem(target).mod_p()[0], rho_elem(target).mod_p()[0]
+    if target.kind == "qpow":
+        assert u == pow(t, target.a, p)
+    elif target.rho_kind == "power":
+        assert u == pow(t, target.rho_a, p)
+    # q^i reduced mod Phi_m maps to t^i: the image of zeta is a root of Phi_m
+    assert monomial(target, 3, i, j).mod_p() == (
+        3 * pow(t, i, p) * pow(u, j, p) % p, p)
+
+
 _POINTS = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-5, 3)]
 
 
