@@ -10,12 +10,15 @@ obtained by evaluating ``q`` and ``rho`` at a rational point
 (``RationalPointContext``, whose elements are ``Fraction``), and the
 residues of those rational values modulo a large prime
 (``RationalPointContext`` with a ``prime``).  Neither reads how a scalar
-is stored.  The routines are Gaussian elimination with deterministic pivot
-choices, so all outputs are reproducible.  Every one is exact over its
-context.  Some results are modular and hold over Q, or the field, only
-behind a check: ``modp_rank`` and ``independent_mod_p`` (a field matrix
-through the ring map ``Scalar.mod_p``) eliminate modulo a large prime and
-so certify a lower bound on a rank, and ``lagrange_poly`` interpolates
+is stored.  ``rref`` is the one exact elimination, with deterministic
+pivot choices, so all outputs are reproducible; ``rank``,
+``kernel_basis``, ``invert_square`` (of ``[M | I]``),
+``span_coordinates`` (of ``[basis | targets]``) and ``independent_mod_p``
+read it.  Every routine is exact over its context.  Some results are
+modular and hold over Q, or the field, only behind a check: ``modp_rank``
+(a numpy elimination) and ``independent_mod_p`` (a field matrix through
+the ring map ``Scalar.mod_p``) eliminate modulo a large prime and so
+certify a lower bound on a rank, and ``lagrange_poly`` interpolates
 residues, whose rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
@@ -246,35 +249,33 @@ def echelon_kernel(ctx, pivot_cols, reduced, dim):
 
 
 def invert_square(ctx, matrix):
-    """Inverse of a square matrix, or None when the matrix is singular."""
+    """Inverse of a square matrix, or None when the matrix is singular: the
+    right half of the ``rref`` of ``[matrix | I]`` when its pivots are the
+    left half's columns."""
     n = len(matrix)
     zero = ctx.zero()
-    one = ctx.one()
-    work = []
+    aug = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        aug = list(row) + [zero] * n
-        aug[n + i] = one
-        work.append(aug)
-    for col in range(n):
-        pivot = None
-        for idx in range(col, n):
-            if work[idx][col]:
-                pivot = idx
-                break
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = one / work[col][col]
-        work[col] = [inv * a for a in work[col]]
-        for idx in range(n):
-            if idx == col:
-                continue
-            c = work[idx][col]
-            if c:
-                work[idx] = [a - c * b for a, b in zip(work[idx], work[col])]
-    return [row[n:] for row in work]
+        aug.append(list(row) + [zero] * n)
+        aug[i][n + i] = ctx.one()
+    pivots, reduced = rref(ctx, aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def span_coordinates(ctx, basis, targets):
+    """The coordinates of each target over the vectors ``basis``, from one
+    ``rref`` of the columns ``[basis | targets]``: one list per target,
+    with one entry per basis vector.  None when the basis is dependent or
+    some target lies outside its span."""
+    nbasis = len(basis)
+    pivots, reduced = rref(ctx, list(zip(*basis, *targets)))
+    if pivots != list(range(nbasis)):
+        return None
+    return [[row[nbasis + k] for row in reduced] for k in range(len(targets))]
 
 
 def mat_mul(ctx, a, b):
@@ -304,89 +305,6 @@ def mat_vec(ctx, mat, vec):
                 acc += row[k] * x
         out.append(acc)
     return out
-
-
-class SpanTracker:
-    """Incremental reduced echelon with expressions over inserted vectors.
-
-    Each accepted vector is remembered, and any later vector inside the
-    span can be written exactly as a combination of the accepted ones.
-    """
-
-    __slots__ = ("ctx", "dim", "rows", "pivots", "exprs", "count")
-
-    def __init__(self, ctx, dim):
-        self.ctx = ctx
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-        self.exprs = []
-        self.count = 0
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        ctx = self.ctx
-        vec = list(vec)
-        combo = {}
-        for row, pivot, expr in zip(self.rows, self.pivots, self.exprs):
-            c = vec[pivot]
-            if not c:
-                continue
-            for j in range(self.dim):
-                if row[j]:
-                    vec[j] -= c * row[j]
-            for k, e in expr.items():
-                combo[k] = combo.get(k, ctx.zero()) + c * e
-        return vec, combo
-
-    def insert(self, vec):
-        """Insert a raw vector; returns True when it enlarged the span."""
-        ctx = self.ctx
-        index = self.count
-        self.count += 1
-        residual, combo = self._reduce(vec)
-        pivot = None
-        for j in range(self.dim):
-            if residual[j]:
-                pivot = j
-                break
-        if pivot is None:
-            return False
-        expr = {index: ctx.one()}
-        for k, e in combo.items():
-            if e:
-                expr[k] = -e
-        inv = ctx.one() / residual[pivot]
-        residual = [inv * a for a in residual]
-        expr = {k: inv * e for k, e in expr.items()}
-        for row, rexpr in zip(self.rows, self.exprs):
-            c = row[pivot]
-            if not c:
-                continue
-            for j in range(self.dim):
-                if residual[j]:
-                    row[j] -= c * residual[j]
-            for k, e in expr.items():
-                rexpr[k] = rexpr.get(k, ctx.zero()) - c * e
-        self.rows.append(residual)
-        self.pivots.append(pivot)
-        self.exprs.append(expr)
-        return True
-
-    def express(self, vec):
-        """Coefficients over inserted vectors, or None if outside the span.
-
-        Returns a dict mapping insertion index (0-based, counting every
-        ``insert`` call whether or not it enlarged the span) to a nonzero
-        coefficient.
-        """
-        residual, combo = self._reduce(vec)
-        if any(residual):
-            return None
-        return {k: e for k, e in combo.items() if e}
 
 
 _MODP_PRIMES = (2147483647, 2147483629, 2147483587)
@@ -465,7 +383,7 @@ def independent_mod_p(rows):
     # a point context mod p builds the residues; its point is not read
     ctx = RationalPointContext(2, 0, images[0][0][1])
     matrix = [[ctx._element(v) for v, _ in row] for row in images]
-    return len(rref(ctx, matrix)[0]) == len(matrix[0])
+    return rank(ctx, matrix) == len(matrix[0])
 
 
 def modp_rank_robust(rows):

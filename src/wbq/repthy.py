@@ -22,7 +22,10 @@ elimination (``linalg.independent_mod_p``), and so is the trace system of
 a field where every Gram matrix is; its solution is the identity.  The
 exact ``linalg.rref`` runs only where the residues certify nothing: on
 degenerate forms, whose reduced rows give the radical and the simple
-traces, and on every trace system with a proper simple head.
+traces, and on every trace system with a proper simple head, which
+``linalg.span_coordinates`` solves.  That helper also writes the action
+on the singular vectors, and the traces of the alternative generator's
+module, in coordinates over their spans.
 
 A second, independent realization of each cell module lives inside the
 mixed tensor space as a span of singular vectors; it is kept deliberately
@@ -43,7 +46,7 @@ from .errors import (
     RankCertificationFailed,
     TraceSystemSingular,
 )
-from .linalg import FieldContext, RationalPointContext, SpanTracker
+from .linalg import FieldContext, RationalPointContext
 from .scalars import INFINITY, FieldSpec
 
 
@@ -239,7 +242,6 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                    for t, d in index_set]
         support = sorted(set(idx for v in vectors for idx, _ in v.items()))
         slot = {idx: k for k, idx in enumerate(support)}
-        tracker = SpanTracker(ctx, len(support))
 
         def coords(vec):
             out = [ctx.zero()] * len(support)
@@ -251,23 +253,19 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                 out[slot[idx]] = value
             return out
 
-        for vec in vectors:
-            if not tracker.insert(coords(vec)):
-                raise RankCertificationFailed(
-                    "singular vectors are dependent at %s"
-                    % label_text(label))
+        basis = [coords(vec) for vec in vectors]
+        if linalg.rank(ctx, basis) != len(basis):
+            raise RankCertificationFailed(
+                "singular vectors are dependent at %s" % label_text(label))
 
         def source(letter):
-            cols = []
-            for vec in vectors:
-                image = tensor.act_letters(vec, (letter,), n, r, s)
-                expr = tracker.express(coords(image))
-                if expr is None:
-                    raise RankCertificationFailed(
-                        "the singular span is not stable at %s"
-                        % label_text(label))
-                cols.append([expr.get(k, ctx.zero())
-                             for k in range(len(vectors))])
+            images = [coords(tensor.act_letters(vec, (letter,), n, r, s))
+                      for vec in vectors]
+            cols = linalg.span_coordinates(ctx, basis, images)
+            if cols is None:
+                raise RankCertificationFailed(
+                    "the singular span is not stable at %s"
+                    % label_text(label))
             return [list(row) for row in zip(*cols)]
 
         module = CellModule(r, s, label, spec, ctx, provenance,
@@ -468,14 +466,13 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
         # columns of T independent, whose reduced form is [I | I]
         entries = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     else:
-        system = [row + [trace_c[lab][b] for lab in labels]
-                  for b, row in enumerate(simple)]
-        pivots, reduced = linalg.rref(ctx, system)
-        if pivots[:ncols] != list(range(ncols)) or len(pivots) != ncols:
+        solution = linalg.span_coordinates(
+            ctx, [trace_d[col] for col in columns],
+            [trace_c[lab] for lab in labels])
+        if solution is None:
             raise TraceSystemSingular(
                 "simple trace vectors are dependent or inconsistent")
-        entries = [[_integer_value(ctx, reduced[j][ncols + i])
-                    for j in range(ncols)] for i in range(len(labels))]
+        entries = [[_integer_value(ctx, x) for x in row] for row in solution]
     dec = DecompositionMatrix(r, s, spec, labels, columns, entries,
                               {label: grams[label].rank for label in labels})
     _check_decomposition_shape(dec)
@@ -654,42 +651,41 @@ def alt_cell_realization_check(r, s, label, field=None, seed=0,
                 raise OracleMismatch(
                     "the alternative generator leaves its layer at %s"
                     % label_text(label))
-    tracker = SpanTracker(ctx, nbasis)
-    if not tracker.insert(generator):
+    if not any(generator):
         return False
     letters = engine.generator_letters(r, s)
     frontier = [generator]
     basis_vectors = [generator]
-    ordinals = [0]
     while frontier:
         new_frontier = []
         for vec in frontier:
             for letter in letters:
                 image = project(
                     linalg.mat_vec(ctx, tab.action.letter(letter), vec))
-                if tracker.insert(image):
+                grown = basis_vectors + [image]
+                if linalg.rank(ctx, grown) == len(grown):
                     new_frontier.append(image)
-                    basis_vectors.append(image)
-                    ordinals.append(tracker.count - 1)
+                    basis_vectors = grown
         frontier = new_frontier
-    if tracker.rank != dim:
+    if len(basis_vectors) != dim:
         return False
     # traces of every basis word must match the cell module layer
     reference = _layer_trace_table(tab, label)
     for b in range(nbasis):
-        acc = ctx.zero()
-        for i, vec in enumerate(basis_vectors):
+        images = []
+        for vec in basis_vectors:
             image = [ctx.zero()] * nbasis
             for a in range(nbasis):
                 if not vec[a]:
                     continue
                 for c, val in tab.product(a, b).items():
                     image[c] += vec[a] * val
-            expr = tracker.express(project(image))
-            if expr is None:
-                return False
-            acc += expr.get(ordinals[i], ctx.zero())
-        if acc != reference[b]:
+            images.append(project(image))
+        coords = linalg.span_coordinates(ctx, basis_vectors, images)
+        if coords is None:
+            return False
+        trace = sum((row[i] for i, row in enumerate(coords)), ctx.zero())
+        if trace != reference[b]:
             return False
     return True
 
@@ -962,15 +958,15 @@ def singular_dimension_check(r, s, field=None, n=None):
                    for t, d in singular_index_set(label, r, s)]
         support = sorted(set(idx for v in vectors for idx, _ in v.items()))
         slot = {idx: k for k, idx in enumerate(support)}
-        tracker = SpanTracker(ctx, len(support))
+        basis = []
         for vec in vectors:
             coords = [ctx.zero()] * len(support)
             for idx, value in vec.items():
                 coords[slot[idx]] = value
-            if not tracker.insert(coords):
-                raise OracleMismatch(
-                    "singular vectors are dependent at %s"
-                    % label_text(label))
+            basis.append(coords)
+        if linalg.rank(ctx, basis) != len(basis):
+            raise OracleMismatch(
+                "singular vectors are dependent at %s" % label_text(label))
         for vec in vectors:
             for i in range(1, n):
                 for ell in range(1, r + s + 1):
@@ -1015,7 +1011,7 @@ def route_agreement(r, s, n=None, seed=0, cache_dir=None):
             sing_traces.append(acc)
         form = [[tensor.contravariant_form(u, v, n, r, s)
                  for v in module.vectors] for u in module.vectors]
-        sing_rank = linalg.rank(ctx, form) if form else 0
+        sing_rank = linalg.rank(ctx, form)
         if table_rank != sing_rank:
             raise OracleMismatch(
                 "Gram ranks disagree between the two constructions at %s"

@@ -87,7 +87,7 @@ ALLOWED = {
         "the independent route that table_build and the tests use",
     "scalars.parse_scalar": "the round-trip oracle for to_text",
     "words.WordElement.sigma": "the reference for sigma_position",
-    # partition helpers the LLT route of ROADMAP item 5 will call
+    # partition helpers the LLT route of ROADMAP item 9 will call
     "combinat.addable_nodes": "awaits the LLT route",
     "combinat.removable_nodes": "awaits the LLT route",
     "combinat.e_regular": "awaits the LLT route",

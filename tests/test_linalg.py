@@ -12,7 +12,6 @@ from wbq.linalg import (
     _MODP_PRIMES,
     FieldContext,
     RationalPointContext,
-    SpanTracker,
     certified_kernel,
     invert_square,
     kernel_basis,
@@ -23,6 +22,7 @@ from wbq.linalg import (
     poly_eval,
     rank,
     rref,
+    span_coordinates,
 )
 from wbq.scalars import FieldSpec, Laurent
 
@@ -81,25 +81,130 @@ def test_invert_square():
     assert not prod[0][1] and not prod[1][0]
     singular = _rows(ctx, [[1, 2], [2, 4]])
     assert invert_square(ctx, singular) is None
+    assert invert_square(ctx, []) == []
+    # a zero first column needs a row swap; a zero last pivot is singular
+    swap = _rows(ctx, [[0, 1], [1, 0]])
+    assert invert_square(ctx, swap) == swap
+    assert invert_square(ctx, _rows(ctx, [[1, 2], [0, 0]])) is None
+    for ragged in (_rows(ctx, [[1, 2]]), _rows(ctx, [[1, 2], [3]])):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            invert_square(ctx, ragged)
 
 
-def test_span_tracker_expressions():
+def _reference_invert_square(ctx, matrix):
+    """Gauss-Jordan on [M | I] with the pivot searched below the diagonal,
+    returning None at the first column with no pivot."""
+    n = len(matrix)
+    work = []
+    for i, row in enumerate(matrix):
+        aug = list(row) + [ctx.zero()] * n
+        aug[n + i] = ctx.one()
+        work.append(aug)
+    for col in range(n):
+        pivot = next((idx for idx in range(col, n) if work[idx][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = ctx.one() / work[col][col]
+        work[col] = [inv * a for a in work[col]]
+        for idx in range(n):
+            c = work[idx][col]
+            if idx != col and c:
+                work[idx] = [a - c * b for a, b in zip(work[idx], work[col])]
+    return [row[n:] for row in work]
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4),
+                             st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_SMALL_FRACTIONS, min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.one_of(st.none(), st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0)))),
+    st.sampled_from((None, 7, 13, P)))))
+def test_invert_square_matches_the_reference_elimination(case):
+    entries, repeat, prime = case
+    if repeat is not None and len(entries) > 1 and repeat[0] != repeat[1]:
+        entries[repeat[1]] = list(entries[repeat[0]])
+        singular = True
+    else:
+        singular = False
+    ctx = RationalPointContext(2, 0, prime)
+    matrix = [[ctx.from_monomial(x) for x in row] for row in entries]
+    got = invert_square(ctx, matrix)
+    assert got == _reference_invert_square(ctx, matrix)
+    if singular:
+        assert got is None
+    if got is not None:
+        identity = [[ctx.one() if i == j else ctx.zero()
+                     for j in range(len(matrix))] for i in range(len(matrix))]
+        assert mat_mul(ctx, matrix, got) == identity
+
+
+def test_span_coordinates_expressions():
     ctx = _fc()
-    tracker = SpanTracker(ctx, 3)
-    a = _rows(ctx, [[1, 2, 0]])[0]
-    b = _rows(ctx, [[0, 1, 1]])[0]
-    c = _rows(ctx, [[1, 3, 1]])[0]  # a + b
-    assert tracker.insert(a) is True
-    assert tracker.insert(b) is True
-    assert tracker.insert(c) is False
-    combo = tracker.express(_rows(ctx, [[2, 5, 1]])[0])  # 2a + b
-    assert combo is not None
-    assert combo[0] == ctx.from_monomial(2)
-    assert combo[1] == ctx.one()
-    assert 2 not in combo
-    outside = tracker.express(_rows(ctx, [[0, 0, 1]])[0])
-    assert outside is None
-    assert tracker.rank == 2
+    a, b, c, d, e = _rows(ctx, [[1, 2, 0], [0, 1, 1],
+                                [1, 3, 1],   # a + b
+                                [2, 5, 1],   # 2a + b
+                                [0, 0, 1]])  # outside the span of a, b
+    # a and b are independent: each is its own coordinate vector
+    assert span_coordinates(ctx, [a, b], [a, b]) == [
+        [ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]
+    # a basis that contains a + b is dependent
+    assert span_coordinates(ctx, [a, b, c], []) is None
+    assert span_coordinates(ctx, [a, b, c], [d]) is None
+    assert span_coordinates(ctx, [a, b], [d]) == [
+        [ctx.from_monomial(2), ctx.one()]]
+    assert span_coordinates(ctx, [a, b], [e]) is None
+    assert span_coordinates(ctx, [a, b], [d, e]) is None
+    assert span_coordinates(ctx, [a, b], []) == []
+    # the empty basis spans the zero vector only
+    assert span_coordinates(ctx, [], [[ctx.zero()] * 3]) == [[]]
+    assert span_coordinates(ctx, [], [a]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.integers(k, 5).flatmap(
+    lambda dim: st.tuples(
+        st.lists(st.lists(_SMALL_FRACTIONS, min_size=dim, max_size=dim),
+                 min_size=k, max_size=k),
+        st.lists(_SMALL_FRACTIONS.filter(bool), min_size=k, max_size=k),
+        st.lists(st.lists(_SMALL_FRACTIONS, min_size=k, max_size=k),
+                 min_size=1, max_size=3),
+        st.permutations(range(dim)),
+        st.integers(k, dim),
+        st.sampled_from((None, 7, P))))))
+def test_span_coordinates_recovers_coefficients(case):
+    raw, diagonal, coefficients, order, outside, prime = case
+    k, dim = len(raw), len(raw[0])
+    ctx = RationalPointContext(2, 0, prime)
+    # independent by construction: on the first k coordinates the basis is
+    # diagonal with a nonzero diagonal; the coordinates are then permuted
+    basis = []
+    for i, row in enumerate(raw):
+        vec = [diagonal[i] if j == i else 0 if j < k else row[j]
+               for j in range(dim)]
+        basis.append([ctx.from_monomial(vec[order[j]]) for j in range(dim)])
+    targets = []
+    for coeffs in coefficients:
+        target = [ctx.zero()] * dim
+        for c, vec in zip(coeffs, basis):
+            target = [x + ctx.from_monomial(c) * y
+                      for x, y in zip(target, vec)]
+        targets.append(target)
+    want = [[ctx.from_monomial(c) for c in coeffs] for coeffs in coefficients]
+    assert span_coordinates(ctx, basis, targets) == want
+    # a combination of the basis added to it makes it dependent
+    assert span_coordinates(ctx, basis + targets[:1], targets) is None
+    if outside < dim:
+        # a unit vector off the first k coordinates is outside the span
+        stray = list(targets[-1])
+        stray[order.index(outside)] += ctx.one()
+        assert span_coordinates(ctx, basis, targets + [stray]) is None
+        assert span_coordinates(ctx, basis, [stray]) is None
 
 
 def test_rational_point_context():

@@ -548,3 +548,65 @@ def test_column_mismatch_raises_oracle_error():
     except OracleMismatch:
         raised = True
     assert not raised
+
+
+def test_decomposition_matrix_raises_on_a_singular_trace_system(
+        monkeypatch):
+    monkeypatch.setattr(repthy, "_layer_trace_table",
+                        lambda tab, label: [tab.ctx.zero()] * tab.size)
+    with pytest.raises(TraceSystemSingular,
+                       match="^simple trace vectors are dependent or "
+                             "inconsistent$"):
+        repthy.decomposition_matrix(1, 1)
+
+
+def _repeat_first_singular_vector(monkeypatch):
+    """Make every singular vector of a label the first one of its label."""
+    original = tensor.singular_vector
+    first = {}
+
+    def repeated(label, t, d, n, spec=None):
+        if label not in first:
+            first[label] = original(label, t, d, n, spec)
+        return first[label]
+
+    monkeypatch.setattr(tensor, "singular_vector", repeated)
+
+
+def test_singular_cell_module_raises_on_dependent_vectors(monkeypatch):
+    _repeat_first_singular_vector(monkeypatch)
+    label = _labels(2, 1)[0]
+    with pytest.raises(RankCertificationFailed,
+                       match=r"^singular vectors are dependent at "
+                             r"f=1,\[1\]\|\[\]$"):
+        repthy.cell_module(2, 1, label, provenance="SingularVectors")
+
+
+def test_singular_cell_module_raises_when_the_span_is_not_stable(
+        monkeypatch):
+    # the sum of the basis vectors of the singular vector's weight space:
+    # the action keeps it inside that weight space, the support, but not
+    # on its line
+    original = tensor.singular_vector
+
+    def weight_space_sum(label, t, d, n, spec=None):
+        vec = original(label, t, d, n, spec)
+        wt = tensor.weight_of_index(vec.items()[0][0], n, 2, 1)
+        return tensor.TensorVector(vec.ctx, {
+            tuple(idx): vec.ctx.one()
+            for idx in tensor.weight_space(wt, n, 2, 1)})
+
+    monkeypatch.setattr(tensor, "singular_vector", weight_space_sum)
+    label = _labels(2, 1)[1]
+    with pytest.raises(RankCertificationFailed,
+                       match=r"^the singular span is not stable at "
+                             r"f=0,\[2\]\|\[1\]$"):
+        repthy.cell_module(2, 1, label, provenance="SingularVectors")
+
+
+def test_singular_dimension_check_raises_on_dependent_vectors(monkeypatch):
+    _repeat_first_singular_vector(monkeypatch)
+    with pytest.raises(OracleMismatch,
+                       match=r"^singular vectors are dependent at "
+                             r"f=1,\[1\]\|\[\]$"):
+        repthy.singular_dimension_check(2, 1)
