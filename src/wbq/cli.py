@@ -5,13 +5,16 @@ starts, in two stages: argparse checks each argument on its own (the
 ``type=`` callables ``_positive``, ``_field`` and ``_weight``, and
 ``choices``), and the top of each handler checks what spans arguments
 (the ``--weight`` length against n, ``--r`` with ``--s``, the labels of
-``gram``, the shape and field of ``cache build``).  A rejected
-configuration exits with code 1 and a single-line reason.  The command
-set, with each command's handler, formats and arguments, is written once,
-in ``_COMMANDS``.  Results go to standard output (or ``--out``), always
-in a deterministic byte order, while progress chatter is confined to
-standard error.  Exit codes: 0 for success, 1 for usage or environment
-problems, 2 when a computation contradicts one of the built-in oracles.
+``gram``, the shape of ``cache build``).  A rejected configuration exits
+with code 1 and a single-line reason.  Queries read structure-constant
+tables and never build one: ``cache build`` is the only command that
+does, and a query whose table is missing or unreadable exits 1 with one
+line naming the command to run.  The command set, with each command's
+handler, formats and arguments, is written once, in ``_COMMANDS``.
+Results go to standard output (or ``--out``), always in a deterministic
+byte order, while progress chatter is confined to standard error.  Exit
+codes: 0 for success, 1 for usage or environment problems, 2 when a
+computation contradicts one of the built-in oracles.
 """
 
 import argparse
@@ -118,7 +121,7 @@ def _emit(args, text):
 
 def cmd_decomp(args):
     result = repthy.analyze(args.r, args.s, field=args.field,
-                            seed=args.seed, cache_dir=args.cache_dir)
+                            cache_dir=args.cache_dir)
     if args.output == "latex":
         text = repthy.result_to_latex(result)
     elif args.output == "csv":
@@ -146,9 +149,8 @@ def cmd_gram(args):
                              % (missing[0], "; ".join(sorted(known))))
         labels = [label for text, label in known.items()
                   if text in args.label]
-    table = engine.structure_constants(
-        args.r, args.s, mode=args.field,
-        seed=args.seed, cache_dir=args.cache_dir)
+    table = engine.structure_constants(args.r, args.s, mode=args.field,
+                                       cache_dir=args.cache_dir)
     rows = []
     for label in labels:
         gram = repthy.gram_matrix(args.r, args.s, label, table=table)
@@ -175,7 +177,7 @@ def cmd_gram(args):
 
 def cmd_blocks(args):
     partition = repthy.blocks(args.r, args.s, field=args.field,
-                              seed=args.seed, cache_dir=args.cache_dir)
+                              cache_dir=args.cache_dir)
     payload = {
         "kind": "blocks",
         "r": args.r,
@@ -190,8 +192,7 @@ def cmd_blocks(args):
 
 def cmd_semisimple(args):
     computed, predicted = repthy.semisimplicity(
-        args.r, args.s, field=args.field, seed=args.seed,
-        cache_dir=args.cache_dir)
+        args.r, args.s, field=args.field, cache_dir=args.cache_dir)
     payload = {
         "kind": "semisimple",
         "r": args.r,
@@ -252,9 +253,6 @@ def cmd_cache(args):
     if args.action == "build":
         if args.r is None or args.s is None:
             raise UsageError("cache build needs --r and --s")
-        if args.field.kind != "generic":
-            raise UsageError("only the generic table is cached; "
-                             "drop --field or pass generic")
         path = engine.cache_path(args.r, args.s, args.cache_dir)
         existed = os.path.exists(path)
         if not existed:
@@ -416,7 +414,9 @@ _ARGUMENTS = {
     "--n": dict(type=_positive,
                 help="rows of the tensor model (default r+s)"),
     "--seed": dict(type=int, default=0,
-                   help="seed for randomized certificates"),
+                   help="seed of the random tensor-space vectors that the "
+                        "build's coordinate systems act on; the table's "
+                        "content does not depend on it"),
     "--cache-dir": dict(help="structure-constant cache directory "
                              "(default $WBQ_CACHE_DIR)"),
     "--only": dict(choices=tuple(_SUITE_RUNNERS),
@@ -431,7 +431,7 @@ _ARGUMENTS = {
 
 _SHAPE = ("--r", "--s")
 # what a command that resolves a structure-constant table reads
-_TABLE = ("--field", "--seed", "--cache-dir")
+_TABLE = ("--field", "--cache-dir")
 
 # Each command: its handler, its help text, its output formats (the first
 # is the default) and the arguments of ``_ARGUMENTS`` it takes besides
@@ -455,9 +455,9 @@ _COMMANDS = {
     "schur-weyl": (cmd_schur_weyl, "rank of the algebra image on the "
                                    "tensor space",
                    ("json",), _SHAPE + ("--n",)),
-    "cache": (cmd_cache, "list, clear or prebuild structure-constant "
+    "cache": (cmd_cache, "list, clear or build structure-constant "
                          "caches",
-              ("json",), ("action", "--r?", "--s?") + _TABLE),
+              ("json",), ("action", "--r?", "--s?", "--seed", "--cache-dir")),
 }
 
 

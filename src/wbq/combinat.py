@@ -302,13 +302,11 @@ def _reduced_word_from_perm(perm, f, size):
 
 
 class DPair:
-    """The permutation pair d(t) with t^lambda . d(t) = t, plus reduced words."""
+    """The permutation pair d(t) with t^lambda . d(t) = t, as reduced words."""
 
-    __slots__ = ("perm1", "perm2", "word1", "word2", "length")
+    __slots__ = ("word1", "word2", "length")
 
-    def __init__(self, perm1, perm2, word1, word2):
-        self.perm1 = perm1
-        self.perm2 = perm2
+    def __init__(self, word1, word2):
         self.word1 = list(word1)
         self.word2 = list(word2)
         self.length = len(self.word1) + len(self.word2)
@@ -322,7 +320,7 @@ def d_of(t):
     p2 = _perm_from_tableaux(t_row.rows2, t.rows2)
     w1 = _reduced_word_from_perm(p1, t.f, sum(shape1))
     w2 = _reduced_word_from_perm(p2, t.f, sum(shape2))
-    return DPair(p1, p2, w1, w2)
+    return DPair(w1, w2)
 
 
 def apply_word_to_tableau(t, word, component):

@@ -308,12 +308,10 @@ class ConstantsTable:
     the cellular expansions of the generators and of 1.
     """
 
-    def __init__(self, r, s, spec, seed, depth):
+    def __init__(self, r, s, spec):
         self.r = r
         self.s = s
         self.spec = spec
-        self.seed = seed
-        self.depth = depth
         self.basis = cell_basis(r, s)
         self.ctx = FieldContext(spec)
 
@@ -419,10 +417,14 @@ class ConstantsTable:
 
 
 class StructureConstants(ConstantsTable):
-    """Fully materialized table (generic or directly-computed specialized)."""
+    """Fully materialized table (generic or directly-computed specialized).
+    ``seed`` and ``depth`` record how it was built and change none of its
+    values."""
 
     def __init__(self, r, s, spec, seed, depth, products, generators, unit):
-        ConstantsTable.__init__(self, r, s, spec, seed, depth)
+        ConstantsTable.__init__(self, r, s, spec)
+        self.seed = seed
+        self.depth = depth
         self._products = products
         self._generators = generators
         self._unit = unit
@@ -531,8 +533,7 @@ class SpecializedConstants(ConstantsTable):
     """Entrywise specialization of a generic table, memoized lazily."""
 
     def __init__(self, parent, spec):
-        ConstantsTable.__init__(self, parent.r, parent.s, spec,
-                                parent.seed, parent.depth)
+        ConstantsTable.__init__(self, parent.r, parent.s, spec)
         self.parent = parent
         self._product_memo = {}
         self._generator_memo = {}
@@ -904,10 +905,12 @@ def load_table(path, r, s):
     return StructureConstants.from_json_dict(data)
 
 
-def generic_table(r, s, seed=0, cache_dir=None, progress=None):
-    """The generic table, resolved through: in-memory memo, cache file,
-    bundled data file, full build (which then populates the cache).  The
-    memo is keyed by the cache file too, so a call naming another cache
+def generic_table(r, s, cache_dir=None):
+    """The generic table, resolved through the in-memory memo, then the
+    cache file, then the bundled data file.  A query never builds: with
+    none of them, ``FileNotFoundError`` names ``wbq cache build``, and a
+    file that does not load raises ``OSError`` naming its path.  The memo
+    is keyed by the cache file too, so a call naming another cache
     directory resolves its own table."""
     path = cache_path(r, s, cache_dir)
     key = (r, s, path)
@@ -915,27 +918,33 @@ def generic_table(r, s, seed=0, cache_dir=None, progress=None):
         return _TABLE_MEMO[key]
     for candidate in (path, bundled_path(r, s)):
         if os.path.exists(candidate):
-            table = load_table(candidate, r, s)
+            try:
+                table = load_table(candidate, r, s)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise OSError("unreadable table %s (%s); remove cached "
+                              "tables with `wbq cache clear`"
+                              % (candidate, exc)) from exc
             _TABLE_MEMO[key] = table
             return table
-    table = build_generic_table(r, s, seed=seed, progress=progress)
-    save_table(table, path)
-    _TABLE_MEMO[key] = table
-    return table
+    directory = cache_directory(cache_dir)
+    raise FileNotFoundError(
+        "no table for (%d, %d) in %s or the bundled data; build it with "
+        "`wbq cache build --r %d --s %d --cache-dir %s`"
+        % (r, s, directory, r, s, directory))
 
 
-def structure_constants(r, s, mode="generic", seed=0, cache_dir=None,
-                        progress=None):
-    """Structure constants of B_{r,s}.
+def structure_constants(r, s, mode="generic", cache_dir=None):
+    """Structure constants of B_{r,s}, read from a stored table.
 
     ``mode`` is "generic" for the two-parameter table, or a FieldSpec (or
     its string form) for the specialization of that table to the field.
-    ``direct_structure_constants`` is the independent computation inside
-    the tensor model.
+    The generic table resolves as in ``generic_table``: memo, cache file,
+    bundled file, else ``FileNotFoundError``; only ``build_generic_table``
+    builds one.  ``direct_structure_constants`` is the independent
+    computation inside the tensor model.
     """
     spec = FieldSpec.from_string(mode) if isinstance(mode, str) else mode
-    table = generic_table(r, s, seed=seed, cache_dir=cache_dir,
-                          progress=progress)
+    table = generic_table(r, s, cache_dir=cache_dir)
     if spec is None or spec.kind == "generic":
         return table
     return table.specialize(spec)

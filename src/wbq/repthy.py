@@ -58,11 +58,10 @@ def _as_spec(field):
     return field
 
 
-def _resolve_table(r, s, spec, seed=0, cache_dir=None, table=None):
+def _resolve_table(r, s, spec, cache_dir=None, table=None):
     if table is not None:
         return table
-    return engine.structure_constants(r, s, spec, seed=seed,
-                                      cache_dir=cache_dir)
+    return engine.structure_constants(r, s, spec, cache_dir=cache_dir)
 
 
 def label_text(label):
@@ -142,16 +141,13 @@ class CellModule:
     singular vectors in the mixed tensor space.
     """
 
-    def __init__(self, r, s, label, spec, ctx, provenance, index_set,
-                 letter_source):
+    def __init__(self, r, s, label, spec, ctx, dim, letter_source):
         self.r = r
         self.s = s
         self.label = label
         self.spec = spec
         self.ctx = ctx
-        self.provenance = provenance
-        self.index_set = index_set
-        self.dim = len(index_set)
+        self.dim = dim
         self.action = words.WordAction(ctx, self.dim, letter_source)
 
     def check_relations(self):
@@ -198,36 +194,32 @@ def _table_module_letter(tab, label, letter, frame=None):
 
 
 def cell_module(r, s, label, field=None, provenance="StructureConstants",
-                n=None, seed=0, cache_dir=None, table=None, check=True):
+                n=None, cache_dir=None, table=None):
     """Build the cell module of ``label`` over the given field.
 
     ``provenance`` selects the construction: the table layer, or the span
     of singular vectors inside the mixed tensor space (which requires the
     rho = q^n tie, n >= r+s).
     """
-    index_set = words.cell_index_set(label, r, s)
     if provenance == "StructureConstants":
         spec = _as_spec(field)
-        tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
-                             table=table)
+        tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
         _, dim, frame = engine.cell_layout(r, s)[label]
 
         def source(letter):
             return _table_module_letter(tab, label, letter)
 
-        module = CellModule(r, s, label, spec, tab.ctx, provenance,
-                            index_set, source)
-        if check and dim >= 1:
-            # the module does not depend on which row of the layer frames it
-            other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
-            if other != frame:
-                for letter in engine.generator_letters(r, s):
-                    if module.action.letter(letter) != _table_module_letter(
-                            tab, label, letter, other):
-                        raise OracleMismatch(
-                            "cell module depends on the frame at %s"
-                            % label_text(label))
-            module.check_relations()
+        module = CellModule(r, s, label, spec, tab.ctx, dim, source)
+        # the module does not depend on which row of the layer frames it
+        other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
+        if other != frame:
+            for letter in engine.generator_letters(r, s):
+                if module.action.letter(letter) != _table_module_letter(
+                        tab, label, letter, other):
+                    raise OracleMismatch(
+                        "cell module depends on the frame at %s"
+                        % label_text(label))
+        module.check_relations()
         return module
     if provenance == "SingularVectors":
         n = (r + s) if n is None else n
@@ -239,7 +231,7 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
         # the same symmetrizer type as the cellular layer of ``label``, so
         # the two constructions become comparable module for module
         vectors = [tensor.singular_vector(label.conjugate(), t, d, n, spec)
-                   for t, d in index_set]
+                   for t, d in words.cell_index_set(label, r, s)]
         support = sorted(set(idx for v in vectors for idx, _ in v.items()))
         slot = {idx: k for k, idx in enumerate(support)}
 
@@ -268,12 +260,9 @@ def cell_module(r, s, label, field=None, provenance="StructureConstants",
                     % label_text(label))
             return [list(row) for row in zip(*cols)]
 
-        module = CellModule(r, s, label, spec, ctx, provenance,
-                            index_set, source)
+        module = CellModule(r, s, label, spec, ctx, len(vectors), source)
         module.vectors = vectors
-        module.n = n
-        if check:
-            module.check_relations()
+        module.check_relations()
         return module
     raise ValueError("unknown provenance %r" % provenance)
 
@@ -315,12 +304,11 @@ def _gram_entries(r, s, label, coefficient):
              for j in range(dim)] for i in range(dim)]
 
 
-def gram_matrix(r, s, label, field=None, seed=0, cache_dir=None, table=None):
+def gram_matrix(r, s, label, field=None, cache_dir=None, table=None):
     """Gram matrix of the cell module: entry (i, j) is the coefficient of
     the distinguished diagonal basis word in C[(a)(i)] * C[(j)(a)]."""
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
-                         table=table)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
     ctx = tab.ctx
     zero = ctx.zero()
     entries = _gram_entries(
@@ -432,8 +420,7 @@ def _integer_value(ctx, value):
     raise IntegralityViolation("a decomposition entry is not a small integer")
 
 
-def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
-                         table=None):
+def decomposition_matrix(r, s, field=None, cache_dir=None, table=None):
     """Exact decomposition matrix over the given field, by the trace method.
 
     Raises TraceSystemSingular when the simple traces fail to be linearly
@@ -442,8 +429,7 @@ def decomposition_matrix(r, s, field=None, seed=0, cache_dir=None,
     the unitriangular shape disagrees with the predicted one.
     """
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
-                         table=table)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
     ctx = tab.ctx
     labels = list(combinat.enumerate_labels(r, s))
     grams = {label: gram_matrix(r, s, label, table=tab) for label in labels}
@@ -502,11 +488,10 @@ def blocks(r, s, field=None, **kw):
     return decomposition_matrix(r, s, field=field, **kw).block_partition()
 
 
-def semisimplicity(r, s, field=None, seed=0, cache_dir=None, table=None):
+def semisimplicity(r, s, field=None, cache_dir=None, table=None):
     """(computed, predicted) semisimplicity; raises on disagreement."""
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
-                         table=table)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
     computed = True
     for label in combinat.enumerate_labels(r, s):
         gram = gram_matrix(r, s, label, table=tab)
@@ -531,7 +516,7 @@ def blocks1_applicable(r, s, spec):
     return not rho_square_power_clash(spec, r + s - 2)
 
 
-def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
+def blocks1_comparison(r, s, field=None, dec=None, cache_dir=None):
     """Entrywise check that multiplicities only connect equal contraction
     layers, and that each layer reproduces the layer-zero multiplicities
     of the smaller algebra with both strand counts reduced by f.
@@ -542,8 +527,7 @@ def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     """
     spec = _as_spec(field)
     if dec is None:
-        dec = decomposition_matrix(r, s, field=spec, seed=seed,
-                                   cache_dir=cache_dir)
+        dec = decomposition_matrix(r, s, field=spec, cache_dir=cache_dir)
     for i, row_label in enumerate(dec.rows):
         for j, col_label in enumerate(dec.columns):
             if row_label.f != col_label.f and dec.entries[i][j]:
@@ -554,7 +538,7 @@ def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
         cols_f = [label for label in dec.columns if label.f == f]
         sub_r, sub_s = r - f, s - f
         if min(sub_r, sub_s) >= 1:
-            sub = decomposition_matrix(sub_r, sub_s, field=spec, seed=seed,
+            sub = decomposition_matrix(sub_r, sub_s, field=spec,
                                        cache_dir=cache_dir)
             sub_rows = [l for l in sub.rows if l.f == 0]
             sub_cols = [l for l in sub.columns if l.f == 0]
@@ -582,7 +566,7 @@ def blocks1_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     return True
 
 
-def einfty_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
+def einfty_comparison(r, s, field=None, dec=None, cache_dir=None):
     """For rho = q^a over transcendental q, the decomposition matrix must
     agree with the ones at the roots of unity of orders 7 and 11 carrying
     the same tie.
@@ -593,11 +577,10 @@ def einfty_comparison(r, s, field=None, dec=None, seed=0, cache_dir=None):
     if spec.kind != "qpow":
         return None
     if dec is None:
-        dec = decomposition_matrix(r, s, field=spec, seed=seed,
-                                   cache_dir=cache_dir)
+        dec = decomposition_matrix(r, s, field=spec, cache_dir=cache_dir)
     for m in (7, 11):
         other_spec = FieldSpec.cyclotomic(m, spec.a % m)
-        other = decomposition_matrix(r, s, field=other_spec, seed=seed,
+        other = decomposition_matrix(r, s, field=other_spec,
                                      cache_dir=cache_dir)
         if dec.rows != other.rows or dec.columns != other.columns:
             return False
@@ -624,14 +607,13 @@ def _alt_generator_element(label):
     return elem
 
 
-def alt_cell_realization_check(r, s, label, field=None, seed=0,
-                               cache_dir=None, table=None):
+def alt_cell_realization_check(r, s, label, field=None, cache_dir=None,
+                               table=None):
     """The right module generated by the alternative element inside the
     quotient by the higher-label ideal must match the cell module of the
     label: same dimension and the same trace of every basis word."""
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir,
-                         table=table)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
     dim = engine.cell_layout(r, s)[label][1]
     ctx = tab.ctx
     nbasis = tab.size
@@ -990,12 +972,12 @@ def singular_dimension_check(r, s, field=None, n=None):
 # route agreement and large-shape certificates
 # ---------------------------------------------------------------------------
 
-def route_agreement(r, s, n=None, seed=0, cache_dir=None):
+def route_agreement(r, s, n=None, cache_dir=None):
     """Both constructions of every cell module at rho = q^n must agree on
     the Gram rank and on the trace of every basis word."""
     n = (r + s) if n is None else n
     spec = FieldSpec.qpower(n)
-    tab = _resolve_table(r, s, spec, seed=seed, cache_dir=cache_dir)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir)
     ctx = tab.ctx
     for label in combinat.enumerate_labels(r, s):
         table_traces = _layer_trace_table(tab, label)
@@ -1077,17 +1059,16 @@ def gram_certificate_numeric(r, s):
 # assembled results and emitters
 # ---------------------------------------------------------------------------
 
-def analyze(r, s, field=None, seed=0, cache_dir=None):
+def analyze(r, s, field=None, cache_dir=None):
     """Full exact report for one ground field: Gram ranks, decomposition
     matrix, blocks, and the oracle comparisons."""
     spec = _as_spec(field)
-    dec = decomposition_matrix(r, s, field=spec, seed=seed,
-                               cache_dir=cache_dir)
+    dec = decomposition_matrix(r, s, field=spec, cache_dir=cache_dir)
     computed = dec.is_identity()
     predicted = predicted_semisimple(r, s, spec)
-    blocks1 = blocks1_comparison(r, s, field=spec, dec=dec, seed=seed,
+    blocks1 = blocks1_comparison(r, s, field=spec, dec=dec,
                                  cache_dir=cache_dir)
-    einfty = einfty_comparison(r, s, field=spec, dec=dec, seed=seed,
+    einfty = einfty_comparison(r, s, field=spec, dec=dec,
                                cache_dir=cache_dir)
     return {
         "r": r,

@@ -325,10 +325,9 @@ def cell_basis_element(label, left, right):
 class BasisRecord:
     """One global basis element: its label, row/column indices, and word."""
 
-    __slots__ = ("position", "label", "left", "right", "element")
+    __slots__ = ("label", "left", "right", "element")
 
-    def __init__(self, position, label, left, right, element):
-        self.position = position
+    def __init__(self, label, left, right, element):
         self.label = label
         self.left = left
         self.right = right
@@ -352,7 +351,6 @@ def cell_basis(r, s):
             for right in index_set:
                 records.append(
                     BasisRecord(
-                        len(records),
                         label,
                         left,
                         right,

@@ -12,6 +12,7 @@ import sys
 import tempfile
 
 import jsonschema
+import pytest
 
 from wbq import cli, engine, repthy, scalars, tensor
 from wbq.errors import OracleMismatch, RankTooSmall
@@ -81,6 +82,13 @@ def test_usage_errors_exit_one_with_single_line_reason():
         ["verify", "--n", "2"],
         ["verify", "--seed", "1"],
         ["verify", "--cache-dir", "x"],
+        # queries read tables and take no build seed; only the generic
+        # table is cached
+        ["decomp", "--r", "1", "--s", "1", "--seed", "1"],
+        ["gram", "--r", "1", "--s", "1", "--seed", "1"],
+        ["blocks", "--r", "1", "--s", "1", "--seed", "1"],
+        ["semisimple", "--r", "1", "--s", "1", "--seed", "1"],
+        ["cache", "build", "--r", "1", "--s", "1", "--field", "generic"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -289,6 +297,47 @@ def test_schur_weyl_command_reports_the_n2_certification_defect():
     assert out == ""
     assert err == ("RankCertificationFailed: no small rational function "
                    "fits the data\n")
+
+
+def test_a_query_without_a_table_refuses_at_once(tmp_path, monkeypatch):
+    def build(*args, **kw):
+        raise AssertionError("a query started a table build")
+
+    monkeypatch.setattr(engine, "build_generic_table", build)
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    for command in ("decomp", "gram", "blocks", "semisimple"):
+        code, out, err = run_cli([command, "--r", "3", "--s", "2"])
+        assert code == 1 and out == "", command
+        assert len(err.strip().splitlines()) == 1, (command, err)
+        assert ("`wbq cache build --r 3 --s 2 --cache-dir %s`" % tmp_path
+                in err), err
+        assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_unreadable_table_file_exits_one_with_one_line(
+        tmp_path, monkeypatch):
+    with open(engine.bundled_path(1, 1)) as handle:
+        text = handle.read()
+    not_generic = json.loads(text)
+    not_generic["mode"] = "qpow:3"
+    with open(engine.bundled_path(1, 2)) as handle:
+        other_shape = handle.read()
+    path = engine.cache_path(1, 1, str(tmp_path))
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    for content in (text[:100], other_shape, json.dumps(not_generic), "[]"):
+        with open(path, "w") as handle:
+            handle.write(content)
+        monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+        code, out, err = run_cli(["blocks", "--r", "1", "--s", "1"])
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert path in err and "`wbq cache clear`" in err, err
+        assert "Traceback" not in err
+        with pytest.raises(OSError) as info:
+            engine.generic_table(1, 1)
+        assert info.value.__cause__ is not None
 
 
 def test_cache_build_list_clear_roundtrip():

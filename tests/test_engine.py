@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 
@@ -304,18 +305,28 @@ def test_generic_table_certifies_and_caches_bit_identically(table_21):
                 assert table.product(a, b) == reloaded.product(a, b)
 
 
-def test_structure_constants_cache_file_lifecycle():
-    with tempfile.TemporaryDirectory() as tmp:
-        engine._TABLE_MEMO.clear()
-        t1 = engine.structure_constants(1, 1, cache_dir=tmp)
-        path = engine.cache_path(1, 1, tmp)
-        bundled = engine.bundled_path(1, 1)
-        if not os.path.exists(bundled):
-            assert os.path.exists(path)
-        engine._TABLE_MEMO.clear()
-        t2 = engine.structure_constants(1, 1, cache_dir=tmp)
-        assert t1.product(0, 0) == t2.product(0, 0)
+def test_structure_constants_cache_file_lifecycle(tmp_path, monkeypatch):
+    # a query reads a cache file or a bundled file and never builds
+    def build(*args, **kw):
+        raise AssertionError("a query started a table build")
+
+    monkeypatch.setattr(engine, "build_generic_table", build)
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    tmp = str(tmp_path)
+    with pytest.raises(FileNotFoundError, match=re.escape(
+            "`wbq cache build --r 3 --s 2 --cache-dir %s`" % tmp)):
+        engine.structure_constants(3, 2, cache_dir=tmp)
+    table = engine.load_table(engine.bundled_path(1, 1), 1, 1)
+    monkeypatch.setattr(engine, "bundled_path",
+                        lambda r, s: str(tmp_path / "missing.json"))
+    with pytest.raises(FileNotFoundError):
+        engine.structure_constants(1, 1, cache_dir=tmp)
+    engine.save_table(table, engine.cache_path(1, 1, tmp))
+    t1 = engine.structure_constants(1, 1, cache_dir=tmp)
+    assert t1.to_json_dict() == table.to_json_dict()
     engine._TABLE_MEMO.clear()
+    t2 = engine.structure_constants(1, 1, cache_dir=tmp)
+    assert t1.product(0, 0) == t2.product(0, 0)
 
 
 @pytest.mark.parametrize("default_first", [True, False])

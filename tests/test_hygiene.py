@@ -1,4 +1,5 @@
-"""Source hygiene: the package keeps no helper that only tests reference."""
+"""Source hygiene: the package keeps no helper that only tests reference,
+and no attribute that nothing reads."""
 
 import ast
 import os
@@ -127,6 +128,57 @@ def unreferenced_names():
     return dead
 
 
+# Attributes stored in ``src/wbq`` that no code there or in ``tests/``
+# reads, each with its reason.
+ALLOWED_UNREAD = {
+    "cli._Parser._negative_number_matcher": "argparse reads it",
+}
+
+
+def _read_attributes():
+    """Every attribute name that ``src/`` or ``tests/`` loads, deletes or
+    updates in place, or names in a ``getattr`` call."""
+    out = set()
+    for directory in ("src", "tests"):
+        for text in _sources(os.path.join(ROOT, directory)).values():
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.AugAssign):
+                    node = node.target
+                if (isinstance(node, ast.Attribute)
+                        and not isinstance(node.ctx, ast.Store)):
+                    out.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr"
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    out.add(node.args[1].value)
+    return out
+
+
+def unread_attributes():
+    """module.Class.name for every attribute that a package module stores
+    (``x.name = ...``) and that no code in ``src/`` or ``tests/`` reads
+    under that name; module.name for a store outside any class."""
+    read = _read_attributes()
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, ast.ClassDef):
+                inner = "%s.%s" % (prefix, child.name)
+            elif (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)
+                    and child.attr not in read):
+                out.append("%s.%s" % (prefix, child.attr))
+            visit(child, inner)
+
+    for path, text in sorted(_sources(PACKAGE).items()):
+        visit(ast.parse(text), os.path.basename(path)[:-3])
+    return sorted(set(out))
+
+
 def value_format_reads():
     """module:line for every ``.rep`` read outside ``scalars.py``, the one
     module that knows how a scalar is stored."""
@@ -157,3 +209,11 @@ def test_every_imported_name_is_read():
 def test_every_allowed_name_still_lacks_a_caller():
     # an exemption lapses once the name gets a caller or is deleted
     assert sorted(set(ALLOWED) - set(unreferenced_names())) == []
+
+
+def test_every_stored_attribute_is_read():
+    assert sorted(set(unread_attributes()) - set(ALLOWED_UNREAD)) == []
+
+
+def test_every_allowed_attribute_is_still_unread():
+    assert sorted(set(ALLOWED_UNREAD) - set(unread_attributes())) == []

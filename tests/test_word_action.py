@@ -19,8 +19,7 @@ def _source(name):
     if name == "table":
         return tab.ctx, tab.action.letter, tab.action.element
     label = combinat.CellLabel(1, (1,), (1,))
-    module = repthy.cell_module(2, 2, label, field="qpow:4", table=tab,
-                                check=False)
+    module = repthy.cell_module(2, 2, label, field="qpow:4", table=tab)
     return module.ctx, module.action.letter, module.action.element
 
 
