@@ -33,6 +33,7 @@ right-multiplication matrices from ``words.WordAction``, which states the
 matrix convention.
 """
 
+import collections.abc
 import functools
 import itertools
 import json
@@ -529,40 +530,64 @@ class StructureConstants(ConstantsTable):
         return table
 
 
+class _SpecializedVector(collections.abc.Mapping):
+    """Read-only view of one generic vector in the field ``spec``.  A value
+    is specialised on its first read and kept in the view.  A key whose
+    image is zero is absent, as in a dict of nonzero images, except that
+    ``get`` returns that zero."""
+
+    __slots__ = ("_vec", "_spec", "_images")
+
+    def __init__(self, vec, spec):
+        self._vec = vec
+        self._spec = spec
+        self._images = {}
+
+    def get(self, key, default=None):
+        if key not in self._vec:
+            return default
+        images = self._images
+        if key not in images:
+            images[key] = scalars.specialize(self._vec[key], self._spec)
+        return images[key]
+
+    def __getitem__(self, key):
+        image = self.get(key)
+        if not image:
+            raise KeyError(key)
+        return image
+
+    def __iter__(self):
+        return (c for c in self._vec if self.get(c))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 class SpecializedConstants(ConstantsTable):
-    """Entrywise specialization of a generic table, memoized lazily."""
+    """The specialization of a generic table to one field.  Each vector is
+    a ``_SpecializedVector`` over the generic one, so a reader maps only
+    the entries it reads, each once.  The views and their images live as
+    long as this table, which a query makes for itself."""
 
     def __init__(self, parent, spec):
         ConstantsTable.__init__(self, parent.r, parent.s, spec)
         self.parent = parent
-        self._product_memo = {}
-        self._generator_memo = {}
-        self._unit_memo = None
+        self._views = {}
 
-    def _map_vec(self, vec):
-        out = {}
-        for c, value in vec.items():
-            image = scalars.specialize(value, self.spec)
-            if image:
-                out[c] = image
-        return out
+    def _view(self, key, vec):
+        if key not in self._views:
+            self._views[key] = _SpecializedVector(vec, self.spec)
+        return self._views[key]
 
     def product(self, a, b):
-        key = (a, b)
-        if key not in self._product_memo:
-            self._product_memo[key] = self._map_vec(self.parent.product(a, b))
-        return self._product_memo[key]
+        return self._view((a, b), self.parent.product(a, b))
 
     def generator_expansion(self, key):
-        if key not in self._generator_memo:
-            self._generator_memo[key] = self._map_vec(
-                self.parent.generator_expansion(key))
-        return self._generator_memo[key]
+        return self._view(key, self.parent.generator_expansion(key))
 
     def unit_expansion(self):
-        if self._unit_memo is None:
-            self._unit_memo = self._map_vec(self.parent.unit_expansion())
-        return self._unit_memo
+        return self._view(None, self.parent.unit_expansion())
 
 
 def _check_denominator_shape(value):

@@ -4,9 +4,13 @@ Everything here reduces to the structure-constant tables: a cell module is
 the layer of the multiplication table attached to one label, its Gram form
 reads off the distinguished coefficient of products inside that layer, and
 decomposition numbers are recovered by the trace method.  Where a layer
-sits comes from one address book, ``engine.cell_layout``, and the table is
-read on a layer by one row reader, ``_layer_rows`` (the matrix of a basis
-word on the cell module), and one Gram reader, ``_gram_entries``.
+sits comes from one address book, ``engine.cell_layout``.  The action of
+a generator on a cell module reads whole rows through ``_layer_rows`` (the
+matrix of a basis word on the module); everything else reads single
+entries: ``_gram_entries`` the Gram form, and the trace tables the
+diagonal of each layer row matrix and, on a degenerate form, the (pivot,
+free) entries of the pivot rows.  A specialized table maps only the
+entries read (``engine.SpecializedConstants``).
 
 Over a field of characteristic zero the traces of the basis elements on
 pairwise non-isomorphic simple modules are linearly independent, so the
@@ -324,9 +328,12 @@ def gram_matrix(r, s, label, field=None, cache_dir=None, table=None):
 # ---------------------------------------------------------------------------
 
 def _layer_trace_table(tab, label):
-    """Traces of every basis word on the cell module of one layer."""
-    return [sum((row[j] for j, row in enumerate(_layer_rows(tab, label, b))
-                 if row[j]), tab.ctx.zero())
+    """Traces of every basis word on the cell module of one layer: the sum
+    of the diagonal entries of ``_layer_rows``, read one by one."""
+    start, dim, frame = engine.cell_layout(tab.r, tab.s)[label]
+    row = start + frame * dim
+    return [sum(filter(None, (tab.product(row + j, b).get(row + j)
+                              for j in range(dim))), tab.ctx.zero())
             for b in range(tab.size)]
 
 
@@ -348,16 +355,21 @@ def _quotient_trace_table(tab, label, gram):
                 if any(linalg.mat_vec(ctx, gram.entries, image)):
                     raise OracleMismatch(
                         "the form radical is not stable under the action")
+    # the trace reads only the (p, p) and (p, free) entries of the pivot
+    # rows of ``_layer_rows``
+    start, dim, frame = engine.cell_layout(tab.r, tab.s)[label]
+    row = start + frame * dim
+    zero = ctx.zero()
     out = []
     for b in range(tab.size):
-        mat = _layer_rows(tab, label, b)
-        acc = ctx.zero()
+        acc = zero
         for row_idx, p in enumerate(pivots):
-            acc += mat[p][p]
+            vec = tab.product(row + p, b)
+            acc += vec.get(row + p, zero)
             for fcol in free:
                 corr = reduced[row_idx][fcol]
-                if corr and mat[p][fcol]:
-                    acc += mat[p][fcol] * corr
+                if corr and vec.get(row + fcol):
+                    acc += vec.get(row + fcol) * corr
         out.append(acc)
     return out
 
@@ -411,12 +423,15 @@ class DecompositionMatrix:
 
 
 def _integer_value(ctx, value):
-    """The integer k with |k| <= 64 that ``value`` equals."""
-    for k in range(65):
-        if value == ctx.from_monomial(k):
+    """The integer k with |k| <= 64 that ``value`` equals.  The only
+    candidate is the small integer with the same image mod p, since a ring
+    map sends k to k mod p; one exact comparison confirms it."""
+    image = value.mod_p()
+    if image is not None:
+        r, p = image
+        k = r if r <= 64 else r - p
+        if abs(k) <= 64 and value == ctx.from_monomial(k):
             return k
-        if k and value == ctx.from_monomial(-k):
-            return -k
     raise IntegralityViolation("a decomposition entry is not a small integer")
 
 

@@ -789,6 +789,7 @@ def quantum_factorial(ell, spec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def delta(spec):
     """(rho - rho^{-1}) / (q - q^{-1})."""
     num = rho_elem(spec) - monomial(spec, 1, 0, -1)

@@ -395,6 +395,47 @@ def test_generic_specializes_to_directly_computed_constants(table_21):
         assert seen.generator_expansion(key) == direct.generator_expansion(key)
 
 
+def _eager_images(vec, spec):
+    """The eager map that the lazy vector views replace: every value
+    specialised, and the zero images dropped."""
+    images = {c: scalars.specialize(v, spec) for c, v in vec.items()}
+    return {c: x for c, x in images.items() if x}
+
+
+@pytest.mark.parametrize("field, zero_images", [
+    ("qpow:2", 0), ("cyclo:4,rho=zeta^1", 417), ("cyclo:3,rho=free", 2)])
+def test_lazy_vectors_match_the_eager_map(field, zero_images):
+    # every stored product, generator and unit vector of every bundled
+    # table; a value whose image is zero reads as absent, except to get
+    spec = FieldSpec.from_string(field)
+    zero = scalars.zero(spec)
+    seen_zeros = 0
+    for r, s in BUNDLED_SHAPES:
+        generic = engine.structure_constants(r, s)
+        view = generic.specialize(spec)
+        pairs = [(generic.product(a, b), view.product(a, b))
+                 for a, b in generic._products]
+        pairs += [(generic.generator_expansion(key),
+                   view.generator_expansion(key))
+                  for key in generic._generators]
+        pairs.append((generic.unit_expansion(), view.unit_expansion()))
+        for vec, lazy in pairs:
+            want = _eager_images(vec, spec)
+            assert dict(lazy.items()) == want
+            assert lazy == want and want == lazy
+            assert list(lazy) == list(want) and len(lazy) == len(want)
+            for c in list(vec) + [-1, generic.size]:
+                assert (c in lazy) == (c in want)
+                if c in vec and c not in want:
+                    seen_zeros += 1
+                    assert lazy.get(c) == zero
+                    assert lazy.get(c, zero) == zero
+                    with pytest.raises(KeyError):
+                        lazy[c]
+            assert lazy.get(-1) is None
+    assert seen_zeros == zero_images
+
+
 def test_triangularity_and_symmetry_exhaustive_21():
     table = engine.structure_constants(2, 1)
     table.check_triangularity()

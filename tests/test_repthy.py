@@ -309,6 +309,64 @@ def test_layer_rows_match_the_table_action(r, s, field):
                             for j in range(dim)]
 
 
+def _quotient_traces_from_rows(tab, label, gram):
+    """The simple-head traces from the full ``_layer_rows`` matrices: the
+    formula that ``_quotient_trace_table`` reads entry by entry."""
+    pivots, reduced = gram._pivots, gram._reduced
+    free = [j for j in range(gram.dim) if j not in pivots]
+    out = []
+    for b in range(tab.size):
+        mat = repthy._layer_rows(tab, label, b)
+        acc = tab.ctx.zero()
+        for row_idx, p in enumerate(pivots):
+            acc += mat[p][p]
+            for fcol in free:
+                acc += mat[p][fcol] * reduced[row_idx][fcol]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
+def test_trace_readers_match_the_layer_row_matrices(r, s):
+    # every grid field with a degenerate Gram form on this shape
+    degenerate = 0
+    for spec in dict.fromkeys(cli.grid_fields()):
+        tab = engine.structure_constants(r, s, spec)
+        grams = [repthy.gram_matrix(r, s, label, table=tab)
+                 for label in _labels(r, s)]
+        if all(gram.rank == gram.dim for gram in grams):
+            continue
+        for gram in grams:
+            rows = [repthy._layer_rows(tab, gram.label, b)
+                    for b in range(tab.size)]
+            assert repthy._layer_trace_table(tab, gram.label) == [
+                sum((m[j][j] for j in range(gram.dim)), tab.ctx.zero())
+                for m in rows]
+            if 0 < gram.rank < gram.dim:
+                degenerate += 1
+                assert repthy._quotient_trace_table(tab, gram.label, gram) \
+                    == _quotient_traces_from_rows(tab, gram.label, gram)
+    # on (1,1) every degenerate form has rank 0
+    assert degenerate or (r, s) == (1, 1)
+
+
+def test_a_decomposition_specialises_each_value_it_reads_once(monkeypatch):
+    # an eager view mapped every value of each vector it touched: 416
+    # values for this call; the lazy view maps 115
+    eager, lazy = 416, 115
+    calls = []
+    original = scalars.specialize
+
+    def counting(x, target):
+        calls.append(id(x))
+        return original(x, target)
+
+    monkeypatch.setattr(scalars, "specialize", counting)
+    repthy.decomposition_matrix(2, 2, field="qpow:2")
+    assert len(calls) <= lazy < eager
+    assert len(set(calls)) == len(calls)
+
+
 def test_foreign_labels_raise_key_error():
     cases = [((2, 1), combinat.CellLabel(0, (1,), (1,))),
              ((1, 1), combinat.CellLabel(0, (2,), (1,)))]
@@ -508,6 +566,24 @@ def test_integer_value_rejects_non_integers():
     except IntegralityViolation:
         failed = True
     assert failed
+
+
+@pytest.mark.parametrize("field", ["qpow:2", "cyclo:4,rho=zeta^1",
+                                   "cyclo:3,rho=free", "generic"])
+def test_integer_value_reads_small_integers_from_their_residue(field):
+    ctx = FieldContext(FieldSpec.from_string(field))
+    for k in range(-70, 71):
+        if abs(k) <= 64:
+            assert repthy._integer_value(ctx, ctx.from_monomial(k)) == k
+        else:
+            with pytest.raises(IntegralityViolation):
+                repthy._integer_value(ctx, ctx.from_monomial(k))
+    for value in (ctx.from_monomial(1, 1, 0),
+                  ctx.from_monomial(Fraction(1, 2))):
+        with pytest.raises(IntegralityViolation,
+                           match="^a decomposition entry is not a small "
+                                 "integer$"):
+            repthy._integer_value(ctx, value)
 
 
 def test_analyze_result_shape_and_determinism():
