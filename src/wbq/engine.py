@@ -38,8 +38,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 
@@ -314,9 +316,14 @@ class ConstantsTable:
         self.s = s
         self.spec = spec
         self.basis = cell_basis(r, s)
-        self.ctx = FieldContext(spec)
 
     # subclasses implement product / generator_expansion / unit_expansion
+
+    @functools.cached_property
+    def ctx(self):
+        """The field context, built on first use: a loaded generic table
+        that only specialises builds no generic value at all."""
+        return FieldContext(self.spec)
 
     @property
     def size(self):
@@ -506,6 +513,19 @@ class StructureConstants(ConstantsTable):
 
     @classmethod
     def from_json_dict(cls, data):
+        """The generic table that ``to_json_dict`` wrote as ``data``.
+
+        Each value goes through ``scalars.generic_from_terms``: values in
+        the canonical form that ``to_json_dict`` writes are kept as their
+        integer terms, and their sympy form is built only when generic-field
+        arithmetic first reads them.  Every check here is on integers.
+        Raises ValueError for a file that is not a table ``to_json_dict``
+        could have written: another format or mode, a basis position or
+        product key outside ``range(size)``, a malformed value (an empty
+        denominator, a zero coefficient, a coefficient or exponent that does
+        not parse), or a denominator of another shape than ``certify()``
+        allows.  A missing or mistyped field raises KeyError or TypeError.
+        """
         if data.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported table format %r"
                              % data.get("format_version"))
@@ -513,20 +533,32 @@ class StructureConstants(ConstantsTable):
             raise ValueError("stored table has mode %r, only generic tables "
                              "are stored" % data.get("mode"))
         r, s = data["r"], data["s"]
+        size = len(cell_basis(r, s))
+        if data["size"] != size:
+            raise ValueError("basis size mismatch in stored table")
+
+        def position(text):
+            c = int(text)
+            if not 0 <= c < size:
+                raise ValueError("basis position %s outside range(%d)"
+                                 % (text, size))
+            return c
 
         def decode_vec(obj):
-            return {int(c): _decode_scalar(v) for c, v in obj.items()}
+            return {position(c): _decode_scalar(v) for c, v in obj.items()}
 
         products = {}
         for key, vec in data["products"].items():
             a, b = key.split(",")
-            products[(int(a), int(b))] = decode_vec(vec)
+            products[(position(a), position(b))] = decode_vec(vec)
         generators = {k: decode_vec(v) for k, v in data["generators"].items()}
         unit = decode_vec(data["one"])
         table = cls(r, s, FieldSpec.generic(), data["seed"], data["D"],
                     products, generators, unit)
-        if len(table.basis) != data["size"]:
-            raise ValueError("basis size mismatch in stored table")
+        try:
+            table.check_denominators()
+        except OracleMismatch as exc:
+            raise ValueError("stored value rejected: %s" % exc) from exc
         return table
 
 
@@ -591,29 +623,23 @@ class SpecializedConstants(ConstantsTable):
 
 
 def _check_denominator_shape(value):
-    num, den = scalars.generic_terms(value)
-    del num
-    qexps = sorted(e for e, _, c in den)
-    rexps = set(re for _, re, _ in den)
-    if rexps != {den[0][1]}:
+    den = scalars.generic_terms(value)[1]
+    if len({re for _, re, _ in den}) != 1:
         raise OracleMismatch("denominator involves rho")
-    lo = qexps[0]
-    span = qexps[-1] - lo
+    # one rho-power, so the sorted terms ascend in q
+    lo = den[0][0]
+    span = den[-1][0] - lo
     if span % 2 != 0:
         raise OracleMismatch("denominator is not a power of q^2 - 1")
     k = span // 2
     by_exp = {e - lo: c for e, _, c in den}
-    lead = by_exp.get(span)
-    if lead is None:
-        raise OracleMismatch("denominator missing its leading term")
+    lead = by_exp[span]
     for i in range(k + 1):
         want = lead * math.comb(k, i) * (-1) ** i
-        have = by_exp.get(span - 2 * i, Fraction(0))
-        if have != want:
+        if by_exp.get(span - 2 * i, 0) != want:
             raise OracleMismatch("denominator is not c*q^A*(q^2-1)^K")
-    for e in qexps:
-        if (e - lo) % 2 != 0:
-            raise OracleMismatch("denominator has stray odd q powers")
+    if any(e % 2 for e in by_exp):
+        raise OracleMismatch("denominator has stray odd q powers")
 
 
 def _encode_scalar(x):
@@ -622,9 +648,27 @@ def _encode_scalar(x):
             [[qe, re, str(c)] for qe, re, c in den]]
 
 
+# the str of a nonzero int or Fraction, as ``_encode_scalar`` writes it
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+
+
+def _decode_coefficient(text):
+    if not _COEFFICIENT.match(text):
+        raise ValueError("malformed coefficient %r" % (text,))
+    c = Fraction(text) if "/" in text else int(text)
+    if not c:
+        raise ValueError("zero coefficient")
+    return c
+
+
 def _decode_scalar(obj):
-    num = [(qe, re, Fraction(c)) for qe, re, c in obj[0]]
-    den = [(qe, re, Fraction(c)) for qe, re, c in obj[1]]
+    """The value that ``_encode_scalar`` wrote as ``obj``; ValueError or
+    TypeError for a malformed one."""
+    num, den = ([(operator.index(qexp), operator.index(rhoexp),
+                  _decode_coefficient(c)) for qexp, rhoexp, c in side]
+                for side in obj)
+    if not den:
+        raise ValueError("empty denominator")
     return scalars.generic_from_terms(num, den)
 
 
@@ -922,6 +966,11 @@ def save_table(table, path):
 
 
 def load_table(path, r, s):
+    """The generic table of B_{r,s} stored at ``path``, checked and decoded
+    without sympy as in ``StructureConstants.from_json_dict``; a value's
+    sympy form is built on its first generic-field read.  Raises ValueError
+    (or KeyError, TypeError) for a file that is not such a table, including
+    one stored for another shape."""
     with open(path) as handle:
         data = json.load(handle)
     if data.get("r") != r or data.get("s") != s:

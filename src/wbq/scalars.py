@@ -24,6 +24,21 @@ and the lowering back, on which the tensor action runs, and
 field.  Changing the representation of a field therefore changes this
 module only.
 
+A generic value is a gcd-normalised sympy fraction in Q(q, rho), with one
+exception: ``generic_from_terms`` keeps terms that are already in canonical
+form as they are, and builds their sympy form on the first read of ``rep``,
+that is when generic-field arithmetic, ``==`` or ``hash`` first touches the
+value.  ``specialize``, ``generic_terms``, ``mod_p``, ``evaluate`` and
+``to_text`` read the terms and build nothing.  Canonical terms are the
+normal form of a nonzero value, as ``generic_terms`` returns it and a
+stored table holds it: integer coefficients of content 1, nonnegative
+exponents, each side sorted without repeats; a denominator
+c*q^A*rho^B*(q^2-1)^K with c > 0; and a numerator coprime to it, that is
+with a term free of q if A > 0, a term free of rho if B > 0, and N(1, rho)
+and N(-1, rho) both nonzero if K > 0.  Over Q[q, rho] a reduced fraction is
+unique up to a rational unit, which content 1 and c > 0 fix, so canonical
+terms are exactly what sympy's normalisation returns.
+
 Where q and rho go in each field kind is written once, in the private
 ``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
 denominator and builds their quotient in the field.  ``monomial``,
@@ -479,6 +494,9 @@ class FieldSpec:
         return "FieldSpec(%s)" % self.to_string()
 
 
+_GENERIC = FieldSpec.generic()
+
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -532,6 +550,11 @@ class Scalar:
     def __repr__(self):
         return to_text(self)
 
+    def _fraction_terms(self):
+        """The numerator and denominator of a generic or qpow value as
+        sequences of (exponent tuple, coefficient) terms."""
+        return _terms(self.rep.numer), _terms(self.rep.denom)
+
     def to_laurent(self):
         """The value as ``(numerator, denominator)``, two ``Laurent``
         polynomials in q, on a ``qpow`` or ``rho = zeta^a`` field.  A
@@ -540,8 +563,7 @@ class Scalar:
         maps a Laurent polynomial back."""
         spec = self.spec
         if spec.kind == "qpow":
-            num = _terms(self.rep.numer)
-            den = _terms(self.rep.denom)
+            num, den = self._fraction_terms()
             if len(den) == 1:
                 [((low,), c)] = den
                 return Laurent({e - low: _coefficient(x / c)
@@ -564,18 +586,19 @@ class Scalar:
         """The image ``(value, p)`` of this value under the fixed ring map
         of its field to Z/p (``_modp_point``), or None when a denominator
         or a coefficient's denominator maps to zero."""
-        spec, rep = self.spec, self.rep
+        spec = self.spec
         if spec.kind != "cyclo":
             sides = [[(mono, int(c.numerator), int(c.denominator))
-                      for mono, c in poly.items()]
-                     for poly in (rep.numer, rep.denom)]
+                      for mono, c in side]
+                     for side in self._fraction_terms()]
         elif spec.rho_kind == "power":
+            rep = self.rep
             sides = [[((k,), c, rep.den) for k, c in enumerate(rep.v)],
                      [((), 1, 1)]]
         else:
             sides = [[((k, j), c, x.den) for j, x in enumerate(side)
                       for k, c in enumerate(x.v)]
-                     for side in (rep.num, rep.den)]
+                     for side in (self.rep.num, self.rep.den)]
         p, point = _modp_point(spec)
         num, den = (_terms_mod(terms, point, p) for terms in sides)
         if num is None or not den:
@@ -586,6 +609,39 @@ class Scalar:
 def _coefficient(c):
     """A Fraction as an int where it is integral."""
     return c.numerator if c.denominator == 1 else c
+
+
+class _Stored(Scalar):
+    """A generic value kept as canonical terms (see the module docstring),
+    two tuples of ((qexp, rhoexp), int) terms.  The ``rep`` slot stays
+    unset until its first read, which builds the sympy form from the terms
+    without a gcd; every other reader takes the terms."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.spec = _GENERIC
+        self.num = num
+        self.den = den
+
+    def __getattr__(self, name):
+        # reached only while the rep slot is unset
+        if name != "rep":
+            raise AttributeError(name)
+        self.rep = _decode(self.num, self.den)
+        return self.rep
+
+    def __bool__(self):
+        return True  # a canonical numerator is not empty
+
+    def _fraction_terms(self):
+        return self.num, self.den
+
+
+def _decode(num, den):
+    """The sympy form of canonical terms: already reduced, so no gcd."""
+    ring = _GFIELD.ring
+    return _GFIELD.raw_new(ring.from_dict(dict(num)), ring.from_dict(dict(den)))
 
 
 class Laurent(dict):
@@ -819,7 +875,7 @@ def specialize(x, target):
         raise ValueError("specialize expects a generic source scalar")
     if x.spec == target:
         return x
-    return _substitute(target, _terms(x.rep.numer), _terms(x.rep.denom))
+    return _substitute(target, *x._fraction_terms())
 
 
 def evaluate(x, t, rho_exp=0):
@@ -832,14 +888,12 @@ def evaluate(x, t, rho_exp=0):
         raise ValueError("evaluate expects a generic or qpow scalar")
     t = Fraction(t)
 
-    def side(poly):
-        return sum(c * t ** (mono[0] + rho_exp * sum(mono[1:]))
-                   for mono, c in _terms(poly))
-
-    den = side(x.rep.denom)
+    num, den = (sum(c * t ** (mono[0] + rho_exp * sum(mono[1:]))
+                    for mono, c in side)
+                for side in x._fraction_terms())
     if not den:
         raise DenominatorVanishes("denominator vanishes at q=%s, rho=q^%d" % (t, rho_exp))
-    return side(x.rep.numer) / den
+    return num / den
 
 
 @functools.lru_cache(maxsize=None)
@@ -920,7 +974,7 @@ def to_text(x):
             den_terms = [((0,), Fraction(1))]
         else:
             names = ("q", "rho") if spec.kind == "generic" else ("q",)
-            num_terms, den_terms = _terms(x.rep.numer), _terms(x.rep.denom)
+            num_terms, den_terms = x._fraction_terms()
         num_s, den_s = (_format_rational_poly(terms, names)
                         for terms in _integerize(num_terms, den_terms))
         return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
@@ -1091,22 +1145,54 @@ def parse_scalar(text, spec):
 def generic_terms(x):
     """Numerator and denominator of a generic scalar as sorted term lists.
 
-    Each term is (qexp, rhoexp, Fraction coefficient); the two lists are a
-    faithful, order-normalized encoding of the scalar.
+    Each term is (qexp, rhoexp, coefficient); the two lists are a faithful,
+    order-normalized encoding of the scalar, in the canonical form of the
+    module docstring, so every coefficient is an int.
     """
     if x.spec.kind != "generic":
         raise ValueError("generic_terms expects a generic-mode scalar")
-
-    def side(poly):
-        return sorted((qe, re, c) for (qe, re), c in _terms(poly))
-
-    return side(x.rep.numer), side(x.rep.denom)
+    return tuple(sorted((qe, re, _coefficient(c)) for (qe, re), c in side)
+                 for side in x._fraction_terms())
 
 
 def generic_from_terms(num_terms, den_terms):
-    """Rebuild a generic scalar from ``generic_terms`` output (or any
-    equivalent term lists; negative exponents are allowed and normalized)."""
-    def side(terms):
-        return {(int(qe), int(re)): c for qe, re, c in terms}
+    """Rebuild a generic scalar from ``generic_terms`` output, or from any
+    equivalent term lists: (qexp, rhoexp, coefficient) triples, with
+    negative exponents allowed.  Canonical terms (module docstring) are kept
+    as they are, and their sympy form is built on its first read; any
+    others are normalised now."""
+    num, den = (tuple(((int(qe), int(re)), c) for qe, re, c in side)
+                for side in (num_terms, den_terms))
+    if _canonical(num, den):
+        return _Stored(num, den)
+    return _from_terms(_GENERIC, dict(num), dict(den))
 
-    return _from_terms(FieldSpec.generic(), side(num_terms), side(den_terms))
+
+def _canonical(num, den):
+    """Whether the ((qexp, rhoexp), coefficient) terms num / den are in the
+    canonical form of the module docstring, checked on the integers."""
+    if not num or not den:
+        return False
+    (low, rho), _ = den[0]
+    k, lead = len(den) - 1, den[-1][1]
+    if type(lead) is not int or lead <= 0 or low < 0 or rho < 0:
+        return False
+    for i, ((qe, re), c) in enumerate(den):
+        if (qe != low + 2 * i or re != rho or type(c) is not int
+                or c != (-1) ** (k - i) * math.comb(k, i) * lead):
+            return False
+    # sorted terms above (0, -1) have q-exponents >= 0
+    content, previous = lead, (0, -1)
+    at_one, at_minus_one = {}, {}  # N(1, rho) and N(-1, rho) by rho-power
+    for mono, c in num:
+        if type(c) is not int or not c or mono <= previous or mono[1] < 0:
+            return False
+        previous = mono
+        content = math.gcd(content, c)
+        at_one[mono[1]] = at_one.get(mono[1], 0) + c
+        at_minus_one[mono[1]] = (at_minus_one.get(mono[1], 0)
+                                 + (-c if mono[0] % 2 else c))
+    return (content == 1
+            and (low == 0 or num[0][0][0] == 0)
+            and (rho == 0 or any(re == 0 for (_, re), _ in num))
+            and (k == 0 or any(at_one.values()) and any(at_minus_one.values())))

@@ -340,6 +340,89 @@ def test_an_unreadable_table_file_exits_one_with_one_line(
         assert info.value.__cause__ is not None
 
 
+def _corrupt_b11(edit):
+    """The bundled (1, 1) table as JSON text, after ``edit`` changed it."""
+    with open(engine.bundled_path(1, 1)) as handle:
+        data = json.load(handle)
+    edit(data)
+    return json.dumps(data)
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+# Each file loads as a table today's writer could not have written.  The
+# entry "products" "0,0" "0" is q (rho^2 - 1) / (rho (q^2 - 1)).
+CORRUPT_B11 = {
+    "empty denominator": _set(["one", "1", 1], []),
+    "zero coefficient": _set(["one", "1", 0, 0, 2], "0"),
+    "coefficient that does not parse": _set(["one", "1", 0, 0, 2], "one"),
+    "coefficient of zero denominator": _set(["one", "1", 0, 0, 2], "1/0"),
+    "coefficient that is a number": _set(["one", "1", 0, 0, 2], 1),
+    "exponent that is a string": _set(["one", "1", 0, 0, 0], "0"),
+    "exponent that is a float": _set(["one", "1", 0, 0, 0], 0.5),
+    "denominator with rho": _set(["products", "0,0", "0", 1],
+                                 [[0, 0, "1"], [0, 2, "1"]]),
+    "denominator with q + 1": _set(["products", "0,0", "0", 1],
+                                   [[0, 0, "1"], [1, 0, "1"]]),
+    "vector index out of range": _set(["one", "2"],
+                                      [[[0, 0, "1"]], [[0, 0, "1"]]]),
+    "product key out of range": _set(["products", "0,2"],
+                                     {"0": [[[0, 0, "1"]], [[0, 0, "1"]]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_B11))
+def test_a_corrupt_table_file_is_refused_at_load(case, tmp_path, monkeypatch):
+    path = engine.cache_path(1, 1, str(tmp_path))
+    with open(path, "w") as handle:
+        handle.write(_corrupt_b11(CORRUPT_B11[case]))
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    code, out, err = run_cli(["blocks", "--r", "1", "--s", "1"])
+    assert code == 1 and out == "", case
+    assert len(err.strip().splitlines()) == 1, (case, err)
+    assert path in err and "`wbq cache clear`" in err, (case, err)
+    assert "Traceback" not in err
+    with pytest.raises((ValueError, TypeError)):
+        engine.load_table(path, 1, 1)
+
+
+def test_a_non_generic_query_decodes_no_generic_value(tmp_path, monkeypatch):
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    calls = {"decode": 0, "generic": 0, "load": 0}
+    decode, from_terms = scalars._decode, scalars._from_terms
+    generic_from_terms = scalars.generic_from_terms
+
+    def counted_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
+
+    def counted_from_terms(spec, num, den):
+        calls["generic"] += spec.kind == "generic"
+        return from_terms(spec, num, den)
+
+    def counted_load(*args):
+        calls["load"] += 1
+        return generic_from_terms(*args)
+
+    monkeypatch.setattr(scalars, "_decode", counted_decode)
+    monkeypatch.setattr(scalars, "_from_terms", counted_from_terms)
+    monkeypatch.setattr(scalars, "generic_from_terms", counted_load)
+    code, out, err = run_cli(["decomp", "--r", "2", "--s", "2",
+                              "--field", "qpow:2"])
+    assert code == 0 and err == ""
+    # the (2, 2) table was loaded in this call, and no value was decoded
+    assert calls == {"decode": 0, "generic": 0, "load": 1023}
+
+
 def test_cache_build_list_clear_roundtrip():
     tmp = tempfile.mkdtemp(prefix="wbq-cache-")
     base = ["--cache-dir", tmp]

@@ -358,6 +358,34 @@ def test_load_table_rejects_a_table_that_is_not_generic(tmp_path):
 BUNDLED_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 
+def _counting(monkeypatch, module, name):
+    """Calls to ``module.name`` from now on, as a list of argument tuples."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
+def test_bundled_tables_reserialise_byte_for_byte_without_sympy(
+        r, s, tmp_path, monkeypatch):
+    # neither the lazy decode nor the eager normalisation builds a value
+    decoded = _counting(monkeypatch, scalars, "_decode")
+    normalised = _counting(monkeypatch, scalars, "_from_terms")
+    kept = _counting(monkeypatch, scalars, "generic_from_terms")
+    path = engine.bundled_path(r, s)
+    copy = str(tmp_path / "copy.json")
+    engine.save_table(engine.load_table(path, r, s), copy)
+    with open(path, "rb") as bundled, open(copy, "rb") as saved:
+        assert saved.read() == bundled.read()
+    assert kept and not decoded and not normalised
+
+
 @pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
 def test_cell_layout_addresses_every_basis_record(r, s):
     # checked against the records of words.cell_basis, which place each

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -701,3 +702,109 @@ def test_laurent_division_by_quantum_factorials_is_exact(x, ell, e, c):
         # [ell]! is no unit, so it divides no monomial
         with pytest.raises(IntegralityViolation):
             (x * qfact + scalars.Laurent({e: c})) / qfact
+
+
+# -- generic values kept as their stored terms --------------------------------
+
+BUNDLED_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
+DIFFERENTIAL_FIELDS = [FieldSpec.qpower(2), FieldSpec.qpower(-2),
+                       FieldSpec.cyclotomic(4, 1),
+                       FieldSpec.cyclotomic(3, "free")]
+
+
+def _eager(num, den):
+    """The gcd-normalised value of (qexp, rhoexp, coefficient) terms, the
+    form every generic value had before stored terms were kept."""
+    num, den = ({(qe, re): Fraction(c) for qe, re, c in side}
+                for side in (num, den))
+    return scalars._from_terms(GEN, num, den)
+
+
+def _stored_pairs(r, s):
+    """(stored JSON value, loaded value) for every value of a bundled
+    table."""
+    path = engine.bundled_path(r, s)
+    with open(path) as handle:
+        data = json.load(handle)
+    table = engine.load_table(path, r, s)
+    vectors = [(vec, table.product(*map(int, key.split(","))))
+               for key, vec in data["products"].items()]
+    vectors += [(vec, table.generator_expansion(key))
+                for key, vec in data["generators"].items()]
+    vectors.append((data["one"], table.unit_expansion()))
+    return [(obj, loaded[int(c)]) for stored, loaded in vectors
+            for c, obj in stored.items()]
+
+
+def test_every_bundled_value_is_kept_and_decodes_to_the_eager_value():
+    count = 0
+    for shape in BUNDLED_SHAPES:
+        for obj, kept in _stored_pairs(*shape):
+            count += 1
+            assert isinstance(kept, scalars._Stored), (shape, obj)
+            eager = _eager(*obj)
+            assert scalars.generic_terms(kept) == scalars.generic_terms(eager)
+            for target in DIFFERENTIAL_FIELDS:
+                assert (_image_or_vanishes(specialize, kept, target)
+                        == _image_or_vanishes(specialize, eager, target))
+            # the first read of rep builds the sympy form
+            assert kept.rep == eager.rep
+    assert count == 2939
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms of N(q, rho) / (c q^A rho^B (q^2-1)^K), sometimes canonical and
+    sometimes not: a content, a sign, a common factor or the order of the
+    numerator can each be off."""
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    num = draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool),
+                               min_size=1, max_size=4))
+    c = draw(st.sampled_from([1, 1, 2, -1]))
+    A, B, K = (draw(st.integers(0, 2)) for _ in range(3))
+    num = sorted((qe, re, x) for (qe, re), x in num.items())
+    if draw(st.booleans()):
+        num.reverse()
+    den = [(A + 2 * i, B, (-1) ** (K - i) * math.comb(K, i) * c)
+           for i in range(K + 1)]
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_lists(), _term_lists(), st.sampled_from(DIFFERENTIAL_FIELDS))
+def test_kept_terms_agree_with_eager_values(a, b, target):
+    x, y = (scalars.generic_from_terms(*terms) for terms in (a, b))
+    ex, ey = (_eager(*terms) for terms in (a, b))
+    assert scalars.generic_terms(x) == scalars.generic_terms(ex)
+    assert (_image_or_vanishes(specialize, x, target)
+            == _image_or_vanishes(specialize, ex, target))
+    assert x == ex and y == ey and (x == y) == (ex == ey)
+    assert x + y == ex + ey
+    assert x - y == ex - ey
+    assert x * y == ex * ey
+    assert x / y == ex / ey
+
+
+def test_only_canonical_terms_are_kept():
+    # q (rho^2 - 1) / (rho (q^2 - 1)), a value of the (1, 1) table
+    kept = scalars.generic_from_terms([(1, 0, -1), (1, 2, 1)],
+                                      [(0, 1, -1), (2, 1, 1)])
+    assert isinstance(kept, scalars._Stored)
+    normalised = [
+        ([(0, 0, 2)], [(0, 0, 4)]),                      # content 2
+        ([(0, 0, 1)], [(0, 0, -1)]),                     # negative c
+        ([(1, 0, 1), (1, 1, 1)], [(1, 0, 1)]),           # common q
+        ([(0, 1, 1)], [(0, 1, 1)]),                      # common rho
+        ([(0, 0, -1), (1, 0, 1)], [(0, 0, -1), (2, 0, 1)]),  # common q - 1
+        ([(0, 0, 1), (1, 0, 1)], [(0, 0, -1), (2, 0, 1)]),   # common q + 1
+        ([(1, 0, 1), (0, 0, 1)], [(0, 0, 1)]),           # unsorted
+        ([(0, 0, 1), (0, 0, 1)], [(0, 0, 1)]),           # repeated term
+        ([(0, 0, Fraction(1, 2))], [(0, 0, 1)]),         # not an integer
+        ([(-1, 0, 1)], [(0, 0, 1)]),                     # negative exponent
+        ([(0, 0, 1)], [(0, 0, 1), (1, 0, 1)]),           # q + 1 below
+        ([], [(0, 0, 1)]),                               # zero
+    ]
+    for num, den in normalised:
+        value = scalars.generic_from_terms(num, den)
+        assert type(value) is Scalar, (num, den)
+        assert value == _eager(num, den)
