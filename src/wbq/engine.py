@@ -23,7 +23,9 @@ cell order, compatible with the reversal anti-involution, and all
 denominators are powers of (q - q^{-1}) times integers.  A failed lift or
 certificate moves on to the next prime.  Specialized tables are obtained
 either by specializing a generic table or, for q-power fields with a large
-enough exponent, directly from a coordinate system over that field.
+enough exponent, directly from a coordinate system over that field.  A
+``ResidueConstants`` view maps a table's entries to Z/p under a field's
+ring map instead, for certificates that need no value of the field.
 
 The tensor model acts in the convention of the presentation, so a
 coordinate system's expansions are the cellular coefficients themselves:
@@ -329,6 +331,11 @@ class ConstantsTable:
     def size(self):
         return len(self.basis)
 
+    def residues(self):
+        """This table's entries mod p, as a ``ResidueConstants`` view, read
+        from the generic table where this one specialises it."""
+        return ResidueConstants(self, self.spec)
+
     def sigma_position(self, a):
         """Position of the image of basis word ``a`` under the reversal
         anti-involution: the same label with row and column swapped."""
@@ -563,16 +570,16 @@ class StructureConstants(ConstantsTable):
 
 
 class _SpecializedVector(collections.abc.Mapping):
-    """Read-only view of one generic vector in the field ``spec``.  A value
-    is specialised on its first read and kept in the view.  A key whose
+    """Read-only view of one table vector under the map ``image``.  A
+    value is mapped on its first read and kept in the view.  A key whose
     image is zero is absent, as in a dict of nonzero images, except that
     ``get`` returns that zero."""
 
-    __slots__ = ("_vec", "_spec", "_images")
+    __slots__ = ("_vec", "_image", "_images")
 
-    def __init__(self, vec, spec):
+    def __init__(self, vec, image):
         self._vec = vec
-        self._spec = spec
+        self._image = image
         self._images = {}
 
     def get(self, key, default=None):
@@ -580,7 +587,7 @@ class _SpecializedVector(collections.abc.Mapping):
             return default
         images = self._images
         if key not in images:
-            images[key] = scalars.specialize(self._vec[key], self._spec)
+            images[key] = self._image(self._vec[key])
         return images[key]
 
     def __getitem__(self, key):
@@ -606,10 +613,17 @@ class SpecializedConstants(ConstantsTable):
         ConstantsTable.__init__(self, parent.r, parent.s, spec)
         self.parent = parent
         self._views = {}
+        self._image = self._map()
+
+    def _map(self):
+        """The map of one generic value into the field.  It holds no
+        reference to the table, so a query's views are freed with it."""
+        spec = self.spec
+        return lambda value: scalars.specialize(value, spec)
 
     def _view(self, key, vec):
         if key not in self._views:
-            self._views[key] = _SpecializedVector(vec, self.spec)
+            self._views[key] = _SpecializedVector(vec, self._image)
         return self._views[key]
 
     def product(self, a, b):
@@ -620,6 +634,34 @@ class SpecializedConstants(ConstantsTable):
 
     def unit_expansion(self):
         return self._view(None, self.parent.unit_expansion())
+
+    def residues(self):
+        return ResidueConstants(self.parent, self.spec)
+
+
+class ResidueConstants(SpecializedConstants):
+    """The images mod p of a table's entries under the ring map of the
+    field ``spec`` to Z/p, ``Scalar.mod_p(spec)``, read from ``parent``: a
+    generic table, whose values map as their specialisations to ``spec``
+    would, or a table over ``spec``.  No value of ``spec`` is built.  An
+    entry with no image raises ``DenominatorVanishes`` when it is read."""
+
+    @functools.cached_property
+    def ctx(self):
+        # a point context mod p builds the residues; its point is not read
+        return RationalPointContext(2, 0, scalars._modp_point(self.spec)[0])
+
+    def _map(self):
+        spec, ctx = self.spec, self.ctx
+
+        def image(value):
+            found = value.mod_p(spec)
+            if found is None:
+                raise DenominatorVanishes("an entry has no image mod p "
+                                          "under %s" % spec.to_string())
+            return ctx.from_monomial(found[0])
+
+        return image
 
 
 def _check_denominator_shape(value):

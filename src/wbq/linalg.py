@@ -118,6 +118,11 @@ class _Residue:
     def __int__(self):
         return self.v
 
+    def mod_p(self):
+        """``(value, p)``, as ``Scalar.mod_p`` gives an image: a residue is
+        its own."""
+        return self.v, self.p
+
 
 class RationalPointContext:
     """Constructs the values at ``q = t`` and ``rho = t**rho_exp``: exact
@@ -368,8 +373,9 @@ def modp_rank(rows, prime=None):
 
 
 def independent_mod_p(rows):
-    """True when the columns of ``rows``, ``Scalar``s of one field, are
-    independent mod p: ``rref`` over their images under ``Scalar.mod_p``.
+    """True when the columns of ``rows``, ``Scalar``s of one field or
+    residues mod p, are independent mod p: ``rref`` over their images
+    under ``Scalar.mod_p``.
 
     A one-sided certificate, like ``modp_rank``'s: a ring map takes the
     maximal minors to those of the images, so one nonzero mod p proves full

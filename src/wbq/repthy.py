@@ -22,11 +22,19 @@ has a unique solution, which is asserted to be a non-negative integer
 matrix, unitriangular against the cell order.
 
 A Gram matrix whose image mod p has full rank is non-degenerate with no
-elimination (``linalg.independent_mod_p``), and so is the trace system of
-a field where every Gram matrix is; its solution is the identity.  The
-exact ``linalg.rref`` runs only where the residues certify nothing: on
+elimination (``linalg.independent_mod_p``).  Where ``predicted_semisimple``
+holds, ``decomposition_matrix`` and ``semisimplicity`` first look for that
+certificate, on every Gram form and on the simple-trace matrix, in the
+residues of the generic table (``engine.ResidueConstants``), and specialise
+nothing: the field's ring map to Z/p factors through the specialisation,
+so full ranks there prove that every cell module is simple, that the
+decomposition matrix is the identity and that the algebra is semisimple.
+On that route the Gram forms are checked for symmetry on the generic
+entries, which covers every field.  On any miss the specialised path
+decides, so answers, exceptions and exit codes are the same.  The exact
+``linalg.rref`` runs only where the residues certify nothing: on
 degenerate forms, whose reduced rows give the radical and the simple
-traces, and on every trace system with a proper simple head, which
+traces, and on every trace system off that route, which
 ``linalg.span_coordinates`` solves.  That helper also writes the action
 on the singular vectors, and the traces of the alternative generator's
 module, in coordinates over their spans.
@@ -45,6 +53,7 @@ from fractions import Fraction
 
 from . import combinat, engine, linalg, scalars, tensor, words
 from .errors import (
+    DenominatorVanishes,
     IntegralityViolation,
     OracleMismatch,
     RankCertificationFailed,
@@ -317,10 +326,14 @@ def gram_matrix(r, s, label, field=None, cache_dir=None, table=None):
     zero = ctx.zero()
     entries = _gram_entries(
         r, s, label, lambda a, b, c: tab.product(a, b).get(c, zero))
+    _check_symmetric(label, entries)
+    return GramMatrix(label, entries, ctx)
+
+
+def _check_symmetric(label, entries):
     if entries != [list(col) for col in zip(*entries)]:
         raise OracleMismatch("Gram matrix is not symmetric at %s"
                              % label_text(label))
-    return GramMatrix(label, entries, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +435,38 @@ class DecompositionMatrix:
                       key=lambda block: self.rows.index(block[0]))
 
 
+def _residue_certified(r, s, spec, tab, traces):
+    """Whether the residues of ``tab.residues()``, read from the generic
+    table with no specialisation, certify what ``predicted_semisimple``
+    says of ``spec``: every Gram form, and with ``traces`` the
+    simple-trace matrix, independent mod p.  The Gram forms are checked for
+    symmetry on the generic entries, which covers every field, since
+    specialisation is a ring map.  False on a field not predicted
+    semisimple, a label set other than ``predicted_simple_labels``, an
+    entry with no residue or any dependence; the specialised path then
+    decides."""
+    labels = list(combinat.enumerate_labels(r, s))
+    if not predicted_semisimple(r, s, spec) or \
+            labels != predicted_simple_labels(r, s, spec):
+        return False
+    res = tab.residues()
+    zero = res.ctx.zero()
+    try:
+        for label in labels:
+            _check_symmetric(label, _gram_entries(
+                r, s, label, lambda a, b, c: res.parent.product(a, b).get(c)))
+            if not linalg.independent_mod_p(_gram_entries(
+                    r, s, label,
+                    lambda a, b, c: res.product(a, b).get(c, zero))):
+                return False
+        if not traces:
+            return True
+        trace = [_layer_trace_table(res, label) for label in labels]
+        return linalg.independent_mod_p([list(row) for row in zip(*trace)])
+    except DenominatorVanishes:
+        return False
+
+
 def _integer_value(ctx, value):
     """The integer k with |k| <= 64 that ``value`` equals.  The only
     candidate is the small integer with the same image mod p, since a ring
@@ -445,8 +490,16 @@ def decomposition_matrix(r, s, field=None, cache_dir=None, table=None):
     """
     spec = _as_spec(field)
     tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
-    ctx = tab.ctx
     labels = list(combinat.enumerate_labels(r, s))
+    if _residue_certified(r, s, spec, tab, traces=True):
+        # every cell module is simple: the system is [T | T] with the
+        # columns of T independent, whose reduced form is [I | I]
+        layout = engine.cell_layout(r, s)
+        return DecompositionMatrix(
+            r, s, spec, labels, labels,
+            [[int(row == col) for col in labels] for row in labels],
+            {label: layout[label][1] for label in labels})
+    ctx = tab.ctx
     grams = {label: gram_matrix(r, s, label, table=tab) for label in labels}
     columns = [label for label in labels if grams[label].rank > 0]
     predicted = predicted_simple_labels(r, s, spec)
@@ -459,21 +512,13 @@ def decomposition_matrix(r, s, field=None, cache_dir=None, table=None):
     trace_d = {label: trace_c[label] if grams[label].rank == grams[label].dim
                else _quotient_trace_table(tab, label, grams[label])
                for label in columns}
-    ncols = len(columns)
-    simple = [[trace_d[col][b] for col in columns] for b in range(tab.size)]
-    if all(trace_d.get(lab) is trace_c[lab] for lab in labels) and \
-            linalg.independent_mod_p(simple):
-        # every cell module is simple: the system is [T | T] with the
-        # columns of T independent, whose reduced form is [I | I]
-        entries = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    else:
-        solution = linalg.span_coordinates(
-            ctx, [trace_d[col] for col in columns],
-            [trace_c[lab] for lab in labels])
-        if solution is None:
-            raise TraceSystemSingular(
-                "simple trace vectors are dependent or inconsistent")
-        entries = [[_integer_value(ctx, x) for x in row] for row in solution]
+    solution = linalg.span_coordinates(
+        ctx, [trace_d[col] for col in columns],
+        [trace_c[lab] for lab in labels])
+    if solution is None:
+        raise TraceSystemSingular(
+            "simple trace vectors are dependent or inconsistent")
+    entries = [[_integer_value(ctx, x) for x in row] for row in solution]
     dec = DecompositionMatrix(r, s, spec, labels, columns, entries,
                               {label: grams[label].rank for label in labels})
     _check_decomposition_shape(dec)
@@ -507,6 +552,8 @@ def semisimplicity(r, s, field=None, cache_dir=None, table=None):
     """(computed, predicted) semisimplicity; raises on disagreement."""
     spec = _as_spec(field)
     tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
+    if _residue_certified(r, s, spec, tab, traces=False):
+        return True, True
     computed = True
     for label in combinat.enumerate_labels(r, s):
         gram = gram_matrix(r, s, label, table=tab)

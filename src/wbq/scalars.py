@@ -21,15 +21,17 @@ encoding of generic values), and
 ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
 and the lowering back, on which the tensor action runs, and
 ``Scalar.mod_p``, the image of a value in Z/p under one fixed ring map per
-field.  Changing the representation of a field therefore changes this
-module only.
+field; ``mod_p(field)`` sends a generic value, from its terms, to the image
+of its specialisation to ``field``.  Changing the representation of a field
+therefore changes this module only.
 
 A generic value is a gcd-normalised sympy fraction in Q(q, rho), with one
 exception: ``generic_from_terms`` keeps terms that are already in canonical
 form as they are, and builds their sympy form on the first read of ``rep``,
-that is when generic-field arithmetic, ``==`` or ``hash`` first touches the
-value.  ``specialize``, ``generic_terms``, ``mod_p``, ``evaluate`` and
-``to_text`` read the terms and build nothing.  Canonical terms are the
+that is when generic-field arithmetic, ``==`` with a value that is not
+stored, or ``hash`` first touches the value.  ``specialize``,
+``generic_terms``, ``mod_p``, ``evaluate``, ``to_text`` and ``==`` between
+two stored values read the terms and build nothing.  Canonical terms are the
 normal form of a nonzero value, as ``generic_terms`` returns it and a
 stored table holds it: integer coefficients of content 1, nonnegative
 exponents, each side sorted without repeats; a denominator
@@ -582,24 +584,32 @@ class Scalar:
         is q or zeta."""
         return _substitute(spec, [((e, 0), c) for e, c in x.items()])
 
-    def mod_p(self):
+    def mod_p(self, field=None):
         """The image ``(value, p)`` of this value under the fixed ring map
         of its field to Z/p (``_modp_point``), or None when a denominator
-        or a coefficient's denominator maps to zero."""
+        or a coefficient's denominator maps to zero.
+
+        With ``field``, a generic value goes to the residue of its
+        specialisation, ``specialize(self, field).mod_p()``, wherever both
+        are defined: its terms are evaluated at the point of ``field``,
+        where rho goes to the image of rho in that field.  No value of
+        ``field`` is built; a stored value is read from its terms."""
         spec = self.spec
+        if field is None:
+            field = spec
+        elif field != spec and spec.kind != "generic":
+            raise ValueError("mod_p(field) expects a generic value")
         if spec.kind != "cyclo":
-            sides = [[(mono, int(c.numerator), int(c.denominator))
-                      for mono, c in side]
-                     for side in self._fraction_terms()]
+            sides = self._fraction_terms()
         elif spec.rho_kind == "power":
             rep = self.rep
-            sides = [[((k,), c, rep.den) for k, c in enumerate(rep.v)],
-                     [((), 1, 1)]]
+            sides = [[((k,), c) for k, c in enumerate(rep.v)],
+                     [((), rep.den)]]
         else:
-            sides = [[((k, j), c, x.den) for j, x in enumerate(side)
+            sides = [[((k, j), Fraction(c, x.den)) for j, x in enumerate(side)
                       for k, c in enumerate(x.v)]
                      for side in (self.rep.num, self.rep.den)]
-        p, point = _modp_point(spec)
+        p, point = _modp_point(field)
         num, den = (_terms_mod(terms, point, p) for terms in sides)
         if num is None or not den:
             return None
@@ -633,6 +643,14 @@ class _Stored(Scalar):
 
     def __bool__(self):
         return True  # a canonical numerator is not empty
+
+    def __eq__(self, other):
+        # canonical terms are unique, so two stored values compare terms
+        if type(other) is _Stored:
+            return self.num == other.num and self.den == other.den
+        return Scalar.__eq__(self, other)
+
+    __hash__ = Scalar.__hash__
 
     def _fraction_terms(self):
         return self.num, self.den
@@ -902,27 +920,37 @@ def _modp_point(spec):
     field ``spec`` to Z/p: p is the largest prime below 2^31 that is 1 mod
     m (2^31 - 1 off ``cyclo:m``), q -> 16807 and rho -> 48271 (primitive
     roots mod 2^31 - 1), except that on ``cyclo:m`` zeta goes to the first
-    g^((p-1)/m), g = 2, 3, ..., of order m: a root of Phi_m mod p."""
+    g^((p-1)/m), g = 2, 3, ..., of order m: a root of Phi_m mod p.  Where
+    the field ties rho to q or zeta, rho goes to the image of q^a on
+    ``qpow:a`` and of zeta^b on ``rho = zeta^b``, so that a generic term
+    q^i * rho^j maps as its image in the field does."""
     m = spec.m or 1
     p = 2 ** 31 - 1 - (2 ** 31 - 2) % m
     while not _isprime(p):
         p -= m
-    if spec.kind != "cyclo":
-        return p, (16807, 48271)
-    omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
-    return p, (next(w for w in omegas
-                    if all(pow(w, k, p) != 1 for k in range(1, m))), 48271)
+    q = 16807
+    if spec.kind == "cyclo":
+        omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
+        q = next(w for w in omegas
+                 if all(pow(w, k, p) != 1 for k in range(1, m)))
+    tie = spec.a if spec.kind == "qpow" else spec.rho_a
+    return p, (q, 48271 if tie is None else pow(q, tie, p))
 
 
 def _terms_mod(terms, point, p):
-    """The value mod p at ``point`` of a sum of (exponents, numerator,
-    denominator) terms, or None if p divides a denominator."""
+    """The value mod p at ``point`` of a sum of (exponents, coefficient)
+    terms, each coefficient an int or a Fraction, or None if p divides the
+    denominator of a coefficient."""
     total = 0
-    for mono, num, den in terms:
-        if den % p == 0:
-            return None
-        total += num * pow(den, -1, p) * math.prod(
-            pow(x, e, p) for x, e in zip(point, mono))
+    for mono, c in terms:
+        term = c.numerator
+        for x, e in zip(point, mono):
+            term = term * pow(x, e, p) % p
+        if c.denominator != 1:
+            if c.denominator % p == 0:
+                return None
+            term *= pow(c.denominator, -1, p)
+        total += term
     return total % p
 
 
@@ -1158,14 +1186,24 @@ def generic_terms(x):
 def generic_from_terms(num_terms, den_terms):
     """Rebuild a generic scalar from ``generic_terms`` output, or from any
     equivalent term lists: (qexp, rhoexp, coefficient) triples, with
-    negative exponents allowed.  Canonical terms (module docstring) are kept
-    as they are, and their sympy form is built on its first read; any
-    others are normalised now."""
+    negative exponents and repeated exponent pairs allowed; repeated terms
+    add up.  Canonical terms (module docstring) are kept as they are, and
+    their sympy form is built on its first read; any others are normalised
+    now."""
     num, den = (tuple(((int(qe), int(re)), c) for qe, re, c in side)
                 for side in (num_terms, den_terms))
     if _canonical(num, den):
         return _Stored(num, den)
-    return _from_terms(_GENERIC, dict(num), dict(den))
+    return _from_terms(_GENERIC, _summed(num), _summed(den))
+
+
+def _summed(terms):
+    """((qexp, rhoexp), coefficient) terms as a dict with one nonzero
+    coefficient per exponent pair, the sum of that pair's terms."""
+    out = {}
+    for mono, c in terms:
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
 
 
 def _canonical(num, den):

@@ -14,7 +14,7 @@ import tempfile
 import jsonschema
 import pytest
 
-from wbq import cli, engine, repthy, scalars, tensor
+from wbq import cli, combinat, engine, repthy, scalars, tensor
 from wbq.errors import OracleMismatch, RankTooSmall
 from wbq.linalg import FieldContext
 from wbq.scalars import FieldSpec
@@ -421,6 +421,84 @@ def test_a_non_generic_query_decodes_no_generic_value(tmp_path, monkeypatch):
     assert code == 0 and err == ""
     # the (2, 2) table was loaded in this call, and no value was decoded
     assert calls == {"decode": 0, "generic": 0, "load": 1023}
+
+
+def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
+                                                          monkeypatch):
+    # the residues of the generic tables answer the query and its blocks1
+    # and einfty sub-decompositions
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    calls = {"specialize": 0, "decode": 0, "generic": 0}
+    fields = []
+    specialize, decode = scalars.specialize, scalars._decode
+    from_terms = scalars._from_terms
+    decomposition = repthy.decomposition_matrix
+
+    def counted_specialize(*args):
+        calls["specialize"] += 1
+        return specialize(*args)
+
+    def counted_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
+
+    def counted_from_terms(spec, num, den):
+        calls["generic"] += spec.kind == "generic"
+        return from_terms(spec, num, den)
+
+    def recorded(r, s, field=None, **kw):
+        fields.append((r, s, field.to_string()))
+        return decomposition(r, s, field=field, **kw)
+
+    monkeypatch.setattr(scalars, "specialize", counted_specialize)
+    monkeypatch.setattr(scalars, "_decode", counted_decode)
+    monkeypatch.setattr(scalars, "_from_terms", counted_from_terms)
+    monkeypatch.setattr(repthy, "decomposition_matrix", recorded)
+    key = "decomp --r 2 --s 2 --field qpow:4"
+    code, out, err = run_cli(key.split(" "))
+    assert err == ""
+    assert [hashlib.sha256(out.encode()).hexdigest(),
+            code] == _golden()["query_mix"][key]
+    assert fields == [(2, 2, "qpow:4"), (1, 1, "qpow:4"),
+                      (2, 2, "cyclo:7,rho=zeta^4"),
+                      (2, 2, "cyclo:11,rho=zeta^4")]
+    assert calls == {"specialize": 0, "decode": 0, "generic": 0}
+
+
+def _asymmetric_table(r, s, label):
+    """The bundled generic table of B_{r,s} with one off-diagonal Gram entry
+    of ``label`` set to 7, so that its Gram form is not symmetric."""
+    table = engine.load_table(engine.bundled_path(r, s), r, s)
+    start, dim, frame = engine.cell_layout(r, s)[label]
+    row = start + frame * dim
+    vec = table.product(row, start + dim + frame)  # Gram entry (0, 1)
+    seven = scalars.generic_from_terms([(0, 0, 7)], [(0, 0, 1)])
+    assert vec.get(row + frame) != seven
+    vec[row + frame] = seven
+    return table
+
+
+def test_an_asymmetric_generic_gram_form_is_refused_on_a_semisimple_field(
+        monkeypatch):
+    label = next(label for label in combinat.enumerate_labels(2, 1)
+                 if engine.cell_layout(2, 1)[label][1] > 1)
+    table = _asymmetric_table(2, 1, label)
+    monkeypatch.setattr(engine, "_TABLE_MEMO",
+                        {(2, 1, engine.cache_path(2, 1)): table})
+    calls = []
+    specialize = scalars.specialize
+    monkeypatch.setattr(scalars, "specialize",
+                        lambda *args: calls.append(args) or specialize(*args))
+    assert repthy.predicted_semisimple(2, 1, FieldSpec.qpower(4))
+    for command in ("decomp", "blocks", "semisimple"):
+        code, out, err = run_cli([command, "--r", "2", "--s", "1",
+                                  "--field", "qpow:4"])
+        assert (code, out) == (cli.EXIT_MISMATCH, ""), command
+        assert err == ("OracleMismatch: Gram matrix is not symmetric at %s\n"
+                       % repthy.label_text(label)), command
+    # the generic entries were checked: nothing was specialised
+    assert calls == []
 
 
 def test_cache_build_list_clear_roundtrip():

@@ -158,6 +158,31 @@ def test_residue_certificates_agree_with_exact_elimination(r, s,
         assert _outcome(r, s, spec) == fast[spec], spec
 
 
+def test_residue_route_answers_exactly_the_predicted_semisimple_pairs(
+        monkeypatch):
+    # the route from the generic table's residues certifies the 47
+    # predicted-semisimple (shape, grid field) pairs and no other, and
+    # answers as the path through the specialised table does
+    certified, predicted = [], []
+    for r, s in BUNDLED_SHAPES:
+        for spec in cli.grid_fields():
+            tab = engine.structure_constants(r, s, spec)
+            if repthy._residue_certified(r, s, spec, tab, traces=True):
+                certified.append((r, s, spec))
+            if repthy.predicted_semisimple(r, s, spec):
+                predicted.append((r, s, spec))
+    assert len(certified) == 47 and certified == predicted
+
+    def answers(key):
+        return _outcome(*key), repthy.semisimplicity(*key)
+
+    route = {key: answers(key) for key in certified}
+    monkeypatch.setattr(repthy, "_residue_certified",
+                        lambda *args, **kw: False)
+    for key in certified:
+        assert answers(key) == route[key], key
+
+
 def test_a_rank_the_residues_miss_falls_back_to_exact_elimination():
     # an entry that vanishes at the fixed point, and one whose denominator
     # does, are each a nonzero 1 x 1 form of rank one

@@ -752,6 +752,44 @@ def test_every_bundled_value_is_kept_and_decodes_to_the_eager_value():
     assert count == 2939
 
 
+RESIDUE_FIELDS = [FieldSpec.from_string(text) for text in (
+    "qpow:2", "qpow:-2", "qpow:4", "cyclo:4,rho=zeta^1",
+    "cyclo:7,rho=zeta^3", "cyclo:3,rho=free", "generic")]
+
+
+def _residue_of_image(x, target):
+    """``specialize(x, target).mod_p()``, None where the image or its
+    residue does not exist."""
+    try:
+        return specialize(x, target).mod_p()
+    except DenominatorVanishes:
+        return None
+
+
+def _has_rep(x):
+    try:
+        Scalar.rep.__get__(x)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_residues_of_bundled_values_are_the_residues_of_their_images():
+    compared = 0
+    for shape in BUNDLED_SHAPES:
+        for _, kept in _stored_pairs(*shape):
+            for target in RESIDUE_FIELDS:
+                got = kept.mod_p(target)
+                want = _residue_of_image(kept, target)
+                if got is not None and want is not None:
+                    assert got == want, (shape, target, to_text(kept))
+                    compared += 1
+            # read from the stored terms: no sympy form was built
+            assert not _has_rep(kept)
+    # the fixed points miss no denominator of a bundled value
+    assert compared == 2939 * len(RESIDUE_FIELDS)
+
+
 @st.composite
 def _term_lists(draw):
     """Terms of N(q, rho) / (c q^A rho^B (q^2-1)^K), sometimes canonical and
@@ -785,6 +823,32 @@ def test_kept_terms_agree_with_eager_values(a, b, target):
     assert x / y == ex / ey
 
 
+@settings(max_examples=150, deadline=None)
+@given(_term_lists(), _table_shaped_values(),
+       st.sampled_from(RESIDUE_FIELDS))
+def test_mod_p_to_a_field_is_a_ring_map(terms, y, target):
+    # x is stored or, off canonical form, a normalised sympy value; y and
+    # the sums and products are sympy values, some with coefficients that
+    # are not integers
+    x = scalars.generic_from_terms(*terms)
+    for v in (x, y, x + y, x * y, x - y):
+        got, want = v.mod_p(target), _residue_of_image(v, target)
+        if got is not None and want is not None:
+            assert got == want, (target, to_text(v))
+    images = [v.mod_p(target) for v in (x, y, x + y, x * y)]
+    if None not in images:
+        (vx, p), (vy, _), add, mul = images
+        assert add == ((vx + vy) % p, p)
+        assert mul == (vx * vy % p, p)
+    assert x.mod_p(GEN) == x.mod_p()
+    assert one(GEN).mod_p(target) == (1, scalars._modp_point(target)[0])
+    assert (q_elem(GEN).mod_p(target), rho_elem(GEN).mod_p(target)) == (
+        q_elem(target).mod_p(), rho_elem(target).mod_p())
+    if target != GEN:
+        with pytest.raises(ValueError):
+            one(target).mod_p(GEN)
+
+
 def test_only_canonical_terms_are_kept():
     # q (rho^2 - 1) / (rho (q^2 - 1)), a value of the (1, 1) table
     kept = scalars.generic_from_terms([(1, 0, -1), (1, 2, 1)],
@@ -798,7 +862,6 @@ def test_only_canonical_terms_are_kept():
         ([(0, 0, -1), (1, 0, 1)], [(0, 0, -1), (2, 0, 1)]),  # common q - 1
         ([(0, 0, 1), (1, 0, 1)], [(0, 0, -1), (2, 0, 1)]),   # common q + 1
         ([(1, 0, 1), (0, 0, 1)], [(0, 0, 1)]),           # unsorted
-        ([(0, 0, 1), (0, 0, 1)], [(0, 0, 1)]),           # repeated term
         ([(0, 0, Fraction(1, 2))], [(0, 0, 1)]),         # not an integer
         ([(-1, 0, 1)], [(0, 0, 1)]),                     # negative exponent
         ([(0, 0, 1)], [(0, 0, 1), (1, 0, 1)]),           # q + 1 below
@@ -808,3 +871,19 @@ def test_only_canonical_terms_are_kept():
         value = scalars.generic_from_terms(num, den)
         assert type(value) is Scalar, (num, den)
         assert value == _eager(num, den)
+    # repeated terms are normalised and add up: 1 + 1 is 2, q + q + 3 is
+    # 2q + 3, and rho / (2 + 2) is rho / 4
+    repeated = [
+        (([(0, 0, 1), (0, 0, 1)], [(0, 0, 1)]), monomial(GEN, 2)),
+        (([(1, 0, 1), (1, 0, 1), (0, 0, 3)], [(0, 0, 1)]),
+         monomial(GEN, 2, 1) + monomial(GEN, 3)),
+        (([(0, 0, 1), (0, 0, -1)], [(0, 0, 1)]), zero(GEN)),
+        (([(0, 1, 1)], [(0, 0, 2), (0, 0, 2)]),
+         monomial(GEN, Fraction(1, 4), 0, 1)),
+    ]
+    for (num, den), want in repeated:
+        value = scalars.generic_from_terms(num, den)
+        assert type(value) is Scalar, (num, den)
+        assert value == want, (num, den)
+        terms = scalars.generic_terms(value)
+        assert scalars.generic_from_terms(*terms) == want
