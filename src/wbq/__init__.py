@@ -25,7 +25,6 @@ from .engine import structure_constants
 from .repthy import (
     analyze,
     blocks,
-    cell_module,
     decomposition_matrix,
     gram_matrix,
     relation_suite,
@@ -51,7 +50,6 @@ __all__ = [
     "WbqError",
     "analyze",
     "blocks",
-    "cell_module",
     "combinat",
     "decomposition_matrix",
     "engine",

@@ -323,22 +323,6 @@ def d_of(t):
     return DPair(w1, w2)
 
 
-def apply_word_to_tableau(t, word, component):
-    """Apply adjacent transpositions (left to right, acting on entries)."""
-    rows = t.rows1 if component == 1 else t.rows2
-    grid = [list(row) for row in rows]
-    for i in word:
-        for row in grid:
-            for k, v in enumerate(row):
-                if v == i:
-                    row[k] = i + 1
-                elif v == i + 1:
-                    row[k] = i
-    if component == 1:
-        return TableauPair(t.f, grid, t.rows2)
-    return TableauPair(t.f, t.rows1, grid)
-
-
 # ---------------------------------------------------------------------------
 # coset representatives
 # ---------------------------------------------------------------------------
@@ -429,38 +413,6 @@ def phi_map(label, n):
         raise RankTooSmall("phi_map requires n >= r + s = %d" % (r + s))
     k, l = len(label.lam1), len(label.lam2)
     return tuple(label.lam1) + (0,) * (n - k - l) + tuple(-x for x in reversed(label.lam2))
-
-
-def mixed_weights(r, s, n):
-    """All weights of the mixed tensor space: integer n-vectors whose positive
-    part sums to r - f and negative part to f - s for some 0 <= f <= min(r,s)."""
-    out = set()
-
-    def rec(pos_left, neg_left, idx, current):
-        if idx == n:
-            if pos_left == 0 and neg_left == 0:
-                out.add(tuple(current))
-            return
-        for v in range(-neg_left, pos_left + 1):
-            current.append(v)
-            rec(pos_left - max(v, 0), neg_left - max(-v, 0), idx + 1, current)
-            current.pop()
-
-    for f in range(min(r, s) + 1):
-        rec(r - f, s - f, 0, [])
-    return out
-
-
-def dominant_weight_order(nu, mu):
-    """nu >= mu in the dominance order on weights of equal coordinate sum."""
-    if len(nu) != len(mu) or sum(nu) != sum(mu):
-        raise ValueError("weights must have equal length and sum")
-    acc = 0
-    for a, b in zip(nu, mu):
-        acc += a - b
-        if acc < 0:
-            return False
-    return True
 
 
 def cell_dimension(label, r, s):

@@ -464,13 +464,16 @@ class StructureConstants(ConstantsTable):
         return SpecializedConstants(self, spec)
 
     def check_denominators(self):
-        """Every coefficient is integral away from q - q^{-1}: denominators
-        are integer multiples of q^A (q^2-1)^K (a purely syntactic check on
-        the two-parameter representation, so generic tables only)."""
+        """Every coefficient is integral away from q - q^{-1}: its
+        denominator is c*q^A*rho^B*(q^2-1)^K
+        (``Scalar.has_table_denominator``, a check on the two-parameter
+        representation, so generic tables only)."""
         if self.spec.kind != "generic":
             return
         for value in self._iter_values():
-            _check_denominator_shape(value)
+            if not value.has_table_denominator():
+                raise OracleMismatch(
+                    "denominator is not c*q^A*rho^B*(q^2-1)^K")
 
     def _iter_values(self):
         for vec in self._products.values():
@@ -659,29 +662,9 @@ class ResidueConstants(SpecializedConstants):
             if found is None:
                 raise DenominatorVanishes("an entry has no image mod p "
                                           "under %s" % spec.to_string())
-            return ctx.from_monomial(found[0])
+            return ctx._element(found[0])
 
         return image
-
-
-def _check_denominator_shape(value):
-    den = scalars.generic_terms(value)[1]
-    if len({re for _, re, _ in den}) != 1:
-        raise OracleMismatch("denominator involves rho")
-    # one rho-power, so the sorted terms ascend in q
-    lo = den[0][0]
-    span = den[-1][0] - lo
-    if span % 2 != 0:
-        raise OracleMismatch("denominator is not a power of q^2 - 1")
-    k = span // 2
-    by_exp = {e - lo: c for e, _, c in den}
-    lead = by_exp[span]
-    for i in range(k + 1):
-        want = lead * math.comb(k, i) * (-1) ** i
-        if by_exp.get(span - 2 * i, 0) != want:
-            raise OracleMismatch("denominator is not c*q^A*(q^2-1)^K")
-    if any(e % 2 for e in by_exp):
-        raise OracleMismatch("denominator has stray odd q powers")
 
 
 def _encode_scalar(x):

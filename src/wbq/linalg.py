@@ -16,10 +16,11 @@ pivot choices, so all outputs are reproducible; ``rank``,
 ``span_coordinates`` (of ``[basis | targets]``) and ``independent_mod_p``
 read it.  Every routine is exact over its context.  Some results are
 modular and hold over Q, or the field, only behind a check: ``modp_rank``
-(a numpy elimination) and ``independent_mod_p`` (a field matrix through
-the ring map ``Scalar.mod_p``) eliminate modulo a large prime and so
-certify a lower bound on a rank, and ``lagrange_poly`` interpolates
-residues, whose rational lift the caller must verify.
+(a numpy elimination) and ``independent_mod_p`` (residues as they are,
+or a field matrix through the ring map ``Scalar.mod_p``) eliminate modulo
+a large prime and so certify a lower bound on a rank, and
+``lagrange_poly`` interpolates residues, whose rational lift the caller
+must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -117,11 +118,6 @@ class _Residue:
 
     def __int__(self):
         return self.v
-
-    def mod_p(self):
-        """``(value, p)``, as ``Scalar.mod_p`` gives an image: a residue is
-        its own."""
-        return self.v, self.p
 
 
 class RationalPointContext:
@@ -373,22 +369,25 @@ def modp_rank(rows, prime=None):
 
 
 def independent_mod_p(rows):
-    """True when the columns of ``rows``, ``Scalar``s of one field or
-    residues mod p, are independent mod p: ``rref`` over their images
-    under ``Scalar.mod_p``.
+    """True when the columns of ``rows`` are independent mod p: ``rref``
+    over the residues themselves, or over the images of ``Scalar``s of one
+    field under ``Scalar.mod_p``.
 
     A one-sided certificate, like ``modp_rank``'s: a ring map takes the
     maximal minors to those of the images, so one nonzero mod p proves full
     column rank over the field.  False, also where an entry has no image,
     proves nothing."""
-    images = [[x.mod_p() for x in row] for row in rows]
-    if any(None in row for row in images):
-        return False
-    if not images or not images[0]:
+    if not rows or not rows[0]:
         return True
-    # a point context mod p builds the residues; its point is not read
-    ctx = RationalPointContext(2, 0, images[0][0][1])
-    matrix = [[ctx._element(v) for v, _ in row] for row in images]
+    # a point context mod p supplies the residues; its point is not read
+    if isinstance(rows[0][0], _Residue):
+        ctx, matrix = RationalPointContext(2, 0, rows[0][0].p), rows
+    else:
+        images = [[x.mod_p() for x in row] for row in rows]
+        if any(None in row for row in images):
+            return False
+        ctx = RationalPointContext(2, 0, images[0][0][1])
+        matrix = [[ctx._element(v) for v, _ in row] for row in images]
     return rank(ctx, matrix) == len(matrix[0])
 
 

@@ -39,10 +39,12 @@ traces, and on every trace system off that route, which
 on the singular vectors, and the traces of the alternative generator's
 module, in coordinates over their spans.
 
-A second, independent realization of each cell module lives inside the
-mixed tensor space as a span of singular vectors; it is kept deliberately
-separate from the table route so the two constructions can be compared
-(dimensions, Gram ranks, trace tables) as a machine check.
+A second, independent realization of each cell module, a span of singular
+vectors in the mixed tensor space, is built by ``_singular_module`` for the
+oracle ``route_agreement``, which compares the two constructions (Gram
+ranks and trace tables) as a machine check.  The table-layer module, with
+its frame and relation checks, is built by the tests from
+``_table_module_letter``.
 
 All computations are exact; there is no floating point anywhere.
 """
@@ -81,17 +83,6 @@ def label_text(label):
     """Stable plain-text form of a label, used in results and reports."""
     fmt = lambda lam: "[" + ",".join(str(p) for p in lam) + "]"
     return "f=%d,%s|%s" % (label.f, fmt(label.lam1), fmt(label.lam2))
-
-
-def singular_index_set(label, r, s):
-    """Index pairs for the singular-vector construction: the tableaux run
-    over the componentwise conjugate shape (same count as the cell
-    dimension), the coset representatives are shared with the cell basis."""
-    conj_pair = (combinat.conjugate(label.lam1),
-                 combinat.conjugate(label.lam2))
-    return [(t, d)
-            for t in combinat.standard_tableaux(conj_pair, label.f)
-            for d in combinat.coset_reps(r, s, label.f)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +134,6 @@ def predicted_semisimple(r, s, spec):
 # cell modules
 # ---------------------------------------------------------------------------
 
-class CellModule:
-    """A cell module with exact generator action matrices.
-
-    ``action`` is a ``words.WordAction`` over the module's basis, so column
-    ``j`` of ``action.letter(x)`` holds the coefficients of the basis image
-    ``v_j * x``.  Two constructions are supported: ``StructureConstants``
-    reads the same-label layer of the multiplication table,
-    ``SingularVectors`` expresses the action on an explicit family of
-    singular vectors in the mixed tensor space.
-    """
-
-    def __init__(self, r, s, label, spec, ctx, dim, letter_source):
-        self.r = r
-        self.s = s
-        self.label = label
-        self.spec = spec
-        self.ctx = ctx
-        self.dim = dim
-        self.action = words.WordAction(ctx, self.dim, letter_source)
-
-    def check_relations(self):
-        """All defining relations hold on the action matrices."""
-        for name, lhs, rhs in words.presentation_relations(self.r, self.s):
-            if self.action.element(lhs) != self.action.element(rhs):
-                raise OracleMismatch(
-                    "relation %s fails on the cell module %s"
-                    % (name, label_text(self.label)))
-
-
 def _layer_rows(tab, label, b, frame=None):
     """Matrix of basis word ``b`` on the cell module of ``label``, read off
     the table through ``engine.cell_layout``: row ``j`` holds the
@@ -204,80 +166,6 @@ def _table_module_letter(tab, label, letter, frame=None):
                 if val:
                     mat[k][j] += coeff * val
     return mat
-
-
-def cell_module(r, s, label, field=None, provenance="StructureConstants",
-                n=None, cache_dir=None, table=None):
-    """Build the cell module of ``label`` over the given field.
-
-    ``provenance`` selects the construction: the table layer, or the span
-    of singular vectors inside the mixed tensor space (which requires the
-    rho = q^n tie, n >= r+s).
-    """
-    if provenance == "StructureConstants":
-        spec = _as_spec(field)
-        tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
-        _, dim, frame = engine.cell_layout(r, s)[label]
-
-        def source(letter):
-            return _table_module_letter(tab, label, letter)
-
-        module = CellModule(r, s, label, spec, tab.ctx, dim, source)
-        # the module does not depend on which row of the layer frames it
-        other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
-        if other != frame:
-            for letter in engine.generator_letters(r, s):
-                if module.action.letter(letter) != _table_module_letter(
-                        tab, label, letter, other):
-                    raise OracleMismatch(
-                        "cell module depends on the frame at %s"
-                        % label_text(label))
-        module.check_relations()
-        return module
-    if provenance == "SingularVectors":
-        n = (r + s) if n is None else n
-        spec = FieldSpec.qpower(n) if field is None else _as_spec(field)
-        if not tensor.spec_matches_rho(spec, n):
-            raise ValueError("singular vectors need the rho = q^%d tie" % n)
-        ctx = FieldContext(spec)
-        # the singular family of the componentwise conjugate label carries
-        # the same symmetrizer type as the cellular layer of ``label``, so
-        # the two constructions become comparable module for module
-        vectors = [tensor.singular_vector(label.conjugate(), t, d, n, spec)
-                   for t, d in words.cell_index_set(label, r, s)]
-        support = sorted(set(idx for v in vectors for idx, _ in v.items()))
-        slot = {idx: k for k, idx in enumerate(support)}
-
-        def coords(vec):
-            out = [ctx.zero()] * len(support)
-            for idx, value in vec.items():
-                if idx not in slot:
-                    raise RankCertificationFailed(
-                        "the singular span is not stable at %s"
-                        % label_text(label))
-                out[slot[idx]] = value
-            return out
-
-        basis = [coords(vec) for vec in vectors]
-        if linalg.rank(ctx, basis) != len(basis):
-            raise RankCertificationFailed(
-                "singular vectors are dependent at %s" % label_text(label))
-
-        def source(letter):
-            images = [coords(tensor.act_letters(vec, (letter,), n, r, s))
-                      for vec in vectors]
-            cols = linalg.span_coordinates(ctx, basis, images)
-            if cols is None:
-                raise RankCertificationFailed(
-                    "the singular span is not stable at %s"
-                    % label_text(label))
-            return [list(row) for row in zip(*cols)]
-
-        module = CellModule(r, s, label, spec, ctx, len(vectors), source)
-        module.vectors = vectors
-        module.check_relations()
-        return module
-    raise ValueError("unknown provenance %r" % provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -998,19 +886,11 @@ def singular_dimension_check(r, s, field=None, n=None):
     ctx = FieldContext(spec)
     out = {}
     for label in combinat.enumerate_labels(r, s):
+        # the tableaux run over the componentwise conjugate shape, the
+        # coset representatives are shared with the cell basis
         vectors = [tensor.singular_vector(label, t, d, n, spec)
-                   for t, d in singular_index_set(label, r, s)]
-        support = sorted(set(idx for v in vectors for idx, _ in v.items()))
-        slot = {idx: k for k, idx in enumerate(support)}
-        basis = []
-        for vec in vectors:
-            coords = [ctx.zero()] * len(support)
-            for idx, value in vec.items():
-                coords[slot[idx]] = value
-            basis.append(coords)
-        if linalg.rank(ctx, basis) != len(basis):
-            raise OracleMismatch(
-                "singular vectors are dependent at %s" % label_text(label))
+                   for t, d in words.cell_index_set(label.conjugate(), r, s)]
+        _singular_span(ctx, label, vectors, OracleMismatch)
         for vec in vectors:
             for i in range(1, n):
                 for ell in range(1, r + s + 1):
@@ -1030,9 +910,67 @@ def singular_dimension_check(r, s, field=None, n=None):
     return out
 
 
+def _singular_span(ctx, label, vectors, dependent):
+    """The coordinates of ``vectors`` over their joint support, and the map
+    ``coords`` of a vector to its coordinates there.  Raises ``dependent``
+    when the vectors are dependent; ``coords`` raises
+    RankCertificationFailed on a vector outside the support."""
+    support = sorted(set(idx for v in vectors for idx, _ in v.items()))
+    slot = {idx: k for k, idx in enumerate(support)}
+
+    def coords(vec):
+        out = [ctx.zero()] * len(support)
+        for idx, value in vec.items():
+            if idx not in slot:
+                raise RankCertificationFailed(
+                    "the singular span is not stable at %s"
+                    % label_text(label))
+            out[slot[idx]] = value
+        return out
+
+    basis = [coords(vec) for vec in vectors]
+    if linalg.rank(ctx, basis) != len(basis):
+        raise dependent(
+            "singular vectors are dependent at %s" % label_text(label))
+    return basis, coords
+
+
 # ---------------------------------------------------------------------------
 # route agreement and large-shape certificates
 # ---------------------------------------------------------------------------
+
+def _singular_module(r, s, label, spec, n):
+    """The cell module of ``label`` as the span of singular vectors in the
+    mixed tensor space with ``n`` rows, over ``spec``, which must tie rho
+    to q^n: the vectors, and a ``words.WordAction`` over their coordinates.
+    Raises OracleMismatch when a defining relation fails on it."""
+    if not tensor.spec_matches_rho(spec, n):
+        raise ValueError("singular vectors need the rho = q^%d tie" % n)
+    ctx = FieldContext(spec)
+    # the singular family of the componentwise conjugate label carries
+    # the same symmetrizer type as the cellular layer of ``label``, so
+    # the two constructions become comparable module for module
+    vectors = [tensor.singular_vector(label.conjugate(), t, d, n, spec)
+               for t, d in words.cell_index_set(label, r, s)]
+    basis, coords = _singular_span(ctx, label, vectors,
+                                   RankCertificationFailed)
+
+    def source(letter):
+        images = [coords(tensor.act_letters(vec, (letter,), n, r, s))
+                  for vec in vectors]
+        cols = linalg.span_coordinates(ctx, basis, images)
+        if cols is None:
+            raise RankCertificationFailed(
+                "the singular span is not stable at %s" % label_text(label))
+        return [list(row) for row in zip(*cols)]
+
+    action = words.WordAction(ctx, len(vectors), source)
+    for name, lhs, rhs in words.presentation_relations(r, s):
+        if action.element(lhs) != action.element(rhs):
+            raise OracleMismatch("relation %s fails on the cell module %s"
+                                 % (name, label_text(label)))
+    return vectors, action
+
 
 def route_agreement(r, s, n=None, cache_dir=None):
     """Both constructions of every cell module at rho = q^n must agree on
@@ -1044,17 +982,16 @@ def route_agreement(r, s, n=None, cache_dir=None):
     for label in combinat.enumerate_labels(r, s):
         table_traces = _layer_trace_table(tab, label)
         table_rank = gram_matrix(r, s, label, table=tab).rank
-        module = cell_module(r, s, label, field=spec,
-                             provenance="SingularVectors", n=n)
+        vectors, action = _singular_module(r, s, label, spec, n)
         sing_traces = []
         for b in range(tab.size):
-            mat = module.action.element(tab.basis[b].element)
+            mat = action.element(tab.basis[b].element)
             acc = ctx.zero()
-            for j in range(module.dim):
+            for j in range(len(vectors)):
                 acc += mat[j][j]
             sing_traces.append(acc)
         form = [[tensor.contravariant_form(u, v, n, r, s)
-                 for v in module.vectors] for u in module.vectors]
+                 for v in vectors] for u in vectors]
         sing_rank = linalg.rank(ctx, form)
         if table_rank != sing_rank:
             raise OracleMismatch(

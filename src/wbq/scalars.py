@@ -14,16 +14,20 @@ first two families).
 This module is the only one that knows how a value is stored.  Other modules
 use the operators of ``Scalar``, its truthiness for "nonzero", and the
 functions below: ``monomial`` (with ``zero`` and ``one``), ``specialize``,
-``evaluate`` (the rational value at a point), ``to_text``/``parse_scalar``,
+``evaluate`` (the rational value at a point), ``to_text`` (the canonical
+text form that results print; nothing parses it back),
 ``generic_terms`` / ``generic_from_terms`` (an exponent-and-coefficient
-encoding of generic values), and
+encoding of generic values), ``Scalar.has_table_denominator`` (the one
+denominator shape c*q^A*rho^B*(q^2-1)^K a table value may have), and
 ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of a ``qpow`` or
 ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
 and the lowering back, on which the tensor action runs, and
 ``Scalar.mod_p``, the image of a value in Z/p under one fixed ring map per
-field; ``mod_p(field)`` sends a generic value, from its terms, to the image
-of its specialisation to ``field``.  Changing the representation of a field
-therefore changes this module only.
+field, returned as the pair ``(v, p)`` of an int 0 <= v < p and the prime
+p, or None where a denominator maps to zero; ``mod_p(field)`` sends a
+generic value, from its terms, to the image of its specialisation to
+``field``.  Changing the representation of a field therefore changes this
+module only.
 
 A generic value is a gcd-normalised sympy fraction in Q(q, rho), with one
 exception: ``generic_from_terms`` keeps terms that are already in canonical
@@ -373,10 +377,6 @@ class CycloFrac:
         self.num = tuple(num)
         self.den = tuple(den)
 
-    @staticmethod
-    def from_cyclo(m, x):
-        return CycloFrac(m, [x], [CycloNum.const(m, 1)])
-
     def __bool__(self):
         return bool(self.num)
 
@@ -615,6 +615,12 @@ class Scalar:
             return None
         return num * pow(den, -1, p) % p, p
 
+    def has_table_denominator(self):
+        """Whether this generic value has the one denominator a table value
+        may have, c*q^A*rho^B*(q^2-1)^K with c > 0, in its normal form."""
+        return _table_denominator(tuple(
+            ((qe, re), c) for qe, re, c in generic_terms(self)[1]))
+
 
 def _coefficient(c):
     """A Fraction as an int where it is integral."""
@@ -654,6 +660,10 @@ class _Stored(Scalar):
 
     def _fraction_terms(self):
         return self.num, self.den
+
+    def has_table_denominator(self):
+        # checked with the rest of the canonical form when it was made
+        return True
 
 
 def _decode(num, den):
@@ -993,7 +1003,10 @@ def _integerize(num_terms, den_terms):
 
 
 def to_text(x):
-    """Canonical text form; parse_scalar inverts it on the same field."""
+    """Canonical text form: a polynomial, or a quotient of two in
+    parentheses, in q and rho (z for zeta on ``cyclo`` fields), with ``^``
+    for powers; on free rho the coefficient of each power of rho is a
+    parenthesised polynomial in z."""
     spec = x.spec
     if spec.rho_kind != "free":
         if spec.kind == "cyclo":
@@ -1032,144 +1045,6 @@ def to_text(x):
     return num_s if den_s == "(1)" else "(%s)/(%s)" % (num_s, den_s)
 
 
-class _Tok:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        got = self.peek()
-        if got != ch:
-            raise ValueError("expected %r at %d in %r" % (ch, self.pos, self.text))
-        self.pos += 1
-
-    def integer(self):
-        self.peek()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ValueError("expected integer at %d in %r" % (start, self.text))
-        return int(self.text[start:self.pos])
-
-    def name(self):
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def _parse_poly(tok, spec, stop_chars):
-    total = zero(spec)
-    sign = 1
-    first = True
-    while True:
-        ch = tok.peek()
-        if ch == "" or ch in stop_chars:
-            if first:
-                raise ValueError("empty polynomial in %r" % tok.text)
-            return total
-        if ch == "+":
-            tok.take("+")
-            sign = 1
-        elif ch == "-":
-            tok.take("-")
-            sign = -1
-        elif not first:
-            raise ValueError("expected +/- at %d in %r" % (tok.pos, tok.text))
-        term = _parse_term(tok, spec)
-        total = total + (term if sign == 1 else -term)
-        first = False
-        sign = 1
-
-
-def _parse_term(tok, spec):
-    coeff = Fraction(1)
-    acc = None
-    expect_factor = True
-    while expect_factor:
-        ch = tok.peek()
-        if ch == "(":
-            # parenthesized cyclotomic coefficient (free-rho fields)
-            tok.take("(")
-            inner = _parse_poly(tok, FieldSpec.cyclotomic(spec.m, 0) if spec.kind == "cyclo" else spec, ")")
-            tok.take(")")
-            part = Scalar(spec, CycloFrac.from_cyclo(spec.m, inner.rep)) if spec.rho_kind == "free" else inner
-            acc = part if acc is None else acc * part
-        elif ch.isdigit():
-            n = tok.integer()
-            if tok.peek() == "/":
-                save = tok.pos
-                tok.take("/")
-                if tok.peek().isdigit():
-                    coeff *= Fraction(n, tok.integer())
-                else:
-                    tok.pos = save
-                    coeff *= n
-            else:
-                coeff *= n
-        elif ch.isalpha():
-            nm = tok.name()
-            e = 1
-            if tok.peek() == "^":
-                tok.take("^")
-                e = tok.integer()
-            if nm == "q":
-                part = monomial(spec, 1, e, 0)
-            elif nm == "rho":
-                part = monomial(spec, 1, 0, e)
-            elif nm == "z":
-                if spec.kind != "cyclo":
-                    raise ValueError("'z' only valid in cyclotomic fields")
-                part = monomial(spec, 1, e, 0)
-            else:
-                raise ValueError("unknown symbol %r" % nm)
-            acc = part if acc is None else acc * part
-        else:
-            raise ValueError("unexpected %r at %d in %r" % (ch, tok.pos, tok.text))
-        expect_factor = tok.peek() == "*"
-        if expect_factor:
-            tok.take("*")
-    out = monomial(spec, coeff)
-    if acc is not None:
-        out = out * acc
-    return out
-
-
-def parse_scalar(text, spec):
-    """Parse the canonical text form back into a Scalar of the given field."""
-    text = text.strip()
-    if text.startswith("("):
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    if i + 1 < len(text) and text[i + 1] == "/":
-                        num = parse_scalar(text[1:i], spec)
-                        den_text = text[i + 2:].strip()
-                        if not (den_text.startswith("(") and den_text.endswith(")")):
-                            raise ValueError("malformed fraction: %r" % text)
-                        den = parse_scalar(den_text[1:-1], spec)
-                        return num / den
-                    break
-    tok = _Tok(text)
-    val = _parse_poly(tok, spec, "")
-    if tok.peek() != "":
-        raise ValueError("trailing input at %d in %r" % (tok.pos, text))
-    return val
-
-
 def generic_terms(x):
     """Numerator and denominator of a generic scalar as sorted term lists.
 
@@ -1206,19 +1081,26 @@ def _summed(terms):
     return {mono: c for mono, c in out.items() if c}
 
 
-def _canonical(num, den):
-    """Whether the ((qexp, rhoexp), coefficient) terms num / den are in the
-    canonical form of the module docstring, checked on the integers."""
-    if not num or not den:
-        return False
+def _table_denominator(den):
+    """Whether the sorted ((qexp, rhoexp), coefficient) terms ``den`` are
+    c*q^A*rho^B*(q^2-1)^K with an int c > 0 and A, B >= 0, checked on the
+    integers."""
     (low, rho), _ = den[0]
     k, lead = len(den) - 1, den[-1][1]
     if type(lead) is not int or lead <= 0 or low < 0 or rho < 0:
         return False
-    for i, ((qe, re), c) in enumerate(den):
-        if (qe != low + 2 * i or re != rho or type(c) is not int
-                or c != (-1) ** (k - i) * math.comb(k, i) * lead):
-            return False
+    return all(qe == low + 2 * i and re == rho and type(c) is int
+               and c == (-1) ** (k - i) * math.comb(k, i) * lead
+               for i, ((qe, re), c) in enumerate(den))
+
+
+def _canonical(num, den):
+    """Whether the ((qexp, rhoexp), coefficient) terms num / den are in the
+    canonical form of the module docstring, checked on the integers."""
+    if not num or not den or not _table_denominator(den):
+        return False
+    (low, rho), _ = den[0]
+    k, lead = len(den) - 1, den[-1][1]
     # sorted terms above (0, -1) have q-exponents >= 0
     content, previous = lead, (0, -1)
     at_one, at_minus_one = {}, {}  # N(1, rho) and N(-1, rho) by rho-power

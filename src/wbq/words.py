@@ -101,15 +101,6 @@ class WordElement:
                         self._merge(out, word, (a1 + a2, r1 + r2), c1 * c2)
         return WordElement(out)
 
-    def sigma(self):
-        """Image under the anti-involution fixing every generator."""
-        out = {}
-        for word, bucket in self.terms.items():
-            rev = tuple(reversed(word))
-            for exps, c in bucket.items():
-                self._merge(out, rev, exps, c)
-        return WordElement(out)
-
     def monomials(self):
         """Iterate over (word, coeff, qexp, rhoexp) monomial terms."""
         for word, bucket in sorted(self.terms.items()):

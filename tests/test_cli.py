@@ -583,6 +583,26 @@ def test_verify_default_grid_passes():
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_semisimple_runs_each_distinct_grid_field_once(monkeypatch):
+    # rho = zeta^(a mod m) repeats fields among the 24 specs of the grid
+    assert len(cli.grid_fields()) == 24
+    original = repthy.semisimplicity
+    calls = []
+
+    def counted(r, s, field=None, **kw):
+        calls.append((r, s, field))
+        return original(r, s, field=field, **kw)
+
+    monkeypatch.setattr(repthy, "semisimplicity", counted)
+    code, out, _ = run_cli(["verify", "--only", "semisimple"])
+    assert code == 0
+    assert out == "".join("PASS semisimple:r%ds%d\n" % shape
+                          for shape in ((1, 1), (1, 2), (2, 1)))
+    for shape in ((1, 1), (1, 2), (2, 1)):
+        fields = [field for r, s, field in calls if (r, s) == shape]
+        assert len(fields) == len(set(fields)) == 17, shape
+
+
 def test_verify_reports_failures_with_exit_two():
     original = repthy.relation_suite
     repthy.relation_suite = lambda r, s, **kw: ["g1_quadratic"]

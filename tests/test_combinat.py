@@ -3,14 +3,64 @@ import itertools
 
 from wbq import combinat
 from wbq.combinat import (
-    CellLabel, CosetRep, TableauPair, apply_word_to_tableau, cell_dimension,
+    CellLabel, CosetRep, TableauPair, cell_dimension,
     conjugate, coset_reps, d_of, dominates, e_regular, e_restricted,
     enumerate_labels, hook_std_count, initial_tableaux, label_order,
-    mixed_weights, partitions, phi_map, standard_tableaux, dominant_weight_order,
+    partitions, phi_map, standard_tableaux,
 )
 from wbq.errors import RankTooSmall
 
 INF = math.inf
+
+
+# -- references the tests below check the package against --------------------
+
+def apply_word_to_tableau(t, word, component):
+    """Apply adjacent transpositions (left to right, acting on entries)."""
+    rows = t.rows1 if component == 1 else t.rows2
+    grid = [list(row) for row in rows]
+    for i in word:
+        for row in grid:
+            for k, v in enumerate(row):
+                if v == i:
+                    row[k] = i + 1
+                elif v == i + 1:
+                    row[k] = i
+    if component == 1:
+        return TableauPair(t.f, grid, t.rows2)
+    return TableauPair(t.f, t.rows1, grid)
+
+
+def mixed_weights(r, s, n):
+    """All weights of the mixed tensor space: integer n-vectors whose positive
+    part sums to r - f and negative part to f - s for some 0 <= f <= min(r,s)."""
+    out = set()
+
+    def rec(pos_left, neg_left, idx, current):
+        if idx == n:
+            if pos_left == 0 and neg_left == 0:
+                out.add(tuple(current))
+            return
+        for v in range(-neg_left, pos_left + 1):
+            current.append(v)
+            rec(pos_left - max(v, 0), neg_left - max(-v, 0), idx + 1, current)
+            current.pop()
+
+    for f in range(min(r, s) + 1):
+        rec(r - f, s - f, 0, [])
+    return out
+
+
+def dominant_weight_order(nu, mu):
+    """nu >= mu in the dominance order on weights of equal coordinate sum."""
+    if len(nu) != len(mu) or sum(nu) != sum(mu):
+        raise ValueError("weights must have equal length and sum")
+    acc = 0
+    for a, b in zip(nu, mu):
+        acc += a - b
+        if acc < 0:
+            return False
+    return True
 
 
 def test_enumerate_labels_examples():

@@ -137,11 +137,11 @@ def test_relation_closure_under_expansion():
         assert left == right, name
 
 
-def test_sigma_transposes_basis_indices():
+def test_sigma_transposes_basis_indices(sigma):
     system = engine.CoordinateSystem.build(2, 1)
     table = engine.direct_structure_constants(2, 1, FieldSpec.qpower(3))
     for a, rec in enumerate(system.basis):
-        image = rec.element.sigma()
+        image = sigma(rec.element)
         vec = system.expand(image)
         target = table.sigma_position(a)
         for c, value in enumerate(vec):

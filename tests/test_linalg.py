@@ -13,6 +13,7 @@ from wbq.linalg import (
     FieldContext,
     RationalPointContext,
     certified_kernel,
+    independent_mod_p,
     invert_square,
     kernel_basis,
     lagrange_poly,
@@ -301,6 +302,28 @@ def test_modp_rank_matches_exact_rref_on_fractions(case):
     pivots, _ = rref(RationalPointContext(2, 0), rows)
     assert modp_rank(rows) == (len(pivots), pivots)
     assert modp_rank_robust(rows) == (len(pivots), pivots)
+
+
+_MODP_FIELDS = tuple(FieldSpec.from_string(text) for text in (
+    "generic", "qpow:3", "cyclo:4,rho=zeta^1", "cyclo:3,rho=free"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MODP_FIELDS), st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(
+        st.one_of(st.integers(-3, 3), st.builds(
+            Fraction, st.integers(-3, 3), st.sampled_from((2, 3)))),
+        min_size=ncols, max_size=ncols), min_size=1, max_size=5)))
+def test_independent_mod_p_agrees_with_modp_rank(spec, rows):
+    # the same rational matrix as constants of a field, whose ring map
+    # picks the prime, and as residues mod that prime, taken as they are
+    field = FieldContext(spec)
+    p = field.one().mod_p()[1]
+    residues = RationalPointContext(2, 0, p)
+    want = modp_rank(rows, p)[0] == len(rows[0])
+    for ctx in (field, residues):
+        matrix = [[ctx.from_monomial(x) for x in row] for row in rows]
+        assert independent_mod_p(matrix) == want, ctx
 
 
 def test_modp_rank_moves_past_a_prime_that_divides_a_denominator():

@@ -76,11 +76,22 @@ def test_predicted_semisimple_examples():
 
 
 def test_cell_module_table_route_dimensions_and_relations():
+    # the cell module read off the table's same-label layer
+    tab = engine.structure_constants(2, 1)
     for label in _labels(2, 1):
-        module = repthy.cell_module(2, 1, label)
-        assert module.dim == combinat.cell_dimension(label, 2, 1)
-        # relation and frame checks ran during construction; run once more
-        module.check_relations()
+        _, dim, frame = engine.cell_layout(2, 1)[label]
+        assert dim == combinat.cell_dimension(label, 2, 1)
+        action = words.WordAction(
+            tab.ctx, dim,
+            lambda letter, label=label: repthy._table_module_letter(
+                tab, label, letter))
+        # the module does not depend on which row of the layer frames it
+        other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
+        for letter in engine.generator_letters(2, 1):
+            assert action.letter(letter) == repthy._table_module_letter(
+                tab, label, letter, other), (label, letter)
+        for name, lhs, rhs in words.presentation_relations(2, 1):
+            assert action.element(lhs) == action.element(rhs), (label, name)
 
 
 def test_cell_module_singular_route_agrees_with_table():
@@ -88,25 +99,12 @@ def test_cell_module_singular_route_agrees_with_table():
     assert repthy.route_agreement(2, 1)
 
 
-def test_cell_module_rejects_unknown_provenance():
-    label = _labels(1, 1)[0]
-    failed = False
-    try:
-        repthy.cell_module(1, 1, label, provenance="Guesswork")
-    except ValueError:
-        failed = True
-    assert failed
-
-
 def test_singular_route_needs_the_rho_tie():
     label = _labels(1, 1)[0]
-    failed = False
-    try:
-        repthy.cell_module(1, 1, label, field="cyclo:5,rho=free",
-                           provenance="SingularVectors")
-    except ValueError:
-        failed = True
-    assert failed
+    with pytest.raises(ValueError,
+                       match=r"^singular vectors need the rho = q\^2 tie$"):
+        repthy._singular_module(1, 1, label,
+                                FieldSpec.from_string("cyclo:5,rho=free"), 2)
 
 
 def test_gram_matrix_b11_worked_example():
@@ -680,7 +678,7 @@ def test_singular_cell_module_raises_on_dependent_vectors(monkeypatch):
     with pytest.raises(RankCertificationFailed,
                        match=r"^singular vectors are dependent at "
                              r"f=1,\[1\]\|\[\]$"):
-        repthy.cell_module(2, 1, label, provenance="SingularVectors")
+        repthy._singular_module(2, 1, label, FieldSpec.qpower(3), 3)
 
 
 def test_singular_cell_module_raises_when_the_span_is_not_stable(
@@ -702,7 +700,7 @@ def test_singular_cell_module_raises_when_the_span_is_not_stable(
     with pytest.raises(RankCertificationFailed,
                        match=r"^the singular span is not stable at "
                              r"f=0,\[2\]\|\[1\]$"):
-        repthy.cell_module(2, 1, label, provenance="SingularVectors")
+        repthy._singular_module(2, 1, label, FieldSpec.qpower(3), 3)
 
 
 def test_singular_dimension_check_raises_on_dependent_vectors(monkeypatch):

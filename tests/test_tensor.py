@@ -552,10 +552,10 @@ def test_weight_space_examples():
     assert tensor.weight_space((0, 0), 2, 1, 1) == [(1, 1), (2, 2)]
     assert tensor.weight_space((1, -1), 2, 1, 1) == [(1, 2)]
     assert tensor.weight_space((2, 0), 2, 1, 1) == []
-    total = sum(
-        len(tensor.weight_space(wt, 3, 2, 1)) for wt in combinat.mixed_weights(2, 1, 3)
-    )
-    assert total == 27
+    # the weight spaces of the distinct weights partition the 27 indices
+    weights = {tensor.weight_of_index(idx, 3, 2, 1)
+               for idx in product(range(1, 4), repeat=3)}
+    assert sum(len(tensor.weight_space(wt, 3, 2, 1)) for wt in weights) == 27
 
 
 def test_weight_behaviour_of_actions():
@@ -738,7 +738,7 @@ def test_contravariant_form_values():
                 == tensor.contravariant_form(b, a, n, r, s))
 
 
-def test_contravariant_form_algebra_side():
+def test_contravariant_form_algebra_side(sigma):
     """(x b, y) == (x, y sigma(b)) for generator words, both conventions of
     coefficient: the anti-involution just reverses the word."""
     rng = random.Random(17)
@@ -768,7 +768,7 @@ def test_contravariant_form_algebra_side():
                 tensor.act_word(x, element, n, r, s), y, n, r, s
             )
             rhs = tensor.contravariant_form(
-                x, tensor.act_word(y, element.sigma(), n, r, s), n, r, s
+                x, tensor.act_word(y, sigma(element), n, r, s), n, r, s
             )
             assert lhs == rhs, (r, s, element)
 

@@ -18,9 +18,12 @@ def _source(name):
     tab = engine.structure_constants(2, 2, "qpow:4")
     if name == "table":
         return tab.ctx, tab.action.letter, tab.action.element
+    # the cell module of one label, read off the table's layer
     label = combinat.CellLabel(1, (1,), (1,))
-    module = repthy.cell_module(2, 2, label, field="qpow:4", table=tab)
-    return module.ctx, module.action.letter, module.action.element
+    action = words.WordAction(
+        tab.ctx, engine.cell_layout(2, 2)[label][1],
+        functools.partial(repthy._table_module_letter, tab, label))
+    return tab.ctx, action.letter, action.element
 
 
 SHAPES = {"coordinates": (2, 1), "table": (2, 2), "module": (2, 2)}
