@@ -134,15 +134,15 @@ def predicted_semisimple(r, s, spec):
 # cell modules
 # ---------------------------------------------------------------------------
 
-def _layer_rows(tab, label, b, frame=None):
+def _layer_rows(tab, label, b):
     """Matrix of basis word ``b`` on the cell module of ``label``, read off
     the table through ``engine.cell_layout``: row ``j`` holds the
     coefficients of v_j * C_b over v_0, ..., v_{dim-1}, where v_j is
-    C[(frame)(j)] modulo the higher layers.  ``frame`` defaults to the
-    distinguished index; any other row of the layer gives the same module.
+    C[(frame)(j)] modulo the higher layers and ``frame`` the distinguished
+    index (any other row of the layer gives the same module).
     """
-    start, dim, initial = engine.cell_layout(tab.r, tab.s)[label]
-    row = start + (initial if frame is None else frame) * dim
+    start, dim, frame = engine.cell_layout(tab.r, tab.s)[label]
+    row = start + frame * dim
     zero = tab.ctx.zero()
     out = []
     for j in range(dim):
@@ -151,7 +151,7 @@ def _layer_rows(tab, label, b, frame=None):
     return out
 
 
-def _table_module_letter(tab, label, letter, frame=None):
+def _table_module_letter(tab, label, letter):
     """Same-label layer of right multiplication by a positive generator,
     on coefficient columns."""
     ctx = tab.ctx
@@ -161,7 +161,7 @@ def _table_module_letter(tab, label, letter, frame=None):
     for b, coeff in gen.items():
         if not coeff:
             continue
-        for j, row in enumerate(_layer_rows(tab, label, b, frame)):
+        for j, row in enumerate(_layer_rows(tab, label, b)):
             for k, val in enumerate(row):
                 if val:
                     mat[k][j] += coeff * val

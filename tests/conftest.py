@@ -19,3 +19,29 @@ def _sigma(element):
 @pytest.fixture
 def sigma():
     return _sigma
+
+
+def _mixed_weights(r, s, n):
+    """All weights of the mixed tensor space: integer n-vectors whose positive
+    part sums to r - f and negative part to f - s for some 0 <= f <= min(r,s);
+    an enumeration independent of ``tensor.weight_of_index``."""
+    out = set()
+
+    def rec(pos_left, neg_left, idx, current):
+        if idx == n:
+            if pos_left == 0 and neg_left == 0:
+                out.add(tuple(current))
+            return
+        for v in range(-neg_left, pos_left + 1):
+            current.append(v)
+            rec(pos_left - max(v, 0), neg_left - max(-v, 0), idx + 1, current)
+            current.pop()
+
+    for f in range(min(r, s) + 1):
+        rec(r - f, s - f, 0, [])
+    return out
+
+
+@pytest.fixture
+def mixed_weights():
+    return _mixed_weights

@@ -31,26 +31,6 @@ def apply_word_to_tableau(t, word, component):
     return TableauPair(t.f, t.rows1, grid)
 
 
-def mixed_weights(r, s, n):
-    """All weights of the mixed tensor space: integer n-vectors whose positive
-    part sums to r - f and negative part to f - s for some 0 <= f <= min(r,s)."""
-    out = set()
-
-    def rec(pos_left, neg_left, idx, current):
-        if idx == n:
-            if pos_left == 0 and neg_left == 0:
-                out.add(tuple(current))
-            return
-        for v in range(-neg_left, pos_left + 1):
-            current.append(v)
-            rec(pos_left - max(v, 0), neg_left - max(-v, 0), idx + 1, current)
-            current.pop()
-
-    for f in range(min(r, s) + 1):
-        rec(r - f, s - f, 0, [])
-    return out
-
-
 def dominant_weight_order(nu, mu):
     """nu >= mu in the dominance order on weights of equal coordinate sum."""
     if len(nu) != len(mu) or sum(nu) != sum(mu):
@@ -213,7 +193,7 @@ def test_phi_map():
     assert hit
 
 
-def test_mixed_weights_examples():
+def test_mixed_weights_examples(mixed_weights):
     assert mixed_weights(1, 1, 2) == {(1, -1), (-1, 1), (0, 0)}
     # dominant mixed weights = image of phi_map at n = r + s
     for r, s in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (4, 1), (3, 2)]:

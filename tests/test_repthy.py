@@ -75,23 +75,40 @@ def test_predicted_semisimple_examples():
     assert repthy.predicted_semisimple(2, 1, FieldSpec.qpower(4))
 
 
+def _framed_letter(tab, label, letter, frame):
+    """Matrix of a positive generator on the cell module of ``label`` framed
+    by row ``frame`` of its layer, read straight from ``tab.product``."""
+    start, dim, _ = engine.cell_layout(tab.r, tab.s)[label]
+    row = start + frame * dim
+    zero = tab.ctx.zero()
+    mat = [[zero] * dim for _ in range(dim)]
+    for b, coeff in tab.generator_expansion(engine._letter_key(letter)).items():
+        for j in range(dim):
+            vec = tab.product(row + j, b)
+            for k in range(dim):
+                mat[k][j] += coeff * vec.get(row + k, zero)
+    return mat
+
+
 def test_cell_module_table_route_dimensions_and_relations():
     # the cell module read off the table's same-label layer
-    tab = engine.structure_constants(2, 1)
-    for label in _labels(2, 1):
-        _, dim, frame = engine.cell_layout(2, 1)[label]
-        assert dim == combinat.cell_dimension(label, 2, 1)
-        action = words.WordAction(
-            tab.ctx, dim,
-            lambda letter, label=label: repthy._table_module_letter(
-                tab, label, letter))
-        # the module does not depend on which row of the layer frames it
-        other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
-        for letter in engine.generator_letters(2, 1):
-            assert action.letter(letter) == repthy._table_module_letter(
-                tab, label, letter, other), (label, letter)
-        for name, lhs, rhs in words.presentation_relations(2, 1):
-            assert action.element(lhs) == action.element(rhs), (label, name)
+    for r, s, field in ((2, 1, None), (2, 2, "qpow:4")):
+        tab = engine.structure_constants(r, s, field)
+        for label in _labels(r, s):
+            _, dim, frame = engine.cell_layout(r, s)[label]
+            assert dim == combinat.cell_dimension(label, r, s)
+            action = words.WordAction(
+                tab.ctx, dim,
+                lambda letter, label=label: repthy._table_module_letter(
+                    tab, label, letter))
+            # the module does not depend on which row of the layer frames it
+            other = frame - 1 if frame > 0 else (1 if dim > 1 else frame)
+            for letter in engine.generator_letters(r, s):
+                assert action.letter(letter) == _framed_letter(
+                    tab, label, letter, other), (r, s, label, letter)
+            for name, lhs, rhs in words.presentation_relations(r, s):
+                assert action.element(lhs) == action.element(rhs), (
+                    r, s, label, name)
 
 
 def test_cell_module_singular_route_agrees_with_table():

@@ -548,14 +548,14 @@ def test_actions_commute():
                         assert a == b, (r, s, letter, i)
 
 
-def test_weight_space_examples():
+def test_weight_space_examples(mixed_weights):
     assert tensor.weight_space((0, 0), 2, 1, 1) == [(1, 1), (2, 2)]
     assert tensor.weight_space((1, -1), 2, 1, 1) == [(1, 2)]
     assert tensor.weight_space((2, 0), 2, 1, 1) == []
-    # the weight spaces of the distinct weights partition the 27 indices
-    weights = {tensor.weight_of_index(idx, 3, 2, 1)
-               for idx in product(range(1, 4), repeat=3)}
-    assert sum(len(tensor.weight_space(wt, 3, 2, 1)) for wt in weights) == 27
+    total = sum(
+        len(tensor.weight_space(wt, 3, 2, 1)) for wt in mixed_weights(2, 1, 3)
+    )
+    assert total == 27
 
 
 def test_weight_behaviour_of_actions():

@@ -18,7 +18,8 @@ def _source(name):
     tab = engine.structure_constants(2, 2, "qpow:4")
     if name == "table":
         return tab.ctx, tab.action.letter, tab.action.element
-    # the cell module of one label, read off the table's layer
+    # the cell module of one label, read off the table's layer (its frame
+    # and relation checks are in test_repthy)
     label = combinat.CellLabel(1, (1,), (1,))
     action = words.WordAction(
         tab.ctx, engine.cell_layout(2, 2)[label][1],
