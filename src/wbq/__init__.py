@@ -2,7 +2,8 @@
 algebras: cellular bases, cell modules, Gram and decomposition matrices,
 blocks, and the mixed-tensor-space model that certifies them.
 
-All arithmetic is exact (Laurent polynomial fractions, cyclotomic
+All arithmetic is exact (rational functions in q and rho, reduced
+fractions of integer Laurent polynomials in q on rho = q^a, cyclotomic
 integers, rationals); there is no floating point anywhere in the package.
 """
 

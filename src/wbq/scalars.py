@@ -45,6 +45,23 @@ and N(-1, rho) both nonzero if K > 0.  Over Q[q, rho] a reduced fraction is
 unique up to a rational unit, which content 1 and c > 0 fix, so canonical
 terms are exactly what sympy's normalisation returns.
 
+A ``qpow`` value is a ``LaurentFrac``, no sympy object: the reduced
+fraction q^e * n(q) / (c * (q-1)^i * (q+1)^j * r(q)) with integer
+polynomials n and r.  A table value N(q, rho) / (c*q^A*rho^B*(q^2-1)^K) maps
+under rho = q^a to such a fraction with r = 1, and so do sums and products
+of such images, so ``specialize`` to ``qpow:a`` is the substitution
+rho -> q^a into the stored integer terms, and ``+ - * /`` cancel the
+factors q, q - 1 and q + 1 by exponent shifts and synthetic division at
++-1, with no polynomial gcd.  Only a division by a value whose numerator
+has another factor makes r != 1 (on the query path, a ``linalg.rref``
+pivot); while r != 1, each operation takes one gcd of integer coefficient
+lists (``_pgcd``: the heuristic gcd, checked by exact division, with the
+primitive remainder sequence as fallback).  The form is unique, so ``==``
+and ``hash`` compare it, and ``to_text`` prints it with its powers of q
+moved to the side where they are not negative.  Generic arithmetic is the
+only use of sympy: ``_phi`` divides x^m - 1 in the integers and
+``_modp_point`` tests primes by Miller-Rabin.
+
 Where q and rho go in each field kind is written once, in the private
 ``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
 denominator and builds their quotient in the field.  ``monomial``,
@@ -70,9 +87,6 @@ import math
 import operator
 
 from sympy import QQ as _QQ
-from sympy import Symbol as _Symbol
-from sympy import cyclotomic_poly as _cyclotomic_poly
-from sympy import isprime as _isprime
 from sympy.polys.fields import field as _frac_field
 
 from .errors import DenominatorVanishes, IntegralityViolation
@@ -80,7 +94,6 @@ from .errors import DenominatorVanishes, IntegralityViolation
 INFINITY = float("inf")
 
 _GFIELD, _GQ, _GRHO = _frac_field("q,rho", _QQ)
-_QFIELD, _QGEN = _frac_field("q", _QQ)
 
 
 def _qq(c):
@@ -94,21 +107,172 @@ def _terms(poly):
             for mono, c in poly.items()]
 
 
-def _from_terms(spec, num, den):
-    """The generic or qpow scalar num / den, where num and den map exponent
-    tuples to coefficients.  Exponents may be negative: both sides are
-    shifted by the same monomial before the quotient is normalised."""
+def _from_terms(num, den):
+    """The generic scalar num / den, where num and den map exponent pairs
+    to coefficients.  Exponents may be negative: both sides are shifted by
+    the same monomial before the quotient is normalised."""
     if not den:
         raise ZeroDivisionError("empty denominator")
-    field = _GFIELD if spec.kind == "generic" else _QFIELD
     low = tuple(min(col) for col in zip(*num, *den))
 
     def poly(terms):
         if any(low):
             terms = {tuple(map(operator.sub, mono, low)): c for mono, c in terms.items()}
-        return field.ring.from_dict({mono: _qq(c) for mono, c in terms.items()})
+        return _GFIELD.ring.from_dict({mono: _qq(c) for mono, c in terms.items()})
 
-    return Scalar(spec, field.new(poly(num), poly(den)))
+    return Scalar(_GENERIC, _GFIELD.new(poly(num), poly(den)))
+
+
+# ---------------------------------------------------------------------------
+# dense integer polynomials in q (ascending lists of ints)
+# ---------------------------------------------------------------------------
+
+def _pmul(a, b):
+    """The product of two nonzero integer polynomials, as a list."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        y = b[0]
+        return list(a) if y == 1 else [x * y for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for k, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, k):
+                out[i] += x * y
+    return out
+
+
+def _pdivexact(a, b):
+    """The quotient a / b of integer polynomials, b nonzero, as a list, or
+    None unless b divides a in Z[q]; long division from the top."""
+    a = list(a)
+    nb, lead = len(b), b[-1]
+    out = [0] * max(0, len(a) - nb + 1)
+    for k in range(len(out) - 1, -1, -1):
+        t, rem = divmod(a[k + nb - 1], lead)
+        if rem:
+            return None
+        if t:
+            out[k] = t
+            for i, y in enumerate(b, k):
+                a[i] -= t * y
+    return None if any(a[:nb - 1]) else out
+
+
+def _div_q_minus_one(a):
+    """a / (q - 1), where a(1) = 0: the quotient's coefficients are the
+    partial sums of a from the top."""
+    out = list(itertools.accumulate(reversed(a[1:])))
+    out.reverse()
+    return out
+
+
+def _div_q_plus_one(a):
+    """a / (q + 1), where a(-1) = 0, by synthetic division from the top."""
+    out, carry = [], 0
+    for x in reversed(a[1:]):
+        carry = x - carry
+        out.append(carry)
+    out.reverse()
+    return out
+
+
+def _at_minus_one(a):
+    return sum(a[::2]) - sum(a[1::2])
+
+
+@functools.lru_cache(maxsize=None)
+def _q_minus_plus(i, j):
+    """The coefficients of (q - 1)^i * (q + 1)^j."""
+    out = [1]
+    for _ in range(i):
+        out = [x - y for x, y in zip([0] + out, out + [0])]
+    for _ in range(j):
+        out = [x + y for x, y in zip([0] + out, out + [0])]
+    return tuple(out)
+
+
+def _primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
+
+
+def _pgcd(a, b):
+    """The gcd of two nonzero integer polynomials, primitive and with a
+    positive leading coefficient.
+
+    First the heuristic gcd (Char, Geddes and Gonnet, *GCDHEU: heuristic
+    polynomial GCD algorithm based on integer GCD computation*, J. Symbolic
+    Comput. 7, 1989): the symmetric xi-adic expansion of
+    gcd(a(xi), b(xi)), for an integer xi > 2 * min(|a|, |b|) + 2 in the
+    max-norms of the primitive parts, is the gcd as soon as its primitive
+    part divides both, which exact division checks.  After six values of
+    xi the primitive remainder sequence decides."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    a, b = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = math.gcd(_value_at(a, xi), _value_at(b, xi))
+        if h:
+            cand = []
+            while h:
+                c = h % xi
+                if 2 * c > xi:
+                    c -= xi
+                cand.append(c)
+                h = (h - c) // xi
+            if len(cand) == 1:
+                return [1]
+            cand = _primitive(cand)
+            if (len(cand) <= min(len(a), len(b))
+                    and _pdivexact(a, cand) is not None
+                    and _pdivexact(b, cand) is not None):
+                return cand
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return _prs_gcd(a, b)
+
+
+def _value_at(a, x):
+    total = 0
+    for c in reversed(a):
+        total = total * x + c
+    return total
+
+
+def _prs_gcd(a, b):
+    """The gcd of two primitive integer polynomials by the primitive
+    remainder sequence: pseudo-remainders, each divided by its content."""
+    while True:
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            return [1]
+        r, lead = list(a), b[-1]
+        while len(r) >= len(b):
+            t = r.pop()
+            r = [x * lead for x in r]
+            for i, y in enumerate(b[:-1], len(r) - len(b) + 1):
+                r[i] -= t * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """The coefficients of the m-th cyclotomic polynomial: x^m - 1 divided
+    by Phi_d for every proper divisor d of m, in the integers."""
+    out = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            out = _pdivexact(out, _cyclotomic(d))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,8 +283,7 @@ def _phi(m):
     vector (length d) of x^k reduced modulo Phi_m.  Since Phi_m divides
     x^m - 1, x^k reduces to zpows[k % m] for every k >= 0.
     """
-    x = _Symbol("x")
-    coeffs = [int(c) for c in reversed(_cyclotomic_poly(m, x).as_poly(x).all_coeffs())]
+    coeffs = _cyclotomic(m)
     d = len(coeffs) - 1
     cur = [1] + [0] * (d - 1)
     zpows = []
@@ -418,6 +581,184 @@ class CycloFrac:
 
 
 # ---------------------------------------------------------------------------
+# values of Q(q): reduced fractions of integer Laurent polynomials
+# ---------------------------------------------------------------------------
+
+def _laurent_normal(e, n, c, i, j, r):
+    """The normal form of q^e * n / (c * (q - 1)^i * (q + 1)^j * r), where
+    n is an int list, c > 0, and r is a denominator rest in normal form
+    (see ``LaurentFrac``).  Powers of q move into e and common factors
+    q - 1 and q + 1 cancel by synthetic division; a polynomial gcd runs
+    only where r is not 1."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return _QZERO
+    if not n[0]:
+        k = 1
+        while not n[k]:
+            k += 1
+        e += k
+        n = n[k:]
+    while i and not sum(n):
+        n = _div_q_minus_one(n)
+        i -= 1
+    while j and not _at_minus_one(n):
+        n = _div_q_plus_one(n)
+        j -= 1
+    if len(r) > 1 and len(n) > 1:
+        g = _pgcd(n, r)
+        if len(g) > 1:
+            n = _pdivexact(n, g)
+            r = tuple(_pdivexact(r, g))
+    g = math.gcd(c, *n)
+    if g != 1:
+        c //= g
+        n = [x // g for x in n]
+    return _laurent_frac(e, tuple(n), c, i, j, r)
+
+
+def _laurent_frac(e, n, c, i, j, r):
+    x = object.__new__(LaurentFrac)
+    x.e, x.n, x.c, x.i, x.j, x.r = e, n, c, i, j, r
+    return x
+
+
+def _quotient(e, num, den):
+    """The ``LaurentFrac`` q^e * num / den of two int lists, den nonzero:
+    den splits as s * q^k * (q - 1)^i * (q + 1)^j * r with r primitive and
+    of positive leading coefficient, and r(0), r(1), r(-1) nonzero."""
+    k = 0
+    while not den[k]:
+        k += 1
+    den, i, j = den[k:], 0, 0
+    while not sum(den):
+        den = _div_q_minus_one(den)
+        i += 1
+    while not _at_minus_one(den):
+        den = _div_q_plus_one(den)
+        j += 1
+    s = math.gcd(*den)
+    if den[-1] < 0:
+        s, num = -s, [-x for x in num]
+    return _laurent_normal(e - k, num, abs(s), i, j,
+                           tuple(x // s for x in den))
+
+
+class LaurentFrac:
+    """A value of Q(q), the field of ``qpow:a``, in the normal form
+
+        q^e * n(q) / (c * (q - 1)^i * (q + 1)^j * r(q)),
+
+    where n and r are tuples of int coefficients (ascending), c > 0 is an
+    int and i, j >= 0.  n(0) != 0, or n is () for zero (with e = i = j = 0,
+    c = 1 and r = (1,)); r is primitive with a positive leading coefficient
+    and r(0), r(1), r(-1) nonzero, and r = (1,) unless some operation
+    divided by a polynomial with another factor; gcd(content(n), c) = 1;
+    n(1) != 0 if i > 0 and n(-1) != 0 if j > 0; and gcd(n, r) = 1.  Over
+    Q[q] a reduced fraction is unique up to a rational unit, and q, q - 1,
+    q + 1 and r share no factor, so the form is unique: ``==`` and
+    ``hash`` compare the six fields, and the value is truthy exactly when
+    nonzero.
+    """
+
+    __slots__ = ("e", "n", "c", "i", "j", "r")
+
+    def __bool__(self):
+        return bool(self.n)
+
+    def _key(self):
+        return (self.e, self.n, self.c, self.i, self.j, self.r)
+
+    def __eq__(self, other):
+        return isinstance(other, LaurentFrac) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __neg__(self):
+        return _laurent_frac(self.e, tuple(-x for x in self.n), self.c,
+                             self.i, self.j, self.r)
+
+    def __add__(self, other):
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        e = min(self.e, other.e)
+        a = [0] * (self.e - e) + list(self.n)
+        b = [0] * (other.e - e) + list(other.n)
+        c, i, j, r = self.c, self.i, self.j, self.r
+        if (c, i, j, r) != (other.c, other.i, other.j, other.r):
+            # over the least common denominator
+            g = math.gcd(c, other.c)
+            c = c // g * other.c
+            i, j = max(i, other.i), max(j, other.j)
+            if r == other.r:
+                fa = fb = (1,)
+            elif len(other.r) == 1:
+                fa, fb = (1,), r
+            elif len(r) == 1:
+                fa, fb, r = other.r, (1,), other.r
+            else:
+                g2 = _pgcd(r, other.r)
+                fa, fb = _pdivexact(other.r, g2), _pdivexact(r, g2)
+                r = tuple(_pmul(r, fa))
+            a = _pmul(_pmul(a, _q_minus_plus(i - self.i, j - self.j)),
+                      [other.c // g * y for y in fa])
+            b = _pmul(_pmul(b, _q_minus_plus(i - other.i, j - other.j)),
+                      [self.c // g * y for y in fb])
+        if len(a) < len(b):
+            a, b = b, a
+        n = list(a)
+        for k, y in enumerate(b):
+            n[k] += y
+        return _laurent_normal(e, n, c, i, j, r)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not self.n or not other.n:
+            return _QZERO
+        if len(other.r) == 1:
+            r = self.r
+        elif len(self.r) == 1:
+            r = other.r
+        else:
+            r = tuple(_pmul(self.r, other.r))
+        return _laurent_normal(self.e + other.e, _pmul(self.n, other.n),
+                               self.c * other.c, self.i + other.i,
+                               self.j + other.j, r)
+
+    def __truediv__(self, other):
+        if not other.n:
+            raise ZeroDivisionError("division by zero q-fraction")
+        return self * _quotient(-other.e, other._denominator(), list(other.n))
+
+    def _denominator(self):
+        """c * (q - 1)^i * (q + 1)^j * r, as an int list."""
+        return _pmul(_pmul(_q_minus_plus(self.i, self.j), self.r), (self.c,))
+
+    def _terms(self):
+        """The numerator and the denominator as lists of ((exponent,), int)
+        terms, the power of q moved to the side where it is not negative:
+        the reduced fraction with integer coefficients of content 1 and a
+        positive leading denominator coefficient."""
+        low = max(self.e, 0)
+        return ([((low + k,), v) for k, v in enumerate(self.n) if v],
+                [((low - self.e + k,), v)
+                 for k, v in enumerate(self._denominator()) if v])
+
+    def __repr__(self):
+        return "LaurentFrac(e=%d, n=%s, den=%s)" % (self.e, list(self.n),
+                                                   self._denominator())
+
+
+_QZERO = _laurent_frac(0, (), 1, 0, 0, (1,))
+
+
+# ---------------------------------------------------------------------------
 # field specifications
 # ---------------------------------------------------------------------------
 
@@ -547,14 +888,17 @@ class Scalar:
         return bool(self.rep)
 
     def __hash__(self):
-        return hash((self.spec.key(), repr(self.rep)))
+        return hash((self.spec.key(), self.rep))
 
     def __repr__(self):
         return to_text(self)
 
     def _fraction_terms(self):
         """The numerator and denominator of a generic or qpow value as
-        sequences of (exponent tuple, coefficient) terms."""
+        sequences of (exponent tuple, coefficient) terms, with no negative
+        exponent."""
+        if self.spec.kind == "qpow":
+            return self.rep._terms()
         return _terms(self.rep.numer), _terms(self.rep.denom)
 
     def to_laurent(self):
@@ -568,7 +912,7 @@ class Scalar:
             num, den = self._fraction_terms()
             if len(den) == 1:
                 [((low,), c)] = den
-                return Laurent({e - low: _coefficient(x / c)
+                return Laurent({e - low: _coefficient(Fraction(x, c))
                                 for (e,), x in num}), None
             return (Laurent({e: _coefficient(x) for (e,), x in num}),
                     Laurent({e: _coefficient(x) for (e,), x in den}))
@@ -781,7 +1125,7 @@ def _substitute(spec, num, den=None):
         key = lambda mono: mono
     elif kind == "qpow":
         a = spec.a
-        key = lambda mono: (mono[0] + a * mono[1],)
+        key = lambda mono: mono[0] + a * mono[1]
     elif spec.rho_kind == "power":
         b = spec.rho_a
         key = lambda mono: (mono[0] + b * mono[1]) % m
@@ -802,11 +1146,17 @@ def _substitute(spec, num, den=None):
     def vanishes():
         return DenominatorVanishes("denominator vanishes under %s" % spec.to_string())
 
-    if kind != "cyclo":
-        if not db:
-            raise vanishes()
-        return _from_terms(spec, {k: Fraction(n, nc) for k, n in nb.items()},
+    if not db:
+        raise vanishes()
+    if kind == "generic":
+        return _from_terms({k: Fraction(n, nc) for k, n in nb.items()},
                            {k: Fraction(n, dc) for k, n in db.items()})
+    if kind == "qpow":
+        if not nb:
+            return Scalar(spec, _QZERO)
+        # (N / nc) / (D / dc) with N and D dense from their lowest powers
+        num, den = (_dense(b, scale) for b, scale in ((nb, dc), (db, nc)))
+        return Scalar(spec, _quotient(min(nb) - min(db), num, den))
     if spec.rho_kind == "power":
         value = _zeta_sum(m, nb, nc)
         if den is not None:
@@ -831,6 +1181,16 @@ def _substitute(spec, num, den=None):
     # over 1, the trimmed numerator is in normal form already
     return Scalar(spec, CycloFrac(m, num_poly, den_poly,
                                   normalized=den is None and low == 0))
+
+
+def _dense(buckets, scale):
+    """scale times the coefficients of {exponent: int}, as a list from
+    the lowest exponent to the highest."""
+    low = min(buckets)
+    out = [0] * (max(buckets) - low + 1)
+    for k, n in buckets.items():
+        out[k - low] = n * scale
+    return out
 
 
 def zero(spec):
@@ -936,7 +1296,7 @@ def _modp_point(spec):
     q^i * rho^j maps as its image in the field does."""
     m = spec.m or 1
     p = 2 ** 31 - 1 - (2 ** 31 - 2) % m
-    while not _isprime(p):
+    while not _is_prime(p):
         p -= m
     q = 16807
     if spec.kind == "cyclo":
@@ -945,6 +1305,32 @@ def _modp_point(spec):
                  if all(pow(w, k, p) != 1 for k in range(1, m)))
     tie = spec.a if spec.kind == "qpow" else spec.rho_a
     return p, (q, 48271 if tie is None else pow(q, tie, p))
+
+
+def _is_prime(n):
+    """Whether n is prime, by the Miller-Rabin test on the bases 2, 3, 5
+    and 7, which has no strong pseudoprime below 3,215,031,751 (Pomerance,
+    Selfridge and Wagstaff, *The pseudoprimes to 25 * 10^9*, Math. Comp. 35,
+    1980); every candidate of ``_modp_point`` is below 2^31."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, k = n - 1, 0
+    while not d % 2:
+        d, k = d // 2, k + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _terms_mod(terms, point, p):
@@ -1069,7 +1455,7 @@ def generic_from_terms(num_terms, den_terms):
                 for side in (num_terms, den_terms))
     if _canonical(num, den):
         return _Stored(num, den)
-    return _from_terms(_GENERIC, _summed(num), _summed(den))
+    return _from_terms(_summed(num), _summed(den))
 
 
 def _summed(terms):

@@ -278,6 +278,47 @@ def test_queries_do_not_import_numpy():
     assert run.returncode == 0, run.stderr.decode()
 
 
+def test_grid_queries_call_no_sympy():
+    # sympy serves the generic field only: with the six tables loaded, no
+    # query on a qpow, rho = zeta^b or free-rho grid field enters a sympy
+    # function.  A fresh process, so that no cache filled by another test
+    # hides a call.
+    script = "\n".join([
+        "import contextlib, io, os, sys",
+        "from wbq import cli, engine",
+        "shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]",
+        "for r, s in shapes:",
+        "    engine.generic_table(r, s)",
+        "fields = (['qpow:%d' % a for a in range(-2, 5)]",
+        "          + ['cyclo:4,rho=zeta^%d' % b for b in range(4)]",
+        "          + ['cyclo:3,rho=zeta^%d' % b for b in range(3)]",
+        "          + ['cyclo:4,rho=free', 'cyclo:3,rho=free'])",
+        "marker = os.sep + 'sympy' + os.sep",
+        "entered = set()",
+        "def watch(frame, event, arg):",
+        "    if event == 'call' and marker in frame.f_code.co_filename:",
+        "        entered.add((frame.f_code.co_filename, frame.f_code.co_name))",
+        "codes = set()",
+        "sys.setprofile(watch)",
+        "try:",
+        "    for field in fields:",
+        "        for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
+        "            for r, s in shapes:",
+        "                with contextlib.redirect_stdout(io.StringIO()):",
+        "                    codes.add(cli.main([command, '--r', str(r),",
+        "                                        '--s', str(s),",
+        "                                        '--field', field]))",
+        "finally:",
+        "    sys.setprofile(None)",
+        "assert codes == {0}, codes",
+        "assert not entered, sorted(entered)[:10]",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, timeout=600)
+    assert run.returncode == 0, run.stderr.decode()
+
+
 def test_schur_weyl_command_flags_equality_and_deficiency():
     code, out, _ = run_cli(["schur-weyl", "--n", "2", "--r", "1", "--s", "1"])
     assert code == 0
@@ -405,9 +446,9 @@ def test_a_non_generic_query_decodes_no_generic_value(tmp_path, monkeypatch):
         calls["decode"] += 1
         return decode(*args)
 
-    def counted_from_terms(spec, num, den):
-        calls["generic"] += spec.kind == "generic"
-        return from_terms(spec, num, den)
+    def counted_from_terms(num, den):
+        calls["generic"] += 1
+        return from_terms(num, den)
 
     def counted_load(*args):
         calls["load"] += 1
@@ -443,9 +484,9 @@ def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
         calls["decode"] += 1
         return decode(*args)
 
-    def counted_from_terms(spec, num, den):
-        calls["generic"] += spec.kind == "generic"
-        return from_terms(spec, num, den)
+    def counted_from_terms(num, den):
+        calls["generic"] += 1
+        return from_terms(num, den)
 
     def recorded(r, s, field=None, **kw):
         fields.append((r, s, field.to_string()))

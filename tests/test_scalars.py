@@ -205,16 +205,21 @@ def _value_class_field(spec):
     and not through ``monomial``: const(c) is the scalar c, and rho is
     q^a on ``qpow:a`` and zeta^b on ``rho = zeta^b``."""
     if spec.kind == "generic":
-        field, q, rho = scalars._GFIELD, scalars._GQ, scalars._GRHO
-    elif spec.kind == "qpow":
-        field, q, rho = scalars._QFIELD, scalars._QGEN, None
-    if spec.kind != "cyclo":
+        field = scalars._GFIELD
+
         def const(c):
             return Scalar(spec, field.ground_new(
                 sympy.QQ(c.numerator, c.denominator)))
 
-        return (const, Scalar(spec, q),
-                None if rho is None else Scalar(spec, rho))
+        return const, Scalar(spec, scalars._GQ), Scalar(spec, scalars._GRHO)
+    if spec.kind == "qpow":
+        # the normal forms c / 1 and q / 1, stored field by field
+        def qfrac(e, num, den):
+            return Scalar(spec, scalars._laurent_frac(
+                e, (num,) if num else (), den, 0, 0, (1,)))
+
+        return (lambda c: qfrac(0, c.numerator, c.denominator),
+                qfrac(1, 1, 1), None)
     m = spec.m
     cyclo_one, zeta = scalars.CycloNum(m, [1]), scalars.CycloNum(m, [0, 1])
     if spec.rho_kind == "power":
@@ -443,6 +448,26 @@ def _ref_phi(m):
     x = sympy.Symbol("x")
     poly = sympy.cyclotomic_poly(m, x).as_poly(x)
     return [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for m in range(1, 121):
+        assert list(scalars._cyclotomic(m)) == [int(c) for c in _ref_phi(m)], m
+        d, zpows = scalars._phi(m)
+        assert d == len(_ref_phi(m)) - 1 and len(zpows) == m
+
+
+def test_primality_matches_sympy():
+    below = list(range(-2, 20000))
+    near_two_to_31 = list(range(2 ** 31 - 5000, 2 ** 31))
+    # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5; and
+    # Carmichael numbers
+    hard = [2047, 1373653, 25326001, 561, 1105, 1729, 2465, 2821, 6601,
+            8911, 41041, 825265, 321197185, 2 ** 31 - 1, 2147483629]
+    for n in below + near_two_to_31 + hard:
+        assert scalars._is_prime(n) == sympy.isprime(n), n
+    for spec in SAMPLE_SPECS + [FieldSpec.cyclotomic(m) for m in (5, 7, 11)]:
+        assert sympy.isprime(scalars._modp_point(spec)[0])
 
 
 class _RefCycloNum:
@@ -680,8 +705,12 @@ def _sympy_form(value):
     and rho, with z for zeta on ``cyclo`` fields, read from its stored
     form."""
     spec, rep = value.spec, value.rep
-    if spec.kind != "cyclo":
+    if spec.kind == "generic":
         return rep.numer.as_expr(), rep.denom.as_expr()
+    if spec.kind == "qpow":
+        return tuple(1 if side is None else
+                     sum(c * _Q ** e for e, c in side.items())
+                     for side in value.to_laurent())
 
     def cyclo(x):
         return sum(c * _Z ** k for k, c in enumerate(x.c))
@@ -739,6 +768,107 @@ def test_laurent_division_by_quantum_factorials_is_exact(x, ell, e, c):
             (x * qfact + scalars.Laurent({e: c})) / qfact
 
 
+# -- qpow values against a sympy Q(q) reference -------------------------------
+
+_QREF, _QREF_GEN = sympy.polys.fields.field("q", sympy.QQ)
+
+
+def _ref_laurent(terms):
+    """The sympy Q(q) value of {exponent: rational coefficient}."""
+    out = _QREF(0)
+    for e, c in terms.items():
+        c = Fraction(c)
+        out += _QREF(sympy.QQ(c.numerator, c.denominator)) * _QREF_GEN ** e
+    return out
+
+
+def _ref_text(value):
+    """``to_text`` of a sympy Q(q) value, printed as while qpow values were
+    gcd-normalised sympy fractions."""
+    num, den = (scalars._terms(side) for side in (value.numer, value.denom))
+    num_s, den_s = (scalars._format_rational_poly(terms, ("q",))
+                    for terms in scalars._integerize(num, den))
+    return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
+
+
+def _ref_mod_p(value, spec):
+    """The residue of a sympy Q(q) value at the point of ``spec``, or None
+    where its denominator, or a coefficient's, maps to zero."""
+    p, (t, _) = scalars._modp_point(spec)
+    sides = []
+    for side in (value.numer, value.denom):
+        total = 0
+        for (e,), c in scalars._terms(side):
+            if c.denominator % p == 0:
+                return None
+            total += c.numerator * pow(c.denominator, -1, p) * pow(t, e, p)
+        sides.append(total % p)
+    if not sides[1]:
+        return None
+    return sides[0] * pow(sides[1], -1, p) % p, p
+
+
+@st.composite
+def _q_fractions(draw):
+    """(terms, i, j, i2, j2, divisor): the value terms * (q - 1)^i *
+    (q + 1)^j / ((q - 1)^i2 * (q + 1)^j2 * divisor), where terms and the
+    divisor are Laurent polynomials; the divisor, when present, brings
+    factors other than q and q +- 1 into the denominator."""
+    coefficient = st.builds(Fraction, st.integers(-3, 3),
+                            st.sampled_from([1, 1, 1, 2, 3]))
+    terms = st.dictionaries(st.integers(-3, 4), coefficient, max_size=4)
+    powers = [draw(st.integers(0, 3)) for _ in range(4)]
+    divisor = draw(st.one_of(st.just({}), terms))
+    return (draw(terms), *powers, divisor)
+
+
+def _q_fraction(spec, terms, i, j, i2, j2, divisor):
+    """The value of ``_q_fractions`` on ``spec`` and its sympy reference,
+    built by multiplying by each factor q -+ 1 and then dividing, so that
+    the divisions cancel the factors multiplied in."""
+    def lower(t):
+        return Scalar.from_laurent(spec, scalars.Laurent(
+            {e: c.numerator if c.denominator == 1 else c
+             for e, c in t.items() if c}))
+
+    value, ref = lower(terms), _ref_laurent(terms)
+    for factor, up, down in (({0: -1, 1: 1}, i, i2), ({0: 1, 1: 1}, j, j2)):
+        for _ in range(up):
+            value, ref = value * lower(factor), ref * _ref_laurent(factor)
+        for _ in range(down):
+            value, ref = value / lower(factor), ref / _ref_laurent(factor)
+    if _ref_laurent(divisor):
+        value, ref = value / lower(divisor), ref / _ref_laurent(divisor)
+    return value, ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FieldSpec.qpower(a) for a in (-2, 0, 3)]),
+       _q_fractions(), _q_fractions())
+def test_q_fractions_match_the_sympy_reference(spec, xa, ya):
+    (x, rx), (y, ry) = _q_fraction(spec, *xa), _q_fraction(spec, *ya)
+    cases = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry),
+             (x * y, rx * ry), (-x, -rx)]
+    if ry:
+        cases.append((x / y, rx / ry))
+    for value, ref in cases:
+        assert bool(value) == bool(ref)
+        assert to_text(value) == _ref_text(ref), (to_text(value), ref)
+        assert value.mod_p() == _ref_mod_p(ref, spec)
+        num, den = value.to_laurent()
+        assert _ref_laurent(num) == ref * (1 if den is None
+                                           else _ref_laurent(den))
+        assert den is None or len(den) > 1
+    # one normal form: equality, and hashes of equal values
+    assert (x == y) == (rx == ry)
+    routes = [(x + y) - y, x * one(spec)]
+    if ry:
+        routes.append((x * y) / y)
+    for other in routes:
+        assert other == x and hash(other) == hash(x)
+        assert to_text(other) == to_text(x)
+
+
 # -- generic values kept as their stored terms --------------------------------
 
 BUNDLED_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
@@ -752,7 +882,7 @@ def _eager(num, den):
     form every generic value had before stored terms were kept."""
     num, den = ({(qe, re): Fraction(c) for qe, re, c in side}
                 for side in (num, den))
-    return scalars._from_terms(GEN, num, den)
+    return scalars._from_terms(num, den)
 
 
 def _stored_pairs(r, s):
@@ -823,6 +953,60 @@ def test_residues_of_bundled_values_are_the_residues_of_their_images():
             assert not _has_rep(kept)
     # the fixed points miss no denominator of a bundled value
     assert compared == 2939 * len(RESIDUE_FIELDS)
+
+
+@st.composite
+def _int_polys(draw, max_len=6):
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=max_len))
+    return coeffs if coeffs[-1] else coeffs + [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_polys(), _int_polys(), _int_polys(4))
+def test_polynomial_gcds_match_sympy(a, b, common):
+    # a common factor planted, so that most gcds are not 1
+    a, b = scalars._pmul(a, common), scalars._pmul(b, common)
+    q = sympy.Symbol("q")
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), q)
+
+    want = poly(a).gcd(poly(b))
+    want = want.primitive()[1] * (1 if want.LC() > 0 else -1)
+    want = [int(c) for c in reversed(want.all_coeffs())]
+    primitive = (scalars._primitive(a), scalars._primitive(b))
+    assert scalars._pgcd(a, b) == want
+    assert scalars._prs_gcd(*primitive) == want
+    assert scalars._pdivexact(a, want) == [
+        int(c) for c in reversed(poly(a).exquo(poly(want)).all_coeffs())]
+
+
+def _ref_specialize_q(obj, a):
+    """The sympy Q(q) value of stored generic terms under rho = q^a."""
+    low = min(qe + a * re for side in obj for qe, re, _ in side)
+    polys = []
+    for side in obj:
+        coeffs = {}
+        for qe, re, c in side:
+            key = (qe + a * re - low,)
+            coeffs[key] = coeffs.get(key, 0) + int(c)
+        polys.append(_QREF.ring.from_dict(
+            {key: sympy.QQ(c) for key, c in coeffs.items() if c}))
+    return _QREF.new(*polys)
+
+
+def test_bundled_values_specialise_to_the_sympy_reference_on_qpow():
+    fields = [FieldSpec.qpower(a) for a in range(-2, 5)]
+    compared = 0
+    for shape in BUNDLED_SHAPES:
+        for obj, kept in _stored_pairs(*shape):
+            for spec in fields:
+                value = specialize(kept, spec)
+                ref = _ref_specialize_q(obj, spec.a)
+                assert to_text(value) == _ref_text(ref), (shape, obj, spec)
+                assert value.mod_p() == _ref_mod_p(ref, spec)
+                compared += 1
+    assert compared == 2939 * len(fields)
 
 
 @st.composite
