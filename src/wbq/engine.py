@@ -434,7 +434,9 @@ class ConstantsTable:
 class StructureConstants(ConstantsTable):
     """Fully materialized table (generic or directly-computed specialized).
     ``seed`` and ``depth`` record how it was built and change none of its
-    values."""
+    values.  ``decompositions`` is the memo of
+    ``repthy.decomposition_matrix``: field spec -> the integer answer
+    computed from this table, which lives and dies with the table."""
 
     def __init__(self, r, s, spec, seed, depth, products, generators, unit):
         ConstantsTable.__init__(self, r, s, spec)
@@ -443,6 +445,7 @@ class StructureConstants(ConstantsTable):
         self._products = products
         self._generators = generators
         self._unit = unit
+        self.decompositions = {}
 
     def product(self, a, b):
         return self._products.get((a, b), {})

@@ -39,6 +39,16 @@ traces, and on every trace system off that route, which
 on the singular vectors, and the traces of the alternative generator's
 module, in coordinates over their spans.
 
+Each decomposition matrix is computed once per generic table and field.
+``decomposition_matrix`` memoises its integer answer in the
+``decompositions`` dict of the generic ``engine.StructureConstants`` it
+reads, keyed by the field spec, so ``decomp``, ``blocks`` and the
+``blocks1`` and ``einfty`` comparisons share it.  The memo lives as long
+as its table: a table dropped from or replaced in ``engine._TABLE_MEMO``
+takes its answers with it.  An entry holds labels, the field spec and
+ints, never a field value or a specialised view, and a call that raises
+stores nothing.
+
 A second, independent realization of each cell module, a span of singular
 vectors in the mixed tensor space, is built by ``_singular_module`` for the
 oracle ``route_agreement``, which compares the two constructions (Gram
@@ -368,16 +378,30 @@ def _integer_value(ctx, value):
     raise IntegralityViolation("a decomposition entry is not a small integer")
 
 
-def decomposition_matrix(r, s, field=None, cache_dir=None, table=None):
+def decomposition_matrix(r, s, field=None, cache_dir=None):
     """Exact decomposition matrix over the given field, by the trace method.
 
     Raises TraceSystemSingular when the simple traces fail to be linearly
     independent, IntegralityViolation when the solved multiplicities are
     not non-negative integers, and OracleMismatch when the column set or
     the unitriangular shape disagrees with the predicted one.
+
+    The answer is memoised by field spec in ``decompositions`` of the
+    generic table that ``engine.generic_table`` resolves, and goes with
+    that table (see the module docstring); a call that raises stores
+    nothing.  Callers share the returned matrix and only read it.
     """
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
+    generic = engine.generic_table(r, s, cache_dir=cache_dir)
+    memo = generic.decompositions
+    if spec not in memo:
+        memo[spec] = _decompose(r, s, spec, generic.specialize(spec))
+    return memo[spec]
+
+
+def _decompose(r, s, spec, tab):
+    """The decomposition matrix of ``decomposition_matrix``, computed from
+    ``tab``, the generic table specialised to ``spec``."""
     labels = list(combinat.enumerate_labels(r, s))
     if _residue_certified(r, s, spec, tab, traces=True):
         # every cell module is simple: the system is [T | T] with the
@@ -436,10 +460,10 @@ def blocks(r, s, field=None, **kw):
     return decomposition_matrix(r, s, field=field, **kw).block_partition()
 
 
-def semisimplicity(r, s, field=None, cache_dir=None, table=None):
+def semisimplicity(r, s, field=None, cache_dir=None):
     """(computed, predicted) semisimplicity; raises on disagreement."""
     spec = _as_spec(field)
-    tab = _resolve_table(r, s, spec, cache_dir=cache_dir, table=table)
+    tab = _resolve_table(r, s, spec, cache_dir=cache_dir)
     if _residue_certified(r, s, spec, tab, traces=False):
         return True, True
     computed = True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wbq import words
+from wbq import engine, scalars, words
 
 
 def _sigma(element):
@@ -45,3 +45,21 @@ def _mixed_weights(r, s, n):
 @pytest.fixture
 def mixed_weights():
     return _mixed_weights
+
+
+def _asymmetric_table(r, s, label):
+    """The bundled generic table of B_{r,s} with one off-diagonal Gram entry
+    of ``label`` set to 7, so that its Gram form is not symmetric."""
+    table = engine.load_table(engine.bundled_path(r, s), r, s)
+    start, dim, frame = engine.cell_layout(r, s)[label]
+    row = start + frame * dim
+    vec = table.product(row, start + dim + frame)  # Gram entry (0, 1)
+    seven = scalars.generic_from_terms([(0, 0, 7)], [(0, 0, 1)])
+    assert vec.get(row + frame) != seven
+    vec[row + frame] = seven
+    return table
+
+
+@pytest.fixture
+def asymmetric_table():
+    return _asymmetric_table

@@ -507,24 +507,11 @@ def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
     assert calls == {"specialize": 0, "decode": 0, "generic": 0}
 
 
-def _asymmetric_table(r, s, label):
-    """The bundled generic table of B_{r,s} with one off-diagonal Gram entry
-    of ``label`` set to 7, so that its Gram form is not symmetric."""
-    table = engine.load_table(engine.bundled_path(r, s), r, s)
-    start, dim, frame = engine.cell_layout(r, s)[label]
-    row = start + frame * dim
-    vec = table.product(row, start + dim + frame)  # Gram entry (0, 1)
-    seven = scalars.generic_from_terms([(0, 0, 7)], [(0, 0, 1)])
-    assert vec.get(row + frame) != seven
-    vec[row + frame] = seven
-    return table
-
-
 def test_an_asymmetric_generic_gram_form_is_refused_on_a_semisimple_field(
-        monkeypatch):
+        monkeypatch, asymmetric_table):
     label = next(label for label in combinat.enumerate_labels(2, 1)
                  if engine.cell_layout(2, 1)[label][1] > 1)
-    table = _asymmetric_table(2, 1, label)
+    table = asymmetric_table(2, 1, label)
     monkeypatch.setattr(engine, "_TABLE_MEMO",
                         {(2, 1, engine.cache_path(2, 1)): table})
     calls = []

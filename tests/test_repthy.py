@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -394,6 +395,7 @@ def test_a_decomposition_specialises_each_value_it_reads_once(monkeypatch):
     # an eager view mapped every value of each vector it touched: 416
     # values for this call; the lazy view maps 115
     eager, lazy = 416, 115
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})  # a cold answer memo
     calls = []
     original = scalars.specialize
 
@@ -668,12 +670,119 @@ def test_column_mismatch_raises_oracle_error():
 
 def test_decomposition_matrix_raises_on_a_singular_trace_system(
         monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})  # a cold answer memo
     monkeypatch.setattr(repthy, "_layer_trace_table",
                         lambda tab, label: [tab.ctx.zero()] * tab.size)
     with pytest.raises(TraceSystemSingular,
                        match="^simple trace vectors are dependent or "
                              "inconsistent$"):
         repthy.decomposition_matrix(1, 1)
+
+
+# the grid fields, then the roots of unity that ``einfty_comparison``
+# reads for qpow:-2 ... qpow:4
+MEMO_FIELDS = list(dict.fromkeys(
+    list(cli.grid_fields())
+    + [FieldSpec.cyclotomic(m, a % m) for a in range(-2, 5) for m in (7, 11)]))
+
+
+def _answer(dec):
+    return dec.rows, dec.columns, dec.entries, dec.gram_ranks
+
+
+@pytest.mark.parametrize("r, s", BUNDLED_SHAPES)
+def test_a_memo_hit_equals_a_cold_computation(r, s, monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    # the commands fill the memo: the grid fields, the blocks1 sub-shapes
+    # and the einfty fields of every qpow decomp
+    for spec in dict.fromkeys(cli.grid_fields()):
+        for command in ("decomp", "blocks"):
+            assert cli.main([command, "--r", str(r), "--s", str(s),
+                             "--field", spec.to_string(),
+                             "--out", os.devnull]) == cli.EXIT_OK
+    memo = engine.generic_table(r, s).decompositions
+    assert set(memo) == set(MEMO_FIELDS)
+    fresh = engine.load_table(engine.bundled_path(r, s), r, s)
+    for spec in MEMO_FIELDS:
+        hit = repthy.decomposition_matrix(r, s, field=spec)
+        assert hit is memo[spec]
+        cold = repthy._decompose(r, s, spec, fresh.specialize(spec))
+        assert _answer(hit) == _answer(cold), spec
+    assert fresh.decompositions == {}
+
+
+def test_a_memo_hit_specialises_and_eliminates_nothing(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    keys = [(2, 2, "qpow:2"), (2, 1, "cyclo:4,rho=zeta^0"),
+            (1, 2, "cyclo:3,rho=free"), (2, 2, "generic")]
+    cold = [repthy.analyze(r, s, field=field) for r, s, field in keys]
+
+    def forbidden(*args):
+        raise AssertionError("a memo hit specialised or eliminated")
+
+    monkeypatch.setattr(scalars, "specialize", forbidden)
+    monkeypatch.setattr(linalg, "rref", forbidden)
+    assert [repthy.analyze(r, s, field=field) for r, s, field in keys] == cold
+    for r, s, field in keys:
+        repthy.blocks(r, s, field=field)
+
+
+def test_a_decomposition_that_raises_is_not_memoised(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    traced = []
+
+    def zero_traces(tab, label):
+        traced.append(label)
+        return [tab.ctx.zero()] * tab.size
+
+    monkeypatch.setattr(repthy, "_layer_trace_table", zero_traces)
+    with pytest.raises(TraceSystemSingular):
+        repthy.decomposition_matrix(1, 1)
+    assert engine.generic_table(1, 1).decompositions == {}
+    first = len(traced)
+    with pytest.raises(TraceSystemSingular):
+        repthy.decomposition_matrix(1, 1)
+    assert first and len(traced) == 2 * first
+
+
+def test_a_replaced_table_starts_with_an_empty_answer_memo(
+        monkeypatch, capsys, asymmetric_table):
+    argv = ["decomp", "--r", "2", "--s", "1", "--field", "qpow:4"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert FieldSpec.qpower(4) in engine.generic_table(2, 1).decompositions
+    label = next(label for label in _labels(2, 1)
+                 if engine.cell_layout(2, 1)[label][1] > 1)
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {
+        (2, 1, engine.cache_path(2, 1)): asymmetric_table(2, 1, label)})
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+    assert capsys.readouterr() == (
+        "", "OracleMismatch: Gram matrix is not symmetric at %s\n"
+        % repthy.label_text(label))
+
+
+def _leaves(x):
+    if isinstance(x, repthy.DecompositionMatrix):
+        x = list(vars(x).values())
+    if isinstance(x, dict):
+        x = list(x.items())
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [x]
+
+
+def test_the_answer_memo_holds_no_field_value(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    for spec in ("qpow:2", "cyclo:4,rho=zeta^0", "cyclo:3,rho=free",
+                 "generic"):
+        for r, s in BUNDLED_SHAPES:
+            repthy.analyze(r, s, field=spec)
+    entries = [dec for table in engine._TABLE_MEMO.values()
+               for dec in table.decompositions.values()]
+    # the blocks1 sub-shapes and the einfty fields are memoised too
+    assert len(entries) > 4 * len(BUNDLED_SHAPES)
+    assert {type(leaf) for leaf in _leaves(entries)} == \
+        {int, combinat.CellLabel, FieldSpec}
 
 
 def _repeat_first_singular_vector(monkeypatch):
