@@ -46,8 +46,8 @@ reads, keyed by the field spec, so ``decomp``, ``blocks`` and the
 ``blocks1`` and ``einfty`` comparisons share it.  The memo lives as long
 as its table: a table dropped from or replaced in ``engine._TABLE_MEMO``
 takes its answers with it.  An entry holds labels, the field spec and
-ints, never a field value or a specialised view, and a call that raises
-stores nothing.
+ints, never a field value or a specialised view; a call that raises
+stores nothing, and every call hands out a copy of the entry.
 
 A second, independent realization of each cell module, a span of singular
 vectors in the mixed tensor space, is built by ``_singular_module`` for the
@@ -297,6 +297,12 @@ class DecompositionMatrix:
         self.entries = entries
         self.gram_ranks = gram_ranks
 
+    def copy(self):
+        """A copy that shares no list or dict with this matrix."""
+        return DecompositionMatrix(
+            self.r, self.s, self.spec, list(self.rows), list(self.columns),
+            [list(row) for row in self.entries], dict(self.gram_ranks))
+
     def entry(self, row_label, col_label):
         return self.entries[self.rows.index(row_label)][
             self.columns.index(col_label)]
@@ -389,14 +395,15 @@ def decomposition_matrix(r, s, field=None, cache_dir=None):
     The answer is memoised by field spec in ``decompositions`` of the
     generic table that ``engine.generic_table`` resolves, and goes with
     that table (see the module docstring); a call that raises stores
-    nothing.  Callers share the returned matrix and only read it.
+    nothing.  Each call returns its own copy of the entry, so a caller
+    that edits it changes no later answer.
     """
     spec = _as_spec(field)
     generic = engine.generic_table(r, s, cache_dir=cache_dir)
     memo = generic.decompositions
     if spec not in memo:
         memo[spec] = _decompose(r, s, spec, generic.specialize(spec))
-    return memo[spec]
+    return memo[spec].copy()
 
 
 def _decompose(r, s, spec, tab):

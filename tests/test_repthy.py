@@ -1,5 +1,6 @@
 """Tests for cell modules, Gram forms, decomposition matrices and blocks."""
 
+import copy
 import itertools
 import json
 import os
@@ -151,8 +152,11 @@ BUNDLED_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 
 def _outcome(r, s, spec):
+    # computed afresh each call, never served from the answer memo, so a
+    # patch made between two calls changes the route the second one takes
     try:
-        dec = repthy.decomposition_matrix(r, s, field=spec)
+        dec = repthy._decompose(r, s, spec,
+                                engine.structure_constants(r, s, spec))
     except (OracleMismatch, IntegralityViolation, TraceSystemSingular) as exc:
         return type(exc), str(exc)
     return dec.rows, dec.columns, dec.entries, dec.gram_ranks
@@ -628,7 +632,8 @@ def test_integer_value_reads_small_integers_from_their_residue(field):
             repthy._integer_value(ctx, value)
 
 
-def test_analyze_result_shape_and_determinism():
+def test_analyze_result_shape_and_determinism(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})  # a cold answer memo
     res = repthy.analyze(2, 1, field="cyclo:4,rho=zeta^0")
     assert set(res) == {"r", "s", "field", "labels", "gram_ranks",
                         "decomposition", "blocks", "oracles"}
@@ -638,6 +643,8 @@ def test_analyze_result_shape_and_determinism():
     assert res["oracles"]["blocks1"] is True
     assert res["oracles"]["einfty"] is None
     assert repthy.oracle_violations(res) == []
+    # a second computation, not the first one's memo entry
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
     again = repthy.analyze(2, 1, field="cyclo:4,rho=zeta^0")
     assert json.dumps(res, sort_keys=True) == json.dumps(again,
                                                          sort_keys=True)
@@ -705,7 +712,7 @@ def test_a_memo_hit_equals_a_cold_computation(r, s, monkeypatch):
     fresh = engine.load_table(engine.bundled_path(r, s), r, s)
     for spec in MEMO_FIELDS:
         hit = repthy.decomposition_matrix(r, s, field=spec)
-        assert hit is memo[spec]
+        assert _answer(hit) == _answer(memo[spec])
         cold = repthy._decompose(r, s, spec, fresh.specialize(spec))
         assert _answer(hit) == _answer(cold), spec
     assert fresh.decompositions == {}
@@ -725,6 +732,26 @@ def test_a_memo_hit_specialises_and_eliminates_nothing(monkeypatch):
     assert [repthy.analyze(r, s, field=field) for r, s, field in keys] == cold
     for r, s, field in keys:
         repthy.blocks(r, s, field=field)
+
+
+def test_editing_an_answer_changes_no_later_answer(monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MEMO", {})
+    field = "cyclo:4,rho=zeta^0"
+    result = repthy.analyze(2, 1, field=field)
+    expected = json.dumps(result, sort_keys=True)
+    dec = repthy.decomposition_matrix(2, 1, field=field)
+    answer = copy.deepcopy(_answer(dec))
+    for row in result["decomposition"]["entries"] + dec.entries:
+        row[0] += 5
+    dec.rows.reverse()
+    dec.columns.pop()
+    dec.gram_ranks.clear()
+    assert json.dumps(repthy.analyze(2, 1, field=field),
+                      sort_keys=True) == expected
+    assert _answer(repthy.decomposition_matrix(2, 1, field=field)) == answer
+    assert [[repthy.label_text(label) for label in block]
+            for block in repthy.blocks(2, 1, field=field)] == \
+        json.loads(expected)["blocks"]
 
 
 def test_a_decomposition_that_raises_is_not_memoised(monkeypatch):
