@@ -11,16 +11,18 @@ obtained by evaluating ``q`` and ``rho`` at a rational point
 residues of those rational values modulo a large prime
 (``RationalPointContext`` with a ``prime``).  Neither reads how a scalar
 is stored.  ``rref`` is the one exact elimination, with deterministic
-pivot choices, so all outputs are reproducible; ``rank``,
-``kernel_basis``, ``invert_square`` (of ``[M | I]``),
-``span_coordinates`` (of ``[basis | targets]``) and ``independent_mod_p``
-read it.  Every routine is exact over its context.  Some results are
-modular and hold over Q, or the field, only behind a check: ``modp_rank``
-(a numpy elimination) and ``independent_mod_p`` (residues as they are,
-or a field matrix through the ring map ``Scalar.mod_p``) eliminate modulo
-a large prime and so certify a lower bound on a rank, and
-``lagrange_poly`` interpolates residues, whose rational lift the caller
-must verify.
+pivot choices, so all outputs are reproducible: a rational point without
+a prime eliminates on Python ints, fraction-free (``_integer_rref``), and
+returns ``Fraction``s; a field and a residue context eliminate over their
+own elements.  ``rank``, ``kernel_basis``, ``invert_square`` (of
+``[M | I]``), ``span_coordinates`` (of ``[basis | targets]``),
+``certified_kernel`` and ``independent_mod_p`` read it.  Every routine is
+exact over its context.  Some results are modular and hold over Q, or the
+field, only behind a check: ``modp_rank`` (a numpy elimination) and
+``independent_mod_p`` (residues as they are, or a field matrix through
+the ring map ``Scalar.mod_p``) eliminate modulo a large prime and so
+certify a lower bound on a rank, and ``lagrange_poly`` interpolates
+residues, whose rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -184,8 +186,13 @@ def rref(ctx, rows):
 
     Returns ``(pivot_cols, reduced_rows)`` where the reduced rows are
     nonzero, have leading entry one, and pivot columns are cleared in all
-    other rows.  The input rows are not modified.
+    other rows.  The input rows are not modified.  At a rational point
+    without a prime the rows may hold ints and ``Fraction``s, which are
+    eliminated on integers (``_integer_rref``); the reduced rows are
+    ``Fraction``s.  Every other context eliminates over its own elements.
     """
+    if isinstance(ctx, RationalPointContext) and ctx.prime is None:
+        return _integer_rref(rows)
     work = [list(row) for row in rows]
     ncols = len(work[0]) if work else 0
     pivot_cols = []
@@ -215,6 +222,53 @@ def rref(ctx, rows):
         pivot_cols.append(col)
         work = [r for r in work if any(r)]
     return pivot_cols, reduced
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (a zero row as
+    it is)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
+
+
+def _integer_rref(rows):
+    """``rref`` of rational rows by fraction-free Gauss-Jordan.
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    row space unchanged.  A pivot row with pivot ``pv`` clears its column
+    from every other row ``y`` as ``pv * y - y[col] * pivot_row``, and each
+    new row is divided by its content, so all arithmetic is on primitive
+    integer rows.  Each pivot row is divided by its pivot into
+    ``Fraction``s only at the end.  The reduced form of a row space is
+    unique, so pivots and rows are those of the elimination over
+    ``Fraction``s, entry for entry.
+    """
+    work = []
+    for row in rows:
+        scale = math.lcm(*{x.denominator for x in row})
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    ncols = len(work[0]) if work else 0
+    work = [_primitive(row) for row in work if any(row)]
+    pivot_cols = []
+    reduced = []
+    for col in range(ncols):
+        pivot = next((idx for idx, row in enumerate(work) if row[col]), None)
+        if pivot is None:
+            continue
+        prow = work.pop(pivot)
+        pv = prow[col]
+        for others in (work, reduced):
+            for idx, other in enumerate(others):
+                c = other[col]
+                if c:
+                    others[idx] = _primitive(
+                        [pv * a - c * b for a, b in zip(other, prow)])
+        reduced.append(prow)
+        pivot_cols.append(col)
+        work = [row for row in work if any(row)]
+    zero = Fraction(0)
+    return pivot_cols, [[Fraction(a, row[col]) if a else zero for a in row]
+                        for row, col in zip(reduced, pivot_cols)]
 
 
 def rank(ctx, rows):
@@ -407,22 +461,27 @@ def certified_kernel(ctx, rows, pivots):
     """``kernel_basis`` of the equations ``sum_a v[a] * rows[a][j] = 0``,
     solved on the columns ``pivots`` of ``modp_rank(rows)`` only.
 
+    ``ctx`` is a rational point without a prime, and the rows hold its
+    values, ints (as ``repthy._rows_at`` gives them) or ``Fraction``s.
     Those equations are independent mod p, hence over Q, so their kernel
-    contains the full one.  Every basis vector is checked exactly against
-    every column, over the nonzero entries; a miss raises
-    ``RankCertificationFailed``.  The two kernels are then one subspace, so
-    the canonical basis is that of all the columns, entry for entry.
+    contains the full one.  Every basis vector, times the lcm of its
+    denominators, is checked exactly against every column, over the
+    nonzero entries, in ints when the rows are ints; a miss raises
+    ``RankCertificationFailed``.  The two kernels are then one subspace,
+    so the canonical basis (of ``Fraction``s) is that of all the columns,
+    entry for entry.
     """
     equations = [[row[j] for row in rows] for j in pivots]
     kernel = kernel_basis(ctx, equations, len(rows))
-    zero = ctx.zero()
     for vec in kernel:
+        scale = math.lcm(*{x.denominator for x in vec})
         total = {}
         for coeff, row in zip(vec, rows):
             if coeff:
+                coeff = coeff.numerator * (scale // coeff.denominator)
                 for j, x in enumerate(row):
                     if x:
-                        total[j] = total.get(j, zero) + coeff * x
+                        total[j] = total.get(j, 0) + coeff * x
         if any(total.values()):
             raise RankCertificationFailed(
                 "a kernel vector of the pivot equations misses an equation")

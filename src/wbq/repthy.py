@@ -60,6 +60,7 @@ All computations are exact; there is no floating point anywhere.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -693,14 +694,19 @@ def _laurent_rows(n, r, s, basis):
 
 def _rows_at(ctx, operator):
     """The rows of ``_laurent_rows`` evaluated exactly at the rational
-    point of ``ctx``, as dense lists of Fractions; each distinct entry is
-    evaluated once."""
+    point of ``ctx`` and multiplied by one common positive integer, the
+    lcm of the denominators of the distinct values, as dense lists of
+    ints; each distinct entry is evaluated and scaled once.  A common
+    factor changes neither the modular rank, nor the pivots, nor the left
+    kernel."""
     rows, values, support = operator
     t = ctx.qval
     at = [value(t) for value in values]
+    scale = math.lcm(*{x.denominator for x in at})
+    at = [x.numerator * (scale // x.denominator) for x in at]
     out = []
     for row in rows:
-        dense = [ctx.zero()] * len(support)
+        dense = [0] * len(support)
         for col, k in row.items():
             dense[col] = at[k]
         out.append(dense)
@@ -796,9 +802,9 @@ def _kernel_interpolation(n, r, s, basis, gap, operator, sampled):
     rational sample points and then verified symbolically.
 
     At each point q = t, the rows of ``operator`` (from ``_laurent_rows``)
-    are evaluated exactly, and ``linalg.certified_kernel`` solves only the
-    columns that the modular rank picks as pivots and checks the result
-    exactly on every column.  ``sampled`` maps the points that the lower
+    are evaluated exactly, as integer rows (``_rows_at``), and
+    ``linalg.certified_kernel`` solves only the columns that the modular
+    rank picks as pivots and checks the result exactly on every column.  ``sampled`` maps the points that the lower
     bound already evaluated to their ``(rows, pivots)``.
     """
     nbasis = len(basis)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbq import linalg
 from wbq.errors import DenominatorVanishes
 from wbq.linalg import (
     _MODP_PRIMES,
@@ -143,6 +144,93 @@ def test_invert_square_matches_the_reference_elimination(case):
         identity = [[ctx.one() if i == j else ctx.zero()
                      for j in range(len(matrix))] for i in range(len(matrix))]
         assert mat_mul(ctx, matrix, got) == identity
+
+
+class _FractionField:
+    """The rationals as a context of their own: ``rref`` eliminates over
+    its ``Fraction``s the way a rational point did before the integer
+    elimination, which only a ``RationalPointContext`` takes."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+
+_ENTRIES = st.one_of(
+    st.just(0), st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 5, 12))))
+
+
+@st.composite
+def _rational_matrices(draw, square=False):
+    """Rows of ints and ``Fraction``s, wide, tall or square, with zero
+    rows and combinations of earlier rows inserted anywhere."""
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    extra = draw(st.integers(0, min(3, nrows)))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows - extra, max_size=nrows - extra))
+    for _ in range(extra):
+        if rows and draw(st.booleans()):
+            a, b = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            ca, cb = draw(_ENTRIES), draw(_ENTRIES)
+            new = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+        else:
+            new = [0] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices())
+def test_integer_rref_matches_the_fraction_elimination(rows):
+    point, field = RationalPointContext(2, 0), _FractionField()
+    got = rref(point, rows)
+    assert got == rref(field, rows)
+    assert all(type(x) is Fraction for row in got[1] for x in row)
+    dim = len(rows[0]) if rows else 0
+    assert kernel_basis(point, rows, dim) == kernel_basis(field, rows, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrices(square=True))
+def test_integer_invert_square_matches_the_fraction_elimination(matrix):
+    point, field = RationalPointContext(2, 0), _FractionField()
+    got = invert_square(point, matrix)
+    assert got == invert_square(field, matrix)
+    if got is None:
+        assert rank(field, matrix) < len(matrix)
+    else:
+        identity = [[int(i == j) for j in range(len(matrix))]
+                    for i in range(len(matrix))]
+        assert mat_mul(field, matrix, got) == identity
+
+
+def test_only_a_rational_point_without_a_prime_eliminates_on_integers(
+        monkeypatch):
+    calls = []
+    integer_rref = linalg._integer_rref
+
+    def spy(rows):
+        calls.append(rows)
+        return integer_rref(rows)
+
+    monkeypatch.setattr(linalg, "_integer_rref", spy)
+    rows = [[Fraction(1, 2), 1, 0], [1, 2, Fraction(-3, 4)], [0, 0, 0]]
+    want = ([0, 2], [[1, 2, 0], [0, 0, 1]])
+    assert rref(RationalPointContext(3, 2), rows) == want
+    assert len(calls) == 1
+    assert rref(_FractionField(), rows) == want
+    for ctx in (RationalPointContext(2, 0, P), _fc()):
+        matrix = [[ctx.from_monomial(x) for x in row] for row in rows]
+        assert rref(ctx, matrix)[0] == want[0]
+    # a singular square has no inverse on either path
+    singular = [[Fraction(2, 3), 4], [1, 6]]
+    assert invert_square(RationalPointContext(2, 0), singular) is None
+    assert invert_square(_FractionField(), singular) is None
+    assert len(calls) == 2
 
 
 def test_span_coordinates_expressions():

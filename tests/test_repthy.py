@@ -469,9 +469,15 @@ def test_laurent_rows_match_the_dense_operator_rows():
             dense = _dense_operator_rows(ctx, n, r, s, basis)
             rows = repthy._rows_at(ctx, operator)
             assert len(rows) == len(dense) == len(basis)
+            assert all(type(x) is int for row in rows for x in row)
+            # the integer rows are the dense rows times one common factor
+            factor = next(Fraction(x) / full[pos]
+                          for row, full in zip(rows, dense)
+                          for x, pos in zip(row, support) if x)
+            assert factor > 0 and factor.denominator == 1, (n, r, s, t)
             for row, full in zip(rows, dense):
-                assert row == [full[pos] for pos in support], (n, r, s, t)
-                assert all(type(x) is Fraction for x in row)
+                assert row == [full[pos] * factor for pos in support], \
+                    (n, r, s, t)
                 assert {pos for pos, x in enumerate(full) if x} <= \
                     set(support), (n, r, s, t)
             rank, pivots = linalg.modp_rank_robust(rows)
@@ -493,6 +499,40 @@ def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
             repthy.schur_weyl_rank(*key)
         assert str(info.value) == "no small rational function fits the data"
     assert set(repthy._SW_MEMO) == set(ranks)
+
+
+def test_n2_fits_eliminate_on_integers_and_still_find_no_function(
+        monkeypatch):
+    # _fit_rational solves its systems at a plain rational point, so its
+    # kernel_basis takes the integer elimination; the n = 2, r + s = 4
+    # keys still fail with the message they always gave
+    monkeypatch.setattr(repthy, "_SW_MEMO", {})
+    integer_rref = linalg._integer_rref
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return integer_rref(rows)
+
+    fit = repthy._fit_rational
+    fits = []
+
+    def counted_fit(*args):
+        before = len(calls)
+        try:
+            return fit(*args)
+        finally:
+            fits.append(len(calls) - before)
+
+    monkeypatch.setattr(linalg, "_integer_rref", spy)
+    monkeypatch.setattr(repthy, "_fit_rational", counted_fit)
+    for key in ((2, 2, 2), (2, 3, 1), (2, 1, 3)):
+        fits.clear()
+        with pytest.raises(RankCertificationFailed) as info:
+            repthy.schur_weyl_rank(*key)
+        assert str(info.value) == "no small rational function fits the data"
+        assert fits and all(fits), key
+    assert not repthy._SW_MEMO
 
 
 def test_certified_kernel_matches_the_kernel_over_every_position(
