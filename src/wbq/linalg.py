@@ -15,14 +15,14 @@ pivot choices, so all outputs are reproducible: a rational point without
 a prime eliminates on Python ints, fraction-free (``_integer_rref``), and
 returns ``Fraction``s; a field and a residue context eliminate over their
 own elements.  ``rank``, ``kernel_basis``, ``invert_square`` (of
-``[M | I]``), ``span_coordinates`` (of ``[basis | targets]``),
-``certified_kernel`` and ``independent_mod_p`` read it.  Every routine is
-exact over its context.  Some results are modular and hold over Q, or the
-field, only behind a check: ``modp_rank`` (a numpy elimination) and
-``independent_mod_p`` (residues as they are, or a field matrix through
-the ring map ``Scalar.mod_p``) eliminate modulo a large prime and so
-certify a lower bound on a rank, and ``lagrange_poly`` interpolates
-residues, whose rational lift the caller must verify.
+``[M | I]``), ``span_coordinates`` (of ``[basis | targets]``) and
+``certified_kernel`` read it.  Every routine is exact over its context.
+Some results are modular and hold over Q, or the field, only behind a
+check: ``modp_rank`` (an elimination on Python ints mod a large prime)
+and ``independent_mod_p`` (``modp_rank`` of residues as they are, or of
+a field matrix through the ring map ``Scalar.mod_p``) certify a lower
+bound on a rank, and ``lagrange_poly`` interpolates residues, whose
+rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -366,83 +366,82 @@ _MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 def modp_rank(rows, prime=None):
-    """Rank and pivot columns of a rational matrix modulo a large prime
-    (numpy elimination).
+    """Rank and pivot columns of a rational matrix modulo a large prime.
 
     Returns ``(rank, pivot_columns)``; the pivots are the greedy first
     independent columns mod p, in increasing order.  This is a one-sided
-    certificate: the modular rank never exceeds the true rank, and the
-    rows restricted to the pivot columns form a square that is nonsingular
-    mod p, hence over Q.  Entries may be ints or Fractions.  Only the
-    nonzero entries are reduced, with one modular inverse per distinct
-    denominator; a denominator divisible by the prime raises ValueError so
-    the caller can retry with the next prime in ``_MODP_PRIMES``.
+    certificate: the modular rank never exceeds the true rank, and some
+    ``rank`` rows on the pivot columns form a minor that is nonzero mod p,
+    hence over Q.  Entries may be ints or Fractions; only the nonzero ones
+    are reduced, with one modular inverse per distinct denominator.  A
+    denominator divisible by the prime raises ValueError so the caller can
+    retry with the next prime in ``_MODP_PRIMES``.  The elimination runs on
+    Python ints, column by column, and stops reading columns once the rank
+    equals the row count.
     """
-    import numpy
-
-    if not rows:
-        return 0, []
-    p = int(prime) if prime is not None else _MODP_PRIMES[0]
-    mat = numpy.zeros((len(rows), len(rows[0])), dtype=numpy.int64)
+    p = _MODP_PRIMES[0] if prime is None else int(prime)
     inverses = {}
-    for i, row in enumerate(rows):
-        cols = [j for j, val in enumerate(row) if val]
-        residues = []
-        for j in cols:
-            num, den = _as_ratio(row[j])
-            inv = inverses.get(den)
-            if inv is None:
-                if den % p == 0:
-                    raise ValueError("prime divides a denominator")
-                inv = inverses[den] = pow(den, p - 2, p)
-            residues.append(num % p * inv % p)
-        mat[i, cols] = residues
-    nrows, ncols = mat.shape
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
+
+    def residue(x):
+        if type(x) is int:
+            return x % p
+        inv = inverses.get(x.denominator)
+        if inv is None:  # ValueError when p divides the denominator
+            inv = inverses[x.denominator] = pow(x.denominator, -1, p)
+        return x.numerator * inv % p
+
+    # basis column k is one on row leads[k] and zero on the other leading
+    # rows; rest[i] holds the entries of every basis column on row i
+    leads, pivots = [], []
+    rest = {i: [] for i in range(len(rows))}
+    for col, column in enumerate(zip(*rows)):
+        if not rest:
             break
-        nz = numpy.nonzero(mat[r:, col])[0]
-        if nz.size == 0:
+        if not any(column):
             continue
+        vec = [residue(x) if x else 0 for x in column]
+        coords = [vec[i] for i in leads]
+        left = {}
+        for i, entries in rest.items():
+            x = (vec[i] - sum(map(operator.mul, entries, coords))) % p
+            if x:
+                left[i] = x
+        if not left:
+            continue
+        lead = min(left)
+        inv = pow(left.pop(lead), -1, p)
+        lead_entries = rest.pop(lead)
+        for i, entries in rest.items():
+            w = left.get(i, 0) * inv % p
+            if w:
+                entries[:] = [(a - w * b) % p
+                              for a, b in zip(entries, lead_entries)]
+            entries.append(w)
+        leads.append(lead)
         pivots.append(col)
-        pivot = r + int(nz[0])
-        if pivot != r:
-            mat[[r, pivot]] = mat[[pivot, r]]
-        inv = pow(int(mat[r, col]), p - 2, p)
-        mat[r, col:] = (mat[r, col:] * inv) % p
-        below = mat[r + 1 :, col]
-        nzmask = below != 0
-        if nzmask.any():
-            factors = below[nzmask].reshape(-1, 1)
-            block = mat[r + 1 :, col:][nzmask]
-            mat[r + 1 :, col:][nzmask] = (block - factors * mat[r, col:]) % p
-        r += 1
-    return r, pivots
+    return len(pivots), pivots
 
 
 def independent_mod_p(rows):
-    """True when the columns of ``rows`` are independent mod p: ``rref``
-    over the residues themselves, or over the images of ``Scalar``s of one
-    field under ``Scalar.mod_p``.
-
+    """True when the columns of ``rows`` are independent mod p: the
+    ``modp_rank`` of ``_Residue``s as they are, or of ``Scalar``s of one
+    field through the ring map ``Scalar.mod_p``, over that map's prime.
     A one-sided certificate, like ``modp_rank``'s: a ring map takes the
     maximal minors to those of the images, so one nonzero mod p proves full
     column rank over the field.  False, also where an entry has no image,
     proves nothing."""
     if not rows or not rows[0]:
         return True
-    # a point context mod p supplies the residues; its point is not read
     if isinstance(rows[0][0], _Residue):
-        ctx, matrix = RationalPointContext(2, 0, rows[0][0].p), rows
+        prime = rows[0][0].p
+        matrix = [[x.v for x in row] for row in rows]
     else:
         images = [[x.mod_p() for x in row] for row in rows]
         if any(None in row for row in images):
             return False
-        ctx = RationalPointContext(2, 0, images[0][0][1])
-        matrix = [[ctx._element(v) for v, _ in row] for row in images]
-    return rank(ctx, matrix) == len(matrix[0])
+        prime = images[0][0][1]
+        matrix = [[v for v, _ in row] for row in images]
+    return modp_rank(matrix, prime)[0] == len(matrix[0])
 
 
 def modp_rank_robust(rows):

@@ -258,11 +258,13 @@ def test_a_weight_starting_with_a_minus_sign_needs_no_equals_sign():
     assert json.loads(spaced[1])["dimension"] > 0
 
 
-def test_queries_do_not_import_numpy():
-    # numpy on the query path costs the query workload its peak memory
+def test_queries_builds_and_certificates_do_not_import_numpy():
+    # every modular rank runs on Python ints: the queries, a generic and a
+    # direct table build and a Schur-Weyl rank certificate leave numpy
+    # unimported, so the package runs where numpy is not installed
     script = "\n".join([
         "import contextlib, io, sys",
-        "from wbq import cli",
+        "from wbq import cli, engine, repthy",
         "for field in ('qpow:3', 'cyclo:4,rho=zeta^1', 'cyclo:3,rho=free',",
         "              'generic'):",
         "    for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
@@ -270,6 +272,9 @@ def test_queries_do_not_import_numpy():
         "            code = cli.main([command, '--r', '2', '--s', '2',",
         "                             '--field', field])",
         "        assert code == 0, (command, field)",
+        "engine.build_generic_table(1, 1)",
+        "engine.direct_structure_constants(1, 1, 'qpow:2')",
+        "assert repthy.schur_weyl_rank(3, 2, 2) == 23",
         "assert 'numpy' not in sys.modules",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))

@@ -396,22 +396,92 @@ _MODP_FIELDS = tuple(FieldSpec.from_string(text) for text in (
     "generic", "qpow:3", "cyclo:4,rho=zeta^1", "cyclo:3,rho=free"))
 
 
+def _residue_pivots(rows, p):
+    """The pivots of ``rref`` over the residues mod ``p`` of the rational
+    rows: the elimination ``independent_mod_p`` once ran, on one
+    ``_Residue`` object per entry and operation."""
+    ctx = RationalPointContext(2, 0, p)
+    return rref(ctx, [[ctx.from_monomial(x) for x in row] for row in rows])[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_MODP_FIELDS), st.integers(1, 5).flatmap(
     lambda ncols: st.lists(st.lists(
         st.one_of(st.integers(-3, 3), st.builds(
             Fraction, st.integers(-3, 3), st.sampled_from((2, 3)))),
         min_size=ncols, max_size=ncols), min_size=1, max_size=5)))
-def test_independent_mod_p_agrees_with_modp_rank(spec, rows):
+def test_independent_mod_p_agrees_with_the_residue_rref(spec, rows):
     # the same rational matrix as constants of a field, whose ring map
-    # picks the prime, and as residues mod that prime, taken as they are
+    # picks the prime, and as residues mod that prime, taken as they are;
+    # the expected value comes from rref over the residues, not from the
+    # modp_rank that independent_mod_p calls
     field = FieldContext(spec)
     p = field.one().mod_p()[1]
     residues = RationalPointContext(2, 0, p)
-    want = modp_rank(rows, p)[0] == len(rows[0])
+    want = len(_residue_pivots(rows, p)) == len(rows[0])
     for ctx in (field, residues):
         matrix = [[ctx.from_monomial(x) for x in row] for row in rows]
         assert independent_mod_p(matrix) == want, ctx
+
+
+def _unit_denominators(den):
+    return all(den % p for p in _MODP_PRIMES)
+
+
+# ints up to 2^70 in size, multiples of each prime and Fractions whose
+# denominators are units mod every prime
+_MODULAR_ENTRIES = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70),
+    st.builds(lambda p, k: p * k, st.sampled_from(_MODP_PRIMES),
+              st.integers(-3, 3)),
+    st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
+              st.integers(1, 2 ** 40).filter(_unit_denominators)))
+
+
+@st.composite
+def _modular_matrices(draw):
+    """Tall, wide and square matrices, with zero rows and rows that are
+    integer combinations of others, in a drawn order."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(_MODULAR_ENTRIES, min_size=ncols,
+                                  max_size=ncols), min_size=1, max_size=6))
+    base = list(rows)
+    for coeffs in draw(st.lists(st.lists(
+            st.integers(-2, 2), min_size=len(base), max_size=len(base)),
+            max_size=3)):
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base))
+                     for j in range(ncols)])
+    return [rows[k] for k in draw(st.permutations(range(len(rows))))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modular_matrices())
+def test_modp_rank_matches_the_residue_rref_at_every_prime(rows):
+    # an exact reference mod p: no Hadamard bound is needed
+    for p in _MODP_PRIMES:
+        pivots = _residue_pivots(rows, p)
+        assert modp_rank(rows, p) == (len(pivots), pivots), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modular_matrices(), st.data())
+def test_modp_rank_raises_on_a_read_denominator_that_p_divides(rows, data):
+    # a column is read while the columns before it have rank below the
+    # row count; a read entry with p in its denominator raises, and an
+    # unread one leaves the answer that of the rows without it
+    p = data.draw(st.sampled_from(_MODP_PRIMES))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    numerator = data.draw(st.integers(1, 1000)) * data.draw(
+        st.sampled_from((1, -1)))
+    bad = [list(row) for row in rows]
+    bad[i][j] = Fraction(numerator, p * data.draw(st.integers(1, 3)))
+    if len(_residue_pivots([row[:j] for row in rows], p)) < len(rows):
+        with pytest.raises(ValueError):
+            modp_rank(bad, p)
+    else:
+        pivots = _residue_pivots(rows, p)
+        assert modp_rank(bad, p) == (len(pivots), pivots)
 
 
 def test_modp_rank_moves_past_a_prime_that_divides_a_denominator():
