@@ -2,8 +2,8 @@
 algebras: cellular bases, cell modules, Gram and decomposition matrices,
 blocks, and the mixed-tensor-space model that certifies them.
 
-All arithmetic is exact (rational functions in q and rho, reduced
-fractions of integer Laurent polynomials in q on rho = q^a, cyclotomic
+All arithmetic is exact and runs on Python ints (reduced fractions of
+integer polynomials in q and rho, and in q on rho = q^a, cyclotomic
 integers, rationals); there is no floating point anywhere in the package.
 """
 
@@ -17,6 +17,7 @@ from .errors import (
     OracleMismatch,
     RankCertificationFailed,
     RankTooSmall,
+    RhoDependentDivisor,
     TraceSystemSingular,
     WbqError,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "OracleMismatch",
     "RankCertificationFailed",
     "RankTooSmall",
+    "RhoDependentDivisor",
     "TraceSystemSingular",
     "WbqError",
     "analyze",

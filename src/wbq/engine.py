@@ -54,6 +54,7 @@ from .errors import (
     NotInSpan,
     OracleMismatch,
     RankCertificationFailed,
+    RhoDependentDivisor,
 )
 from .linalg import FieldContext, RationalPointContext
 from .scalars import FieldSpec
@@ -529,9 +530,9 @@ class StructureConstants(ConstantsTable):
         """The generic table that ``to_json_dict`` wrote as ``data``.
 
         Each value goes through ``scalars.generic_from_terms``: values in
-        the canonical form that ``to_json_dict`` writes are kept as their
-        integer terms, and their sympy form is built only when generic-field
-        arithmetic first reads them.  Every check here is on integers.
+        the canonical form that ``to_json_dict`` writes are read into their
+        integer normal form without normalising, and keep their terms for
+        ``specialize``.  Every check here is on integers.
         Raises ValueError for a file that is not a table ``to_json_dict``
         could have written: another format or mode, a basis position or
         product key outside ``range(size)``, a malformed value (an empty
@@ -697,7 +698,10 @@ def _decode_scalar(obj):
                 for side in obj)
     if not den:
         raise ValueError("empty denominator")
-    return scalars.generic_from_terms(num, den)
+    try:
+        return scalars.generic_from_terms(num, den)
+    except (DenominatorVanishes, RhoDependentDivisor) as exc:
+        raise ValueError("malformed denominator: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +999,7 @@ def save_table(table, path):
 
 def load_table(path, r, s):
     """The generic table of B_{r,s} stored at ``path``, checked and decoded
-    without sympy as in ``StructureConstants.from_json_dict``; a value's
-    sympy form is built on its first generic-field read.  Raises ValueError
+    on integers as in ``StructureConstants.from_json_dict``.  Raises ValueError
     (or KeyError, TypeError) for a file that is not such a table, including
     one stored for another shape."""
     with open(path) as handle:

@@ -9,6 +9,11 @@ class DenominatorVanishes(WbqError):
     """A denominator evaluates to zero under the requested specialization."""
 
 
+class RhoDependentDivisor(WbqError):
+    """A generic value is divided by one whose numerator has more than one
+    power of rho: generic denominators lie in Q[q] times a power of rho."""
+
+
 class IntegralityViolation(WbqError):
     """A divided-power result fails to lie in the integral Laurent form."""
 

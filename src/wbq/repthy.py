@@ -548,10 +548,27 @@ def blocks1_comparison(r, s, field=None, dec=None, cache_dir=None):
     return True
 
 
+def _einfty_orders(r, s, a):
+    """The two smallest primes m above max(6, |a| + r + s - 2), the orders
+    of the roots of unity that ``einfty_comparison`` compares ``qpow:a``
+    with.  On ``cyclo:m, rho = zeta^(a mod m)``, rho^2 = q^(2b) holds for
+    every b = a mod m, so the field has the clashes of ``qpow:a`` and no
+    other one exactly when every such b != a has |b| > r + s - 2, that is
+    when m > |a| + r + s - 2.  A prime m > 6 also puts e = m above
+    max(r, s) on every bundled shape.  On the grid, |a| <= 4 and r + s <= 4,
+    so m is 7 and 11."""
+    m, out = max(6, abs(a) + r + s - 2), []
+    while len(out) < 2:
+        m += 1
+        if scalars._is_prime(m):
+            out.append(m)
+    return out
+
+
 def einfty_comparison(r, s, field=None, dec=None, cache_dir=None):
     """For rho = q^a over transcendental q, the decomposition matrix must
-    agree with the ones at the roots of unity of orders 7 and 11 carrying
-    the same tie.
+    agree with the ones at the roots of unity of the orders
+    ``_einfty_orders`` gives, carrying the same tie.
     Returns None for fields where the comparison does not apply.  ``dec``
     is the decomposition matrix at ``field`` when the caller has it.
     """
@@ -560,7 +577,7 @@ def einfty_comparison(r, s, field=None, dec=None, cache_dir=None):
         return None
     if dec is None:
         dec = decomposition_matrix(r, s, field=spec, cache_dir=cache_dir)
-    for m in (7, 11):
+    for m in _einfty_orders(r, s, spec.a):
         other_spec = FieldSpec.cyclotomic(m, spec.a % m)
         other = decomposition_matrix(r, s, field=other_spec,
                                      cache_dir=cache_dir)

@@ -2,7 +2,8 @@
 
 Three families of fields are supported:
 
-* ``generic``      -- rational functions in two variables q, rho over Q.
+* ``generic``      -- rational functions in two variables q, rho over Q whose
+                      denominators are a power of rho times a polynomial in q.
 * ``qpow:a``       -- rational functions in q over Q, with rho identified with q^a.
 * ``cyclo:m``      -- the cyclotomic field Q(zeta_m) with q = zeta_m, and rho either
                       a fixed power zeta_m^a or a fresh transcendental.
@@ -29,38 +30,42 @@ generic value, from its terms, to the image of its specialisation to
 ``field``.  Changing the representation of a field therefore changes this
 module only.
 
-A generic value is a gcd-normalised sympy fraction in Q(q, rho), with one
-exception: ``generic_from_terms`` keeps terms that are already in canonical
-form as they are, and builds their sympy form on the first read of ``rep``,
-that is when generic-field arithmetic, ``==`` with a value that is not
-stored, or ``hash`` first touches the value.  ``specialize``,
-``generic_terms``, ``mod_p``, ``evaluate``, ``to_text`` and ``==`` between
-two stored values read the terms and build nothing.  Canonical terms are the
-normal form of a nonzero value, as ``generic_terms`` returns it and a
-stored table holds it: integer coefficients of content 1, nonnegative
-exponents, each side sorted without repeats; a denominator
-c*q^A*rho^B*(q^2-1)^K with c > 0; and a numerator coprime to it, that is
-with a term free of q if A > 0, a term free of rho if B > 0, and N(1, rho)
-and N(-1, rho) both nonzero if K > 0.  Over Q[q, rho] a reduced fraction is
-unique up to a rational unit, which content 1 and c > 0 fix, so canonical
-terms are exactly what sympy's normalisation returns.
+A generic value is a ``QRhoFrac``: the reduced fraction
 
-A ``qpow`` value is a ``LaurentFrac``, no sympy object: the reduced
-fraction q^e * n(q) / (c * (q-1)^i * (q+1)^j * r(q)) with integer
-polynomials n and r.  A table value N(q, rho) / (c*q^A*rho^B*(q^2-1)^K) maps
-under rho = q^a to such a fraction with r = 1, and so do sums and products
-of such images, so ``specialize`` to ``qpow:a`` is the substitution
-rho -> q^a into the stored integer terms, and ``+ - * /`` cancel the
-factors q, q - 1 and q + 1 by exponent shifts and synthetic division at
-+-1, with no polynomial gcd.  Only a division by a value whose numerator
-has another factor makes r != 1 (on the query path, a ``linalg.rref``
-pivot); while r != 1, each operation takes one gcd of integer coefficient
-lists (``_pgcd``: the heuristic gcd, checked by exact division, with the
-primitive remainder sequence as fallback).  The form is unique, so ``==``
-and ``hash`` compare it, and ``to_text`` prints it with its powers of q
-moved to the side where they are not negative.  Generic arithmetic is the
-only use of sympy: ``_phi`` divides x^m - 1 in the integers and
-``_modp_point`` tests primes by Miller-Rabin.
+    q^e * rho^f * N(q, rho) / (c * (q-1)^i * (q+1)^j * r(q)),
+
+N = sum_k rho^k * n_k(q) with integer coefficient lists n_k, c > 0 an
+int and r(q) an integer polynomial.  Its denominator lies in Q[q] times a
+power of rho, and ``+ - *`` keep it there; so does division by a value
+whose numerator has a single power of rho, while division by any other
+value raises ``RhoDependentDivisor``.  Written with nonnegative exponents,
+the form is the reduced fraction over Z[q, rho] with content 1 and a
+denominator of positive leading coefficient, unique because Z[q, rho] is
+a UFD: its terms, as ``generic_terms`` returns them and a stored table
+holds them, are the canonical terms of a value.  Every table value
+N / (c*q^A*rho^B*(q^2-1)^K) has r = 1 and i = j = K.  ``generic_from_terms``
+builds a value from canonical terms without normalising and keeps the
+terms with it, so ``specialize``, ``mod_p``, ``evaluate``, ``to_text`` and
+``generic_terms`` read a stored value's terms as they were loaded; any
+other value computes its terms once, on first read.
+
+A ``qpow`` value is a ``LaurentFrac``: the reduced fraction
+q^e * n(q) / (c * (q-1)^i * (q+1)^j * r(q)), the same form without rho.
+A table value maps under rho = q^a to such a fraction with r = 1, and so
+do sums and products of such images, so ``specialize`` to ``qpow:a`` is
+the substitution rho -> q^a into the stored integer terms.  In both value
+types ``+ - * /`` cancel the factors q, rho, q - 1 and q + 1 by exponent
+shifts and synthetic division at +-1, with no polynomial gcd.  Only a
+division by a value whose numerator has another factor in q makes r != 1
+(on the query path, a ``linalg.rref`` pivot; on the generic field,
+``delta``'s q - q^-1 and the q^2 + 1 of some ``singular`` queries); while
+r != 1, each operation takes one gcd of integer coefficient lists
+(``_pgcd``: the heuristic gcd, checked by exact division, with the
+primitive remainder sequence as fallback).  The forms are unique, so
+``==`` and ``hash`` compare them, and ``to_text`` prints a value with its
+powers of q and rho moved to the side where they are not negative.  The
+module runs on Python ints alone: ``_phi`` divides x^m - 1 in the
+integers and ``_modp_point`` tests primes by Miller-Rabin.
 
 Where q and rho go in each field kind is written once, in the private
 ``_substitute``: it takes the terms c * q^i * rho^j of a numerator and a
@@ -84,43 +89,12 @@ from fractions import Fraction
 import functools
 import itertools
 import math
-import operator
 
-from sympy import QQ as _QQ
-from sympy.polys.fields import field as _frac_field
-
-from .errors import DenominatorVanishes, IntegralityViolation
+from .errors import (
+    DenominatorVanishes, IntegralityViolation, RhoDependentDivisor,
+)
 
 INFINITY = float("inf")
-
-_GFIELD, _GQ, _GRHO = _frac_field("q,rho", _QQ)
-
-
-def _qq(c):
-    c = Fraction(c)
-    return _QQ(c.numerator, c.denominator)
-
-
-def _terms(poly):
-    """The (exponent tuple, Fraction) pairs of a sympy polynomial."""
-    return [(mono, Fraction(int(c.numerator), int(c.denominator)))
-            for mono, c in poly.items()]
-
-
-def _from_terms(num, den):
-    """The generic scalar num / den, where num and den map exponent pairs
-    to coefficients.  Exponents may be negative: both sides are shifted by
-    the same monomial before the quotient is normalised."""
-    if not den:
-        raise ZeroDivisionError("empty denominator")
-    low = tuple(min(col) for col in zip(*num, *den))
-
-    def poly(terms):
-        if any(low):
-            terms = {tuple(map(operator.sub, mono, low)): c for mono, c in terms.items()}
-        return _GFIELD.ring.from_dict({mono: _qq(c) for mono, c in terms.items()})
-
-    return Scalar(_GENERIC, _GFIELD.new(poly(num), poly(den)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +113,16 @@ def _pmul(a, b):
         if y:
             for i, x in enumerate(a, k):
                 out[i] += x * y
+    return out
+
+
+def _padd(a, b):
+    """The sum of two int lists, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] += y
     return out
 
 
@@ -581,7 +565,7 @@ class CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# values of Q(q): reduced fractions of integer Laurent polynomials
+# values of Q(q) and Q(q, rho): reduced fractions of integer polynomials
 # ---------------------------------------------------------------------------
 
 def _laurent_normal(e, n, c, i, j, r):
@@ -624,14 +608,11 @@ def _laurent_frac(e, n, c, i, j, r):
     return x
 
 
-def _quotient(e, num, den):
-    """The ``LaurentFrac`` q^e * num / den of two int lists, den nonzero:
-    den splits as s * q^k * (q - 1)^i * (q + 1)^j * r with r primitive and
-    of positive leading coefficient, and r(0), r(1), r(-1) nonzero."""
-    k = 0
-    while not den[k]:
-        k += 1
-    den, i, j = den[k:], 0, 0
+def _split_denominator(den):
+    """(s, i, j, r) with den = s * (q - 1)^i * (q + 1)^j * r, for an int
+    list den with den(0) != 0: r is primitive with a positive leading
+    coefficient and r(1), r(-1) nonzero, and s is an int."""
+    i = j = 0
     while not sum(den):
         den = _div_q_minus_one(den)
         i += 1
@@ -640,9 +621,54 @@ def _quotient(e, num, den):
         j += 1
     s = math.gcd(*den)
     if den[-1] < 0:
-        s, num = -s, [-x for x in num]
-    return _laurent_normal(e - k, num, abs(s), i, j,
-                           tuple(x // s for x in den))
+        s = -s
+    return s, i, j, tuple(x // s for x in den)
+
+
+def _quotient(e, num, den):
+    """The ``LaurentFrac`` q^e * num / den of two int lists, den(0) != 0."""
+    s, i, j, r = _split_denominator(den)
+    if s < 0:
+        num = [-x for x in num]
+    return _laurent_normal(e, num, abs(s), i, j, r)
+
+
+def _common_denominator(x, y):
+    """(c, i, j, r, fx, fy) for two values of ``LaurentFrac`` or
+    ``QRhoFrac``: c * (q - 1)^i * (q + 1)^j * r is the least common
+    multiple of their denominators, and it is fx times the denominator of
+    x and fy times that of y, fx and fy int lists."""
+    g = math.gcd(x.c, y.c)
+    c = x.c // g * y.c
+    i, j, r = max(x.i, y.i), max(x.j, y.j), x.r
+    if r == y.r:
+        fx = fy = (1,)
+    elif len(y.r) == 1:
+        fx, fy = (1,), r
+    elif len(r) == 1:
+        fx, fy, r = y.r, (1,), y.r
+    else:
+        g2 = _pgcd(r, y.r)
+        fx, fy = _pdivexact(y.r, g2), _pdivexact(r, g2)
+        r = tuple(_pmul(r, fx))
+    return (c, i, j, r,
+            _pmul(_pmul(_q_minus_plus(i - x.i, j - x.j), fx), (y.c // g,)),
+            _pmul(_pmul(_q_minus_plus(i - y.i, j - y.j), fy), (x.c // g,)))
+
+
+def _product_rest(x, y):
+    """The denominator rest r of a product of x and y, before cancelling."""
+    if len(y.r) == 1:
+        return x.r
+    if len(x.r) == 1:
+        return y.r
+    return tuple(_pmul(x.r, y.r))
+
+
+def _denominator(x):
+    """c * (q - 1)^i * (q + 1)^j * r of a ``LaurentFrac`` or ``QRhoFrac``,
+    as an int list."""
+    return _pmul(_pmul(_q_minus_plus(x.i, x.j), x.r), (x.c,))
 
 
 class LaurentFrac:
@@ -690,30 +716,9 @@ class LaurentFrac:
         b = [0] * (other.e - e) + list(other.n)
         c, i, j, r = self.c, self.i, self.j, self.r
         if (c, i, j, r) != (other.c, other.i, other.j, other.r):
-            # over the least common denominator
-            g = math.gcd(c, other.c)
-            c = c // g * other.c
-            i, j = max(i, other.i), max(j, other.j)
-            if r == other.r:
-                fa = fb = (1,)
-            elif len(other.r) == 1:
-                fa, fb = (1,), r
-            elif len(r) == 1:
-                fa, fb, r = other.r, (1,), other.r
-            else:
-                g2 = _pgcd(r, other.r)
-                fa, fb = _pdivexact(other.r, g2), _pdivexact(r, g2)
-                r = tuple(_pmul(r, fa))
-            a = _pmul(_pmul(a, _q_minus_plus(i - self.i, j - self.j)),
-                      [other.c // g * y for y in fa])
-            b = _pmul(_pmul(b, _q_minus_plus(i - other.i, j - other.j)),
-                      [self.c // g * y for y in fb])
-        if len(a) < len(b):
-            a, b = b, a
-        n = list(a)
-        for k, y in enumerate(b):
-            n[k] += y
-        return _laurent_normal(e, n, c, i, j, r)
+            c, i, j, r, fa, fb = _common_denominator(self, other)
+            a, b = _pmul(a, fa), _pmul(b, fb)
+        return _laurent_normal(e, _padd(a, b), c, i, j, r)
 
     def __sub__(self, other):
         return self + -other
@@ -721,24 +726,14 @@ class LaurentFrac:
     def __mul__(self, other):
         if not self.n or not other.n:
             return _QZERO
-        if len(other.r) == 1:
-            r = self.r
-        elif len(self.r) == 1:
-            r = other.r
-        else:
-            r = tuple(_pmul(self.r, other.r))
         return _laurent_normal(self.e + other.e, _pmul(self.n, other.n),
                                self.c * other.c, self.i + other.i,
-                               self.j + other.j, r)
+                               self.j + other.j, _product_rest(self, other))
 
     def __truediv__(self, other):
         if not other.n:
             raise ZeroDivisionError("division by zero q-fraction")
-        return self * _quotient(-other.e, other._denominator(), list(other.n))
-
-    def _denominator(self):
-        """c * (q - 1)^i * (q + 1)^j * r, as an int list."""
-        return _pmul(_pmul(_q_minus_plus(self.i, self.j), self.r), (self.c,))
+        return self * _quotient(-other.e, _denominator(other), list(other.n))
 
     def _terms(self):
         """The numerator and the denominator as lists of ((exponent,), int)
@@ -748,14 +743,201 @@ class LaurentFrac:
         low = max(self.e, 0)
         return ([((low + k,), v) for k, v in enumerate(self.n) if v],
                 [((low - self.e + k,), v)
-                 for k, v in enumerate(self._denominator()) if v])
+                 for k, v in enumerate(_denominator(self)) if v])
 
     def __repr__(self):
         return "LaurentFrac(e=%d, n=%s, den=%s)" % (self.e, list(self.n),
-                                                   self._denominator())
+                                                   _denominator(self))
 
 
 _QZERO = _laurent_frac(0, (), 1, 0, 0, (1,))
+
+
+def _qrho_normal(e, f, rows, c, i, j, r):
+    """The normal form of q^e * rho^f * N / (c * (q - 1)^i * (q + 1)^j * r),
+    where N = sum_k rho^k * rows[k] with int lists rows[k], c > 0 and r a
+    denominator rest in normal form (see ``QRhoFrac``).  The lowest powers
+    of rho and q move into f and e, and common factors q - 1, q + 1 and the
+    content cancel as in ``_laurent_normal``; a polynomial gcd with every
+    row runs only where r is not 1."""
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return _GZERO
+    if not rows[0]:
+        k = 1
+        while not rows[k]:
+            k += 1
+        f += k
+        rows = rows[k:]
+    if not any(row[0] for row in rows if row):
+        low = min(next(k for k, x in enumerate(row) if x)
+                  for row in rows if row)
+        e += low
+        rows = [row[low:] for row in rows]
+    while i and not any(map(sum, rows)):
+        rows = [_div_q_minus_one(row) for row in rows]
+        i -= 1
+    while j and not any(map(_at_minus_one, rows)):
+        rows = [_div_q_plus_one(row) for row in rows]
+        j -= 1
+    if len(r) > 1:
+        g = r
+        for row in rows:
+            if row:
+                g = _pgcd(row, g)
+                if len(g) == 1:
+                    break
+        if len(g) > 1:
+            rows = [_pdivexact(row, g) if row else row for row in rows]
+            r = tuple(_pdivexact(r, g))
+    g = math.gcd(c, *itertools.chain.from_iterable(rows))
+    if g != 1:
+        c //= g
+        rows = [[x // g for x in row] for row in rows]
+    return _qrho(e, f, tuple(map(tuple, rows)), c, i, j, r)
+
+
+def _qrho(e, f, n, c, i, j, r, terms=None):
+    x = object.__new__(QRhoFrac)
+    x.e, x.f, x.n, x.c, x.i, x.j, x.r, x.t = e, f, n, c, i, j, r, terms
+    return x
+
+
+def _shifted(x, e, f):
+    """The rows of x as lists, multiplied by q^(x.e - e) * rho^(x.f - f)."""
+    pad = [0] * (x.e - e)
+    return [[] for _ in range(x.f - f)] + [pad + list(row) if row else []
+                                           for row in x.n]
+
+
+class QRhoFrac:
+    """A value of Q(q, rho), the generic field, in the normal form
+
+        q^e * rho^f * N(q, rho) / (c * (q - 1)^i * (q + 1)^j * r(q)),
+
+    N = sum_k rho^k * n[k](q).  n is a tuple of rows, each a tuple of int
+    coefficients (ascending in q) without trailing zeros, () for a zero
+    row; its first and last rows are not zero and some row has n[k](0) !=
+    0, or n is () for zero (with e = f = i = j = 0, c = 1 and r = (1,)).
+    The denominator is that of ``LaurentFrac``, with the same conditions
+    on c, i, j and r, read over all rows: gcd(content(N), c) = 1, some
+    n[k](1) != 0 if i > 0 and some n[k](-1) != 0 if j > 0, and r shares no
+    factor with every row.  The form is unique, so ``==`` and ``hash``
+    compare its seven fields.  ``t`` holds the value's terms once read
+    (``_terms``).
+    """
+
+    __slots__ = ("e", "f", "n", "c", "i", "j", "r", "t")
+
+    def __bool__(self):
+        return bool(self.n)
+
+    def _key(self):
+        return (self.e, self.f, self.n, self.c, self.i, self.j, self.r)
+
+    def __eq__(self, other):
+        return isinstance(other, QRhoFrac) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __neg__(self):
+        return _qrho(self.e, self.f, tuple(tuple(-x for x in row)
+                                           for row in self.n),
+                     self.c, self.i, self.j, self.r)
+
+    def __add__(self, other):
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        e, f = min(self.e, other.e), min(self.f, other.f)
+        a, b = _shifted(self, e, f), _shifted(other, e, f)
+        c, i, j, r = self.c, self.i, self.j, self.r
+        if (c, i, j, r) != (other.c, other.i, other.j, other.r):
+            c, i, j, r, fa, fb = _common_denominator(self, other)
+            a = [_pmul(row, fa) if row else row for row in a]
+            b = [_pmul(row, fb) if row else row for row in b]
+        if len(a) < len(b):
+            a, b = b, a
+        rows = [_padd(row, b[k]) if k < len(b) else row
+                for k, row in enumerate(a)]
+        return _qrho_normal(e, f, rows, c, i, j, r)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not self.n or not other.n:
+            return _GZERO
+        rows = [[] for _ in range(len(self.n) + len(other.n) - 1)]
+        for k, x in enumerate(self.n):
+            if x:
+                for m, y in enumerate(other.n, k):
+                    if y:
+                        rows[m] = _padd(rows[m], _pmul(x, y))
+        return _qrho_normal(self.e + other.e, self.f + other.f, rows,
+                            self.c * other.c, self.i + other.i,
+                            self.j + other.j, _product_rest(self, other))
+
+    def __truediv__(self, other):
+        if not other.n:
+            raise ZeroDivisionError("division by zero generic value")
+        if len(other.n) > 1:
+            raise RhoDependentDivisor(
+                "cannot divide by %s: its numerator has more than one "
+                "power of rho" % to_text(Scalar(_GENERIC, other)))
+        inverse = _quotient(-other.e, _denominator(other), list(other.n[0]))
+        return self * _qrho(inverse.e, -other.f, (inverse.n,), inverse.c,
+                            inverse.i, inverse.j, inverse.r)
+
+    def _terms(self):
+        """The numerator and the denominator as sorted tuples of
+        ((qexp, rhoexp), int) terms, the powers of q and rho moved to the
+        side where they are not negative: the canonical terms."""
+        if self.t is None:
+            lq, lr = max(self.e, 0), max(self.f, 0)
+            num = sorted(((lq + k, lr + m), v) for m, row in enumerate(self.n)
+                         for k, v in enumerate(row) if v)
+            lq, lr = lq - self.e, lr - self.f
+            self.t = (tuple(num), tuple(((lq + k, lr), v) for k, v
+                                        in enumerate(_denominator(self)) if v))
+        return self.t
+
+    def __repr__(self):
+        return "QRhoFrac(e=%d, f=%d, n=%s, den=%s)" % (
+            self.e, self.f, [list(row) for row in self.n], _denominator(self))
+
+
+_GZERO = _qrho(0, 0, (), 1, 0, 0, (1,))
+
+
+def _qrho_quotient(nb, nc, db, dc):
+    """The ``QRhoFrac`` (N / nc) / (D / dc), where N and D map exponent
+    pairs (i, j) to nonzero ints and D is not empty.  Raises
+    ``RhoDependentDivisor`` unless D has a single power of rho."""
+    if not nb:
+        return _GZERO
+    rhos = {j for _, j in db}
+    if len(rhos) > 1:
+        raise RhoDependentDivisor(
+            "a generic denominator has more than one power of rho")
+    lowq = min(i for i, _ in nb)
+    lowr = min(j for _, j in nb)
+    width = max(i for i, _ in nb) - lowq + 1
+    rows = [[0] * width for _ in range(max(j for _, j in nb) - lowr + 1)]
+    for (i, j), n in nb.items():
+        rows[j - lowr][i - lowq] = n * dc
+    sign, di, dj, r = _split_denominator(
+        _dense({i: n for (i, _), n in db.items()}, nc))
+    if sign < 0:
+        rows = [[-x for x in row] for row in rows]
+    return _qrho_normal(lowq - min(i for i, _ in db), lowr - rhos.pop(),
+                        rows, abs(sign), di, dj, r)
 
 
 # ---------------------------------------------------------------------------
@@ -895,11 +1077,9 @@ class Scalar:
 
     def _fraction_terms(self):
         """The numerator and denominator of a generic or qpow value as
-        sequences of (exponent tuple, coefficient) terms, with no negative
+        sequences of (exponent tuple, int) terms, with no negative
         exponent."""
-        if self.spec.kind == "qpow":
-            return self.rep._terms()
-        return _terms(self.rep.numer), _terms(self.rep.denom)
+        return self.rep._terms()
 
     def to_laurent(self):
         """The value as ``(numerator, denominator)``, two ``Laurent``
@@ -962,58 +1142,12 @@ class Scalar:
     def has_table_denominator(self):
         """Whether this generic value has the one denominator a table value
         may have, c*q^A*rho^B*(q^2-1)^K with c > 0, in its normal form."""
-        return _table_denominator(tuple(
-            ((qe, re), c) for qe, re, c in generic_terms(self)[1]))
+        return self.rep.r == (1,) and self.rep.i == self.rep.j
 
 
 def _coefficient(c):
     """A Fraction as an int where it is integral."""
     return c.numerator if c.denominator == 1 else c
-
-
-class _Stored(Scalar):
-    """A generic value kept as canonical terms (see the module docstring),
-    two tuples of ((qexp, rhoexp), int) terms.  The ``rep`` slot stays
-    unset until its first read, which builds the sympy form from the terms
-    without a gcd; every other reader takes the terms."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.spec = _GENERIC
-        self.num = num
-        self.den = den
-
-    def __getattr__(self, name):
-        # reached only while the rep slot is unset
-        if name != "rep":
-            raise AttributeError(name)
-        self.rep = _decode(self.num, self.den)
-        return self.rep
-
-    def __bool__(self):
-        return True  # a canonical numerator is not empty
-
-    def __eq__(self, other):
-        # canonical terms are unique, so two stored values compare terms
-        if type(other) is _Stored:
-            return self.num == other.num and self.den == other.den
-        return Scalar.__eq__(self, other)
-
-    __hash__ = Scalar.__hash__
-
-    def _fraction_terms(self):
-        return self.num, self.den
-
-    def has_table_denominator(self):
-        # checked with the rest of the canonical form when it was made
-        return True
-
-
-def _decode(num, den):
-    """The sympy form of canonical terms: already reduced, so no gcd."""
-    ring = _GFIELD.ring
-    return _GFIELD.raw_new(ring.from_dict(dict(num)), ring.from_dict(dict(den)))
 
 
 class Laurent(dict):
@@ -1149,8 +1283,7 @@ def _substitute(spec, num, den=None):
     if not db:
         raise vanishes()
     if kind == "generic":
-        return _from_terms({k: Fraction(n, nc) for k, n in nb.items()},
-                           {k: Fraction(n, dc) for k, n in db.items()})
+        return Scalar(spec, _qrho_quotient(nb, nc, db, dc))
     if kind == "qpow":
         if not nb:
             return Scalar(spec, _QZERO)
@@ -1435,36 +1568,30 @@ def generic_terms(x):
     """Numerator and denominator of a generic scalar as sorted term lists.
 
     Each term is (qexp, rhoexp, coefficient); the two lists are a faithful,
-    order-normalized encoding of the scalar, in the canonical form of the
-    module docstring, so every coefficient is an int.
+    order-normalized encoding of the scalar, its canonical terms (module
+    docstring), so every coefficient is an int.
     """
     if x.spec.kind != "generic":
         raise ValueError("generic_terms expects a generic-mode scalar")
-    return tuple(sorted((qe, re, _coefficient(c)) for (qe, re), c in side)
-                 for side in x._fraction_terms())
+    return tuple([(qe, re, c) for (qe, re), c in side]
+                 for side in x.rep._terms())
 
 
 def generic_from_terms(num_terms, den_terms):
     """Rebuild a generic scalar from ``generic_terms`` output, or from any
     equivalent term lists: (qexp, rhoexp, coefficient) triples, with
     negative exponents and repeated exponent pairs allowed; repeated terms
-    add up.  Canonical terms (module docstring) are kept as they are, and
-    their sympy form is built on its first read; any others are normalised
-    now."""
+    add up.  Canonical terms (module docstring) with a table denominator
+    are read into the value without normalising and kept with it; any
+    others are normalised.  Raises ``RhoDependentDivisor`` for a
+    denominator with more than one power of rho, and DenominatorVanishes
+    for one whose terms add up to zero."""
     num, den = (tuple(((int(qe), int(re)), c) for qe, re, c in side)
                 for side in (num_terms, den_terms))
-    if _canonical(num, den):
-        return _Stored(num, den)
-    return _from_terms(_summed(num), _summed(den))
-
-
-def _summed(terms):
-    """((qexp, rhoexp), coefficient) terms as a dict with one nonzero
-    coefficient per exponent pair, the sum of that pair's terms."""
-    out = {}
-    for mono, c in terms:
-        out[mono] = out.get(mono, 0) + c
-    return {mono: c for mono, c in out.items() if c}
+    value = _stored(num, den)
+    if value is None:
+        return _substitute(_GENERIC, num, den)
+    return Scalar(_GENERIC, value)
 
 
 def _table_denominator(den):
@@ -1480,25 +1607,36 @@ def _table_denominator(den):
                for i, ((qe, re), c) in enumerate(den))
 
 
-def _canonical(num, den):
-    """Whether the ((qexp, rhoexp), coefficient) terms num / den are in the
-    canonical form of the module docstring, checked on the integers."""
+def _stored(num, den):
+    """The ``QRhoFrac`` of the ((qexp, rhoexp), coefficient) terms num /
+    den, which keeps them as its terms, if they are canonical terms with a
+    table denominator c*q^A*rho^B*(q^2-1)^K; else None.  Checked on the
+    integers: the numerator's terms are nonzero ints, sorted without
+    repeats, with nonnegative exponents, and the rows read from them are
+    in the normal form of ``QRhoFrac``."""
     if not num or not den or not _table_denominator(den):
-        return False
-    (low, rho), _ = den[0]
-    k, lead = len(den) - 1, den[-1][1]
+        return None
     # sorted terms above (0, -1) have q-exponents >= 0
-    content, previous = lead, (0, -1)
-    at_one, at_minus_one = {}, {}  # N(1, rho) and N(-1, rho) by rho-power
+    previous, low_rho, high_rho = (0, -1), num[0][0][1], 0
     for mono, c in num:
         if type(c) is not int or not c or mono <= previous or mono[1] < 0:
-            return False
+            return None
         previous = mono
-        content = math.gcd(content, c)
-        at_one[mono[1]] = at_one.get(mono[1], 0) + c
-        at_minus_one[mono[1]] = (at_minus_one.get(mono[1], 0)
-                                 + (-c if mono[0] % 2 else c))
-    return (content == 1
-            and (low == 0 or num[0][0][0] == 0)
-            and (rho == 0 or any(re == 0 for (_, re), _ in num))
-            and (k == 0 or any(at_one.values()) and any(at_minus_one.values())))
+        low_rho, high_rho = min(low_rho, mono[1]), max(high_rho, mono[1])
+    low_q = num[0][0][0]
+    rows = [[0] * (previous[0] - low_q + 1)
+            for _ in range(high_rho - low_rho + 1)]
+    for (qe, re), c in num:
+        rows[re - low_rho][qe - low_q] = c
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    (A, B), _ = den[0]
+    k, lead = len(den) - 1, den[-1][1]
+    if (A and low_q or B and low_rho
+            or math.gcd(lead, *itertools.chain.from_iterable(rows)) != 1
+            or k and not (any(map(sum, rows))
+                          and any(map(_at_minus_one, rows)))):
+        return None
+    return _qrho(low_q - A, low_rho - B, tuple(map(tuple, rows)), lead, k, k,
+                 (1,), (num, den))

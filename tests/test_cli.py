@@ -258,69 +258,37 @@ def test_a_weight_starting_with_a_minus_sign_needs_no_equals_sign():
     assert json.loads(spaced[1])["dimension"] > 0
 
 
-def test_queries_builds_and_certificates_do_not_import_numpy():
-    # every modular rank runs on Python ints: the queries, a generic and a
-    # direct table build and a Schur-Weyl rank certificate leave numpy
-    # unimported, so the package runs where numpy is not installed
+def test_queries_builds_and_certificates_import_neither_numpy_nor_sympy():
+    # every modular rank and every field value runs on Python ints: the
+    # four query commands on each shape and grid field, a generic singular
+    # query that divides by q^2 + 1, generic and direct table builds,
+    # certify() and a Schur-Weyl rank certificate leave numpy and sympy
+    # unimported, so the package runs where neither is installed
     script = "\n".join([
         "import contextlib, io, sys",
         "from wbq import cli, engine, repthy",
-        "for field in ('qpow:3', 'cyclo:4,rho=zeta^1', 'cyclo:3,rho=free',",
-        "              'generic'):",
+        "shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]",
+        "codes = set()",
+        "for field in dict.fromkeys(cli.grid_fields()):",
         "    for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
-        "        with contextlib.redirect_stdout(io.StringIO()):",
-        "            code = cli.main([command, '--r', '2', '--s', '2',",
-        "                             '--field', field])",
-        "        assert code == 0, (command, field)",
-        "engine.build_generic_table(1, 1)",
+        "        for r, s in shapes:",
+        "            with contextlib.redirect_stdout(io.StringIO()):",
+        "                codes.add(cli.main([command, '--r', str(r),",
+        "                                    '--s', str(s),",
+        "                                    '--field', field.to_string()]))",
+        "assert codes == {0}, codes",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['singular', '--r', '3', '--s', '1', '--field',",
+        "                     'generic', '--weight', '1,1,0,0']) == 0",
+        "engine.build_generic_table(1, 1).certify()",
         "engine.direct_structure_constants(1, 1, 'qpow:2')",
         "assert repthy.schur_weyl_rank(3, 2, 2) == 23",
         "assert 'numpy' not in sys.modules",
+        "assert 'sympy' not in sys.modules",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, timeout=300)
-    assert run.returncode == 0, run.stderr.decode()
-
-
-def test_grid_queries_call_no_sympy():
-    # sympy serves the generic field only: with the six tables loaded, no
-    # query on a qpow, rho = zeta^b or free-rho grid field enters a sympy
-    # function.  A fresh process, so that no cache filled by another test
-    # hides a call.
-    script = "\n".join([
-        "import contextlib, io, os, sys",
-        "from wbq import cli, engine",
-        "shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]",
-        "for r, s in shapes:",
-        "    engine.generic_table(r, s)",
-        "fields = (['qpow:%d' % a for a in range(-2, 5)]",
-        "          + ['cyclo:4,rho=zeta^%d' % b for b in range(4)]",
-        "          + ['cyclo:3,rho=zeta^%d' % b for b in range(3)]",
-        "          + ['cyclo:4,rho=free', 'cyclo:3,rho=free'])",
-        "marker = os.sep + 'sympy' + os.sep",
-        "entered = set()",
-        "def watch(frame, event, arg):",
-        "    if event == 'call' and marker in frame.f_code.co_filename:",
-        "        entered.add((frame.f_code.co_filename, frame.f_code.co_name))",
-        "codes = set()",
-        "sys.setprofile(watch)",
-        "try:",
-        "    for field in fields:",
-        "        for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
-        "            for r, s in shapes:",
-        "                with contextlib.redirect_stdout(io.StringIO()):",
-        "                    codes.add(cli.main([command, '--r', str(r),",
-        "                                        '--s', str(s),",
-        "                                        '--field', field]))",
-        "finally:",
-        "    sys.setprofile(None)",
-        "assert codes == {0}, codes",
-        "assert not entered, sorted(entered)[:10]",
-    ])
-    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, timeout=600)
     assert run.returncode == 0, run.stderr.decode()
 
 
@@ -443,30 +411,26 @@ def test_a_corrupt_table_file_is_refused_at_load(case, tmp_path, monkeypatch):
 def test_a_non_generic_query_decodes_no_generic_value(tmp_path, monkeypatch):
     monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(engine, "_TABLE_MEMO", {})
-    calls = {"decode": 0, "generic": 0, "load": 0}
-    decode, from_terms = scalars._decode, scalars._from_terms
+    calls = {"generic": 0, "load": 0}
+    normal = scalars._qrho_normal
     generic_from_terms = scalars.generic_from_terms
 
-    def counted_decode(*args):
-        calls["decode"] += 1
-        return decode(*args)
-
-    def counted_from_terms(num, den):
+    def counted_normal(*args):
         calls["generic"] += 1
-        return from_terms(num, den)
+        return normal(*args)
 
     def counted_load(*args):
         calls["load"] += 1
         return generic_from_terms(*args)
 
-    monkeypatch.setattr(scalars, "_decode", counted_decode)
-    monkeypatch.setattr(scalars, "_from_terms", counted_from_terms)
+    monkeypatch.setattr(scalars, "_qrho_normal", counted_normal)
     monkeypatch.setattr(scalars, "generic_from_terms", counted_load)
     code, out, err = run_cli(["decomp", "--r", "2", "--s", "2",
                               "--field", "qpow:2"])
     assert code == 0 and err == ""
-    # the (2, 2) table was loaded in this call, and no value was decoded
-    assert calls == {"decode": 0, "generic": 0, "load": 1023}
+    # the (2, 2) table was loaded in this call, and no generic value was
+    # normalised: no load and no generic arithmetic
+    assert calls == {"generic": 0, "load": 1023}
 
 
 def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
@@ -475,31 +439,25 @@ def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
     # and einfty sub-decompositions
     monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(engine, "_TABLE_MEMO", {})
-    calls = {"specialize": 0, "decode": 0, "generic": 0}
+    calls = {"specialize": 0, "generic": 0}
     fields = []
-    specialize, decode = scalars.specialize, scalars._decode
-    from_terms = scalars._from_terms
+    specialize, normal = scalars.specialize, scalars._qrho_normal
     decomposition = repthy.decomposition_matrix
 
     def counted_specialize(*args):
         calls["specialize"] += 1
         return specialize(*args)
 
-    def counted_decode(*args):
-        calls["decode"] += 1
-        return decode(*args)
-
-    def counted_from_terms(num, den):
+    def counted_normal(*args):
         calls["generic"] += 1
-        return from_terms(num, den)
+        return normal(*args)
 
     def recorded(r, s, field=None, **kw):
         fields.append((r, s, field.to_string()))
         return decomposition(r, s, field=field, **kw)
 
     monkeypatch.setattr(scalars, "specialize", counted_specialize)
-    monkeypatch.setattr(scalars, "_decode", counted_decode)
-    monkeypatch.setattr(scalars, "_from_terms", counted_from_terms)
+    monkeypatch.setattr(scalars, "_qrho_normal", counted_normal)
     monkeypatch.setattr(repthy, "decomposition_matrix", recorded)
     key = "decomp --r 2 --s 2 --field qpow:4"
     code, out, err = run_cli(key.split(" "))
@@ -509,7 +467,7 @@ def test_decomp_on_a_semisimple_field_specialises_nothing(tmp_path,
     assert fields == [(2, 2, "qpow:4"), (1, 1, "qpow:4"),
                       (2, 2, "cyclo:7,rho=zeta^4"),
                       (2, 2, "cyclo:11,rho=zeta^4")]
-    assert calls == {"specialize": 0, "decode": 0, "generic": 0}
+    assert calls == {"specialize": 0, "generic": 0}
 
 
 def test_an_asymmetric_generic_gram_form_is_refused_on_a_semisimple_field(
@@ -711,6 +669,27 @@ def test_label_text_round_trips_through_the_schema_pattern():
         assert re.match(pattern, text), text
     for text in ("f=,[1]|[1]", "f=0,[1]", "f=0,(1)|(1)", "0,[1]|[1]"):
         assert not re.match(pattern, text), text
+
+
+BUNDLED_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
+
+
+def test_decomp_passes_the_einfty_oracle_off_the_grid():
+    # rho = q^a for a in [-12, 16] on every bundled shape: the roots of
+    # unity compared with are of prime order above |a| + r + s - 2, so they
+    # clash only where q^a does; on the grid they stay 7 and 11
+    failed = []
+    for r, s in BUNDLED_SHAPES:
+        for a in cli.EINFTY_EXPONENTS:
+            if abs(a) <= 4:
+                assert repthy._einfty_orders(r, s, a) == [7, 11]
+            code, _, err = run_cli(["decomp", "--r", str(r), "--s", str(s),
+                                    "--field", "qpow:%d" % a])
+            if code:
+                failed.append((r, s, a, code, err))
+    assert len(cli.EINFTY_EXPONENTS) * len(BUNDLED_SHAPES) == 174
+    assert not failed, failed[:5]
+    assert repthy._einfty_orders(2, 2, 7) == [11, 13]
 
 
 def test_golden_outputs_replay_byte_for_byte(tmp_path, monkeypatch):
