@@ -825,8 +825,8 @@ class QRhoFrac:
     0, or n is () for zero (with e = f = i = j = 0, c = 1 and r = (1,)).
     The denominator is that of ``LaurentFrac``, with the same conditions
     on c, i, j and r, read over all rows: gcd(content(N), c) = 1, some
-    n[k](1) != 0 if i > 0 and some n[k](-1) != 0 if j > 0, and r shares no
-    factor with every row.  The form is unique, so ``==`` and ``hash``
+    n[k](1) != 0 if i > 0 and some n[k](-1) != 0 if j > 0, and r and the
+    rows have no common factor.  The form is unique, so ``==`` and ``hash``
     compare its seven fields.  ``t`` holds the value's terms once read
     (``_terms``).
     """
@@ -1075,12 +1075,6 @@ class Scalar:
     def __repr__(self):
         return to_text(self)
 
-    def _fraction_terms(self):
-        """The numerator and denominator of a generic or qpow value as
-        sequences of (exponent tuple, int) terms, with no negative
-        exponent."""
-        return self.rep._terms()
-
     def to_laurent(self):
         """The value as ``(numerator, denominator)``, two ``Laurent``
         polynomials in q, on a ``qpow`` or ``rho = zeta^a`` field.  A
@@ -1089,7 +1083,7 @@ class Scalar:
         maps a Laurent polynomial back."""
         spec = self.spec
         if spec.kind == "qpow":
-            num, den = self._fraction_terms()
+            num, den = self.rep._terms()
             if len(den) == 1:
                 [((low,), c)] = den
                 return Laurent({e - low: _coefficient(Fraction(x, c))
@@ -1124,7 +1118,7 @@ class Scalar:
         elif field != spec and spec.kind != "generic":
             raise ValueError("mod_p(field) expects a generic value")
         if spec.kind != "cyclo":
-            sides = self._fraction_terms()
+            sides = self.rep._terms()
         elif spec.rho_kind == "power":
             rep = self.rep
             sides = [[((k,), c) for k, c in enumerate(rep.v)],
@@ -1396,7 +1390,7 @@ def specialize(x, target):
         raise ValueError("specialize expects a generic source scalar")
     if x.spec == target:
         return x
-    return _substitute(target, *x._fraction_terms())
+    return _substitute(target, *x.rep._terms())
 
 
 def evaluate(x, t, rho_exp=0):
@@ -1411,7 +1405,7 @@ def evaluate(x, t, rho_exp=0):
 
     num, den = (sum(c * t ** (mono[0] + rho_exp * sum(mono[1:]))
                     for mono, c in side)
-                for side in x._fraction_terms())
+                for side in x.rep._terms())
     if not den:
         raise DenominatorVanishes("denominator vanishes at q=%s, rho=q^%d" % (t, rho_exp))
     return num / den
@@ -1534,7 +1528,7 @@ def to_text(x):
             den_terms = [((0,), Fraction(1))]
         else:
             names = ("q", "rho") if spec.kind == "generic" else ("q",)
-            num_terms, den_terms = x._fraction_terms()
+            num_terms, den_terms = x.rep._terms()
         num_s, den_s = (_format_rational_poly(terms, names)
                         for terms in _integerize(num_terms, den_terms))
         return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
