@@ -153,8 +153,9 @@ def test_specialize_delta_and_constants():
 
 
 def test_specialize_denominator_vanishes():
-    # a generic denominator is rho^B times a polynomial in q, which
-    # vanishes at roots of unity only: q^2 + 1 at zeta_4
+    # a generic denominator is rho^B times a polynomial in q, so only a
+    # field where q is a root of unity can send it to zero: q^2 + 1 at
+    # zeta_4
     x = rho_elem(GEN) / (q_elem(GEN) * q_elem(GEN) + one(GEN))
     for target in (FieldSpec.cyclotomic(4, 1), FieldSpec.cyclotomic(4)):
         hit = False
