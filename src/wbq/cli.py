@@ -362,6 +362,7 @@ def _check_einfty(r, s):
             return (False, "matrices differ at a=%d" % a)
     return (True, "")
 
+
 # The verify suites, in canonical order.
 _SUITE_RUNNERS = {
     "relations": _check_relations,

@@ -10,8 +10,9 @@ class DenominatorVanishes(WbqError):
 
 
 class RhoDependentDivisor(WbqError):
-    """A generic value is divided by one whose numerator has more than one
-    power of rho: generic denominators lie in Q[q] times a power of rho."""
+    """A generic quotient, or a generic denominator read from terms, has a
+    denominator with more than one power of rho: generic denominators lie
+    in Q[q] times a power of rho."""
 
 
 class IntegralityViolation(WbqError):

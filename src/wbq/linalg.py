@@ -34,7 +34,9 @@ import operator
 from fractions import Fraction
 
 from . import scalars
-from .errors import DenominatorVanishes, RankCertificationFailed
+from .errors import (
+    DenominatorVanishes, RankCertificationFailed, RhoDependentDivisor,
+)
 
 
 def _as_ratio(value):
@@ -190,11 +192,26 @@ def rref(ctx, rows):
     without a prime the rows may hold ints and ``Fraction``s, which are
     eliminated on integers (``_integer_rref``); the reduced rows are
     ``Fraction``s.  Every other context eliminates over its own elements.
+
+    A pivot with an inverse scales its row to one, and the other rows
+    subtract multiples of it.  A generic value has an inverse only when its
+    numerator has one power of rho (``scalars.QRhoFrac``).  Any other pivot
+    ``pv`` turns every other row ``y`` into ``(pv * y - y[col] * pivot_row)
+    / prev``, ``prev`` the pivot before it (Bareiss, *Sylvester's identity
+    and multistep integer-preserving Gaussian elimination*, Math. Comp. 22,
+    1968).  Each row is then a unit times a minor of the input, so every
+    such division is exact and stays in the generic form.  Each row whose
+    pivot is not one is divided by it at the end; where an entry of the
+    reduced form has a denominator with two powers of rho, that division
+    raises ``RhoDependentDivisor``.  On a field every pivot has an inverse,
+    and the elimination is plain Gauss-Jordan.
     """
     if isinstance(ctx, RationalPointContext) and ctx.prime is None:
         return _integer_rref(rows)
     work = [list(row) for row in rows]
     ncols = len(work[0]) if work else 0
+    one = ctx.one()
+    prev = None  # the last pivot, None where it was scaled to one
     pivot_cols = []
     reduced = []
     for col in range(ncols):
@@ -206,22 +223,36 @@ def rref(ctx, rows):
         if pivot is None:
             continue
         row = work.pop(pivot)
-        inv = ctx.one() / row[col]
-        row = [inv * a for a in row]
-        for other in work:
-            c = other[col]
-            if c:
-                for j in range(col, ncols):
-                    other[j] -= c * row[j]
-        for other in reduced:
-            c = other[col]
-            if c:
-                for j in range(col, ncols):
-                    other[j] -= c * row[j]
+        pv = row[col]
+        try:
+            inv = one / pv
+        except RhoDependentDivisor:
+            pass
+        else:
+            row = [inv * a for a in row]
+            pv = None
+        for others in (work, reduced):
+            for idx, other in enumerate(others):
+                c = other[col]
+                if pv is None and prev is None:
+                    if c:
+                        for j in range(col, ncols):
+                            other[j] -= c * row[j]
+                    continue
+                if pv is not None:
+                    other = [pv * a if a else a for a in other]
+                if c:
+                    other = [a - c * b for a, b in zip(other, row)]
+                if prev is not None:
+                    other = [a / prev if a else a for a in other]
+                others[idx] = other
         reduced.append(row)
         pivot_cols.append(col)
+        prev = pv
         work = [r for r in work if any(r)]
-    return pivot_cols, reduced
+    return pivot_cols, [row if row[col] == one else
+                        [a / row[col] if a else a for a in row]
+                        for row, col in zip(reduced, pivot_cols)]
 
 
 def _primitive(row):

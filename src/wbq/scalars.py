@@ -37,12 +37,14 @@ A generic value is a ``QRhoFrac``: the reduced fraction
 N = sum_k rho^k * n_k(q) with integer coefficient lists n_k, c > 0 an
 int and r(q) an integer polynomial.  Its denominator lies in Q[q] times a
 power of rho, and ``+ - *`` keep it there; so does division by a value
-whose numerator has a single power of rho, while division by any other
-value raises ``RhoDependentDivisor``.  Written with nonnegative exponents,
-the form is the reduced fraction over Z[q, rho] with content 1 and a
-denominator of positive leading coefficient, unique because Z[q, rho] is
-a UFD: its terms, as ``generic_terms`` returns them and a stored table
-holds them, are the canonical terms of a value.  Every table value
+whose numerator has a single power of rho, a unit of the form.  Division
+by any other value answers where the quotient lies in the form (an exact
+division, as ``linalg.rref``'s Bareiss steps make) and raises
+``RhoDependentDivisor`` where it does not.  Written with nonnegative
+exponents, the form is the reduced fraction over Z[q, rho] with content 1
+and a denominator of positive leading coefficient, unique because
+Z[q, rho] is a UFD: its terms, as ``generic_terms`` returns them and a
+stored table holds them, are the canonical terms of a value.  Every table value
 N / (c*q^A*rho^B*(q^2-1)^K) has r = 1 and i = j = K.  ``generic_from_terms``
 builds a value from canonical terms without normalising and keeps the
 terms with it, so ``specialize``, ``mod_p``, ``evaluate``, ``to_text`` and
@@ -885,15 +887,34 @@ class QRhoFrac:
                             self.j + other.j, _product_rest(self, other))
 
     def __truediv__(self, other):
+        """The quotient, where it lies in the form.  A numerator N with a
+        single power of rho is a unit of the form.  Any other N is g * P,
+        g(q) its content over Z[q] and P primitive with two or more powers
+        of rho and no factor rho; P is prime to every polynomial in q, so
+        the quotient lies in the form exactly when P divides the dividend's
+        numerator in Z[q][rho], and then long division in rho, exact over
+        Z[q] at each step, finds it."""
         if not other.n:
             raise ZeroDivisionError("division by zero generic value")
-        if len(other.n) > 1:
+        rows = other.n
+        g = rows[0]
+        if len(rows) > 1:
+            g = functools.reduce(_pgcd, filter(None, rows))
+            content = math.gcd(*itertools.chain.from_iterable(rows))
+            g = [content * x for x in g]
+        inverse = _quotient(-other.e, _denominator(other), list(g))
+        x = self * _qrho(inverse.e, -other.f, (inverse.n,), inverse.c,
+                         inverse.i, inverse.j, inverse.r)
+        if len(rows) == 1 or not x.n:
+            return x
+        quotient = _rho_divexact(x.n, [_pdivexact(row, g) if row else []
+                                       for row in rows])
+        if quotient is None:
             raise RhoDependentDivisor(
-                "cannot divide by %s: its numerator has more than one "
-                "power of rho" % to_text(Scalar(_GENERIC, other)))
-        inverse = _quotient(-other.e, _denominator(other), list(other.n[0]))
-        return self * _qrho(inverse.e, -other.f, (inverse.n,), inverse.c,
-                            inverse.i, inverse.j, inverse.r)
+                "cannot divide by %s: the quotient has a denominator with "
+                "more than one power of rho"
+                % to_text(Scalar(_GENERIC, other)))
+        return _qrho_normal(x.e, x.f, quotient, x.c, x.i, x.j, x.r)
 
     def _terms(self):
         """The numerator and the denominator as sorted tuples of
@@ -914,6 +935,27 @@ class QRhoFrac:
 
 
 _GZERO = _qrho(0, 0, (), 1, 0, 0, (1,))
+
+
+def _rho_divexact(a, b):
+    """The rows of A / B for polynomials A = sum_k rho^k * a[k] and B in
+    rho over Z[q], the rows int lists or empty for zero and b[-1] nonzero,
+    or None unless B divides A in Z[q][rho]; long division from the top."""
+    a = [list(row) for row in a]
+    nb, lead = len(b), b[-1]
+    out = [[] for _ in range(max(0, len(a) - nb + 1))]
+    for k in range(len(out) - 1, -1, -1):
+        top = a[k + nb - 1]
+        if not any(top):
+            continue
+        t = _pdivexact(top, lead)
+        if t is None:
+            return None
+        out[k] = t
+        for m, row in enumerate(b, k):
+            if row:
+                a[m] = _padd(a[m], [-x for x in _pmul(t, row)])
+    return None if any(map(any, a[:nb - 1])) else out
 
 
 def _qrho_quotient(nb, nc, db, dc):

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wbq import linalg
-from wbq.errors import DenominatorVanishes
+from wbq.errors import DenominatorVanishes, RhoDependentDivisor
 from wbq.linalg import (
     _MODP_PRIMES,
     FieldContext,
@@ -231,6 +231,58 @@ def test_only_a_rational_point_without_a_prime_eliminates_on_integers(
     assert invert_square(RationalPointContext(2, 0), singular) is None
     assert invert_square(_FractionField(), singular) is None
     assert len(calls) == 2
+
+
+@st.composite
+def _generic_values(draw):
+    """Sums of up to three monomials c * q^a * rho^b, some over q + 1:
+    most have several powers of rho, so most have no inverse in the
+    generic form."""
+    ctx = _fc()
+    value = ctx.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        value += ctx.from_monomial(draw(st.integers(-3, 3)),
+                                   draw(st.integers(-2, 2)),
+                                   draw(st.integers(-1, 2)))
+    if draw(st.booleans()):
+        value /= ctx.from_monomial(1, 1) + ctx.one()
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda ncols: st.tuples(
+    st.lists(st.integers(0, ncols - 1), min_size=1, max_size=min(ncols, 3),
+             unique=True).map(sorted),
+    st.lists(_generic_values(), min_size=ncols * 3, max_size=ncols * 3),
+    st.integers(0, 2),
+    st.lists(_generic_values(), min_size=15, max_size=15))))
+def test_generic_rref_recovers_the_reduced_form_of_mixed_rows(case):
+    # rows A * R, for a reduced form R and A of full column rank, reduce
+    # to R: generic entries mostly have no inverse, so this runs the
+    # fraction-free elimination, whose final divisions are exact
+    pivots, free, extra, mixing = case
+    ctx = _fc()
+    k, ncols = len(pivots), len(free) // 3
+    reduced = [[ctx.one() if j == pivots[i] else ctx.zero()
+                if j in pivots or j < pivots[i] else free[i * ncols + j]
+                for j in range(ncols)] for i in range(k)]
+    a = [mixing[i * k:(i + 1) * k] for i in range(k + extra)]
+    assume(independent_mod_p(a))
+    rows = mat_mul(ctx, a, reduced)
+    assert rref(ctx, rows) == (pivots, reduced)
+    assert rank(ctx, rows) == k
+    assert span_coordinates(ctx, reduced, rows) == a
+
+
+def test_generic_rref_raises_where_the_reduced_form_leaves_the_form():
+    ctx = _fc()
+    q, rho = ctx.from_monomial(1, 1), ctx.from_monomial(1, 0, 1)
+    assert rref(ctx, [[rho - q, rho - q]]) == ([0], [[ctx.one()] * 2])
+    assert rref(ctx, [[rho - q, q * q], [rho + q, ctx.zero()]]) == (
+        [0, 1], [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]])
+    # the reduced row [1, 1 / (rho - q)] is not a generic value
+    with pytest.raises(RhoDependentDivisor):
+        rref(ctx, [[rho - q, ctx.one()]])
 
 
 def test_span_coordinates_expressions():

@@ -13,7 +13,6 @@ from wbq.errors import (
     IntegralityViolation,
     OracleMismatch,
     RankCertificationFailed,
-    RhoDependentDivisor,
     TraceSystemSingular,
 )
 from wbq.linalg import FieldContext, RationalPointContext
@@ -167,39 +166,16 @@ def _outcome(r, s, spec):
 def test_residue_certificates_agree_with_exact_elimination(r, s,
                                                            monkeypatch):
     # the ranks and decomposition matrices certified mod p, against the
-    # exact elimination of every Gram matrix and trace system; on the
-    # generic field an elimination that would divide by a value with
-    # several powers of rho raises instead
+    # exact elimination of every Gram matrix and trace system
     for spec in cli.grid_fields():
         tab = engine.structure_constants(r, s, spec)
         for label in _labels(r, s):
             gram = repthy.gram_matrix(r, s, label, table=tab)
-            assert gram.rank == _exact_rank(tab.ctx, gram.entries, spec)
+            assert gram.rank == len(linalg.rref(tab.ctx, gram.entries)[0])
     fast = {spec: _outcome(r, s, spec) for spec in cli.grid_fields()}
     monkeypatch.setattr(linalg, "independent_mod_p", lambda rows: False)
     for spec in cli.grid_fields():
-        assert _exact_outcome(r, s, spec) in (fast[spec], None), spec
-
-
-def _exact_rank(ctx, rows, spec):
-    """The rank by ``linalg.rref``; on the generic field, where the
-    elimination may raise ``RhoDependentDivisor``, the full rank that the
-    semisimple generic field has."""
-    try:
-        return len(linalg.rref(ctx, rows)[0])
-    except RhoDependentDivisor:
-        assert spec.kind == "generic"
-        return len(rows)
-
-
-def _exact_outcome(r, s, spec):
-    """``_outcome``, or None where the generic field raises
-    ``RhoDependentDivisor``."""
-    try:
-        return _outcome(r, s, spec)
-    except RhoDependentDivisor:
-        assert spec.kind == "generic"
-        return None
+        assert _outcome(r, s, spec) == fast[spec], spec
 
 
 def test_residue_route_answers_exactly_the_predicted_semisimple_pairs(
@@ -218,17 +194,13 @@ def test_residue_route_answers_exactly_the_predicted_semisimple_pairs(
     assert len(certified) == 47 and certified == predicted
 
     def answers(key):
-        return _exact_outcome(*key), repthy.semisimplicity(*key)
+        return _outcome(*key), repthy.semisimplicity(*key)
 
     route = {key: answers(key) for key in certified}
     monkeypatch.setattr(repthy, "_residue_certified",
                         lambda *args, **kw: False)
     for key in certified:
-        # off the route, the generic trace systems divide by values with
-        # several powers of rho and raise
-        got = answers(key)
-        assert got == route[key] or (key[2].kind == "generic"
-                                     and got[0] is None), key
+        assert answers(key) == route[key], key
 
 
 def test_a_rank_the_residues_miss_falls_back_to_exact_elimination():

@@ -55,8 +55,9 @@ def random_scalar(spec, rng, allow_frac=True):
 
 
 def _divides(spec, y):
-    """Whether a value of ``spec`` may divide by y: any nonzero y, and on
-    the generic field one whose numerator has a single power of rho."""
+    """Whether every value of ``spec`` divides by y: any nonzero y, and on
+    the generic field one whose numerator has a single power of rho, a
+    unit of the generic form."""
     if spec.kind != "generic":
         return bool(y)
     return len({re for _, re, _ in scalars.generic_terms(y)[0]}) == 1
@@ -770,7 +771,7 @@ def test_serialization_round_trip(spec, x, y, laurent):
     # the oracle refuses a wrong text
     assert not _text_means(to_text(x + one(spec)), x)
     # equal values reached along different routes print and hash alike
-    for other in ((x + y) - y, (x * y) / y if _divides(spec, y) else x):
+    for other in ((x + y) - y, (x * y) / y if y else x):
         assert other == x
         assert to_text(other) == to_text(x) and hash(other) == hash(x)
 
@@ -1103,8 +1104,21 @@ def test_kept_terms_agree_with_eager_values(a, b, target):
     assert (x == y) == (ex == ey)
     assert (_image_or_vanishes(specialize, x, target)
             == _image_or_vanishes(_reference_specialize, x, target))
-    if _divides(GEN, y):
-        assert scalars.generic_terms(x / y) == _ref_terms(ex / ey)
+    if y:
+        _check_quotient(x, y, ex / ey)
+
+
+def _in_generic_form(ref):
+    """Whether a sympy Q(q, rho) value has a denominator with a single
+    power of rho, as every generic value does."""
+    return len({re for (_, re), _ in _sympy_terms(ref.denom)}) == 1
+
+
+def _check_quotient(x, y, ref):
+    """x / y is the reference quotient where that lies in the generic
+    form, and raises ``RhoDependentDivisor`` where it does not."""
+    if _in_generic_form(ref):
+        assert scalars.generic_terms(x / y) == _ref_terms(ref)
     else:
         with pytest.raises(RhoDependentDivisor):
             x / y
@@ -1165,11 +1179,10 @@ def test_generic_values_match_the_sympy_reference(xa, ya, target):
     (x, rx), (y, ry) = _generic_fraction(*xa), _generic_fraction(*ya)
     cases = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry),
              (x * y, rx * ry), (-x, -rx)]
-    if _divides(GEN, y):
-        cases.append((x / y, rx / ry))
-    elif y:
-        with pytest.raises(RhoDependentDivisor):
-            x / y
+    if y:
+        _check_quotient(x, y, rx / ry)
+        if _in_generic_form(rx / ry):
+            cases.append((x / y, rx / ry))
     for value, ref in cases:
         terms = scalars.generic_terms(value)
         assert terms == _ref_terms(ref)
@@ -1189,17 +1202,17 @@ def test_generic_values_match_the_sympy_reference(xa, ya, target):
     # one normal form: equality, and hashes of equal values
     assert (x == y) == (rx == ry)
     routes = [(x + y) - y, x * one(GEN)]
-    if _divides(GEN, y):
+    if y:
         routes.append((x * y) / y)
     for other in routes:
         assert other == x and hash(other) == hash(x)
         assert to_text(other) == to_text(x)
 
 
-def test_a_divisor_with_two_powers_of_rho_raises():
-    x = q_elem(GEN) + one(GEN)
-    for divisor in (rho_elem(GEN) + one(GEN), delta(GEN),
-                    rho_elem(GEN) * rho_elem(GEN) - q_elem(GEN)):
+def test_a_quotient_outside_the_generic_form_raises():
+    q, rho = q_elem(GEN), rho_elem(GEN)
+    x = q + one(GEN)
+    for divisor in (rho + one(GEN), delta(GEN), rho * rho - q):
         with pytest.raises(RhoDependentDivisor,
                            match="more than one power of rho"):
             x / divisor
@@ -1207,8 +1220,24 @@ def test_a_divisor_with_two_powers_of_rho_raises():
         num, den = scalars.generic_terms(divisor)
         with pytest.raises(RhoDependentDivisor):
             scalars.generic_from_terms(den, num)
+        # a multiple of the divisor divides, also with a factor in q
+        for value in (x, x * x / (q * q + one(GEN))):
+            assert (value * divisor) / divisor == value
+            assert divisor / (value * divisor) == one(GEN) / value
+        assert (divisor * divisor) / divisor == divisor
+    assert (rho * rho - q * q) / (rho - q) == rho + q
+    assert (rho - q) / ((q + monomial(GEN, 2)) * (rho - q)) \
+        == one(GEN) / (q + monomial(GEN, 2))
+    # the content of the divisor's numerator, its power of q and its
+    # integer content included, goes into the denominator
+    content = q * q + q * monomial(GEN, 2)
+    assert ((q - one(GEN)) * (rho + q)) / (content * (rho + q)) \
+        == (q - one(GEN)) / content
+    assert ((rho + monomial(GEN, 2, 1))
+            / (monomial(GEN, 2, 0, 1) + monomial(GEN, 4, 1))
+            == monomial(GEN, Fraction(1, 2)))
     # a single power of rho over any polynomial in q divides
-    for divisor in (rho_elem(GEN), q_elem(GEN) * q_elem(GEN) + one(GEN),
+    for divisor in (rho, q * q + one(GEN),
                     monomial(GEN, 3, 2, -1) - monomial(GEN, 1, 0, -1)):
         assert (x / divisor) * divisor == x
 
