@@ -30,7 +30,9 @@ ring map instead, for certificates that need no value of the field.
 The tensor model acts in the convention of the presentation, so a
 coordinate system's expansions are the cellular coefficients themselves:
 over a field, at a rational point (their values there) and mod a prime
-(their residues).  Coordinate systems and tables take their
+(their residues, plain ints that the tensor kernel, ``_solve`` and the
+word matrices reduce once per entry they write, as ``linalg`` states).
+Coordinate systems and tables take their
 right-multiplication matrices from ``words.WordAction``, which states the
 matrix convention.
 """
@@ -218,8 +220,7 @@ class CoordinateSystem:
             if ctx.prime is None:
                 return linalg.modp_rank_robust(rows)
             # residues certify over their own prime only
-            return linalg.modp_rank([[int(x) for x in row] for row in rows],
-                                    ctx.prime)
+            return linalg.modp_rank(rows, ctx.prime)
         best = (0, [])
         for t in (2, 3, 5):
             try:
@@ -237,22 +238,25 @@ class CoordinateSystem:
     # -- solving ----------------------------------------------------------
 
     def _solve(self, coords, check=True):
-        """Expansion of a coordinate vector over the cellular basis."""
+        """Expansion of a coordinate vector over the cellular basis; at a
+        residue context each coefficient and each residual entry is
+        reduced once."""
         ctx = self.ctx
-        xp = [coords[p] for p in self.pivots]
-        d = []
-        for j in range(len(xp)):
-            acc = ctx.zero()
-            for i in range(len(xp)):
-                acc += xp[i] * self.pivot_inverse[i][j]
-            d.append(acc)
+        prime = ctx.prime
+        d = [ctx.zero()] * len(self.pivots)
+        for col, row in zip(self.pivots, self.pivot_inverse):
+            x = coords[col]
+            if x:
+                d = [acc + x * y for acc, y in zip(d, row)]
+        if prime:
+            d = [acc % prime for acc in d]
         if check:
             for pos in range(len(coords)):
                 acc = ctx.zero()
                 for a in range(len(d)):
                     if d[a]:
                         acc += d[a] * self.rows[a][pos]
-                if acc != coords[pos]:
+                if (acc % prime if prime else acc) != coords[pos]:
                     raise NotInSpan("residual is nonzero at coordinate %d" % pos)
         return d
 
@@ -655,18 +659,19 @@ class ResidueConstants(SpecializedConstants):
 
     @functools.cached_property
     def ctx(self):
-        # a point context mod p builds the residues; its point is not read
+        # a point context mod p gives the zero and the prime of the
+        # residues; its point is not read
         return RationalPointContext(2, 0, scalars._modp_point(self.spec)[0])
 
     def _map(self):
-        spec, ctx = self.spec, self.ctx
+        spec = self.spec
 
         def image(value):
             found = value.mod_p(spec)
             if found is None:
                 raise DenominatorVanishes("an entry has no image mod p "
                                           "under %s" % spec.to_string())
-            return ctx._element(found[0])
+            return found[0]
 
         return image
 
@@ -749,8 +754,8 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth, p):
         keys.update((key, c) for key, vec in table.items() for c in vec)
     out = {}
     for key, c in keys:
-        vals = [int(values_by_node[n].get(key, {}).get(c, 0)) for n in nodes]
-        stab_val = int(values_by_node[stab_node].get(key, {}).get(c, 0))
+        vals = [values_by_node[n].get(key, {}).get(c, 0) for n in nodes]
+        stab_val = values_by_node[stab_node].get(key, {}).get(c, 0)
         if not any(vals) and not stab_val:
             continue
         ys = [val * x_pow % p for val, x_pow in zip(vals, x_pows)]

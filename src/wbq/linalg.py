@@ -2,27 +2,36 @@
 
 A *context* constructs the elements of one coefficient domain: its zero,
 its one, the monomials c * q^a * rho^b and the values of ``Laurent``
-polynomials in q.  The elements carry their own arithmetic (``+ - * /``,
-unary minus, ``==``, and truthiness for "nonzero").  Three domains are
-used throughout the package: elements of a ``FieldSpec`` field
-(``FieldContext``, whose elements are ``Scalar``), plain rational numbers
-obtained by evaluating ``q`` and ``rho`` at a rational point
-(``RationalPointContext``, whose elements are ``Fraction``), and the
-residues of those rational values modulo a large prime
-(``RationalPointContext`` with a ``prime``).  Neither reads how a scalar
-is stored.  ``rref`` is the one exact elimination, with deterministic
-pivot choices, so all outputs are reproducible: a rational point without
-a prime eliminates on Python ints, fraction-free (``_integer_rref``), and
-returns ``Fraction``s; a field and a residue context eliminate over their
-own elements.  ``rank``, ``kernel_basis``, ``invert_square`` (of
+polynomials in q; its ``prime`` is None unless its elements are residues.
+Three domains are used throughout the package: elements of a
+``FieldSpec`` field (``FieldContext``, whose elements are ``Scalar``),
+plain rational numbers obtained by evaluating ``q`` and ``rho`` at a
+rational point (``RationalPointContext``, whose elements are
+``Fraction``), and the residues of those rational values modulo a large
+prime (``RationalPointContext`` with a ``prime``).  A ``Scalar`` or a
+``Fraction`` carries its own arithmetic (``+ - * /``, unary minus, ``==``,
+and truthiness for "nonzero"), and neither context reads how it is
+stored.  A residue is a plain Python int in ``range(prime)``: code that
+combines residues adds and multiplies them as ints and reduces once per
+result entry, not once per operation.  That happens where a result is
+written: ``mat_mul``, ``mat_vec``, ``rref`` and ``kernel_basis`` here,
+``CoordinateSystem._solve`` and ``WordAction`` (``letter`` and
+``element``) in their modules, and the tensor kernel's lowering step
+(``tensor._lower``); ``modp_rank`` reduces what it reads.  ``rref`` is
+the one exact elimination, with deterministic pivot choices, so all
+outputs are reproducible: a rational point without a prime eliminates on
+Python ints, fraction-free (``_integer_rref``), and returns
+``Fraction``s; a residue context runs Gauss-Jordan on ints mod its prime
+(``_modp_rref``); a field eliminates over its own elements.  ``rank``
+(from the pivots alone), ``kernel_basis``, ``invert_square`` (of
 ``[M | I]``), ``span_coordinates`` (of ``[basis | targets]``) and
 ``certified_kernel`` read it.  Every routine is exact over its context.
 Some results are modular and hold over Q, or the field, only behind a
 check: ``modp_rank`` (an elimination on Python ints mod a large prime)
-and ``independent_mod_p`` (``modp_rank`` of residues as they are, or of
-a field matrix through the ring map ``Scalar.mod_p``) certify a lower
-bound on a rank, and ``lagrange_poly`` interpolates residues, whose
-rational lift the caller must verify.
+and ``independent_mod_p`` (``modp_rank`` of residues mod the prime its
+caller names, or of a field matrix through the ring map
+``Scalar.mod_p``) certify a lower bound on a rank, and ``lagrange_poly``
+interpolates residues, whose rational lift the caller must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -49,9 +58,11 @@ def _as_ratio(value):
 class FieldContext:
     """Constructs ``Scalar`` elements of a fixed ``FieldSpec``; the
     elements carry their own arithmetic.  Values are immutable, so the
-    zero and the one are built once per context and shared."""
+    zero and the one are built once per context and shared.  Its
+    ``prime`` is None: its elements are not residues."""
 
     __slots__ = ("spec", "_zero", "_one")
+    prime = None
 
     def __init__(self, spec):
         self.spec = spec
@@ -72,62 +83,12 @@ class FieldContext:
         return scalars.Scalar.from_laurent(self.spec, x)
 
 
-_new = object.__new__
-
-
-class _Residue:
-    """An element of Z/p: a value in 0..p-1 and its prime p."""
-
-    __slots__ = ("v", "p")
-
-    def __add__(self, other):
-        out = _new(_Residue)
-        out.p = p = self.p
-        out.v = (self.v + other.v) % p
-        return out
-
-    def __sub__(self, other):
-        out = _new(_Residue)
-        out.p = p = self.p
-        out.v = (self.v - other.v) % p
-        return out
-
-    def __mul__(self, other):
-        out = _new(_Residue)
-        out.p = p = self.p
-        out.v = self.v * other.v % p
-        return out
-
-    def __truediv__(self, other):
-        if not other.v:
-            raise ZeroDivisionError("division by a residue that is zero")
-        out = _new(_Residue)
-        out.p = p = self.p
-        out.v = self.v * pow(other.v, -1, p) % p
-        return out
-
-    def __neg__(self):
-        out = _new(_Residue)
-        out.p = p = self.p
-        out.v = -self.v % p
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, _Residue):
-            return NotImplemented
-        return self.v == other.v and self.p == other.p
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __int__(self):
-        return self.v
-
-
 class RationalPointContext:
     """Constructs the values at ``q = t`` and ``rho = t**rho_exp``: exact
-    ``Fraction``s, or with ``prime`` their residues mod that prime.  The
-    elements carry their own arithmetic.
+    ``Fraction``s, or with ``prime`` their residues mod that prime, as
+    Python ints in ``range(prime)``.  A ``Fraction`` carries its own
+    arithmetic; residues are combined as plain ints, and the routine that
+    writes a result reduces it (see the module docstring).
 
     ``t`` must be a nonzero rational with ``t**2 != 1`` so that every
     admissible denominator stays invertible; with a prime, the numerator
@@ -155,13 +116,11 @@ class RationalPointContext:
 
     def _element(self, value):
         """An int or Fraction as an element: itself, or its residue."""
-        if self.prime is None:
+        p = self.prime
+        if p is None:
             return Fraction(value)
         num, den = _as_ratio(value)
-        out = _new(_Residue)
-        out.p = p = self.prime
-        out.v = num * pow(den, -1, p) % p
-        return out
+        return num * pow(den, -1, p) % p
 
     def _qpow(self, k):
         val = self._qpowers.get(k)
@@ -176,7 +135,8 @@ class RationalPointContext:
         return self._one
 
     def from_monomial(self, c, qexp=0, rhoexp=0):
-        return self._element(c) * self._qpow(qexp + self.rhoexp * rhoexp)
+        value = self._element(c) * self._qpow(qexp + self.rhoexp * rhoexp)
+        return value if self.prime is None else value % self.prime
 
     def from_laurent(self, x):
         """The value at this point of a ``Laurent`` polynomial in q."""
@@ -191,7 +151,8 @@ def rref(ctx, rows):
     other rows.  The input rows are not modified.  At a rational point
     without a prime the rows may hold ints and ``Fraction``s, which are
     eliminated on integers (``_integer_rref``); the reduced rows are
-    ``Fraction``s.  Every other context eliminates over its own elements.
+    ``Fraction``s.  A residue context runs Gauss-Jordan on ints mod its
+    prime (``_modp_rref``).  A field eliminates over its own elements.
 
     A pivot with an inverse scales its row to one, and the other rows
     subtract multiples of it.  A generic value has an inverse only when its
@@ -206,8 +167,20 @@ def rref(ctx, rows):
     raises ``RhoDependentDivisor``.  On a field every pivot has an inverse,
     and the elimination is plain Gauss-Jordan.
     """
-    if isinstance(ctx, RationalPointContext) and ctx.prime is None:
-        return _integer_rref(rows)
+    one = ctx.one()
+    pivot_cols, reduced = _eliminate(ctx, rows)
+    return pivot_cols, [row if row[col] == one else
+                        [a / row[col] if a else a for a in row]
+                        for row, col in zip(reduced, pivot_cols)]
+
+
+def _eliminate(ctx, rows):
+    """The pivot columns and rows of ``rref``, before each row whose pivot
+    is not one is divided by it."""
+    if isinstance(ctx, RationalPointContext):
+        if ctx.prime is None:
+            return _integer_rref(rows)
+        return _modp_rref(rows, ctx.prime)
     work = [list(row) for row in rows]
     ncols = len(work[0]) if work else 0
     one = ctx.one()
@@ -250,9 +223,36 @@ def rref(ctx, rows):
         pivot_cols.append(col)
         prev = pv
         work = [r for r in work if any(r)]
-    return pivot_cols, [row if row[col] == one else
-                        [a / row[col] if a else a for a in row]
-                        for row, col in zip(reduced, pivot_cols)]
+    return pivot_cols, reduced
+
+
+def _modp_rref(rows, p):
+    """``rref`` mod the prime ``p`` by Gauss-Jordan on Python ints, read
+    mod p: each pivot row is scaled by its pivot's inverse, and every other
+    row subtracts a multiple of it, reduced once per entry.  A pivot row is
+    zero before its pivot column, so only the entries from that column on
+    change."""
+    work = [[x % p for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivot_cols, reduced = [], []
+    for col in range(ncols):
+        pivot = next((idx for idx, row in enumerate(work) if row[col]), None)
+        if pivot is None:
+            continue
+        row = work.pop(pivot)
+        inv = pow(row[col], -1, p)
+        tail = [a * inv % p for a in row[col:]]
+        row[col:] = tail
+        for others in (work, reduced):
+            for other in others:
+                c = other[col]
+                if c:
+                    other[col:] = [(a - c * b) % p
+                                   for a, b in zip(other[col:], tail)]
+        reduced.append(row)
+        pivot_cols.append(col)
+        work = [r for r in work if any(r)]
+    return pivot_cols, reduced
 
 
 def _primitive(row):
@@ -303,7 +303,10 @@ def _integer_rref(rows):
 
 
 def rank(ctx, rows):
-    return len(rref(ctx, rows)[0])
+    """The number of pivots of ``rref``, counted before its last division
+    by each pivot: a generic matrix has a rank even where its reduced form
+    leaves the generic form."""
+    return len(_eliminate(ctx, rows)[0])
 
 
 def kernel_basis(ctx, rows, dim):
@@ -321,6 +324,7 @@ def echelon_kernel(ctx, pivot_cols, reduced, dim):
     reduced)``, by back-substitution; ``reduced`` is read only when some
     column is free."""
     pivot_set = set(pivot_cols)
+    prime = ctx.prime
     basis = []
     for free in range(dim):
         if free in pivot_set:
@@ -329,7 +333,7 @@ def echelon_kernel(ctx, pivot_cols, reduced, dim):
         vec[free] = ctx.one()
         for prow, pcol in zip(reduced, pivot_cols):
             if prow[free]:
-                vec[pcol] = -prow[free]
+                vec[pcol] = prime - prow[free] if prime else -prow[free]
         basis.append(vec)
     return basis
 
@@ -365,31 +369,38 @@ def span_coordinates(ctx, basis, targets):
 
 
 def mat_mul(ctx, a, b):
-    bt = list(zip(*b))
+    """The product ``a b``, row-sparse: each entry of ``a`` and ``b`` is
+    tested for zero once.  Each row of the product sums, over the nonzero
+    entries of a row of ``a``, their multiples of the matching rows of
+    ``b``, read as lists of their nonzero entries; at a residue context
+    each entry of the product is reduced once."""
+    ncols = len(b[0]) if b else 0
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = ctx.zero()
+    prime = ctx.prime
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = ctx.zero()
-            for x, y in zip(row, col):
-                if x and y:
-                    acc += x * y
-            orow.append(acc)
-        out.append(orow)
+        acc = [zero] * ncols
+        for x, entries in zip(row, sparse):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append([v % prime for v in acc] if prime else acc)
     return out
 
 
 def mat_vec(ctx, mat, vec):
     """``mat`` times the column ``vec``, summing over the nonzero entries
-    of ``vec`` only."""
+    of ``vec`` only; at a residue context each entry is reduced once."""
     support = [(k, x) for k, x in enumerate(vec) if x]
+    prime = ctx.prime
     out = []
     for row in mat:
         acc = ctx.zero()
         for k, x in support:
             if row[k]:
                 acc += row[k] * x
-        out.append(acc)
+        out.append(acc % prime if prime else acc)
     return out
 
 
@@ -453,26 +464,23 @@ def modp_rank(rows, prime=None):
     return len(pivots), pivots
 
 
-def independent_mod_p(rows):
+def independent_mod_p(rows, prime=None):
     """True when the columns of ``rows`` are independent mod p: the
-    ``modp_rank`` of ``_Residue``s as they are, or of ``Scalar``s of one
-    field through the ring map ``Scalar.mod_p``, over that map's prime.
-    A one-sided certificate, like ``modp_rank``'s: a ring map takes the
-    maximal minors to those of the images, so one nonzero mod p proves full
-    column rank over the field.  False, also where an entry has no image,
-    proves nothing."""
+    ``modp_rank`` of residues mod ``prime`` as they are, or without a
+    prime of ``Scalar``s of one field through the ring map
+    ``Scalar.mod_p``, over that map's prime.  A one-sided certificate, like
+    ``modp_rank``'s: a ring map takes the maximal minors to those of the
+    images, so one nonzero mod p proves full column rank over the field.
+    False, also where an entry has no image, proves nothing."""
     if not rows or not rows[0]:
         return True
-    if isinstance(rows[0][0], _Residue):
-        prime = rows[0][0].p
-        matrix = [[x.v for x in row] for row in rows]
-    else:
+    if prime is None:
         images = [[x.mod_p() for x in row] for row in rows]
         if any(None in row for row in images):
             return False
         prime = images[0][0][1]
-        matrix = [[v for v, _ in row] for row in images]
-    return modp_rank(matrix, prime)[0] == len(matrix[0])
+        rows = [[v for v, _ in row] for row in images]
+    return modp_rank(rows, prime)[0] == len(rows[0])
 
 
 def modp_rank_robust(rows):

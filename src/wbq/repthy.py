@@ -355,19 +355,20 @@ def _residue_certified(r, s, spec, tab, traces):
             labels != predicted_simple_labels(r, s, spec):
         return False
     res = tab.residues()
-    zero = res.ctx.zero()
+    zero, prime = res.ctx.zero(), res.ctx.prime
     try:
         for label in labels:
             _check_symmetric(label, _gram_entries(
                 r, s, label, lambda a, b, c: res.parent.product(a, b).get(c)))
             if not linalg.independent_mod_p(_gram_entries(
                     r, s, label,
-                    lambda a, b, c: res.product(a, b).get(c, zero))):
+                    lambda a, b, c: res.product(a, b).get(c, zero)), prime):
                 return False
         if not traces:
             return True
         trace = [_layer_trace_table(res, label) for label in labels]
-        return linalg.independent_mod_p([list(row) for row in zip(*trace)])
+        return linalg.independent_mod_p([list(row) for row in zip(*trace)],
+                                        prime)
     except DenominatorVanishes:
         return False
 

@@ -13,12 +13,13 @@ back in at the end), the word coefficients q^a rho^b become q^{a+nb},
 and each output entry is lowered to a field value once.  The
 Laurent letter constants are built once per n.  At a rational point, or
 its residues mod a prime, the kernel runs on the point's own values with
-constants built once per point and n.  A vector whose context is None
-lives on the Laurent domain itself (rho = q^n): its entries are
-``Laurent`` polynomials, which the kernel takes and returns unlifted and
-unlowered.  ``basis_images`` acts there on all the standard basis vectors
-in one call; the Schur-Weyl rows are built from it once per (n, r, s) and
-then evaluated at rational points.
+constants built once per point and n; residues are accumulated as
+unreduced ints, and ``_lower`` reduces each output entry once.  A vector
+whose context is None lives on the Laurent domain itself (rho = q^n): its
+entries are ``Laurent`` polynomials, which the kernel takes and returns
+unlifted and unlowered.  ``basis_images`` acts there on all the standard
+basis vectors in one call; the Schur-Weyl rows are built from it once per
+(n, r, s) and then evaluated at rational points.
 
 The quantum enveloping algebra of gl_n acts on the left by ``act_E``,
 ``act_F``, ``act_K`` and the divided powers E_i^{(ell)} on the same
@@ -232,9 +233,16 @@ def _lower(ctx, den, entries, out):
     """Add the field values of kernel ``entries``, divided by ``den``, to
     ``out`` and return it.  A native context's entries are its own values
     already, as are those of the Laurent domain, and their only group is
-    the whole vector."""
-    if ctx is None or _native(ctx):
+    the whole vector; a residue context's are ints, which are reduced here
+    once each, its zeros dropped."""
+    if ctx is None or (_native(ctx) and not ctx.prime):
         return entries
+    if ctx.prime:
+        for idx, val in entries.items():
+            val %= ctx.prime
+            if val:
+                out[idx] = val
+        return out
     spec = ctx.spec
     lower = scalars.Scalar.from_laurent
     divisor = None if den is None else lower(spec, den)

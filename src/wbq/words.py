@@ -132,7 +132,9 @@ class WordAction:
     from the quadratic relation g^2 = (q - q^{-1}) g + 1 as
     ``M(g^{-1}) = M(g) - (q - q^{-1}) I``.  Every source, the tensor space
     included, acts in this one convention, and coefficients are read in
-    ``ctx`` as written.  Word matrices are memoised by prefix.
+    ``ctx`` as written.  Word matrices are memoised by prefix.  At a
+    residue context every entry that ``letter`` and ``element`` write is
+    reduced once.
     """
 
     def __init__(self, ctx, dim, source):
@@ -154,6 +156,9 @@ class WordAction:
                        for c, row in enumerate(base)]
             else:
                 mat = self._source(letter)
+            prime = self.ctx.prime
+            if prime:
+                mat = [[x % prime for x in row] for row in mat]
             self._letters[letter] = mat
         return mat
 
@@ -181,6 +186,9 @@ class WordAction:
                 for j, x in enumerate(row):
                     if x:
                         trow[j] += coeff * x
+        prime = ctx.prime
+        if prime:
+            total = [[x % prime for x in row] for row in total]
         return total
 
 

@@ -116,6 +116,44 @@ def _reference_invert_square(ctx, matrix):
     return [row[n:] for row in work]
 
 
+def _reference_rref_mod_p(rows, p):
+    """The reduced form mod ``p`` by Gauss-Jordan on ``Fraction``s: each
+    entry and each step's exact result is replaced by its residue (as a
+    ``Fraction``), and a pivot row is divided by its pivot as a
+    ``Fraction`` before it is reduced.  Returns ``(pivot_cols, rows)``
+    with int entries."""
+    work = [[Fraction(_mod(x, p)) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        lead = work[top][col]
+        work[top] = [Fraction(_mod(a / lead, p)) for a in work[top]]
+        for i, row in enumerate(work):
+            c = row[col]
+            if i != top and c:
+                work[i] = [Fraction(_mod(a - c * b, p))
+                           for a, b in zip(row, work[top])]
+        pivots.append(col)
+    return pivots, [[int(a) for a in row] for row in work[:len(pivots)]]
+
+
+def _reference_inverse_mod_p(matrix, p):
+    """The right half of ``_reference_rref_mod_p`` of ``[M | I]`` when its
+    pivots are the left half's columns, else None."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    pivots, reduced = _reference_rref_mod_p(aug, p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
 _SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4),
                              st.sampled_from((1, 2, 3)))
 
@@ -137,7 +175,10 @@ def test_invert_square_matches_the_reference_elimination(case):
     ctx = RationalPointContext(2, 0, prime)
     matrix = [[ctx.from_monomial(x) for x in row] for row in entries]
     got = invert_square(ctx, matrix)
-    assert got == _reference_invert_square(ctx, matrix)
+    if prime is None:
+        assert got == _reference_invert_square(ctx, matrix)
+    else:
+        assert got == _reference_inverse_mod_p(entries, prime)
     if singular:
         assert got is None
     if got is not None:
@@ -150,6 +191,8 @@ class _FractionField:
     """The rationals as a context of their own: ``rref`` eliminates over
     its ``Fraction``s the way a rational point did before the integer
     elimination, which only a ``RationalPointContext`` takes."""
+
+    prime = None
 
     def zero(self):
         return Fraction(0)
@@ -285,6 +328,23 @@ def test_generic_rref_raises_where_the_reduced_form_leaves_the_form():
         rref(ctx, [[rho - q, ctx.one()]])
 
 
+def test_generic_rank_reads_the_pivots_where_rref_raises():
+    ctx = _fc()
+    q, rho = ctx.from_monomial(1, 1), ctx.from_monomial(1, 0, 1)
+    one = ctx.one()
+    # the reduced row [1, 1 / (rho - q)] is not a generic value, but the
+    # rank needs no reduced row
+    rows = [[rho - q, one]]
+    assert rank(ctx, rows) == 1
+    with pytest.raises(RhoDependentDivisor):
+        rref(ctx, rows)
+    with pytest.raises(RhoDependentDivisor):
+        kernel_basis(ctx, rows, 2)
+    # a second row (rho + q) times the first leaves the rank at one
+    assert rank(ctx, rows + [[(rho + q) * (rho - q), rho + q]]) == 1
+    assert rank(ctx, rows + [[rho + q, q]]) == 2
+
+
 def test_span_coordinates_expressions():
     ctx = _fc()
     a, b, c, d, e = _rows(ctx, [[1, 2, 0], [0, 1, 1],
@@ -371,19 +431,20 @@ def test_rational_point_context_mod_p_reduces_the_exact_values():
         ctx = RationalPointContext(3, 2, p)
         for c, qe, re in ((1, 1, 0), (Fraction(-5, 7), -3, 1), (4, 2, -2)):
             value = exact.from_monomial(c, qe, re)
-            assert int(ctx.from_monomial(c, qe, re)) == _mod(value, p)
+            assert ctx.from_monomial(c, qe, re) == _mod(value, p)
         two = Laurent({1: 1, -1: 1})
-        assert int(ctx.from_laurent(two)) == _mod(Fraction(10, 3), p)
+        assert ctx.from_laurent(two) == _mod(Fraction(10, 3), p)
+        # residues are ints in range(p), and int arithmetic reduced mod p
+        # is the ring map of the exact arithmetic
         x, y = ctx.from_monomial(Fraction(2, 5), 1), ctx.from_monomial(7, -2)
+        assert all(type(v) is int and 0 <= v < p for v in (x, y))
         for got, want in ((x + y, Fraction(6, 5) + Fraction(7, 9)),
                           (x - y, Fraction(6, 5) - Fraction(7, 9)),
                           (x * y, Fraction(6, 5) * Fraction(7, 9)),
-                          (x / y, Fraction(6, 5) / Fraction(7, 9)),
+                          (x * pow(y, -1, p), Fraction(6, 5) / Fraction(7, 9)),
                           (-x, -Fraction(6, 5))):
-            assert int(got) == _mod(want, p)
-        assert not ctx.zero() and ctx.one() == ctx.from_monomial(1)
-        with pytest.raises(ZeroDivisionError):
-            ctx.one() / ctx.zero()
+            assert got % p == _mod(want, p)
+        assert ctx.zero() == 0 and ctx.one() == 1 == ctx.from_monomial(1)
     # t is admissible over Q but t, 1/t, t - 1 or t + 1 vanishes mod p
     for t in (P, Fraction(3, P), P + 1, P - 1, 2 * P + 1):
         with pytest.raises(DenominatorVanishes):
@@ -449,11 +510,9 @@ _MODP_FIELDS = tuple(FieldSpec.from_string(text) for text in (
 
 
 def _residue_pivots(rows, p):
-    """The pivots of ``rref`` over the residues mod ``p`` of the rational
-    rows: the elimination ``independent_mod_p`` once ran, on one
-    ``_Residue`` object per entry and operation."""
-    ctx = RationalPointContext(2, 0, p)
-    return rref(ctx, [[ctx.from_monomial(x) for x in row] for row in rows])[0]
+    """The pivots of the reduced form mod ``p`` of the rational rows, from
+    the test-local reference elimination ``_reference_rref_mod_p``."""
+    return _reference_rref_mod_p(rows, p)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -464,16 +523,164 @@ def _residue_pivots(rows, p):
         min_size=ncols, max_size=ncols), min_size=1, max_size=5)))
 def test_independent_mod_p_agrees_with_the_residue_rref(spec, rows):
     # the same rational matrix as constants of a field, whose ring map
-    # picks the prime, and as residues mod that prime, taken as they are;
-    # the expected value comes from rref over the residues, not from the
-    # modp_rank that independent_mod_p calls
+    # picks the prime, and as residues mod that prime, taken as they are
+    # with the prime named; the expected value comes from the reference
+    # elimination mod p, not from the modp_rank that independent_mod_p calls
     field = FieldContext(spec)
     p = field.one().mod_p()[1]
     residues = RationalPointContext(2, 0, p)
     want = len(_residue_pivots(rows, p)) == len(rows[0])
     for ctx in (field, residues):
         matrix = [[ctx.from_monomial(x) for x in row] for row in rows]
-        assert independent_mod_p(matrix) == want, ctx
+        assert independent_mod_p(matrix, ctx.prime) == want, ctx
+
+
+# small primes, where a matrix is often singular mod p only, and the
+# package's primes
+_TEST_PRIMES = (7, 13) + _MODP_PRIMES
+
+
+@st.composite
+def _residue_cases(draw, square=False):
+    """A prime and rational rows to read mod it: negative and huge ints,
+    multiples of the prime, ``Fraction``s over units mod the prime, zero
+    rows, and a row that is a combination of two others plus multiples of
+    the prime, so singular mod p though often not over Q."""
+    p = draw(st.sampled_from(_TEST_PRIMES))
+    entries = st.one_of(
+        st.just(0), st.integers(-20, 20), st.integers(-2 ** 70, 2 ** 70),
+        st.builds(lambda k, e: k * p + e, st.integers(-3, 3),
+                  st.integers(-1, 1)),
+        st.builds(Fraction, st.integers(-40, 40),
+                  st.sampled_from((2, 3, 5, 12))),
+        st.builds(lambda k, d: Fraction(k * p, d), st.integers(-3, 3),
+                  st.sampled_from((2, 3))))
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 3 and draw(st.booleans()):
+        i, a, b = draw(st.permutations(range(nrows)))[:3]
+        ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [ca * x + cb * y + p * draw(st.integers(-1, 1))
+                   for x, y in zip(rows[a], rows[b])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    return p, rows
+
+
+def _elements(ctx, rows):
+    return [[ctx.from_monomial(x) if isinstance(x, Fraction) else x
+             for x in row] for row in rows]
+
+
+def _is_residue(x, p):
+    return type(x) is int and 0 <= x < p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_cases())
+def test_residue_rref_matches_the_fraction_elimination_mod_p(case):
+    p, rows = case
+    ctx = RationalPointContext(2, 0, p)
+    want = _reference_rref_mod_p(rows, p)
+    # ints as they are, which rref reads mod p, and Fractions as residues
+    elements = _elements(ctx, rows)
+    got = rref(ctx, elements)
+    assert got == want
+    assert all(_is_residue(x, p) for row in got[1] for x in row)
+    assert rref(ctx, [[_mod(x, p) for x in row] for row in rows]) == want
+    assert rank(ctx, elements) == len(want[0])
+    ncols = len(rows[0]) if rows else 0
+    for vec in kernel_basis(ctx, elements, ncols):
+        assert all(_is_residue(x, p) for x in vec)
+        assert not any(sum(a * x for a, x in zip(row, vec)) % p
+                       for row in elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_cases(square=True))
+def test_residue_invert_square_matches_the_fraction_elimination_mod_p(case):
+    p, matrix = case
+    ctx = RationalPointContext(2, 0, p)
+    got = invert_square(ctx, _elements(ctx, matrix))
+    assert got == _reference_inverse_mod_p(matrix, p)
+    if got is not None:
+        n = len(matrix)
+        residues = [[_mod(x, p) for x in row] for row in matrix]
+        assert all(_is_residue(x, p) for row in got for x in row)
+        assert mat_mul(ctx, residues, got) == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _dense_mat_mul(ctx, a, b):
+    """The product by the textbook triple loop over every entry, each
+    entry reduced at the end at a residue context."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        orow = []
+        for j in range(ncols):
+            acc = ctx.zero()
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            orow.append(acc % ctx.prime if ctx.prime else acc)
+        out.append(orow)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 4), st.data())
+def test_row_sparse_mat_mul_matches_the_dense_product(generic, m, k, n, data):
+    if generic:
+        ctx = _fc()
+        entries = st.one_of(st.just(ctx.zero()), _generic_values())
+    else:
+        p = data.draw(st.sampled_from(_TEST_PRIMES))
+        ctx = RationalPointContext(2, 0, p)
+        entries = st.one_of(st.just(0), st.integers(1, p - 1))
+    a = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    b = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    # a zero row of a and a zero column of b
+    if m:
+        a[data.draw(st.integers(0, m - 1))] = [ctx.zero()] * k
+    col = data.draw(st.integers(0, n - 1))
+    for row in b:
+        row[col] = ctx.zero()
+    got = mat_mul(ctx, a, b)
+    assert got == _dense_mat_mul(ctx, a, b)
+    if not generic:
+        assert all(_is_residue(x, ctx.prime) for row in got for x in row)
+
+
+class _Counted:
+    """An int that counts its truth tests and refuses to be multiplied
+    when either factor is zero."""
+
+    def __init__(self, value):
+        self.value = value
+        self.tests = 0
+
+    def __bool__(self):
+        self.tests += 1
+        return self.value != 0
+
+    def __mul__(self, other):
+        assert self.value and other.value, "a product with a zero factor"
+        return self.value * other.value
+
+
+def test_mat_mul_tests_each_entry_once_and_skips_zero_factors():
+    values_a = [[0, 2, 0], [0, 0, 0], [1, 0, 3]]
+    values_b = [[5, 0], [0, 0], [7, 1]]
+    a = [[_Counted(v) for v in row] for row in values_a]
+    b = [[_Counted(v) for v in row] for row in values_b]
+    got = mat_mul(RationalPointContext(2, 0), a, b)
+    assert got == _dense_mat_mul(_FractionField(), values_a, values_b)
+    assert all(x.tests == 1 for m in (a, b) for row in m for x in row)
 
 
 def _unit_denominators(den):

@@ -173,7 +173,8 @@ def test_residue_certificates_agree_with_exact_elimination(r, s,
             gram = repthy.gram_matrix(r, s, label, table=tab)
             assert gram.rank == len(linalg.rref(tab.ctx, gram.entries)[0])
     fast = {spec: _outcome(r, s, spec) for spec in cli.grid_fields()}
-    monkeypatch.setattr(linalg, "independent_mod_p", lambda rows: False)
+    monkeypatch.setattr(linalg, "independent_mod_p",
+                        lambda rows, prime=None: False)
     for spec in cli.grid_fields():
         assert _outcome(r, s, spec) == fast[spec], spec
 

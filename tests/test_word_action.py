@@ -86,3 +86,15 @@ def test_derived_inverse_matches_the_tensor_action():
     system = engine.CoordinateSystem.build(2, 1)
     assert _equal(system.action.letter(("gi", 1)),
                   system._letter_columns(("gi", 1)))
+
+
+def test_a_residue_view_writes_its_letter_matrices_reduced():
+    # the table source sums unreduced residue products; the kernel reduces
+    # each entry it writes, so a residue view's letters are the field's
+    # letter matrices mod p
+    tab = engine.structure_constants(2, 1, "qpow:3")
+    res = tab.residues()
+    for letter in engine.generator_letters(2, 1):
+        want = [[x.mod_p()[0] if x else 0 for x in row]
+                for row in tab.action.letter(letter)]
+        assert res.action.letter(letter) == want, letter
