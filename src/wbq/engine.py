@@ -34,7 +34,8 @@ over a field, at a rational point (their values there) and mod a prime
 word matrices reduce once per entry they write, as ``linalg`` states).
 Coordinate systems and tables take their
 right-multiplication matrices from ``words.WordAction``, which states the
-matrix convention.
+matrix convention.  A coordinate system reads a letter's matrix at its
+pivot coordinates only, from one kernel call on the support vectors.
 """
 
 import collections.abc
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .linalg import FieldContext, RationalPointContext
 from .scalars import FieldSpec
-from .tensor import TensorVector, act_letters, act_word, weight_of_index, weight_space
+from .tensor import TensorVector, act_word, basis_images, weight_of_index, weight_space
 
 FORMAT_VERSION = 1
 
@@ -121,6 +122,8 @@ class CoordinateSystem:
     rank certificate proves the rows linearly independent and supplies the
     pivot columns: their square is nonsingular mod p at a sample point, so
     it is invertible over ``ctx`` and expansion coefficients are unique.
+    A solve without the residual check reads only the pivot coordinates,
+    so the letter matrices of ``action`` are computed there alone.
     """
 
     __slots__ = (
@@ -150,7 +153,8 @@ class CoordinateSystem:
         """Build the coordinate system at rho = q^n (default n = r+s).
 
         Seed vectors have dense small random integer coefficients on
-        ``support`` (all of the tensor space by default) and are drawn
+        ``support`` (all of the tensor space by default, else a union of
+        weight spaces, which the letters preserve) and are drawn
         deterministically from ``seed``; more seeds are adjoined (up to
         ``max_seeds``) until the certified rank reaches (r+s)!, otherwise
         ``RankCertificationFailed`` is raised.  The pivot columns are the
@@ -280,16 +284,33 @@ class CoordinateSystem:
     # -- right-multiplication matrices -------------------------------------
 
     def _letter_columns(self, letter):
-        """Matrix of a positive letter, read off its action on the stored
-        tensor images of the basis words."""
-        nbasis = len(self.basis)
+        """Matrix of a letter, an inverse letter too, read at the pivot
+        coordinates only.  One kernel call gives the letter's image of
+        every support vector (``tensor.basis_images``); the coordinate of
+        basis word a at pivot ``col`` (seed ``k = col // len(support)``,
+        index ``j = support[col % len(support)]``) is the sum over the
+        support indices i of the coefficient of j in i * letter times the
+        stored image of a on seed k at i."""
+        ctx, support = self.ctx, self.support
+        width = len(support)
+        into = {support[col % width]: [] for col in self.pivots}
+        for idx, image in basis_images((letter,), self.n, self.r, self.s,
+                                       ctx, support).items():
+            for out, val in image.items():
+                if out in into:
+                    into[out].append((idx, val))
+        pivots = [(col, col // width, into[support[col % width]])
+                  for col in self.pivots]
+        zero = ctx.zero()
         cols = []
-        for a in range(nbasis):
-            images = [act_letters(img, [letter], self.n, self.r, self.s)
-                      for img in self.tensor_images[a]]
-            coords = self._flatten(self.ctx, images, self.support)
+        for images in self.tensor_images:
+            coords = {}
+            for col, k, terms in pivots:
+                entries = images[k].entries
+                coords[col] = sum((val * entries[idx] for idx, val in terms
+                                   if idx in entries), zero)
             cols.append(self._solve(coords, check=False))
-        return [[cols[a][c] for a in range(nbasis)] for c in range(nbasis)]
+        return [list(row) for row in zip(*cols)]
 
     def products(self):
         """Every nonzero product of two basis words, ``{(a, b): {c: value}}``
@@ -659,9 +680,24 @@ class ResidueConstants(SpecializedConstants):
 
     @functools.cached_property
     def ctx(self):
-        # a point context mod p gives the zero and the prime of the
-        # residues; its point is not read
-        return RationalPointContext(2, 0, scalars._modp_point(self.spec)[0])
+        """The residues' context: q goes where the ring map sends it
+        (``scalars._modp_point``), and rho to the power of that image that
+        the field ties rho to.  Where rho is free, it is no such power, and
+        the context serves only the zero and the prime."""
+        spec = self.spec
+        p, (q, _) = scalars._modp_point(spec)
+        tie = spec.a if spec.kind == "qpow" else spec.rho_a
+        return RationalPointContext(q, 0 if tie is None else tie, p)
+
+    @property
+    def action(self):
+        """The word action on residue columns; ``ValueError`` where rho
+        is free, as the context has no image of rho to read words with."""
+        spec = self.spec
+        if spec.kind == "generic" or spec.rho_kind == "free":
+            raise ValueError("no residue word action on %s: rho is free"
+                             % spec.to_string())
+        return super().action
 
     def _map(self):
         spec = self.spec

@@ -346,21 +346,26 @@ def act_word(v, element, n, r, s):
     return TensorVector(ctx, out)
 
 
-def basis_images(element, n, r, s):
-    """The images of the standard basis vectors under the right action of
-    a ``WordElement``, over rho = q^n, as ``{idx: {out_idx: Laurent}}``
-    with ``idx`` running over {1..n}^(r+s) in lexicographic order.
+def basis_images(element, n, r, s, ctx=None, indices=None):
+    """The images of standard basis vectors under the right action of
+    ``element``, a ``WordElement`` or a word (a tuple of letters, applied
+    by ``act_letters``), over rho = q^n, as ``{idx: {out_idx: value}}``
+    with ``idx`` running over ``indices`` (default all of {1..n}^(r+s) in
+    lexicographic order) and values in ``ctx`` (default None, the Laurent
+    domain).
 
-    One ``act_word`` call on the Laurent domain does it: each basis vector
-    gets its column number as a trailing index entry, which the letters
-    never read or move, so the images stay apart.
+    One kernel call does it: each basis vector gets its position in
+    ``indices`` as a trailing index entry, which the letters never read or
+    move, so the images stay apart.
     """
-    indices = list(product(range(1, n + 1), repeat=r + s))
-    one = scalars.Laurent({0: 1})
-    tagged = TensorVector(None, {idx + (col,): one
-                                 for col, idx in enumerate(indices)})
+    if indices is None:
+        indices = list(product(range(1, n + 1), repeat=r + s))
+    one = scalars.Laurent({0: 1}) if ctx is None else ctx.one()
+    tagged = TensorVector(ctx, {idx + (col,): one
+                                for col, idx in enumerate(indices)})
+    act = act_word if isinstance(element, WordElement) else act_letters
     images = {idx: {} for idx in indices}
-    for out, value in act_word(tagged, element, n, r, s).entries.items():
+    for out, value in act(tagged, element, n, r, s).entries.items():
         images[indices[out[-1]]][out[:-1]] = value
     return images
 

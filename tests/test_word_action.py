@@ -3,6 +3,7 @@ a tensor-model coordinate system, a bundled table and a cell module."""
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +99,27 @@ def test_a_residue_view_writes_its_letter_matrices_reduced():
         want = [[x.mod_p()[0] if x else 0 for x in row]
                 for row in tab.action.letter(letter)]
         assert res.action.letter(letter) == want, letter
+
+
+def _mod_p(mat):
+    return [[x.mod_p()[0] if x else 0 for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("field", ["qpow:3", "cyclo:4,rho=zeta^1"])
+def test_a_residue_view_acts_as_the_field_mod_p(field):
+    # inverse letters and word coefficients q^a rho^b are read at the
+    # images of q and rho under the field's ring map to Z/p
+    tab = engine.structure_constants(2, 1, field)
+    res = tab.residues()
+    for letter in _letters(2, 1):
+        assert res.action.letter(letter) == _mod_p(tab.action.letter(letter))
+    x = (words.WordElement.from_word((("gi", 1), words.E1), 3, 2, -1)
+         + words.WordElement.from_word((words.E1, ("g", 1)), -2, -1, 2))
+    assert res.action.element(x) == _mod_p(tab.action.element(x))
+
+
+@pytest.mark.parametrize("field", ["generic", "cyclo:4,rho=free"])
+def test_a_residue_view_refuses_to_act_where_rho_is_free(field):
+    res = engine.structure_constants(2, 1, field).residues()
+    with pytest.raises(ValueError, match="rho is free"):
+        res.action
