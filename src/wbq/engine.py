@@ -157,7 +157,8 @@ class CoordinateSystem:
         weight spaces, which the letters preserve) and are drawn
         deterministically from ``seed``; more seeds are adjoined (up to
         ``max_seeds``) until the certified rank reaches (r+s)!, otherwise
-        ``RankCertificationFailed`` is raised.  The pivot columns are the
+        ``RankCertificationFailed`` is raised.  One kernel call gives a
+        seed's images under the whole cell basis.  The pivot columns are the
         ones the modular rank certificate chose, and their square is
         inverted over ``ctx`` directly.
         """
@@ -182,7 +183,7 @@ class CoordinateSystem:
             vec = TensorVector(
                 ctx, {idx: ctx.from_monomial(rng.randint(1, 9)) for idx in support})
             seeds.append(vec)
-            new_cols = [act_word(vec, rec.element, n, r, s) for rec in basis]
+            new_cols = act_word(vec, [rec.element for rec in basis], n, r, s)
             if rows is None:
                 tensor_images = [[img] for img in new_cols]
                 rows = [cls._flatten(ctx, [img], support) for img in new_cols]

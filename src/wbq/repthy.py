@@ -676,38 +676,68 @@ def alt_cell_realization_check(r, s, label, field=None, cache_dir=None,
 # the image inside endomorphisms of the tensor space
 # ---------------------------------------------------------------------------
 
-def _laurent_rows(n, r, s, basis):
+def _operator_rows(n, r, s, basis, ctx=None, value=None):
     """The operator of each basis word on the tensor space over rho = q^n,
-    as a sparse row ``{column: k}`` into a list of the distinct ``Laurent``
-    entries, and the position of each column: ``(rows, values, support)``.
-
-    Position i * width + j holds the coefficient of the i-th standard
-    basis vector in the image of the j-th, in the lexicographic order of
-    the width standard indices.  Only the positions where some row is
-    nonzero are columns, in their order; a position that is zero as a
-    Laurent polynomial is zero at every q = t, so dropping it changes
-    neither the rank, nor which columns are pivots, nor the left kernel."""
+    as a sparse row ``{i * width + j: entry}``: position i * width + j
+    holds the coefficient of the i-th standard basis vector in the image
+    of the j-th, in the lexicographic order of the width standard indices.
+    Entries are values in ``ctx`` (default None, ``Laurent`` polynomials),
+    each passed through ``value`` when it is given.  One kernel call on
+    the tagged standard basis (``tensor.tagged_basis``) applies every
+    basis word; each image is read straight into its row and dropped."""
     indices = list(itertools.product(range(1, n + 1), repeat=r + s))
     slot = {idx: k for k, idx in enumerate(indices)}
     width = len(indices)
+    images = tensor.act_word(tensor.tagged_basis(indices, ctx),
+                             [rec.element for rec in basis], n, r, s)
+    rows = []
+    for k, image in enumerate(images):
+        images[k] = None
+        rows.append({slot[out[:-1]] * width + out[-1]:
+                     x if value is None else value(x)
+                     for out, x in image.entries.items()})
+    return rows
+
+
+def _laurent_rows(n, r, s, basis):
+    """The rows of ``_operator_rows`` over rho = q^n as sparse rows
+    ``{column: k}`` into a list of the distinct ``Laurent`` entries, and
+    the position of each column: ``(rows, values, support)``.
+
+    Only the positions where some row is nonzero are columns, in their
+    order; a position that is zero as a Laurent polynomial is zero at
+    every q = t, so dropping it changes neither the rank, nor which
+    columns are pivots, nor the left kernel."""
     distinct = {}
     values = []
-    sparse = []
-    for rec in basis:
-        images = tensor.basis_images(rec.element, n, r, s)
-        row = {}
-        for col, idx in enumerate(indices):
-            for out_idx, value in images[idx].items():
-                key = tuple(sorted(value.items()))
-                if key not in distinct:
-                    distinct[key] = len(values)
-                    values.append(value)
-                row[slot[out_idx] * width + col] = distinct[key]
-        sparse.append(row)
+
+    def intern(value):
+        key = tuple(sorted(value.items()))
+        k = distinct.get(key)
+        if k is None:
+            k = distinct[key] = len(values)
+            values.append(value)
+        return k
+
+    sparse = _operator_rows(n, r, s, basis, value=intern)
     support = sorted(set().union(*sparse))
     column = {pos: k for k, pos in enumerate(support)}
     rows = [{column[pos]: k for pos, k in row.items()} for row in sparse]
     return rows, values, support
+
+
+def _residue_rank(n, r, s, basis):
+    """The rank mod p of the operator rows at q = 2, rho = 2^n, built on
+    the residues mod the first prime of ``linalg._MODP_PRIMES``.  Their
+    entries are the images of the Laurent entries under a ring map to
+    Z/p, so every minor that is nonzero mod p is nonzero over Q(q): the
+    rank never exceeds the rank over the field."""
+    prime = linalg._MODP_PRIMES[0]
+    rows = _operator_rows(n, r, s, basis,
+                          RationalPointContext(2, n, prime))
+    support = sorted(set().union(*rows))
+    dense = [[row.get(pos, 0) for pos in support] for row in rows]
+    return linalg.modp_rank(dense, prime)[0]
 
 
 def _rows_at(ctx, operator):
@@ -781,19 +811,25 @@ def schur_weyl_rank(n, r, s):
     """Exact dimension of the image of the algebra inside the endomorphism
     ring of the mixed tensor space with ``n`` rows.
 
-    The operator rows of the basis words are built once, as Laurent
-    polynomials on the positions where some row is nonzero, and evaluated
-    exactly at each rational sample point.  The lower bound is a modular
-    rank at such a point; when it falls short of the number of basis
-    words, the gap is certified by exhibiting symbolically verified kernel
-    elements.  The evaluated rows and pivots of the two lower-bound points
-    are reused as sample points.
+    The operator rows of the basis words are first built on residues at
+    q = 2 (``_residue_rank``): that rank never exceeds the rank over the
+    field, and the row count, (r+s)!, bounds it above, so when it is full
+    it is the answer and no Laurent row is built.  Otherwise the rows are
+    built once, as Laurent polynomials on the positions where some row is
+    nonzero, and evaluated exactly at each rational sample point.  The
+    lower bound is a modular rank at such a point; when it falls short of
+    the number of basis words, the gap is certified by exhibiting
+    symbolically verified kernel elements.  The evaluated rows and pivots
+    of the two lower-bound points are reused as sample points.
     """
     key = (n, r, s)
     if key in _SW_MEMO:
         return _SW_MEMO[key]
     basis = engine.cell_basis(r, s)
     nbasis = len(basis)
+    if _residue_rank(n, r, s, basis) == nbasis:
+        _SW_MEMO[key] = nbasis
+        return nbasis
     operator = _laurent_rows(n, r, s, basis)
     lower = 0
     sampled = {}
@@ -864,7 +900,8 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
     The entries P_a / Q_a are brought over the common denominator, which
     is nonzero, into one ``WordElement`` X = sum_a P_a * prod_{b != a} Q_b
     * basis[a]; X kills the tensor space exactly when the combination
-    does."""
+    does.  One tagged kernel call (``tensor.basis_images``) gives the
+    image of every standard index."""
     ctx = FieldContext(spec)
     fractions = [(a, entries[a].to_laurent()) for a in range(len(basis))
                  if entries[a]]
@@ -877,13 +914,10 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
                 num = num * den
         for exp, c in num.items():
             combination = combination + basis[a].element.scaled(c, exp)
-    for idx in itertools.product(range(1, n + 1), repeat=r + s):
-        image = tensor.act_word(tensor.TensorVector.basis(ctx, idx),
-                                combination, n, r, s)
-        if not image.is_zero():
-            raise RankCertificationFailed(
-                "the interpolated kernel element does not annihilate "
-                "the tensor space")
+    if any(tensor.basis_images(combination, n, r, s, ctx).values()):
+        raise RankCertificationFailed(
+            "the interpolated kernel element does not annihilate "
+            "the tensor space")
 
 
 # ---------------------------------------------------------------------------
@@ -902,10 +936,15 @@ def random_tensor_vector(ctx, n, size, rng):
 
 def relation_suite(r, s, field=None, n=None, sample=None, seed=11):
     """Names of defining relations that fail as exact operator identities
-    on the tensor space (empty list means the whole suite holds).
+    on the tensor space (empty list means the whole suite holds), in the
+    order of ``words.presentation_relations``.
 
     By default every standard basis vector is checked; ``sample`` switches
-    to that many pseudo-random vectors drawn from ``seed``.
+    to that many pseudo-random vectors drawn from ``seed``.  Each vector
+    gets its position as a trailing index entry, which the letters never
+    read or move, so one kernel call applies every relation difference to
+    all of them at once and the images stay apart; a relation fails when
+    its image is nonzero.
     """
     n = (r + s) if n is None else n
     spec = FieldSpec.qpower(n) if field is None else _as_spec(field)
@@ -918,14 +957,14 @@ def relation_suite(r, s, field=None, n=None, sample=None, seed=11):
         rng = random.Random(seed)
         vectors = [random_tensor_vector(ctx, n, r + s, rng)
                    for _ in range(sample)]
-    failures = []
-    for name, lhs, rhs in words.presentation_relations(r, s):
-        difference = lhs - rhs
-        for v in vectors:
-            if not tensor.act_word(v, difference, n, r, s).is_zero():
-                failures.append(name)
-                break
-    return failures
+    tagged = tensor.TensorVector(ctx, {
+        idx + (k,): value for k, v in enumerate(vectors)
+        for idx, value in v.entries.items()})
+    relations = words.presentation_relations(r, s)
+    images = tensor.act_word(tagged, [lhs - rhs for _, lhs, rhs in relations],
+                             n, r, s)
+    return [name for (name, _, _), image in zip(relations, images)
+            if not image.is_zero()]
 
 
 # ---------------------------------------------------------------------------

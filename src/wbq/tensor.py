@@ -17,9 +17,19 @@ constants built once per point and n; residues are accumulated as
 unreduced ints, and ``_lower`` reduces each output entry once.  A vector
 whose context is None lives on the Laurent domain itself (rho = q^n): its
 entries are ``Laurent`` polynomials, which the kernel takes and returns
-unlifted and unlowered.  ``basis_images`` acts there on all the standard
-basis vectors in one call; the Schur-Weyl rows are built from it once per
-(n, r, s) and then evaluated at rational points.
+unlifted and unlowered.
+
+``act_word`` also takes a list of ``WordElement``s and returns the list of
+their images of one vector, in one pass: the distinct words of all the
+elements are walked in lexicographic order, so inside each lift group
+the image of every distinct word prefix is computed once.  Many vectors
+go through one call by tagging: each gets its position as a trailing
+index entry, which the letters never read or move, so the images stay
+apart (``tagged_basis`` tags the standard basis vectors).
+``basis_images`` acts so on all of them under one element; the
+Schur-Weyl rows are built from one call on the whole cell basis, and
+``repthy.relation_suite`` applies every relation to all its sample
+vectors in one call.
 
 The quantum enveloping algebra of gl_n acts on the left by ``act_E``,
 ``act_F``, ``act_K`` and the divided powers E_i^{(ell)} on the same
@@ -40,7 +50,7 @@ physical order.
 
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from . import scalars
@@ -321,29 +331,71 @@ def act_letters(v, letters, n, r, s):
 
 
 def act_word(v, element, n, r, s):
-    """Right action of a ``WordElement``: each coefficient, read as
-    written with rho = q^n, scales the image of its word."""
+    """Right action of a ``WordElement``, or of each element of a list of
+    them (returning the list of images): each coefficient, read as
+    written with rho = q^n, scales the image of its word.
+
+    The distinct words of all the elements are walked in lexicographic
+    order, so the words that share a prefix are neighbours: inside each
+    ``_lift`` group the image of every distinct prefix is computed once,
+    and only the prefixes of the current word are kept."""
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
     monomial = _monomials(ctx, n)
+    single = isinstance(element, WordElement)
+    elements = (element,) if single else element
     terms = []
-    for word, bucket in element.terms.items():
-        coeff = reduce(operator.add, [monomial(c, a, b)
-                                      for (a, b), c in bucket.items()])
-        if coeff:
-            terms.append((word, coeff))
-    out = {}
+    for pos, x in enumerate(elements):
+        for word, bucket in x.terms.items():
+            coeff = None
+            for (a, b), c in bucket.items():
+                term = monomial(c, a, b)
+                coeff = term if coeff is None else coeff + term
+            if coeff:
+                terms.append((word, pos, coeff))
+    terms.sort(key=operator.itemgetter(0))
+    outs = [{} for _ in elements]
     for den, entries in _lift(v):
-        image = {}
-        for word, coeff in terms:
-            part = entries
-            for letter in word:
-                part = _act(part, letter, n, r, s, consts)
+        images = [{} for _ in elements]
+        # path[k] is the image of the first k letters of ``last``
+        path, last, part = [entries], (), entries
+        for word, pos, coeff in terms:
+            if word != last:
+                k = 0
+                for a, b in zip(last, word):
+                    if a != b:
+                        break
+                    k += 1
+                del path[k + 1:]
+                part = path[-1]
+                for letter in word[k:]:
+                    part = _act(part, letter, n, r, s, consts)
+                    path.append(part)
+                last = word
+            image = images[pos]
             for idx, val in part.items():
                 _accum(image, idx, coeff * val)
-        out = _lower(ctx, den, image, out)
-    return TensorVector(ctx, out)
+        # the prefix images and each lowered image are dropped at once,
+        # so a residue image and its reduced copy do not pile up
+        path = part = None
+        for pos, image in enumerate(images):
+            outs[pos] = _lower(ctx, den, image, outs[pos])
+            images[pos] = None
+    if single:
+        return TensorVector(ctx, outs[0])
+    return [TensorVector(ctx, out) for out in outs]
+
+
+def tagged_basis(indices, ctx=None):
+    """The standard basis vectors of ``indices`` as one vector over ``ctx``
+    (default None, the Laurent domain), each tagged with its position in
+    ``indices`` as a trailing index entry.  The letters never read or move
+    that entry, so one kernel call acts on all of them and their images
+    stay apart."""
+    one = scalars.Laurent({0: 1}) if ctx is None else ctx.one()
+    return TensorVector(ctx, {idx + (col,): one
+                              for col, idx in enumerate(indices)})
 
 
 def basis_images(element, n, r, s, ctx=None, indices=None):
@@ -352,20 +404,14 @@ def basis_images(element, n, r, s, ctx=None, indices=None):
     by ``act_letters``), over rho = q^n, as ``{idx: {out_idx: value}}``
     with ``idx`` running over ``indices`` (default all of {1..n}^(r+s) in
     lexicographic order) and values in ``ctx`` (default None, the Laurent
-    domain).
-
-    One kernel call does it: each basis vector gets its position in
-    ``indices`` as a trailing index entry, which the letters never read or
-    move, so the images stay apart.
+    domain).  One kernel call on ``tagged_basis(indices, ctx)`` does it.
     """
     if indices is None:
         indices = list(product(range(1, n + 1), repeat=r + s))
-    one = scalars.Laurent({0: 1}) if ctx is None else ctx.one()
-    tagged = TensorVector(ctx, {idx + (col,): one
-                                for col, idx in enumerate(indices)})
     act = act_word if isinstance(element, WordElement) else act_letters
     images = {idx: {} for idx in indices}
-    for out, value in act(tagged, element, n, r, s).entries.items():
+    for out, value in act(tagged_basis(indices, ctx), element,
+                          n, r, s).entries.items():
         images[indices[out[-1]]][out[:-1]] = value
     return images
 

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -486,20 +487,57 @@ def test_laurent_rows_match_the_dense_operator_rows():
                 linalg.modp_rank_robust(dense), (n, r, s, t)
 
 
+# every Schur-Weyl key of the tier-1 tests and of the benchmark workloads,
+# with its rank; None marks the n = 2, r + s = 4 certification defect
+SCHUR_WEYL_RANKS = {(1, 1, 1): 1, (2, 1, 1): 2, (3, 1, 1): 2, (3, 1, 2): 6,
+                    (3, 2, 1): 6, (2, 2, 1): 5, (3, 2, 2): 23, (4, 3, 1): 24,
+                    (4, 2, 2): 24, (4, 1, 3): 24, (2, 2, 2): None,
+                    (2, 3, 1): None, (2, 1, 3): None}
+
+
 def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
     # the ranks and the n = 2, r + s = 4 defect of the dense rows, for the
-    # keys above and those of acceptance criterion 07, computed afresh
+    # keys above and those of acceptance criterion 07, computed afresh,
+    # with the residue bound and with it switched off (the Laurent path
+    # alone); the bound never exceeds the rank and is full where it is
+    residue_rank = repthy._residue_rank
+    bounds = {}
+
+    def recorded(n, r, s, basis):
+        bounds[n, r, s] = residue_rank(n, r, s, basis)
+        return bounds[n, r, s]
+
+    for bound in (recorded, lambda *args: -1):
+        monkeypatch.setattr(repthy, "_SW_MEMO", {})
+        monkeypatch.setattr(repthy, "_residue_rank", bound)
+        for key, rank in SCHUR_WEYL_RANKS.items():
+            if rank is not None:
+                assert repthy.schur_weyl_rank(*key) == rank, key
+                continue
+            with pytest.raises(RankCertificationFailed) as info:
+                repthy.schur_weyl_rank(*key)
+            assert str(info.value) == \
+                "no small rational function fits the data"
+        assert set(repthy._SW_MEMO) == \
+            {key for key, rank in SCHUR_WEYL_RANKS.items() if rank}
+    assert set(bounds) == set(SCHUR_WEYL_RANKS)
+    for (n, r, s), bound in bounds.items():
+        rank = SCHUR_WEYL_RANKS[n, r, s]
+        full = math.factorial(r + s)
+        assert bound <= (full if rank is None else rank), (n, r, s)
+        assert (bound == full) == (rank == full), (n, r, s)
+
+
+def test_full_schur_weyl_ranks_build_no_laurent_rows(monkeypatch):
+    # a full rank of the residue rows at q = 2 is the answer
     monkeypatch.setattr(repthy, "_SW_MEMO", {})
-    ranks = {(2, 2, 1): 5, (3, 2, 2): 23, (4, 3, 1): 24, (3, 2, 1): 6,
-             (4, 2, 2): 24, (2, 1, 1): 2, (3, 1, 1): 2, (3, 1, 2): 6,
-             (1, 1, 1): 1}
-    for key, rank in ranks.items():
-        assert repthy.schur_weyl_rank(*key) == rank, key
-    for key in ((2, 2, 2), (2, 3, 1), (2, 1, 3)):
-        with pytest.raises(RankCertificationFailed) as info:
-            repthy.schur_weyl_rank(*key)
-        assert str(info.value) == "no small rational function fits the data"
-    assert set(repthy._SW_MEMO) == set(ranks)
+
+    def refuse(*args):
+        raise AssertionError("Laurent rows built for a full rank")
+
+    monkeypatch.setattr(repthy, "_laurent_rows", refuse)
+    for n, r, s in ((4, 3, 1), (4, 2, 2), (4, 1, 3), (3, 2, 1)):
+        assert repthy.schur_weyl_rank(n, r, s) == math.factorial(r + s)
 
 
 def test_n2_fits_eliminate_on_integers_and_still_find_no_function(
@@ -600,20 +638,44 @@ def test_relation_suite_names_an_injected_false_relation(monkeypatch):
     original = words.presentation_relations
     W = words.WordElement.from_word
     g1 = (("g", 1),)
+    # the quadratic relation of the other braid convention
+    false = ("g1_quadratic_other_convention", W(g1 + g1),
+             W(g1, -1, 1, 0) + W(g1, 1, -1, 0) + words.WordElement.unit())
+    act_word = tensor.act_word
+    calls = []
 
-    def injected(r, s):
+    def counted(*args):
+        calls.append(len(args[1]))
+        return act_word(*args)
+
+    monkeypatch.setattr(tensor, "act_word", counted)
+    count = len(original(2, 2))
+    for where in (0, 1, count):
+        def injected(r, s, where=where):
+            rels = list(original(r, s))
+            rels.insert(where, false)
+            # a true relation written another way is not named
+            rels.append(("g1_doubled", W(g1) + W(g1), W(g1, 2)))
+            return rels
+
+        monkeypatch.setattr(repthy.words, "presentation_relations", injected)
+        for sample in (None, 10):
+            del calls[:]
+            assert repthy.relation_suite(2, 2, sample=sample) == \
+                ["g1_quadratic_other_convention"], (where, sample)
+            # one kernel call for every relation on every vector
+            assert calls == [count + 2]
+
+    # two false relations are named in presentation order
+    def two(r, s):
         rels = list(original(r, s))
-        # the quadratic relation of the other braid convention
-        wrong = W(g1, -1, 1, 0) + W(g1, 1, -1, 0) + words.WordElement.unit()
-        rels.insert(1, ("g1_quadratic_other_convention", W(g1 + g1), wrong))
-        # a true relation written another way is not named
-        rels.append(("g1_doubled", W(g1) + W(g1), W(g1, 2)))
-        return rels
+        rels.insert(0, ("g1_twice", W(g1 + g1), W(g1, 2)))
+        return rels + [false]
 
-    monkeypatch.setattr(words, "presentation_relations", injected)
+    monkeypatch.setattr(repthy.words, "presentation_relations", two)
     for sample in (None, 10):
         assert repthy.relation_suite(2, 2, sample=sample) == \
-            ["g1_quadratic_other_convention"]
+            ["g1_twice", "g1_quadratic_other_convention"]
 
 
 def test_relation_suites_run_without_field_arithmetic(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -309,6 +310,114 @@ def test_basis_images_are_the_lifted_images_of_the_basis_vectors(x, n):
                    for out, val in image.items()}
         want = tensor.act_word(TensorVector.basis(ctx, idx), x, n, 2, 2)
         assert TensorVector(ctx, lowered) == want
+
+
+def _list_cases():
+    """(context, n, vector builder) for the list form of ``act_word``: a
+    residue point, a Fraction point, qpow:n with one entry whose
+    denominator is not a monomial (two ``_lift`` groups), a cyclotomic
+    field with rho = zeta^n, and the Laurent domain (context None)."""
+    qpow = FieldContext(FieldSpec.qpower(4))
+    q = _mono(qpow, 1, 1)
+
+    def two_groups(rng):
+        v = _random_vector(qpow, 4, 4, rng)
+        v.entries[(1, 2, 1, 3)] = _mono(qpow, 2, -1) / (qpow.one() + q)
+        return v
+
+    def laurent(rng):
+        return TensorVector(None, {
+            tuple(rng.randrange(1, 4) for _ in range(4)):
+            scalars.Laurent({rng.randrange(-2, 3): rng.randrange(1, 5)})
+            for _ in range(4)})
+
+    def plain(ctx, n):
+        return lambda rng: _random_vector(ctx, n, 4, rng)
+
+    residue = RationalPointContext(3, 4, 2147483647)
+    fraction = RationalPointContext(Fraction(2, 3), 4)
+    cyclo = FieldContext(FieldSpec.cyclotomic(3, rho=0))
+    return [(residue, 4, plain(residue, 4)), (fraction, 4, plain(fraction, 4)),
+            (qpow, 4, two_groups), (cyclo, 3, plain(cyclo, 3)),
+            (None, 3, laurent)]
+
+
+_LIST_CASES = _list_cases()
+
+
+def _by_words(v, element, n, r, s):
+    """``act_word``'s answer from ``act_letters``, one word at a time."""
+    ctx = v.ctx
+    out = {}
+    for word, c, a, b in element.monomials():
+        coeff = (scalars.Laurent({a + n * b: c}) if ctx is None
+                 else ctx.from_monomial(c, a, b))
+        for idx, val in tensor.act_letters(v, word, n, r, s).entries.items():
+            tensor._accum(out, idx, coeff * val)
+    if ctx is not None and ctx.prime:
+        out = {idx: val % ctx.prime for idx, val in out.items()
+               if val % ctx.prime}
+    return TensorVector(ctx, out)
+
+
+def _prefix_sharing_elements():
+    """Lists of word elements whose words extend prefixes of one stem, so
+    that many share a prefix; an element with no terms is zero."""
+    letters = st.sampled_from(_all_letters(2, 2))
+    term = st.tuples(st.integers(0, 5), st.lists(letters, max_size=2),
+                     st.integers(-3, 3).filter(bool), st.integers(-2, 2),
+                     st.integers(-1, 1))
+
+    def build(stem, elements):
+        out = []
+        for terms in elements:
+            x = words.WordElement.zero()
+            for cut, tail, c, qexp, rhoexp in terms:
+                x = x + words.WordElement.from_word(
+                    stem[:cut] + tail, c, qexp, rhoexp)
+            out.append(x)
+        return out
+
+    return st.builds(build, st.lists(letters, min_size=5, max_size=5),
+                     st.lists(st.lists(term, max_size=4), min_size=1,
+                              max_size=5))
+
+
+def _check_list_form(v, elements, n, r, s):
+    got = tensor.act_word(v, elements, n, r, s)
+    assert isinstance(got, list) and len(got) == len(elements)
+    for x, image in zip(elements, got):
+        assert isinstance(image, TensorVector) and image.ctx is v.ctx
+        assert image == tensor.act_word(v, x, n, r, s), (v.ctx, x)
+        assert image == _by_words(v, x, n, r, s), (v.ctx, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_prefix_sharing_elements(), st.integers(0, 2**32))
+def test_act_word_on_a_list_is_the_list_of_images(elements, seed):
+    rng = random.Random(seed)
+    for ctx, n, vector in _LIST_CASES:
+        _check_list_form(vector(rng), elements, n, 2, 2)
+
+
+def test_act_word_on_the_cell_basis_is_the_list_of_images():
+    rng = random.Random(7)
+    elements = [rec.element for rec in engine.cell_basis(2, 2)]
+    elements.insert(5, words.WordElement.zero())
+    for ctx, n, vector in _LIST_CASES:
+        v = vector(rng)
+        if isinstance(ctx, FieldContext) and ctx.spec.kind == "qpow":
+            assert len(tensor._lift(v)) == 2
+        _check_list_form(v, elements, n, 2, 2)
+        assert tensor.act_word(v, [], n, 2, 2) == []
+    # the right action needs rho = q^n: generic and free rho refuse both
+    # forms alike
+    for spec in (FieldSpec.generic(), FieldSpec.from_string("cyclo:3")):
+        ctx = FieldContext(spec)
+        v = TensorVector.basis(ctx, (1, 2, 1, 2))
+        for x in (elements[1], elements[:3]):
+            with pytest.raises(ValueError):
+                tensor.act_word(v, x, 4, 2, 2)
 
 
 # The Scalar action that the Laurent lift replaced: the same kernel ``_act``
