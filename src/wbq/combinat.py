@@ -9,6 +9,7 @@ pairs of partitions.  A cell label is a pair (f, (lambda1, lambda2)) with
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 import math
 
@@ -284,21 +285,42 @@ def _perm_from_tableaux(t_initial, t_target):
     return out
 
 
-def _reduced_word_from_perm(perm, f, size):
-    """Reduced word (list of adjacent-transposition indices, applied left to
-    right on values) for the permutation of {f+1, ..., f+size} given as a dict."""
-    oneline = [perm[f + k] - f for k in range(1, size + 1)]
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, size):
-            if oneline[i - 1] > oneline[i]:
-                word.append(f + i)
-                oneline[i - 1], oneline[i] = oneline[i], oneline[i - 1]
-                changed = True
-                break
-    return word
+@lru_cache(maxsize=None)
+def symmetric_group_words(m):
+    """All of S_m as a dict one-line-tuple -> one reduced word.
+
+    Words are tuples of simple-reflection indices s_i (1-based), to be read
+    left to right.  Built breadth-first from the identity, so each word is
+    reduced and the map is deterministic.
+    """
+    start = tuple(range(1, m + 1))
+    out = {start: ()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            word = out[perm]
+            for i in range(1, m):
+                if perm[i - 1] < perm[i]:
+                    swapped = (
+                        perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]
+                    )
+                    if swapped not in out:
+                        out[swapped] = word + (i,)
+                        nxt.append(swapped)
+        frontier = nxt
+    return out
+
+
+def _d_word(perm, f, size):
+    """Reduced word (adjacent-transposition indices above ``f``, applied
+    left to right on values) for the permutation of {f+1, ..., f+size}
+    given as a dict: the word of its inverse one-line form in the
+    breadth-first table of S_size."""
+    inverse = [0] * size
+    for k in range(1, size + 1):
+        inverse[perm[f + k] - f - 1] = k
+    return [f + i for i in symmetric_group_words(size)[tuple(inverse)]]
 
 
 class DPair:
@@ -316,10 +338,8 @@ def d_of(t):
     """d(t) for a TableauPair t, relative to the row-filled initial tableau."""
     shape1, shape2 = t.shape()
     t_row = TableauPair(t.f, _row_fill(shape1, t.f + 1), _row_fill(shape2, t.f + 1))
-    p1 = _perm_from_tableaux(t_row.rows1, t.rows1)
-    p2 = _perm_from_tableaux(t_row.rows2, t.rows2)
-    w1 = _reduced_word_from_perm(p1, t.f, sum(shape1))
-    w2 = _reduced_word_from_perm(p2, t.f, sum(shape2))
+    w1 = _d_word(_perm_from_tableaux(t_row.rows1, t.rows1), t.f, sum(shape1))
+    w2 = _d_word(_perm_from_tableaux(t_row.rows2, t.rows2), t.f, sum(shape2))
     return DPair(w1, w2)
 
 

@@ -61,7 +61,8 @@ from .errors import (
 )
 from .linalg import FieldContext, RationalPointContext
 from .scalars import FieldSpec
-from .tensor import TensorVector, act_word, basis_images, weight_of_index, weight_space
+from .tensor import (TensorVector, act_letters, act_word, tagged_basis,
+                     weight_of_index, weight_space)
 
 FORMAT_VERSION = 1
 
@@ -286,20 +287,23 @@ class CoordinateSystem:
 
     def _letter_columns(self, letter):
         """Matrix of a letter, an inverse letter too, read at the pivot
-        coordinates only.  One kernel call gives the letter's image of
-        every support vector (``tensor.basis_images``); the coordinate of
-        basis word a at pivot ``col`` (seed ``k = col // len(support)``,
-        index ``j = support[col % len(support)]``) is the sum over the
-        support indices i of the coefficient of j in i * letter times the
-        stored image of a on seed k at i."""
+        coordinates only.  One ``act_letters`` call on the tagged support
+        vectors (``tensor.tagged_basis``) gives the letter's image of every
+        one of them, and each output ``(j, k)`` is filed at once under the
+        pivot index j with the k-th support index.  The coordinate of basis
+        word a at pivot ``col`` (seed ``k = col // len(support)``, index
+        ``j = support[col % len(support)]``) is the sum over the support
+        indices i of the coefficient of j in i * letter times the stored
+        image of a on seed k at i."""
         ctx, support = self.ctx, self.support
         width = len(support)
         into = {support[col % width]: [] for col in self.pivots}
-        for idx, image in basis_images((letter,), self.n, self.r, self.s,
-                                       ctx, support).items():
-            for out, val in image.items():
-                if out in into:
-                    into[out].append((idx, val))
+        image = act_letters(tagged_basis(support, ctx), (letter,),
+                            self.n, self.r, self.s)
+        for out, val in image.entries.items():
+            terms = into.get(out[:-1])
+            if terms is not None:
+                terms.append((support[out[-1]], val))
         pivots = [(col, col // width, into[support[col % width]])
                   for col in self.pivots]
         zero = ctx.zero()

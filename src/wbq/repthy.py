@@ -804,9 +804,6 @@ def _poly_scalar(spec, coeffs):
     return total
 
 
-_SW_MEMO = {}
-
-
 def schur_weyl_rank(n, r, s):
     """Exact dimension of the image of the algebra inside the endomorphism
     ring of the mixed tensor space with ``n`` rows.
@@ -822,13 +819,9 @@ def schur_weyl_rank(n, r, s):
     symbolically verified kernel elements.  The evaluated rows and pivots
     of the two lower-bound points are reused as sample points.
     """
-    key = (n, r, s)
-    if key in _SW_MEMO:
-        return _SW_MEMO[key]
     basis = engine.cell_basis(r, s)
     nbasis = len(basis)
     if _residue_rank(n, r, s, basis) == nbasis:
-        _SW_MEMO[key] = nbasis
         return nbasis
     operator = _laurent_rows(n, r, s, basis)
     lower = 0
@@ -839,7 +832,6 @@ def schur_weyl_rank(n, r, s):
         sampled[t] = rows, pivots
         lower = max(lower, rank_t)
         if lower == nbasis:
-            _SW_MEMO[key] = nbasis
             return nbasis
     gap = nbasis - lower
     kernels = _kernel_interpolation(n, r, s, basis, gap, operator, sampled)
@@ -847,7 +839,6 @@ def schur_weyl_rank(n, r, s):
         raise RankCertificationFailed(
             "found %d certified kernel elements, wanted %d"
             % (len(kernels), gap))
-    _SW_MEMO[key] = lower
     return lower
 
 
@@ -900,8 +891,9 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
     The entries P_a / Q_a are brought over the common denominator, which
     is nonzero, into one ``WordElement`` X = sum_a P_a * prod_{b != a} Q_b
     * basis[a]; X kills the tensor space exactly when the combination
-    does.  One tagged kernel call (``tensor.basis_images``) gives the
-    image of every standard index."""
+    does.  One ``act_word`` call on the tagged standard basis
+    (``tensor.tagged_basis``) gives the image of every standard index at
+    once, and they all vanish exactly when that one image does."""
     ctx = FieldContext(spec)
     fractions = [(a, entries[a].to_laurent()) for a in range(len(basis))
                  if entries[a]]
@@ -914,7 +906,9 @@ def _verify_kernel_element(n, r, s, basis, spec, entries):
                 num = num * den
         for exp, c in num.items():
             combination = combination + basis[a].element.scaled(c, exp)
-    if any(tensor.basis_images(combination, n, r, s, ctx).values()):
+    indices = list(itertools.product(range(1, n + 1), repeat=r + s))
+    if not tensor.act_word(tensor.tagged_basis(indices, ctx), combination,
+                           n, r, s).is_zero():
         raise RankCertificationFailed(
             "the interpolated kernel element does not annihilate "
             "the tensor space")

@@ -7,29 +7,30 @@ and ``act_word``, which both apply one letter at a time through the
 kernel ``_act``.  The letters only multiply by q^{+-1}, +-(q - q^{-1})
 and q^{2i-n-1}, and add, so over a field (``qpow:n``, or ``cyclo:m`` with
 rho = zeta^a, a = n mod m) the kernel runs on ``scalars.Laurent``
-polynomials in q: the vector's entries are lifted once on entry (an entry
-whose denominator is not a monomial goes in a group of its own, divided
-back in at the end), the word coefficients q^a rho^b become q^{a+nb},
-and each output entry is lowered to a field value once.  The
-Laurent letter constants are built once per n.  At a rational point, or
-its residues mod a prime, the kernel runs on the point's own values with
-constants built once per point and n; residues are accumulated as
-unreduced ints, and ``_lower`` reduces each output entry once.  A vector
-whose context is None lives on the Laurent domain itself (rho = q^n): its
-entries are ``Laurent`` polynomials, which the kernel takes and returns
-unlifted and unlowered.
+polynomials in q: the vector's entries are lifted once on entry, over
+one denominator (None unless some entry's denominator is not a
+monomial, which no traffic creates), the word coefficients q^a rho^b
+become q^{a+nb}, and each output entry is lowered to a field value and
+divided by that denominator once.  The Laurent letter constants are
+built once per n.  At a rational point, or its residues mod a prime, the
+kernel runs on the point's own values with constants built once per
+point and n; residues are accumulated as unreduced ints, and ``_lower``
+reduces each output entry once.  A vector whose context is None lives on
+the Laurent domain itself (rho = q^n): its entries are ``Laurent``
+polynomials, which the kernel takes and returns unlifted and unlowered.
 
 ``act_word`` also takes a list of ``WordElement``s and returns the list of
 their images of one vector, in one pass: the distinct words of all the
-elements are walked in lexicographic order, so inside each lift group
-the image of every distinct word prefix is computed once.  Many vectors
-go through one call by tagging: each gets its position as a trailing
-index entry, which the letters never read or move, so the images stay
-apart (``tagged_basis`` tags the standard basis vectors).
-``basis_images`` acts so on all of them under one element; the
-Schur-Weyl rows are built from one call on the whole cell basis, and
-``repthy.relation_suite`` applies every relation to all its sample
-vectors in one call.
+elements are walked in lexicographic order, so the image of every
+distinct word prefix is computed once.  Many vectors go through one call
+by tagging alone: each gets its position as a trailing index entry, which
+the letters never read or move, so the images stay apart, and the caller
+reads the tag off each output index (``tagged_basis`` tags the standard
+basis vectors).  So ``CoordinateSystem._letter_columns`` takes a letter's
+image of every support vector from one ``act_letters`` call, the
+Schur-Weyl rows and their kernel check each come from one call on all
+the standard basis vectors, and ``repthy.relation_suite`` applies every
+relation to all its sample vectors in one call.
 
 The quantum enveloping algebra of gl_n acts on the left by ``act_E``,
 ``act_F``, ``act_K`` and the divided powers E_i^{(ell)} on the same
@@ -50,7 +51,7 @@ physical order.
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from . import scalars
@@ -221,32 +222,43 @@ def _constants(ctx, n):
 
 
 def _lift(v):
-    """The entries of ``v`` in the kernel's domain, as ``(denominator,
-    entries)`` groups: one group with denominator None for a native
-    context or the Laurent domain, and for a field with a Laurent form one
-    per denominator that is not a monomial besides the group of all the
-    others (always present, even empty)."""
+    """The entries of ``v`` in the kernel's domain over one denominator, as
+    ``(den, entries)``.  A native context's entries and the Laurent
+    domain's are taken as they are, with ``den`` None.  On a field with a
+    Laurent form ``den`` is None too unless some entry's denominator is
+    not a monomial; then it is the product of the distinct such
+    denominators, and each numerator is scaled by that product over its
+    own denominator."""
     if v.ctx is None or _native(v.ctx):
-        return [(None, v.entries)]
-    groups = {None: (None, {})}
+        return None, v.entries
+    entries, odd = {}, []
     for idx, val in v.entries.items():
         num, den = val.to_laurent()
-        key = None if den is None else tuple(sorted(den.items()))
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (den, {})
-        group[1][idx] = num
-    return list(groups.values())
+        if den is None:
+            entries[idx] = num
+        else:
+            odd.append((idx, num, tuple(sorted(den.items()))))
+    if not odd:
+        return None, entries
+    keys = dict.fromkeys(key for _, _, key in odd)
+    total = reduce(operator.mul, map(scalars.Laurent, keys))
+    cofactors = {key: total / scalars.Laurent(key) for key in keys}
+    for idx, num in entries.items():
+        entries[idx] = num * total
+    for idx, num, key in odd:
+        entries[idx] = num * cofactors[key]
+    return total, entries
 
 
-def _lower(ctx, den, entries, out):
-    """Add the field values of kernel ``entries``, divided by ``den``, to
-    ``out`` and return it.  A native context's entries are its own values
-    already, as are those of the Laurent domain, and their only group is
-    the whole vector; a residue context's are ints, which are reduced here
-    once each, its zeros dropped."""
+def _lower(ctx, den, entries):
+    """The field values of kernel ``entries``, divided by ``den``.  A
+    native context's entries are its own values already, as are those of
+    the Laurent domain, and are returned as they are.  Otherwise they go
+    into a fresh dict: a residue context's ints reduced once each, a
+    field's Laurent polynomials lowered once each, and zeros dropped."""
     if ctx is None or (_native(ctx) and not ctx.prime):
         return entries
+    out = {}
     if ctx.prime:
         for idx, val in entries.items():
             val %= ctx.prime
@@ -258,7 +270,8 @@ def _lower(ctx, den, entries, out):
     divisor = None if den is None else lower(spec, den)
     for idx, val in entries.items():
         val = lower(spec, val)
-        _accum(out, idx, val if divisor is None else val / divisor)
+        if val:
+            out[idx] = val if divisor is None else val / divisor
     return out
 
 
@@ -322,12 +335,10 @@ def act_letters(v, letters, n, r, s):
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
-    out = {}
-    for den, entries in _lift(v):
-        for letter in letters:
-            entries = _act(entries, letter, n, r, s, consts)
-        out = _lower(ctx, den, entries, out)
-    return TensorVector(ctx, out)
+    den, entries = _lift(v)
+    for letter in letters:
+        entries = _act(entries, letter, n, r, s, consts)
+    return TensorVector(ctx, _lower(ctx, den, entries))
 
 
 def act_word(v, element, n, r, s):
@@ -336,9 +347,9 @@ def act_word(v, element, n, r, s):
     written with rho = q^n, scales the image of its word.
 
     The distinct words of all the elements are walked in lexicographic
-    order, so the words that share a prefix are neighbours: inside each
-    ``_lift`` group the image of every distinct prefix is computed once,
-    and only the prefixes of the current word are kept."""
+    order, so the words that share a prefix are neighbours: the image of
+    every distinct prefix is computed once, and only the prefixes of the
+    current word are kept."""
     ctx = v.ctx
     _check_field(ctx, n)
     consts = _constants(ctx, n)
@@ -355,33 +366,31 @@ def act_word(v, element, n, r, s):
             if coeff:
                 terms.append((word, pos, coeff))
     terms.sort(key=operator.itemgetter(0))
+    den, entries = _lift(v)
     outs = [{} for _ in elements]
-    for den, entries in _lift(v):
-        images = [{} for _ in elements]
-        # path[k] is the image of the first k letters of ``last``
-        path, last, part = [entries], (), entries
-        for word, pos, coeff in terms:
-            if word != last:
-                k = 0
-                for a, b in zip(last, word):
-                    if a != b:
-                        break
-                    k += 1
-                del path[k + 1:]
-                part = path[-1]
-                for letter in word[k:]:
-                    part = _act(part, letter, n, r, s, consts)
-                    path.append(part)
-                last = word
-            image = images[pos]
-            for idx, val in part.items():
-                _accum(image, idx, coeff * val)
-        # the prefix images and each lowered image are dropped at once,
-        # so a residue image and its reduced copy do not pile up
-        path = part = None
-        for pos, image in enumerate(images):
-            outs[pos] = _lower(ctx, den, image, outs[pos])
-            images[pos] = None
+    # path[k] is the image of the first k letters of ``last``
+    path, last, part = [entries], (), entries
+    for word, pos, coeff in terms:
+        if word != last:
+            k = 0
+            for a, b in zip(last, word):
+                if a != b:
+                    break
+                k += 1
+            del path[k + 1:]
+            part = path[-1]
+            for letter in word[k:]:
+                part = _act(part, letter, n, r, s, consts)
+                path.append(part)
+            last = word
+        image = outs[pos]
+        for idx, val in part.items():
+            _accum(image, idx, coeff * val)
+    # the prefix images and each image are dropped once lowered, so a
+    # residue image and its reduced copy do not pile up
+    path = part = None
+    for pos, image in enumerate(outs):
+        outs[pos] = _lower(ctx, den, image)
     if single:
         return TensorVector(ctx, outs[0])
     return [TensorVector(ctx, out) for out in outs]
@@ -396,24 +405,6 @@ def tagged_basis(indices, ctx=None):
     one = scalars.Laurent({0: 1}) if ctx is None else ctx.one()
     return TensorVector(ctx, {idx + (col,): one
                               for col, idx in enumerate(indices)})
-
-
-def basis_images(element, n, r, s, ctx=None, indices=None):
-    """The images of standard basis vectors under the right action of
-    ``element``, a ``WordElement`` or a word (a tuple of letters, applied
-    by ``act_letters``), over rho = q^n, as ``{idx: {out_idx: value}}``
-    with ``idx`` running over ``indices`` (default all of {1..n}^(r+s) in
-    lexicographic order) and values in ``ctx`` (default None, the Laurent
-    domain).  One kernel call on ``tagged_basis(indices, ctx)`` does it.
-    """
-    if indices is None:
-        indices = list(product(range(1, n + 1), repeat=r + s))
-    act = act_word if isinstance(element, WordElement) else act_letters
-    images = {idx: {} for idx in indices}
-    for out, value in act(tagged_basis(indices, ctx), element,
-                          n, r, s).entries.items():
-        images[indices[out[-1]]][out[:-1]] = value
-    return images
 
 
 def _slot_pairings(idx, n, r, s, i):
@@ -434,14 +425,12 @@ def _act_left(v, n, images):
     ``images(idx)``, run in the kernel's domain."""
     ctx = v.ctx
     monomial = _monomials(ctx, n)
-    out = {}
-    for den, entries in _lift(v):
-        image = {}
-        for idx, coeff in entries.items():
-            for new, c, k in images(idx):
-                _accum(image, new, coeff * monomial(c, k))
-        out = _lower(ctx, den, image, out)
-    return TensorVector(ctx, out)
+    den, entries = _lift(v)
+    image = {}
+    for idx, coeff in entries.items():
+        for new, c, k in images(idx):
+            _accum(image, new, coeff * monomial(c, k))
+    return TensorVector(ctx, _lower(ctx, den, image))
 
 
 def _check_root(name, i, n):
@@ -547,15 +536,13 @@ def act_divided_power(v, i, ell, n, r, s):
         raise IndexOutOfRange("divided power exponent must be nonnegative")
     ctx = v.ctx
     embed = ctx.from_laurent if _native(ctx) else None
-    out = {}
-    for den, entries in _lift(v):
-        image = {}
-        for idx, coeff in entries.items():
-            wt = weight_of_index(idx, n, r, s)
-            for tgt, val in _divided_power_table(n, r, s, i, ell, wt)[idx]:
-                _accum(image, tgt, coeff * (embed(val) if embed else val))
-        out = _lower(ctx, den, image, out)
-    return TensorVector(ctx, out)
+    den, entries = _lift(v)
+    image = {}
+    for idx, coeff in entries.items():
+        wt = weight_of_index(idx, n, r, s)
+        for tgt, val in _divided_power_table(n, r, s, i, ell, wt)[idx]:
+            _accum(image, tgt, coeff * (embed(val) if embed else val))
+    return TensorVector(ctx, _lower(ctx, den, image))
 
 
 def singular_space(wt, n, r, s, spec=None):

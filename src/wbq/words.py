@@ -17,7 +17,6 @@ coefficient field or at any numeric point.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .combinat import (
@@ -27,6 +26,7 @@ from .combinat import (
     enumerate_labels,
     initial_tableaux,
     standard_tableaux,
+    symmetric_group_words,
 )
 
 E1 = ("e",)
@@ -190,33 +190,6 @@ class WordAction:
         if prime:
             total = [[x % prime for x in row] for row in total]
         return total
-
-
-@lru_cache(maxsize=None)
-def symmetric_group_words(m):
-    """All of S_m as a dict one-line-tuple -> one reduced word.
-
-    Words are tuples of simple-reflection indices s_i (1-based), to be read
-    left to right.  Built breadth-first from the identity, so each word is
-    reduced and the map is deterministic.
-    """
-    start = tuple(range(1, m + 1))
-    out = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            word = out[perm]
-            for i in range(1, m):
-                if perm[i - 1] < perm[i]:
-                    swapped = (
-                        perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]
-                    )
-                    if swapped not in out:
-                        out[swapped] = word + (i,)
-                        nxt.append(swapped)
-        frontier = nxt
-    return out
 
 
 def _component_symmetrizer(lam, offset, kind, sign):

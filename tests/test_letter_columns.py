@@ -103,10 +103,10 @@ def test_one_kernel_call_per_letter_and_no_flatten(monkeypatch):
     def flatten(*args):
         raise AssertionError("_letter_columns flattened an image")
 
-    monkeypatch.setattr(tensor, "act_letters",
-                        counted("act_letters", tensor.act_letters))
-    monkeypatch.setattr(tensor, "act_word",
-                        counted("act_word", tensor.act_word))
+    monkeypatch.setattr(engine, "act_letters",
+                        counted("act_letters", engine.act_letters))
+    monkeypatch.setattr(engine, "act_word",
+                        counted("act_word", engine.act_word))
     monkeypatch.setattr(tensor, "_act", counted("_act", tensor._act))
     monkeypatch.setattr(engine.CoordinateSystem, "_flatten",
                         staticmethod(flatten))

@@ -508,7 +508,6 @@ def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
         return bounds[n, r, s]
 
     for bound in (recorded, lambda *args: -1):
-        monkeypatch.setattr(repthy, "_SW_MEMO", {})
         monkeypatch.setattr(repthy, "_residue_rank", bound)
         for key, rank in SCHUR_WEYL_RANKS.items():
             if rank is not None:
@@ -518,8 +517,6 @@ def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
                 repthy.schur_weyl_rank(*key)
             assert str(info.value) == \
                 "no small rational function fits the data"
-        assert set(repthy._SW_MEMO) == \
-            {key for key, rank in SCHUR_WEYL_RANKS.items() if rank}
     assert set(bounds) == set(SCHUR_WEYL_RANKS)
     for (n, r, s), bound in bounds.items():
         rank = SCHUR_WEYL_RANKS[n, r, s]
@@ -530,7 +527,6 @@ def test_schur_weyl_rank_gives_the_ranks_of_the_dense_rows(monkeypatch):
 
 def test_full_schur_weyl_ranks_build_no_laurent_rows(monkeypatch):
     # a full rank of the residue rows at q = 2 is the answer
-    monkeypatch.setattr(repthy, "_SW_MEMO", {})
 
     def refuse(*args):
         raise AssertionError("Laurent rows built for a full rank")
@@ -545,7 +541,6 @@ def test_n2_fits_eliminate_on_integers_and_still_find_no_function(
     # _fit_rational solves its systems at a plain rational point, so its
     # kernel_basis takes the integer elimination; the n = 2, r + s = 4
     # keys still fail with the message they always gave
-    monkeypatch.setattr(repthy, "_SW_MEMO", {})
     integer_rref = linalg._integer_rref
     calls = []
 
@@ -571,7 +566,6 @@ def test_n2_fits_eliminate_on_integers_and_still_find_no_function(
             repthy.schur_weyl_rank(*key)
         assert str(info.value) == "no small rational function fits the data"
         assert fits and all(fits), key
-    assert not repthy._SW_MEMO
 
 
 def test_certified_kernel_matches_the_kernel_over_every_position(

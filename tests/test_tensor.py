@@ -297,30 +297,31 @@ def test_act_word_is_a_linear_right_action(picks, x, y, seed):
 @settings(max_examples=25, deadline=None)
 @given(_word_elements(), st.sampled_from([2, 3]))
 def test_basis_images_are_the_lifted_images_of_the_basis_vectors(x, n):
-    # every standard basis vector at once on the Laurent domain, against
-    # one act_word call per basis vector over qpow:n
+    # every standard basis vector at once, tagged, on the Laurent domain,
+    # against one act_word call per basis vector over qpow:n
     spec = FieldSpec.qpower(n)
     ctx = FieldContext(spec)
-    images = tensor.basis_images(x, n, 2, 2)
-    assert list(images) == list(product(range(1, n + 1), repeat=4))
+    indices = list(product(range(1, n + 1), repeat=4))
+    images = {idx: {} for idx in indices}
+    tagged = tensor.act_word(tensor.tagged_basis(indices), x, n, 2, 2)
+    for out, val in tagged.entries.items():
+        assert type(val) is scalars.Laurent and val
+        images[indices[out[-1]]][out[:-1]] = \
+            scalars.Scalar.from_laurent(spec, val)
     for idx, image in images.items():
-        assert all(type(val) is scalars.Laurent and val
-                   for val in image.values())
-        lowered = {out: scalars.Scalar.from_laurent(spec, val)
-                   for out, val in image.items()}
         want = tensor.act_word(TensorVector.basis(ctx, idx), x, n, 2, 2)
-        assert TensorVector(ctx, lowered) == want
+        assert TensorVector(ctx, image) == want
 
 
 def _list_cases():
     """(context, n, vector builder) for the list form of ``act_word``: a
     residue point, a Fraction point, qpow:n with one entry whose
-    denominator is not a monomial (two ``_lift`` groups), a cyclotomic
+    denominator is not a monomial (a ``_lift`` denominator), a cyclotomic
     field with rho = zeta^n, and the Laurent domain (context None)."""
     qpow = FieldContext(FieldSpec.qpower(4))
     q = _mono(qpow, 1, 1)
 
-    def two_groups(rng):
+    def odd_denominator(rng):
         v = _random_vector(qpow, 4, 4, rng)
         v.entries[(1, 2, 1, 3)] = _mono(qpow, 2, -1) / (qpow.one() + q)
         return v
@@ -338,7 +339,7 @@ def _list_cases():
     fraction = RationalPointContext(Fraction(2, 3), 4)
     cyclo = FieldContext(FieldSpec.cyclotomic(3, rho=0))
     return [(residue, 4, plain(residue, 4)), (fraction, 4, plain(fraction, 4)),
-            (qpow, 4, two_groups), (cyclo, 3, plain(cyclo, 3)),
+            (qpow, 4, odd_denominator), (cyclo, 3, plain(cyclo, 3)),
             (None, 3, laurent)]
 
 
@@ -407,7 +408,7 @@ def test_act_word_on_the_cell_basis_is_the_list_of_images():
     for ctx, n, vector in _LIST_CASES:
         v = vector(rng)
         if isinstance(ctx, FieldContext) and ctx.spec.kind == "qpow":
-            assert len(tensor._lift(v)) == 2
+            assert tensor._lift(v)[0] is not None
         _check_list_form(v, elements, n, 2, 2)
         assert tensor.act_word(v, [], n, 2, 2) == []
     # the right action needs rho = q^n: generic and free rho refuse both
@@ -418,6 +419,57 @@ def test_act_word_on_the_cell_basis_is_the_list_of_images():
         for x in (elements[1], elements[:3]):
             with pytest.raises(ValueError):
                 tensor.act_word(v, x, 4, 2, 2)
+
+
+def _vector_over_denominators(rng, k):
+    """A qpow:3 vector on (2, 2) indices whose entries carry k distinct
+    denominators that are not monomials, besides monomial ones."""
+    ctx = FieldContext(FieldSpec.qpower(3))
+    dens = [reduce(operator.add, (_mono(ctx, c, e)
+                                  for e, c in enumerate(coeffs) if c))
+            for coeffs in ((1, 1), (1, 0, 1), (2, -1, 0, 1))]
+    dens = rng.sample(dens, k)
+    indices = rng.sample(list(product(range(1, 4), repeat=4)), k + 4)
+    entries = {}
+    for pos, idx in enumerate(indices):
+        val = _mono(ctx, rng.choice((-2, -1, 1, 3)), rng.randrange(-2, 3))
+        if pos < k:
+            val = val / dens[pos]
+        elif rng.randrange(2):
+            val = val / rng.choice(dens)
+        entries[idx] = val
+    return TensorVector(ctx, entries)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_prefix_sharing_elements(),
+       st.lists(st.sampled_from(_all_letters(2, 2)), max_size=4),
+       st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_kernels_over_many_denominators_sum_the_images_of_the_entries(
+        elements, letters, k, seed):
+    # one lift denominator for two or three distinct non-monomial ones:
+    # every kernel gives the sum of the images of the one-entry parts
+    v = _vector_over_denominators(random.Random(seed), k)
+    ctx = v.ctx
+    assert tensor._lift(v)[0] is not None
+    parts = [TensorVector(ctx, {idx: val}) for idx, val in v.entries.items()]
+    one = ctx.one()
+
+    def summed(images):
+        return _combine(ctx, *((one, image) for image in images))
+
+    acts = [lambda u: tensor.act_letters(u, letters, 3, 2, 2)]
+    for i in (1, 2):
+        acts.append(lambda u, i=i: tensor.act_E(u, i, 3, 2, 2))
+        for ell in (1, 2):
+            acts.append(lambda u, i=i, ell=ell:
+                        tensor.act_divided_power(u, i, ell, 3, 2, 2))
+    for act in acts:
+        assert act(v) == summed(act(part) for part in parts)
+    got = tensor.act_word(v, elements, 3, 2, 2)
+    by_part = [tensor.act_word(part, elements, 3, 2, 2) for part in parts]
+    for pos, image in enumerate(got):
+        assert image == summed(images[pos] for images in by_part)
 
 
 # The Scalar action that the Laurent lift replaced: the same kernel ``_act``
