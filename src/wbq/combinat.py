@@ -6,8 +6,11 @@ pairs of partitions.  A cell label is a pair (f, (lambda1, lambda2)) with
 |lambda1| = r - f and |lambda2| = s - f.  Labels are partially ordered by
 "f bigger first, then componentwise dominance"; the canonical total order
 (descending f, then descending lexicographic on the bipartition) refines it.
+Labels, tableau pairs, coset representatives and d(t) pairs are named
+tuples, compared, hashed and sorted as tuples.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 import itertools
@@ -117,34 +120,20 @@ def hook_std_count(lam):
 # cell labels
 # ---------------------------------------------------------------------------
 
-class CellLabel:
-    __slots__ = ("f", "lam1", "lam2")
+class CellLabel(namedtuple("CellLabel", "f lam1 lam2")):
+    """The label (f, (lam1, lam2)); the canonical total order is the
+    tuple order, descending."""
 
-    def __init__(self, f, lam1, lam2):
-        self.f = int(f)
-        self.lam1 = tuple(lam1)
-        self.lam2 = tuple(lam2)
+    __slots__ = ()
+
+    def __new__(cls, f, lam1, lam2):
+        self = super().__new__(cls, int(f), tuple(lam1), tuple(lam2))
         if not (is_partition(self.lam1) and is_partition(self.lam2)):
             raise ValueError("label components must be partitions")
-
-    def key(self):
-        return (self.f, self.lam1, self.lam2)
-
-    def sort_key(self):
-        # canonical total order: descending f, then descending lex
-        return (self.f, self.lam1, self.lam2)
+        return self
 
     def conjugate(self):
         return CellLabel(self.f, conjugate(self.lam1), conjugate(self.lam2))
-
-    def __eq__(self, other):
-        return isinstance(other, CellLabel) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "CellLabel(f=%d, %s, %s)" % (self.f, self.lam1, self.lam2)
 
 
 def enumerate_labels(r, s):
@@ -156,7 +145,7 @@ def enumerate_labels(r, s):
         for lam1 in partitions(r - f):
             for lam2 in partitions(s - f):
                 out.append(CellLabel(f, lam1, lam2))
-    out.sort(key=CellLabel.sort_key, reverse=True)
+    out.sort(reverse=True)
     return out
 
 
@@ -181,32 +170,20 @@ def label_order(a, b):
 # tableaux
 # ---------------------------------------------------------------------------
 
-class TableauPair:
+class TableauPair(namedtuple("TableauPair", "f rows1 rows2")):
     """A pair of standard tableaux with entries shifted by f: component i has
     entry set {f+1, ..., f+|shape_i|}."""
 
-    __slots__ = ("f", "rows1", "rows2")
+    __slots__ = ()
 
-    def __init__(self, f, rows1, rows2):
-        self.f = int(f)
-        self.rows1 = tuple(tuple(row) for row in rows1)
-        self.rows2 = tuple(tuple(row) for row in rows2)
+    def __new__(cls, f, rows1, rows2):
+        return super().__new__(cls, int(f),
+                               tuple(tuple(row) for row in rows1),
+                               tuple(tuple(row) for row in rows2))
 
     def shape(self):
         return (tuple(len(row) for row in self.rows1),
                 tuple(len(row) for row in self.rows2))
-
-    def key(self):
-        return (self.f, self.rows1, self.rows2)
-
-    def __eq__(self, other):
-        return isinstance(other, TableauPair) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "TableauPair(f=%d, %s, %s)" % (self.f, self.rows1, self.rows2)
 
 
 def _row_fill(lam, start):
@@ -323,15 +300,11 @@ def _d_word(perm, f, size):
     return [f + i for i in symmetric_group_words(size)[tuple(inverse)]]
 
 
-class DPair:
-    """The permutation pair d(t) with t^lambda . d(t) = t, as reduced words."""
+class DPair(namedtuple("DPair", "word1 word2")):
+    """The permutation pair d(t) with t^lambda . d(t) = t, as reduced words
+    (lists)."""
 
-    __slots__ = ("word1", "word2", "length")
-
-    def __init__(self, word1, word2):
-        self.word1 = list(word1)
-        self.word2 = list(word2)
-        self.length = len(self.word1) + len(self.word2)
+    __slots__ = ()
 
 
 def d_of(t):
@@ -347,39 +320,26 @@ def d_of(t):
 # coset representatives
 # ---------------------------------------------------------------------------
 
-class CosetRep:
+class CosetRep(namedtuple("CosetRep", "f i_list j_list word")):
     """Encodes s_{f,i_f} s*_{f,j_f} ... s_{1,i_1} s*_{1,j_1} with
     1 <= i_1 < ... < i_f <= r and k <= j_k <= s.
 
-    ``word`` lists the letters left to right as ("g", index) for r-side
-    transpositions and ("gs", index) for s-side ones.
+    ``word``, computed from the other three fields, lists the letters left
+    to right as ("g", index) for r-side transpositions and ("gs", index)
+    for s-side ones.
     """
 
-    __slots__ = ("f", "i_list", "j_list", "word")
+    __slots__ = ()
 
-    def __init__(self, f, i_list, j_list):
-        self.f = int(f)
-        self.i_list = tuple(i_list)
-        self.j_list = tuple(j_list)
+    def __new__(cls, f, i_list, j_list):
+        f, i_list, j_list = int(f), tuple(i_list), tuple(j_list)
         word = []
-        for k in range(self.f, 0, -1):
-            for a in range(k, self.i_list[k - 1]):
+        for k in range(f, 0, -1):
+            for a in range(k, i_list[k - 1]):
                 word.append(("g", a))
-            for b in range(k, self.j_list[k - 1]):
+            for b in range(k, j_list[k - 1]):
                 word.append(("gs", b))
-        self.word = tuple(word)
-
-    def key(self):
-        return (self.f, self.i_list, self.j_list)
-
-    def __eq__(self, other):
-        return isinstance(other, CosetRep) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "CosetRep(f=%d, i=%s, j=%s)" % (self.f, self.i_list, self.j_list)
+        return super().__new__(cls, f, i_list, j_list, tuple(word))
 
 
 def coset_reps(r, s, f):

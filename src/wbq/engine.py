@@ -689,19 +689,16 @@ class ResidueConstants(SpecializedConstants):
         (``scalars._modp_point``), and rho to the power of that image that
         the field ties rho to.  Where rho is free, it is no such power, and
         the context serves only the zero and the prime."""
-        spec = self.spec
-        p, (q, _) = scalars._modp_point(spec)
-        tie = spec.a if spec.kind == "qpow" else spec.rho_a
-        return RationalPointContext(q, 0 if tie is None else tie, p)
+        p, (q, _) = scalars._modp_point(self.spec)
+        return RationalPointContext(q, self.spec.tie or 0, p)
 
     @property
     def action(self):
         """The word action on residue columns; ``ValueError`` where rho
         is free, as the context has no image of rho to read words with."""
-        spec = self.spec
-        if spec.kind == "generic" or spec.rho_kind == "free":
+        if self.spec.tie is None:
             raise ValueError("no residue word action on %s: rho is free"
-                             % spec.to_string())
+                             % self.spec.to_string())
         return super().action
 
     def _map(self):
@@ -985,10 +982,10 @@ def direct_structure_constants(r, s, spec, seed=0):
     """Table over QPower(a), a >= r+s, straight from a coordinate system."""
     if isinstance(spec, str):
         spec = FieldSpec.from_string(spec)
-    if spec.kind != "qpow" or spec.a < r + s:
+    if spec.kind != "qpow" or spec.tie < r + s:
         raise ValueError("direct computation needs rho = q^a with a >= r+s")
     system = CoordinateSystem.build(r, s, seed=seed,
-                                    ctx=FieldContext(spec), n=spec.a)
+                                    ctx=FieldContext(spec), n=spec.tie)
     products = system.products()
     unit_vec = system.expand(words.WordElement.unit())
     unit = {c: v for c, v in enumerate(unit_vec) if v}

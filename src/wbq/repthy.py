@@ -102,17 +102,12 @@ def label_text(label):
 
 def rho_square_power_clash(spec, bound):
     """True when rho^2 = q^(2a) holds for some |a| <= bound."""
-    if bound < 0:
-        return False
-    if spec.kind == "generic":
+    if bound < 0 or spec.tie is None:
         return False
     if spec.kind == "qpow":
-        return abs(spec.a) <= bound
-    if spec.rho_kind == "free":
-        return False
-    m = spec.m
-    b = spec.rho_a
-    return any((2 * a - 2 * b) % m == 0 for a in range(-bound, bound + 1))
+        return abs(spec.tie) <= bound
+    return any((2 * a - 2 * spec.tie) % spec.m == 0
+               for a in range(-bound, bound + 1))
 
 
 def predicted_simple_labels(r, s, spec):
@@ -578,8 +573,8 @@ def einfty_comparison(r, s, field=None, dec=None, cache_dir=None):
         return None
     if dec is None:
         dec = decomposition_matrix(r, s, field=spec, cache_dir=cache_dir)
-    for m in _einfty_orders(r, s, spec.a):
-        other_spec = FieldSpec.cyclotomic(m, spec.a % m)
+    for m in _einfty_orders(r, s, spec.tie):
+        other_spec = FieldSpec.cyclotomic(m, spec.tie)
         other = decomposition_matrix(r, s, field=other_spec,
                                      cache_dir=cache_dir)
         if dec.rows != other.rows or dec.columns != other.columns:

@@ -8,6 +8,12 @@ Three families of fields are supported:
 * ``cyclo:m``      -- the cyclotomic field Q(zeta_m) with q = zeta_m, and rho either
                       a fixed power zeta_m^a or a fresh transcendental.
 
+A field is a ``FieldSpec``, the named tuple ``(kind, m, tie)``: ``m`` is
+the order of q = zeta on ``cyclo:m`` and None on the other kinds, and
+``tie`` is the exponent b with rho = q^b (b mod m on ``cyclo:m``), or None
+where rho is free, on ``generic`` and ``cyclo:m,rho=free``.  The order of
+q and the tie are all that the field layer reads of a field.
+
 All arithmetic is exact; equality is decided on canonical normal forms.  The
 quantum characteristic e is the multiplicative order of q^2 (infinite in the
 first two families).
@@ -87,6 +93,7 @@ few inverses serve ``specialize``, ``linalg.rref`` pivots and the
 normalisation of ``CycloFrac``.
 """
 
+import collections
 from fractions import Fraction
 import functools
 import itertools
@@ -986,34 +993,32 @@ def _qrho_quotient(nb, nc, db, dc):
 # field specifications
 # ---------------------------------------------------------------------------
 
-class FieldSpec:
-    """Description of a coefficient field: generic, rho=q^a, or cyclotomic."""
+class FieldSpec(collections.namedtuple("FieldSpec", "kind m tie")):
+    """Description of a coefficient field, a named tuple of three fields.
 
-    __slots__ = ("kind", "a", "m", "rho_kind", "rho_a")
+    ``kind`` is ``generic``, ``qpow`` or ``cyclo``; ``m`` is the order of
+    q = zeta on ``cyclo:m`` and None on the other kinds; ``tie`` is the
+    exponent b with rho = q^b, reduced mod m on ``cyclo``, or None where
+    rho is free (``generic`` and ``cyclo:m,rho=free``).  Equality, hashing
+    and order are the tuple's.
+    """
 
-    def __init__(self, kind, a=None, m=None, rho_kind=None, rho_a=None):
-        self.kind = kind
-        self.a = a
-        self.m = m
-        self.rho_kind = rho_kind
-        self.rho_a = rho_a
+    __slots__ = ()
 
     @staticmethod
     def generic():
-        return FieldSpec("generic")
+        return FieldSpec("generic", None, None)
 
     @staticmethod
     def qpower(a):
-        return FieldSpec("qpow", a=int(a))
+        return FieldSpec("qpow", None, int(a))
 
     @staticmethod
     def cyclotomic(m, rho="free"):
         m = int(m)
         if m < 3:
             raise ValueError("cyclotomic index m must be at least 3 (q^2 = 1 is excluded)")
-        if rho == "free":
-            return FieldSpec("cyclo", m=m, rho_kind="free")
-        return FieldSpec("cyclo", m=m, rho_kind="power", rho_a=int(rho) % m)
+        return FieldSpec("cyclo", m, None if rho == "free" else int(rho) % m)
 
     @staticmethod
     def from_string(text):
@@ -1024,38 +1029,27 @@ class FieldSpec:
         if text.startswith("qpow:"):
             return FieldSpec.qpower(int(text[5:]))
         if text.startswith("cyclo:"):
-            body = text[6:]
-            parts = body.split(",")
-            m = int(parts[0])
-            rho = "free"
-            for extra in parts[1:]:
-                extra = extra.strip()
-                if extra == "rho=free":
-                    rho = "free"
-                elif extra.startswith("rho=zeta^"):
-                    rho = int(extra[len("rho=zeta^"):])
-                else:
-                    raise ValueError("unrecognized field option: %r" % extra)
-            return FieldSpec.cyclotomic(m, rho)
+            m, *options = text[6:].split(",")
+            m = int(m)
+            if len(options) > 1:
+                raise ValueError("at most one option may follow cyclo:m: %r"
+                                 % text)
+            option = options[0].strip() if options else "rho=free"
+            if option == "rho=free":
+                return FieldSpec.cyclotomic(m)
+            if option.startswith("rho=zeta^"):
+                return FieldSpec.cyclotomic(m, int(option[len("rho=zeta^"):]))
+            raise ValueError("unrecognized field option: %r" % option)
         raise ValueError("unrecognized field: %r" % text)
 
     def to_string(self):
         if self.kind == "generic":
             return "generic"
         if self.kind == "qpow":
-            return "qpow:%d" % self.a
-        if self.rho_kind == "free":
+            return "qpow:%d" % self.tie
+        if self.tie is None:
             return "cyclo:%d,rho=free" % self.m
-        return "cyclo:%d,rho=zeta^%d" % (self.m, self.rho_a)
-
-    def key(self):
-        return (self.kind, self.a, self.m, self.rho_kind, self.rho_a)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        return "cyclo:%d,rho=zeta^%d" % (self.m, self.tie)
 
     def __repr__(self):
         return "FieldSpec(%s)" % self.to_string()
@@ -1112,7 +1106,7 @@ class Scalar:
         return bool(self.rep)
 
     def __hash__(self):
-        return hash((self.spec.key(), self.rep))
+        return hash((self.spec, self.rep))
 
     def __repr__(self):
         return to_text(self)
@@ -1132,7 +1126,7 @@ class Scalar:
                                 for (e,), x in num}), None
             return (Laurent({e: _coefficient(x) for (e,), x in num}),
                     Laurent({e: _coefficient(x) for (e,), x in den}))
-        if spec.rho_kind == "power":
+        if spec.tie is not None:
             x = self.rep
             return Laurent({k: _coefficient(Fraction(c, x.den))
                             for k, c in enumerate(x.v) if c}), None
@@ -1161,7 +1155,7 @@ class Scalar:
             raise ValueError("mod_p(field) expects a generic value")
         if spec.kind != "cyclo":
             sides = self.rep._terms()
-        elif spec.rho_kind == "power":
+        elif spec.tie is not None:
             rep = self.rep
             sides = [[((k,), c) for k, c in enumerate(rep.v)],
                      [((), rep.den)]]
@@ -1290,15 +1284,13 @@ def _substitute(spec, num, den=None):
 
     Raises DenominatorVanishes if the denominator maps to zero.
     """
-    kind, m = spec.kind, spec.m
+    kind, m, tie = spec
     if kind == "generic":
         key = lambda mono: mono
     elif kind == "qpow":
-        a = spec.a
-        key = lambda mono: mono[0] + a * mono[1]
-    elif spec.rho_kind == "power":
-        b = spec.rho_a
-        key = lambda mono: (mono[0] + b * mono[1]) % m
+        key = lambda mono: mono[0] + tie * mono[1]
+    elif tie is not None:
+        key = lambda mono: (mono[0] + tie * mono[1]) % m
     else:
         key = lambda mono: (mono[1], mono[0] % m)
 
@@ -1326,7 +1318,7 @@ def _substitute(spec, num, den=None):
         # (N / nc) / (D / dc) with N and D dense from their lowest powers
         num, den = (_dense(b, scale) for b, scale in ((nb, dc), (db, nc)))
         return Scalar(spec, _quotient(min(nb) - min(db), num, den))
-    if spec.rho_kind == "power":
+    if tie is not None:
         value = _zeta_sum(m, nb, nc)
         if den is not None:
             den_value = _zeta_sum(m, db, dc)
@@ -1460,9 +1452,9 @@ def _modp_point(spec):
     m (2^31 - 1 off ``cyclo:m``), q -> 16807 and rho -> 48271 (primitive
     roots mod 2^31 - 1), except that on ``cyclo:m`` zeta goes to the first
     g^((p-1)/m), g = 2, 3, ..., of order m: a root of Phi_m mod p.  Where
-    the field ties rho to q or zeta, rho goes to the image of q^a on
-    ``qpow:a`` and of zeta^b on ``rho = zeta^b``, so that a generic term
-    q^i * rho^j maps as its image in the field does."""
+    the field ties rho to q, rho = q^b with b = ``spec.tie``, rho goes to
+    the image of q^b, so that a generic term q^i * rho^j maps as its image
+    in the field does."""
     m = spec.m or 1
     p = 2 ** 31 - 1 - (2 ** 31 - 2) % m
     while not _is_prime(p):
@@ -1472,8 +1464,7 @@ def _modp_point(spec):
         omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
         q = next(w for w in omegas
                  if all(pow(w, k, p) != 1 for k in range(1, m)))
-    tie = spec.a if spec.kind == "qpow" else spec.rho_a
-    return p, (q, 48271 if tie is None else pow(q, tie, p))
+    return p, (q, 48271 if spec.tie is None else pow(q, spec.tie, p))
 
 
 def _is_prime(n):
@@ -1563,7 +1554,7 @@ def to_text(x):
     for powers; on free rho the coefficient of each power of rho is a
     parenthesised polynomial in z."""
     spec = x.spec
-    if spec.rho_kind != "free":
+    if spec.kind != "cyclo" or spec.tie is not None:
         if spec.kind == "cyclo":
             names = ("z",)
             num_terms = [((i,), c) for i, c in enumerate(x.rep.c) if c != 0]

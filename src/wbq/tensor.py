@@ -63,13 +63,11 @@ from .words import WordElement, d_letters, young_symmetrizer
 
 def spec_matches_rho(spec, n):
     """Whether the field identifies rho with q**n."""
-    if spec.kind == "generic":
+    if spec.tie is None:
         return False
     if spec.kind == "qpow":
-        return spec.a == n
-    if spec.rho_kind == "free":
-        return False
-    return (spec.rho_a - n) % spec.m == 0
+        return spec.tie == n
+    return (spec.tie - n) % spec.m == 0
 
 
 def _check_field(ctx, n):
@@ -176,12 +174,13 @@ _LETTER_CONSTANTS = {}
 
 def _native(ctx):
     """Whether the kernels run on the context's own values: at a rational
-    point, and over the two fields with no Laurent form, ``generic`` and
-    ``cyclo:m`` with rho free, which only the left action admits.  Every
-    other field's values are lifted to ``Laurent`` polynomials in q, and
-    ``ctx`` None is that domain."""
+    point, and over the fields with no Laurent form, those where rho is
+    free (``spec.tie`` None: ``generic`` and ``cyclo:m,rho=free``), which
+    only the left action admits.  Every field that ties rho to a power of
+    q lifts its values to ``Laurent`` polynomials in q, and ``ctx`` None
+    is that domain."""
     if isinstance(ctx, FieldContext):
-        return ctx.spec.kind == "generic" or ctx.spec.rho_kind == "free"
+        return ctx.spec.tie is None
     return ctx is not None
 
 

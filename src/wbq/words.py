@@ -16,6 +16,7 @@ the defining relations, and it lets the same element be evaluated over any
 coefficient field or at any numeric point.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -294,16 +295,10 @@ def cell_basis_element(label, left, right):
     return elem
 
 
-class BasisRecord:
+class BasisRecord(namedtuple("BasisRecord", "label left right element")):
     """One global basis element: its label, row/column indices, and word."""
 
-    __slots__ = ("label", "left", "right", "element")
-
-    def __init__(self, label, left, right, element):
-        self.label = label
-        self.left = left
-        self.right = right
-        self.element = element
+    __slots__ = ()
 
 
 def cell_basis(r, s):

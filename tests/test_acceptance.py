@@ -80,7 +80,7 @@ def test_criterion_03_semisimplicity_criterion_on_the_grid():
     # shapes stay semisimple
     ok = ok and delta_zero_semisimple == {(1, 2), (2, 1), (1, 3), (3, 1)}
     _report(3, "computed semisimplicity matches the closed form on all "
-               "144 grid points, with the vanishing-parameter "
+               "102 grid points, with the vanishing-parameter "
                "exceptional list reproduced", ok)
 
 

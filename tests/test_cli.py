@@ -269,7 +269,7 @@ def test_queries_builds_and_certificates_import_neither_numpy_nor_sympy():
         "from wbq import cli, engine, repthy",
         "shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]",
         "codes = set()",
-        "for field in dict.fromkeys(cli.grid_fields()):",
+        "for field in cli.grid_fields():",
         "    for command in ('decomp', 'gram', 'blocks', 'semisimple'):",
         "        for r, s in shapes:",
         "            with contextlib.redirect_stdout(io.StringIO()):",
@@ -566,6 +566,22 @@ def test_out_flag_writes_the_file_and_keeps_stdout_clean():
     assert doc["blocks"] == [["f=1,[]|[]"], ["f=0,[1]|[1]"]]
 
 
+def test_a_cyclotomic_field_takes_at_most_one_option():
+    # a second option is refused, not read over the first
+    for field in ("cyclo:4,rho=zeta^1,rho=free", "cyclo:4,rho=free,rho=zeta^1",
+                  "cyclo:4,rho=zeta^1,rho=zeta^1"):
+        code, out, err = run_cli(["semisimple", "--r", "1", "--s", "1",
+                                  "--field", field])
+        assert code == cli.EXIT_USAGE, field
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert "at most one option may follow cyclo:m" in err
+    code, out, _ = run_cli(["semisimple", "--r", "1", "--s", "1",
+                            "--field", "cyclo:4,rho=zeta^1"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["field"] == "cyclo:4,rho=zeta^1"
+
+
 def test_verify_default_grid_passes():
     code, out, err = run_cli(["verify"])
     assert code == 0
@@ -575,8 +591,9 @@ def test_verify_default_grid_passes():
 
 
 def test_verify_semisimple_runs_each_distinct_grid_field_once(monkeypatch):
-    # rho = zeta^(a mod m) repeats fields among the 24 specs of the grid
-    assert len(cli.grid_fields()) == 24
+    # the 24 (e, rho) pairs of the grid give 17 distinct fields, as
+    # rho = zeta^(a mod m) repeats some on cyclo:m
+    assert len(cli.grid_fields()) == len(set(cli.grid_fields())) == 17
     original = repthy.semisimplicity
     calls = []
 

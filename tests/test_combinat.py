@@ -1,6 +1,8 @@
 import math
 import itertools
 
+import pytest
+
 from wbq import combinat
 from wbq.combinat import (
     CellLabel, CosetRep, TableauPair, cell_dimension,
@@ -56,6 +58,14 @@ def test_enumerate_labels_examples():
     except ValueError:
         bad = True
     assert bad
+
+
+def test_cell_label_components_must_be_partitions():
+    with pytest.raises(ValueError, match="must be partitions"):
+        CellLabel(0, (1, 2), ())
+    with pytest.raises(ValueError, match="must be partitions"):
+        CellLabel(0, (1,), (0,))
+    assert CellLabel(0, [2, 1], []) == (0, (2, 1), ())
 
 
 def test_label_order():
@@ -118,7 +128,7 @@ def _is_standard(rows):
 def test_d_of_examples_and_recomposition():
     t_row, _ = initial_tableaux(((2, 1), ()), 0)
     d = d_of(t_row)
-    assert d.word1 == [] and d.word2 == [] and d.length == 0
+    assert d.word1 == [] and d.word2 == []
     t = TableauPair(0, ((1, 3), (2,)), ())
     d = d_of(t)
     assert d.word1 == [2] and d.word2 == []
@@ -242,11 +252,11 @@ def test_poset_ideal_property():
 
 
 def test_cell_dimensions_spot_values():
-    dims = {lab.key(): cell_dimension(lab, 2, 2) for lab in enumerate_labels(2, 2)}
+    dims = {lab: cell_dimension(lab, 2, 2) for lab in enumerate_labels(2, 2)}
     assert dims[(2, (), ())] == 2
     assert dims[(1, (1,), (1,))] == 4
     assert dims[(0, (2,), (2,))] == 1
-    dims31 = {lab.key(): cell_dimension(lab, 3, 1) for lab in enumerate_labels(3, 1)}
+    dims31 = {lab: cell_dimension(lab, 3, 1) for lab in enumerate_labels(3, 1)}
     assert dims31[(1, (2,), ())] == 3
     assert dims31[(1, (1, 1), ())] == 3
     assert dims31[(0, (2, 1), (1,))] == 2

@@ -202,6 +202,19 @@ def test_field_spec_strings():
         spec = FieldSpec.from_string(s)
         assert spec.to_string() == s
         assert FieldSpec.from_string(spec.to_string()) == spec
+    # the tie is reduced mod m, and the printed form is the reduced one
+    spec = FieldSpec.from_string("cyclo:4,rho=zeta^5")
+    assert spec.to_string() == "cyclo:4,rho=zeta^1"
+    assert spec == FieldSpec.cyclotomic(4, 1)
+    assert hash(spec) == hash(FieldSpec.cyclotomic(4, 1))
+    assert (FieldSpec.from_string("cyclo:3,rho=zeta^-1").to_string()
+            == "cyclo:3,rho=zeta^2")
+    assert FieldSpec.from_string("qpow:-0").to_string() == "qpow:0"
+    # tie is None exactly where rho is free
+    ties = {s: FieldSpec.from_string(s).tie for s in cases}
+    assert ties == {"generic": None, "qpow:3": 3, "qpow:-2": -2,
+                    "cyclo:4,rho=zeta^0": 0, "cyclo:7,rho=zeta^2": 2,
+                    "cyclo:3,rho=free": None}
     bad = False
     try:
         FieldSpec.cyclotomic(2, 0)
@@ -244,7 +257,7 @@ def _value_class_field(spec):
                 qfrac(1, 1, 1), None)
     m = spec.m
     cyclo_one, zeta = scalars.CycloNum(m, [1]), scalars.CycloNum(m, [0, 1])
-    if spec.rho_kind == "power":
+    if spec.tie is not None:
         return (lambda c: Scalar(spec, scalars.CycloNum(m, [c])),
                 Scalar(spec, zeta), None)
 
@@ -260,8 +273,7 @@ def _generator_power(spec, name, k):
     """q^k or rho^k in ``spec``, by field multiplication and division."""
     const, q, rho = _value_class_field(spec)
     if name == "rho" and rho is None:
-        a = spec.a if spec.kind == "qpow" else spec.rho_a
-        return _generator_power(spec, "q", a * k)
+        return _generator_power(spec, "q", spec.tie * k)
     if k < 0:
         return const(Fraction(1)) / _generator_power(spec, name, -k)
     if k == 0:
@@ -396,10 +408,8 @@ def test_mod_p_is_a_ring_map(x, y, target, i, j):
         assert (fx / fy).mod_p() == (vx * pow(vy, -1, p) % p, p)
     assert one(target).mod_p() == (1, p)
     t, u = q_elem(target).mod_p()[0], rho_elem(target).mod_p()[0]
-    if target.kind == "qpow":
-        assert u == pow(t, target.a, p)
-    elif target.rho_kind == "power":
-        assert u == pow(t, target.rho_a, p)
+    if target.tie is not None:
+        assert u == pow(t, target.tie, p)
     # q^i reduced mod Phi_m maps to t^i: the image of zeta is a root of Phi_m
     assert monomial(target, 3, i, j).mod_p() == (
         3 * pow(t, i, p) * pow(u, j, p) % p, p)
@@ -737,7 +747,7 @@ def _sympy_form(value):
     def cyclo(x):
         return sum(c * _Z ** k for k, c in enumerate(x.c))
 
-    if spec.rho_kind == "power":
+    if spec.tie is not None:
         return cyclo(rep), 1
     return tuple(sum(cyclo(x) * _RHO ** j for j, x in enumerate(side))
                  for side in (rep.num, rep.den))
@@ -1068,7 +1078,7 @@ def test_bundled_values_specialise_to_the_sympy_reference_on_qpow():
         for obj, kept in _stored_pairs(*shape):
             for spec in fields:
                 value = specialize(kept, spec)
-                ref = _ref_specialize_q(obj, spec.a)
+                ref = _ref_specialize_q(obj, spec.tie)
                 assert to_text(value) == _ref_text(ref), (shape, obj, spec)
                 assert value.mod_p() == _ref_mod_p(ref, spec)
                 compared += 1
@@ -1192,7 +1202,7 @@ def test_generic_values_match_the_sympy_reference(xa, ya, target):
         assert value.mod_p(target) == _ref_generic_mod_p(ref, target)
         if target.kind == "qpow":
             image = specialize(value, target)
-            want = _ref_specialize_q(terms, target.a)
+            want = _ref_specialize_q(terms, target.tie)
             assert to_text(image) == _ref_text(want)
             assert image.mod_p() == _ref_mod_p(want, target)
         else:
