@@ -9,7 +9,8 @@ starts, in two stages: argparse checks each argument on its own (the
 with code 1 and a single-line reason.  Queries read structure-constant
 tables and never build one: ``cache build`` is the only command that
 does, and a query whose table is missing or unreadable exits 1 with one
-line naming the command to run.  The command set, with each command's
+line naming the command to run; ``verify`` resolves the tables of its
+table suites before any suite runs.  The command set, with each command's
 handler, formats and arguments, is written once, in ``_COMMANDS``.
 Results go to standard output (or ``--out``), always in a deterministic
 byte order, while progress chatter is confined to standard error.  Exit
@@ -366,7 +367,9 @@ def _check_einfty(r, s):
     return (True, "")
 
 
-# The verify suites, in canonical order.
+# The verify suites, in canonical order.  A suite in ``_TABLE_SUITES``
+# reads the generic table of each shape.
+_TABLE_SUITES = ("semisimple", "blocks1", "einfty")
 _SUITE_RUNNERS = {
     "relations": _check_relations,
     "schur-weyl": _check_schur_weyl,
@@ -382,8 +385,12 @@ def cmd_verify(args):
     if (args.r is None) != (args.s is None):
         raise UsageError("--r and --s must be given together")
     shapes = [(args.r, args.s)] if args.r else [(1, 1), (1, 2), (2, 1)]
+    suites = [args.only] if args.only else list(_SUITE_RUNNERS)
+    if any(suite in _TABLE_SUITES for suite in suites):
+        for (r, s) in shapes:  # a missing table exits 1 before any suite
+            engine.generic_table(r, s)
     checks = []
-    for suite in [args.only] if args.only else _SUITE_RUNNERS:
+    for suite in suites:
         for (r, s) in shapes:
             try:
                 ok, detail = _SUITE_RUNNERS[suite](r, s)

@@ -216,30 +216,15 @@ class CoordinateSystem:
 
     @staticmethod
     def _certified_rank(ctx, rows):
-        """``(rank, pivot_columns)`` of the best sample point q = t.
-
-        A modular rank at a rational point never exceeds the true rank, and
-        the row count bounds it above, so a full rank is exact.  The pivots
-        are the greedy first independent columns mod p at that point."""
-        if isinstance(ctx, RationalPointContext):
-            # a rational matrix has the same values at every t
-            if ctx.prime is None:
-                return linalg.modp_rank_robust(rows)
-            # residues certify over their own prime only
+        """``(rank, pivot_columns)`` of the rows mod p: at a residue context
+        over its own prime, otherwise through ``linalg.modp_rank_robust``,
+        which reads field values through their ring map to Z/p.  A modular
+        rank never exceeds the true rank, and the row count bounds it
+        above, so a full rank is exact.  The pivots are the greedy first
+        independent columns mod p."""
+        if ctx.prime is not None:
             return linalg.modp_rank(rows, ctx.prime)
-        best = (0, [])
-        for t in (2, 3, 5):
-            try:
-                numeric = [[scalars.evaluate(v, t) for v in row]
-                           for row in rows]
-            except DenominatorVanishes:
-                continue
-            found = linalg.modp_rank_robust(numeric)
-            if found[0] > best[0]:
-                best = found
-            if best[0] == len(rows):
-                break
-        return best
+        return linalg.modp_rank_robust(rows)
 
     # -- solving ----------------------------------------------------------
 

@@ -27,11 +27,14 @@ Python ints, fraction-free (``_integer_rref``), and returns
 ``[M | I]``), ``span_coordinates`` (of ``[basis | targets]``) and
 ``certified_kernel`` read it.  Every routine is exact over its context.
 Some results are modular and hold over Q, or the field, only behind a
-check: ``modp_rank`` (an elimination on Python ints mod a large prime)
-and ``independent_mod_p`` (``modp_rank`` of residues mod the prime its
-caller names, or of a field matrix through the ring map
-``Scalar.mod_p``) certify a lower bound on a rank, and ``lagrange_poly``
-interpolates residues, whose rational lift the caller must verify.
+check.  ``modp_rank`` (an elimination on Python ints mod a large prime)
+certifies a lower bound on a rank, and a full one is exact: the images
+of the rows under a ring map to Z/p have a nonzero maximal minor only
+where the rows do.  Residues are read as they are, and
+``modp_rank_robust`` reads every exact value: a field matrix through its
+ring map ``Scalar.mod_p``, a rational one mod a large prime.
+``lagrange_poly`` interpolates residues, whose rational lift the caller
+must verify.
 
 Vectors are dense Python lists of context elements; matrices are lists of
 such rows.
@@ -416,8 +419,11 @@ def modp_rank(rows, prime=None):
     ``rank`` rows on the pivot columns form a minor that is nonzero mod p,
     hence over Q.  Entries may be ints or Fractions; only the nonzero ones
     are reduced, with one modular inverse per distinct denominator.  A
-    denominator divisible by the prime raises ValueError so the caller can
-    retry with the next prime in ``_MODP_PRIMES``.  The elimination runs on
+    denominator divisible by the prime raises ValueError, on which
+    ``modp_rank_robust`` moves to the next prime in ``_MODP_PRIMES``.
+    Residues under another ring map, such as the images of field values
+    under ``Scalar.mod_p``, certify the same way over the map's own
+    prime, passed as ``prime``.  The elimination runs on
     Python ints, column by column, and stops reading columns once the rank
     equals the row count.
     """
@@ -464,28 +470,26 @@ def modp_rank(rows, prime=None):
     return len(pivots), pivots
 
 
-def independent_mod_p(rows, prime=None):
-    """True when the columns of ``rows`` are independent mod p: the
-    ``modp_rank`` of residues mod ``prime`` as they are, or without a
-    prime of ``Scalar``s of one field through the ring map
-    ``Scalar.mod_p``, over that map's prime.  A one-sided certificate, like
-    ``modp_rank``'s: a ring map takes the maximal minors to those of the
-    images, so one nonzero mod p proves full column rank over the field.
-    False, also where an entry has no image, proves nothing."""
-    if not rows or not rows[0]:
-        return True
-    if prime is None:
+def modp_rank_robust(rows):
+    """``modp_rank``'s ``(rank, pivot_columns)`` of exact values: the one
+    rank certificate of the package.  ``Scalar`` rows of one field go
+    through its ring map ``Scalar.mod_p``, over that map's prime; a ring
+    map takes every minor to the minor of the images, so a minor nonzero
+    mod p is nonzero over the field.  Where an entry has no image the
+    answer is ``(0, [])``, which proves nothing.  Int and ``Fraction``
+    rows are read mod the primes of ``_MODP_PRIMES`` in turn, moving on
+    where the prime divides a denominator.
+
+    The Gram certificates (``repthy.GramMatrix``), the coordinate systems
+    of symbolic and rational tables (``engine.CoordinateSystem``) and the
+    Schur-Weyl ranks call it under this name, which the benchmark's layer
+    metrics ``linalg.modp_rank_robust.*`` count."""
+    if rows and rows[0] and isinstance(rows[0][0], scalars.Scalar):
         images = [[x.mod_p() for x in row] for row in rows]
         if any(None in row for row in images):
-            return False
-        prime = images[0][0][1]
-        rows = [[v for v, _ in row] for row in images]
-    return modp_rank(rows, prime)[0] == len(rows[0])
-
-
-def modp_rank_robust(rows):
-    """modp_rank's ``(rank, pivot_columns)``, retrying across the prime
-    list on bad denominators."""
+            return 0, []
+        return modp_rank([[v for v, _ in row] for row in images],
+                         images[0][0][1])
     last = None
     for p in _MODP_PRIMES:
         try:

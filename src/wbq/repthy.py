@@ -22,7 +22,7 @@ has a unique solution, which is asserted to be a non-negative integer
 matrix, unitriangular against the cell order.
 
 A Gram matrix whose image mod p has full rank is non-degenerate with no
-elimination (``linalg.independent_mod_p``).  Where ``predicted_semisimple``
+elimination (``linalg.modp_rank_robust``).  Where ``predicted_semisimple``
 holds, ``decomposition_matrix`` and ``semisimplicity`` first look for that
 certificate, on every Gram form and on the simple-trace matrix, in the
 residues of the generic table (``engine.ResidueConstants``), and specialise
@@ -180,14 +180,15 @@ def _table_module_letter(tab, label, letter):
 
 class GramMatrix:
     """The cellular bilinear form of one label, with its exact rank; only
-    a form that ``linalg.independent_mod_p`` does not certify is reduced."""
+    a form whose rank ``linalg.modp_rank_robust`` does not certify full is
+    reduced."""
 
     def __init__(self, label, entries, ctx):
         self.label = label
         self.entries = entries
         self.ctx = ctx
         self.dim = len(entries)
-        if linalg.independent_mod_p(entries):
+        if linalg.modp_rank_robust(entries)[0] == self.dim:
             pivots, reduced = list(range(self.dim)), None
         else:
             pivots, reduced = linalg.rref(ctx, entries)
@@ -355,15 +356,14 @@ def _residue_certified(r, s, spec, tab, traces):
         for label in labels:
             _check_symmetric(label, _gram_entries(
                 r, s, label, lambda a, b, c: res.parent.product(a, b).get(c)))
-            if not linalg.independent_mod_p(_gram_entries(
-                    r, s, label,
-                    lambda a, b, c: res.product(a, b).get(c, zero)), prime):
+            gram = _gram_entries(
+                r, s, label, lambda a, b, c: res.product(a, b).get(c, zero))
+            if linalg.modp_rank(gram, prime)[0] != len(gram):
                 return False
         if not traces:
             return True
         trace = [_layer_trace_table(res, label) for label in labels]
-        return linalg.independent_mod_p([list(row) for row in zip(*trace)],
-                                        prime)
+        return linalg.modp_rank(list(zip(*trace)), prime)[0] == len(trace)
     except DenominatorVanishes:
         return False
 

@@ -21,11 +21,11 @@ first two families).
 This module is the only one that knows how a value is stored.  Other modules
 use the operators of ``Scalar``, its truthiness for "nonzero", and the
 functions below: ``monomial`` (with ``zero`` and ``one``), ``specialize``,
-``evaluate`` (the rational value at a point), ``to_text`` (the canonical
-text form that results print; nothing parses it back),
-``generic_terms`` / ``generic_from_terms`` (an exponent-and-coefficient
-encoding of generic values), ``Scalar.has_table_denominator`` (the one
-denominator shape c*q^A*rho^B*(q^2-1)^K a table value may have), and
+``to_text`` (the canonical text form that results print; nothing parses
+it back), ``generic_terms`` / ``generic_from_terms`` (an
+exponent-and-coefficient encoding of generic values),
+``Scalar.has_table_denominator`` (the one denominator shape
+c*q^A*rho^B*(q^2-1)^K a table value may have), and
 ``Scalar.to_laurent`` / ``Scalar.from_laurent``, the lift of a ``qpow`` or
 ``rho = zeta^a`` value to a ``Laurent`` polynomial in q over a denominator
 and the lowering back, on which the tensor action runs, and
@@ -53,7 +53,7 @@ Z[q, rho] is a UFD: its terms, as ``generic_terms`` returns them and a
 stored table holds them, are the canonical terms of a value.  Every table value
 N / (c*q^A*rho^B*(q^2-1)^K) has r = 1 and i = j = K.  ``generic_from_terms``
 builds a value from canonical terms without normalising and keeps the
-terms with it, so ``specialize``, ``mod_p``, ``evaluate``, ``to_text`` and
+terms with it, so ``specialize``, ``mod_p``, ``to_text`` and
 ``generic_terms`` read a stored value's terms as they were loaded; any
 other value computes its terms once, on first read.
 
@@ -1427,24 +1427,6 @@ def specialize(x, target):
     return _substitute(target, *x.rep._terms())
 
 
-def evaluate(x, t, rho_exp=0):
-    """The value of a generic or qpow scalar at q = t, rho = t^rho_exp, as a
-    Fraction; on qpow:a, rho is q^a already and rho_exp is not used.
-
-    Raises DenominatorVanishes if the denominator is zero at that point.
-    """
-    if x.spec.kind == "cyclo":
-        raise ValueError("evaluate expects a generic or qpow scalar")
-    t = Fraction(t)
-
-    num, den = (sum(c * t ** (mono[0] + rho_exp * sum(mono[1:]))
-                    for mono, c in side)
-                for side in x.rep._terms())
-    if not den:
-        raise DenominatorVanishes("denominator vanishes at q=%s, rho=q^%d" % (t, rho_exp))
-    return num / den
-
-
 @functools.lru_cache(maxsize=None)
 def _modp_point(spec):
     """``(p, (image of q, image of rho))`` for the fixed ring map of the
@@ -1515,7 +1497,10 @@ def _terms_mod(terms, point, p):
 # ---------------------------------------------------------------------------
 
 def _format_rational_poly(terms, names):
-    """terms: list of (exponent tuple, Fraction); integer coefficients expected."""
+    """The text of a sum of (exponent tuple, coefficient) terms with
+    integral coefficients, highest exponents first; zero terms are
+    skipped.  ``to_text`` passes the two sides of a value's integer normal
+    form, of content 1 with a positive leading denominator, as they are."""
     terms = sorted(terms, key=lambda t: t[0], reverse=True)
     chunks = []
     for mono, c in terms:
@@ -1536,18 +1521,6 @@ def _format_rational_poly(terms, names):
     return "".join(chunks) if chunks else "0"
 
 
-def _integerize(num_terms, den_terms):
-    """Scale two Fraction-coefficient term lists to coprime integer contents,
-    with the leading denominator coefficient positive."""
-    coeffs = [c for _, c in num_terms + den_terms]
-    L = math.lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(L, math.gcd(*(int(c * L) for c in coeffs)) or 1)
-    if den_terms and max(den_terms, key=lambda t: t[0])[1] < 0:
-        scale = -scale
-    return ([(m, c * scale) for m, c in num_terms],
-            [(m, c * scale) for m, c in den_terms])
-
-
 def to_text(x):
     """Canonical text form: a polynomial, or a quotient of two in
     parentheses, in q and rho (z for zeta on ``cyclo`` fields), with ``^``
@@ -1557,13 +1530,13 @@ def to_text(x):
     if spec.kind != "cyclo" or spec.tie is not None:
         if spec.kind == "cyclo":
             names = ("z",)
-            num_terms = [((i,), c) for i, c in enumerate(x.rep.c) if c != 0]
-            den_terms = [((0,), Fraction(1))]
+            sides = ([((i,), c) for i, c in enumerate(x.rep.v)],
+                     [((0,), x.rep.den)])
         else:
             names = ("q", "rho") if spec.kind == "generic" else ("q",)
-            num_terms, den_terms = x.rep._terms()
+            sides = x.rep._terms()
         num_s, den_s = (_format_rational_poly(terms, names)
-                        for terms in _integerize(num_terms, den_terms))
+                        for terms in sides)
         return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
     # cyclotomic with free rho: polynomials in rho with cyclotomic coefficients
     rep = x.rep

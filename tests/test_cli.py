@@ -624,6 +624,31 @@ def test_verify_reports_failures_with_exit_two():
     assert err.strip() == "failed: relations:r1s1"
 
 
+def test_verify_without_a_table_exits_before_any_suite_runs(
+        monkeypatch, tmp_path):
+    # (3, 2) has no bundled table; the suites that read no table must not
+    # start before the missing one is reported
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+
+    def explode(*args, **kw):
+        raise AssertionError("a suite ran before the table was resolved")
+
+    for name in ("relation_suite", "schur_weyl_rank",
+                 "singular_dimension_check"):
+        monkeypatch.setattr(repthy, name, explode)
+    code, out, err = run_cli(["verify", "--r", "3", "--s", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: no table for (3, 2) in %s" % tmp_path)
+    assert err.count("\n") == 1
+
+
+def test_verify_a_suite_without_a_table_needs_none(monkeypatch, tmp_path):
+    monkeypatch.setenv("WBQ_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(["verify", "--r", "3", "--s", "2",
+                              "--only", "relations"])
+    assert (code, out, err) == (0, "PASS relations:r3s2\n", "")
+
+
 def test_expected_errors_surface_by_name_without_stack_traces():
     original = repthy.analyze
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from wbq import combinat, engine, linalg, scalars, tensor, words
-from wbq.errors import DenominatorVanishes, NotInSpan
-from wbq.linalg import RationalPointContext
+from wbq.errors import NotInSpan
+from wbq.linalg import FieldContext, RationalPointContext
 from wbq.scalars import FieldSpec
 
 
@@ -41,18 +41,9 @@ def test_build_coordinates_reaches_full_rank():
 
 
 def _exact_rref_pivots(system):
-    """Reference pivot choice: an exact rref of the rows at the first
-    sample point q = t where they evaluate, cut to one pivot per basis
-    word."""
-    for t in (2, 3, 5):
-        try:
-            numeric = [[v if isinstance(v, Fraction) else scalars.evaluate(v, t)
-                        for v in row] for row in system.rows]
-        except DenominatorVanishes:
-            continue
-        pivots, _ = linalg.rref(RationalPointContext(t, 0), numeric)
-        return pivots[:len(system.rows)]
-    raise AssertionError("no sample point evaluates the rows")
+    """Reference pivot choice: the pivots of an exact rref of the rows over
+    the system's own context, the greedy first independent columns."""
+    return linalg.rref(system.ctx, system.rows)[0]
 
 
 @pytest.mark.parametrize("ctx", [None, RationalPointContext(2, 3)],
@@ -85,6 +76,12 @@ def test_expand_undoes_the_internal_parameter_flip():
         assert not value
 
 
+def _value_at(value, t):
+    """The value at q = t of a ``qpow`` value, through its Laurent form."""
+    num, den = value.to_laurent()
+    return num(t) if den is None else num(t) / den(t)
+
+
 def test_numeric_expansions_are_the_values_of_the_symbolic_ones():
     # a coordinate system at the rational point (q, rho) = (t, t^(r+s))
     # expands into the values there of the field coefficients
@@ -103,7 +100,7 @@ def test_numeric_expansions_are_the_values_of_the_symbolic_ones():
             numeric = engine.CoordinateSystem.build(
                 r, s, ctx=RationalPointContext(t, r + s))
             for x in elements:
-                assert numeric.expand(x) == [scalars.evaluate(v, t)
+                assert numeric.expand(x) == [_value_at(v, t)
                                              for v in symbolic.expand(x)], (
                     r, s, t, x)
 
@@ -422,6 +419,28 @@ def test_generic_specializes_to_directly_computed_constants(table_21):
     assert seen.unit_expansion() == direct.unit_expansion()
     for key in ("e", "g1"):
         assert seen.generator_expansion(key) == direct.generator_expansion(key)
+
+
+@pytest.mark.parametrize("r, s", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("field, n", [
+    ("cyclo:5,rho=zeta^3", 3), ("cyclo:7,rho=zeta^4", 4),
+    ("cyclo:4,rho=zeta^3", 3)])
+def test_cyclotomic_coordinate_systems_agree_with_the_bundled_tables(
+        r, s, field, n):
+    # the tensor model at q = zeta, rho = zeta^n, certified through the
+    # field's ring map to Z/p, against the interpolated table specialised
+    # to that root of unity; cyclo:4 has e = 2
+    spec = FieldSpec.from_string(field)
+    system = engine.CoordinateSystem.build(r, s, ctx=FieldContext(spec), n=n)
+    assert system.rank == 6
+    view = engine.structure_constants(r, s).specialize(spec)
+    want = {}
+    for a in range(view.size):
+        for b in range(view.size):
+            vec = {c: v for c, v in view.product(a, b).items() if v}
+            if vec:
+                want[(a, b)] = vec
+    assert system.products() == want
 
 
 def _eager_images(vec, spec):

@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra layer."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wbq import linalg
+from wbq.cli import grid_fields
 from wbq.errors import DenominatorVanishes, RhoDependentDivisor
 from wbq.linalg import (
     _MODP_PRIMES,
     FieldContext,
     RationalPointContext,
     certified_kernel,
-    independent_mod_p,
     invert_square,
     kernel_basis,
     lagrange_poly,
@@ -310,7 +311,7 @@ def test_generic_rref_recovers_the_reduced_form_of_mixed_rows(case):
                 if j in pivots or j < pivots[i] else free[i * ncols + j]
                 for j in range(ncols)] for i in range(k)]
     a = [mixing[i * k:(i + 1) * k] for i in range(k + extra)]
-    assume(independent_mod_p(a))
+    assume(modp_rank_robust(a)[0] == k)
     rows = mat_mul(ctx, a, reduced)
     assert rref(ctx, rows) == (pivots, reduced)
     assert rank(ctx, rows) == k
@@ -521,18 +522,75 @@ def _residue_pivots(rows, p):
         st.one_of(st.integers(-3, 3), st.builds(
             Fraction, st.integers(-3, 3), st.sampled_from((2, 3)))),
         min_size=ncols, max_size=ncols), min_size=1, max_size=5)))
-def test_independent_mod_p_agrees_with_the_residue_rref(spec, rows):
+def test_modp_rank_robust_agrees_with_the_residue_rref(spec, rows):
     # the same rational matrix as constants of a field, whose ring map
-    # picks the prime, and as residues mod that prime, taken as they are
-    # with the prime named; the expected value comes from the reference
-    # elimination mod p, not from the modp_rank that independent_mod_p calls
+    # picks the prime, and as residues mod that prime, read by modp_rank
+    # with the prime named; the expected pivots come from the reference
+    # elimination mod p, not from modp_rank
     field = FieldContext(spec)
     p = field.one().mod_p()[1]
+    pivots = _residue_pivots(rows, p)
+    matrix = [[field.from_monomial(x) for x in row] for row in rows]
+    assert modp_rank_robust(matrix) == (len(pivots), pivots)
     residues = RationalPointContext(2, 0, p)
-    want = len(_residue_pivots(rows, p)) == len(rows[0])
-    for ctx in (field, residues):
-        matrix = [[ctx.from_monomial(x) for x in row] for row in rows]
-        assert independent_mod_p(matrix, ctx.prime) == want, ctx
+    matrix = [[residues.from_monomial(x) for x in row] for row in rows]
+    assert modp_rank(matrix, p) == (len(pivots), pivots)
+
+
+@st.composite
+def _grid_field_rows(draw):
+    """A grid field and rows over it: small combinations of up to three
+    rows of sums of monomials, so that many are dependent."""
+    ctx = FieldContext(draw(st.sampled_from(grid_fields())))
+    ncols, nbase, nrows = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def value():
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                                        st.integers(-2, 2)), max_size=2))
+        return sum((ctx.from_monomial(*term) for term in terms), ctx.zero())
+
+    base = [[value() for _ in range(ncols)] for _ in range(min(nbase, 3))]
+    rows = []
+    for _ in range(nrows):
+        mix = [ctx.from_monomial(draw(st.integers(-2, 2))) for _ in base]
+        rows.append([sum((c * row[j] for c, row in zip(mix, base)), ctx.zero())
+                     for j in range(ncols)])
+    return ctx, rows, draw(st.integers(0, nrows * ncols - 1))
+
+
+def _determinant(ctx, matrix):
+    """The determinant over the field, by the permutation expansion."""
+    total = ctx.zero()
+    for perm in itertools.permutations(range(len(matrix))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = ctx.from_monomial(sign)
+        for row, col in zip(matrix, perm):
+            term = term * row[col]
+        total = total + term
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(_grid_field_rows())
+def test_modp_rank_robust_on_field_rows_is_a_certificate(case):
+    # over the field's own ring map to Z/p: the rank is a lower bound on
+    # the exact one, and some rows on the pivot columns have a minor whose
+    # image is nonzero; an entry with no image certifies nothing
+    ctx, rows, spot = case
+    found, pivots = modp_rank_robust(rows)
+    assert found == len(pivots) <= rank(ctx, rows)
+    if found:
+        images = [_determinant(ctx, [[rows[i][j] for j in pivots]
+                                     for i in chosen]).mod_p()
+                  for chosen in itertools.combinations(range(len(rows)),
+                                                       found)]
+        assert any(image is not None and image[0] for image in images)
+    q = ctx.from_monomial(1, 1)
+    no_image = ctx.one() / (q - ctx.from_monomial(q.mod_p()[0]))
+    assert no_image.mod_p() is None
+    bad = [list(row) for row in rows]
+    bad[spot // len(rows[0])][spot % len(rows[0])] = no_image
+    assert modp_rank_robust(bad) == (0, [])
 
 
 # small primes, where a matrix is often singular mod p only, and the

@@ -174,8 +174,8 @@ def test_residue_certificates_agree_with_exact_elimination(r, s,
             gram = repthy.gram_matrix(r, s, label, table=tab)
             assert gram.rank == len(linalg.rref(tab.ctx, gram.entries)[0])
     fast = {spec: _outcome(r, s, spec) for spec in cli.grid_fields()}
-    monkeypatch.setattr(linalg, "independent_mod_p",
-                        lambda rows, prime=None: False)
+    # every rank certificate mod p misses, so every form is eliminated
+    monkeypatch.setattr(linalg, "modp_rank", lambda rows, prime=None: (0, []))
     for spec in cli.grid_fields():
         assert _outcome(r, s, spec) == fast[spec], spec
 
@@ -217,7 +217,7 @@ def test_a_rank_the_residues_miss_falls_back_to_exact_elimination():
         assert vanishing.mod_p()[0] == 0
         assert (scalars.one(spec) / vanishing).mod_p() is None
         for entry in (vanishing, scalars.one(spec) / vanishing):
-            assert not linalg.independent_mod_p([[entry]])
+            assert linalg.modp_rank_robust([[entry]]) == (0, [])
             gram = repthy.GramMatrix(None, [[entry]], ctx)
             assert (gram.rank, gram._pivots) == (1, [0])
             assert gram.radical_basis() == []

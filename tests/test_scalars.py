@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wbq import engine, scalars
 from wbq.scalars import (
-    FieldSpec, INFINITY, Scalar, delta, evaluate, monomial,
+    FieldSpec, INFINITY, Scalar, delta, monomial,
     one, q_elem, quantum_characteristic,
     quantum_factorial, quantum_integer, rho_elem, specialize, to_text, zero,
 )
@@ -73,6 +73,19 @@ def test_quantum_integer_examples():
     assert quantum_integer(0, GEN) == zero(GEN)
     # [-l] = -[l]
     assert quantum_integer(-3, GEN) == -quantum_integer(3, GEN)
+
+
+def test_text_of_rho_tied_cyclotomic_values():
+    # printed from the integer normal form v / den of the coordinates
+    spec = FieldSpec.from_string("cyclo:5,rho=zeta^3")
+    x = monomial(spec, Fraction(1, 2), 1) + monomial(spec, Fraction(-1, 3), 0, 1)
+    assert to_text(x) == "(-2*z^3 + 3*z)/(6)"
+    assert to_text(monomial(spec, 1, -1)) == "-z^3 - z^2 - z - 1"
+    assert to_text(monomial(spec, Fraction(1, 6))) == "(1)/(6)"
+    spec = FieldSpec.from_string("cyclo:4,rho=zeta^3")
+    assert to_text(rho_elem(spec)) == "-z"
+    assert to_text(monomial(spec, Fraction(3, 4), 0, 2)) == "(-3)/(4)"
+    assert to_text(zero(spec)) == "0"
 
 
 def test_quantum_integer_vanishes_at_quantum_characteristic():
@@ -407,31 +420,14 @@ def test_mod_p_is_a_ring_map(x, y, target, i, j):
     if vy and _divides(target, fy):
         assert (fx / fy).mod_p() == (vx * pow(vy, -1, p) % p, p)
     assert one(target).mod_p() == (1, p)
+    # the residue read from the generic terms is that of the image
+    assert x.mod_p(target) == (vx, p)
     t, u = q_elem(target).mod_p()[0], rho_elem(target).mod_p()[0]
     if target.tie is not None:
         assert u == pow(t, target.tie, p)
     # q^i reduced mod Phi_m maps to t^i: the image of zeta is a root of Phi_m
     assert monomial(target, 3, i, j).mod_p() == (
         3 * pow(t, i, p) * pow(u, j, p) % p, p)
-
-
-_POINTS = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-5, 3)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(_table_shaped_values(), _table_shaped_values(), st.sampled_from(_POINTS),
-       st.integers(-2, 4))
-def test_evaluate_is_the_value_at_the_point(x, y, t, a):
-    assert evaluate(x + y, t, a) == evaluate(x, t, a) + evaluate(y, t, a)
-    assert evaluate(x * y, t, a) == evaluate(x, t, a) * evaluate(y, t, a)
-    assert evaluate(specialize(x, FieldSpec.qpower(a)), t) == evaluate(x, t, a)
-
-
-def test_evaluate_raises_where_the_denominator_vanishes():
-    x = one(GEN) / (q_elem(GEN) - monomial(GEN, 2))
-    assert evaluate(x, 3) == 1
-    with pytest.raises(DenominatorVanishes, match="q=2, rho=q\\^0"):
-        evaluate(x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +587,14 @@ def test_cyclonum_matches_the_fraction_reference(case, pick_j, pick_k):
     if a:
         assert _agrees(a.inverse(), ra.inverse())
         assert a * a.inverse() == scalars.CycloNum.const(m, 1)
-    spec = FieldSpec.cyclotomic(m, 0)
-    assert to_text(scalars.Scalar(spec, a)) == to_text(scalars.Scalar(spec, ra))
+    # the text printed from the integer normal form is that of the
+    # Fraction coordinates over one common denominator
+    num, den = _integer_sides([((i,), c) for i, c in enumerate(ra.c)],
+                              [((0,), Fraction(1))])
+    num_s, den_s = (scalars._format_rational_poly(side, ("z",))
+                    for side in (num, den))
+    want = num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
+    assert to_text(scalars.Scalar(FieldSpec.cyclotomic(m, 0), a)) == want
 
 
 def test_inverting_zero_raises_on_every_call():
@@ -686,9 +688,9 @@ def test_evaluating_laurent_values_is_a_ring_homomorphism(x, y, t, n):
     assert (x * y)(t) == vx * vy
     assert (-x)(t) == -vx
     assert scalars.Laurent()(t) == 0
-    # the same value as lowering to qpow:n and evaluating there
-    spec = FieldSpec.qpower(n)
-    assert evaluate(Scalar.from_laurent(spec, x), t) == vx
+    # the same value as lowering to qpow:n, lifting back and evaluating
+    num, den = Scalar.from_laurent(FieldSpec.qpower(n), x).to_laurent()
+    assert (num(t) if den is None else num(t) / den(t)) == vx
 
 
 @settings(max_examples=80, deadline=None)
@@ -811,6 +813,18 @@ def _sympy_terms(poly):
             for mono, c in poly.items()]
 
 
+def _integer_sides(num, den):
+    """Two (exponent tuple, Fraction) term lists scaled by one rational to
+    integer coefficients of content 1, the leading denominator coefficient
+    positive: the reduced fraction's canonical terms."""
+    coeffs = [c for _, c in num + den]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)) or 1)
+    if den and max(den)[1] < 0:
+        scale = -scale
+    return ([(m, c * scale) for m, c in num], [(m, c * scale) for m, c in den])
+
+
 def _ref_laurent(terms):
     """The sympy Q(q) value of {exponent: rational coefficient}."""
     out = _QREF(0)
@@ -825,7 +839,7 @@ def _ref_text(value):
     gcd-normalised sympy fractions."""
     num, den = (_sympy_terms(side) for side in (value.numer, value.denom))
     num_s, den_s = (scalars._format_rational_poly(terms, ("q",))
-                    for terms in scalars._integerize(num, den))
+                    for terms in _integer_sides(num, den))
     return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
 
 
@@ -948,7 +962,7 @@ def _ref_generic_text(ref):
     values were sympy fractions."""
     num, den = (_sympy_terms(side) for side in (ref.numer, ref.denom))
     num_s, den_s = (scalars._format_rational_poly(terms, ("q", "rho"))
-                    for terms in scalars._integerize(num, den))
+                    for terms in _integer_sides(num, den))
     return num_s if den_s == "1" else "(%s)/(%s)" % (num_s, den_s)
 
 
