@@ -450,7 +450,9 @@ class ConstantsTable:
 class StructureConstants(ConstantsTable):
     """Fully materialized table (generic or directly-computed specialized).
     ``seed`` and ``depth`` record how it was built and change none of its
-    values.  ``decompositions`` is the memo of
+    values: ``depth`` is the exponent D of q - q^{-1} in the interpolated
+    denominators, not the rho window of the interpolation.
+    ``decompositions`` is the memo of
     ``repthy.decomposition_matrix``: field spec -> the integer answer
     computed from this table, which lives and dies with the table."""
 
@@ -765,13 +767,15 @@ def _node_expansions(r, s, ctx, seed):
     return out
 
 
-def _stage_one(values_by_node, nodes, stab_node, t, depth, p):
+def _stage_one(values_by_node, nodes, stab_node, t, window, p):
     """Interpolate the rho-dependence at one q-point mod p: Laurent window
-    [-depth, depth], checked against the extra stabilization node."""
+    [-window, window] in rho (not the table's exponent of q - q^{-1}),
+    fitted at ``nodes``; ``InterpolationUnstable`` if some fit disagrees
+    with the value at the extra stabilization node."""
     xs = [pow(t, n, p) for n in nodes]
-    x_pows = [pow(x, depth, p) for x in xs]
+    x_pows = [pow(x, window, p) for x in xs]
     x_stab = pow(t, stab_node, p)
-    x_stab_pow = pow(x_stab, depth, p)
+    x_stab_pow = pow(x_stab, window, p)
     keys = set()
     for table in values_by_node.values():
         keys.update((key, c) for key, vec in table.items() for c in vec)
@@ -785,21 +789,22 @@ def _stage_one(values_by_node, nodes, stab_node, t, depth, p):
         coeffs = linalg.lagrange_poly(xs, ys, p)
         if linalg.poly_eval(coeffs, x_stab, p) != stab_val * x_stab_pow % p:
             raise InterpolationUnstable(
-                "rho window [-%d, %d] too small at q=%d" % (depth, depth, t))
+                "rho window [-%d, %d] too small at q=%d" % (window, window, t))
         for k, coeff in enumerate(coeffs):
             if coeff:
-                out.setdefault((key, c), {})[k - depth] = coeff
+                out.setdefault((key, c), {})[k - window] = coeff
     return out
 
 
-def _interpolate_mod(r, s, seed, depth, p, progress):
+def _interpolate_mod(r, s, seed, depth, window, p, progress):
     """The numerators of the table over (q - q^{-1})^depth mod p, ``{(key,
     c, k, e): residue}`` for the coefficient of q^e rho^k of entry c of
-    ``key``.  The rho-dependence is fitted at each
-    q-point, then the q-dependence adaptively, adding q-points until three
-    extra ones confirm every fit."""
-    nodes = [r + s + k for k in range(2 * depth + 1)]
-    stab_node = r + s + 2 * depth + 1
+    ``key``.  The rho-dependence is fitted at each q-point over rho-exponents
+    k in [-window, window], from the nodes rho = q^n, n = r+s ..
+    r+s+2*window, and checked at n = r+s+2*window+1; then the q-dependence
+    adaptively, adding q-points until three extra ones confirm every fit."""
+    nodes = [r + s + k for k in range(2 * window + 1)]
+    stab_node = r + s + 2 * window + 1
     all_nodes = nodes + [stab_node]
     rho_data = {}         # (key, c) -> {rho_exp -> {t -> value}}
     accepted = {}         # (key, c) -> {rho_exp -> laurent dict}
@@ -816,7 +821,7 @@ def _interpolate_mod(r, s, seed, depth, p, progress):
         tables = {n: _node_expansions(r, s, RationalPointContext(t, n, p),
                                       seed)
                   for n in all_nodes}
-        stage = _stage_one(tables, nodes, stab_node, t, depth, p)
+        stage = _stage_one(tables, nodes, stab_node, t, window, p)
         for (key, c), kdict in stage.items():
             slot = rho_data.setdefault((key, c), {})
             for k, val in kdict.items():
@@ -916,8 +921,9 @@ def _assemble(r, s, seed, depth, coefficients):
                               products, generators, unit)
 
 
-def _build_generic_attempt(r, s, seed, depth, progress):
-    """The table for one rho window, from residues: the numerators are
+def _build_generic_attempt(r, s, seed, depth, window, progress):
+    """The table with denominators (q - q^{-1})^depth, its rho-dependence
+    fitted over [-window, window], from residues: the numerators are
     interpolated mod each prime of ``linalg._MODP_PRIMES`` in turn, lifted
     from every prime used so far by CRT and rational reconstruction, and
     accepted only through ``certify()``.  A rank deficit or a vanishing
@@ -927,7 +933,7 @@ def _build_generic_attempt(r, s, seed, depth, progress):
     failure = "no prime was tried"
     for p in linalg._MODP_PRIMES:
         try:
-            found = _interpolate_mod(r, s, seed, depth, p, progress)
+            found = _interpolate_mod(r, s, seed, depth, window, p, progress)
         except (RankCertificationFailed, DenominatorVanishes) as exc:
             failure = "mod %d: %s" % (p, exc)
             continue
@@ -949,14 +955,20 @@ def _build_generic_attempt(r, s, seed, depth, progress):
 
 
 def build_generic_table(r, s, seed=0, progress=None):
-    """Compute the generic multiplication table, doubling the rho window
-    once if the stability checks, or every prime, reject the first
-    attempt."""
+    """Compute the generic multiplication table.  With D = 2*min(r,s)+2,
+    the attempts (depth, rho window) are (D, min(r,s)), (D, D) and
+    (2D, 2D), each made only if the stability checks, or every prime,
+    reject the one before.  Every bundled table has rho-exponents in
+    [-min(r,s), min(r,s)], so the first attempt builds it; a rho window
+    too small for a table is rejected by a q-point's stabilization node,
+    or else by ``certify()``."""
     depth = 2 * min(r, s) + 2
-    try:
-        return _build_generic_attempt(r, s, seed, depth, progress)
-    except InterpolationUnstable:
-        return _build_generic_attempt(r, s, seed, 2 * depth, progress)
+    for window in (min(r, s), depth):
+        try:
+            return _build_generic_attempt(r, s, seed, depth, window, progress)
+        except InterpolationUnstable:
+            pass
+    return _build_generic_attempt(r, s, seed, 2 * depth, 2 * depth, progress)
 
 
 # ---------------------------------------------------------------------------

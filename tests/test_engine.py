@@ -226,6 +226,48 @@ def test_a_modular_point_keys_its_letter_constants_apart(monkeypatch):
         idx: _residue(v, p) for idx, v in exact.entries.items()}
 
 
+@pytest.mark.parametrize("t", [2, 5])
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 2)])
+def test_the_narrow_rho_window_fits_what_the_wide_one_fits(r, s, t):
+    # the first attempt of build_generic_table fits rho over
+    # [-min(r,s), min(r,s)], its next one over [-D, D]
+    p = linalg._MODP_PRIMES[0]
+    depth = 2 * min(r, s) + 2
+    tables = {n: engine._node_expansions(
+                  r, s, RationalPointContext(t, n, p), 0)
+              for n in range(r + s, r + s + 2 * depth + 2)}
+
+    def stage(window):
+        nodes = list(range(r + s, r + s + 2 * window + 1))
+        return engine._stage_one(tables, nodes, r + s + 2 * window + 1, t,
+                                 window, p)
+
+    narrow = stage(min(r, s))
+    assert narrow and narrow == stage(depth)
+    if (r, s) == (1, 1):
+        with pytest.raises(engine.InterpolationUnstable,
+                           match=re.escape("rho window [-0, 0] too small")):
+            stage(0)
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
+                                 (2, 2)])
+def test_bundled_values_have_rho_exponents_within_min_r_s(r, s):
+    # the fact behind the narrow first rho window of build_generic_table,
+    # read off the JSON alone
+    with open(engine.bundled_path(r, s)) as fh:
+        data = json.load(fh)
+    vecs = [data["one"], *data["generators"].values(),
+            *data["products"].values()]
+    values = [value for vec in vecs for value in vec.values()]
+    assert values
+    for num, den in values:
+        den_rho = {rho for _, rho, _ in den}
+        assert len(den_rho) == 1
+        power = den_rho.pop()
+        assert all(abs(rho - power) <= min(r, s) for _, rho, _ in num)
+
+
 def _reject_once(monkeypatch):
     """Make ``certify`` reject the first table it sees."""
     original = engine.StructureConstants.certify
@@ -246,9 +288,13 @@ def _reject_once(monkeypatch):
     (None, "certification rejected")])
 def test_a_failing_first_prime_moves_on_to_the_next(first, reason,
                                                     monkeypatch):
-    # mod 67 every residue is right but too large to lift; mod 73 the
-    # rho-nodes 2^n collide (2 has order 9); without a prime of its own,
-    # the certify() gate refuses the lift of the usual first prime
+    # mod 67 every residue is right but too large to lift; mod 73, over
+    # the rho window D = 4, the nodes 8^n, n = 2..10, collide (8 has order
+    # 3); without a prime of its own, the certify() gate refuses the lift
+    # of the usual first prime.  Over build_generic_table's first window
+    # min(r,s) = 1, mod 73 alone builds (1,1): three consecutive nodes
+    # collide only where t^2 = 1, which RationalPointContext refuses; so
+    # the 73 case builds over window 4 throughout.
     primes = linalg._MODP_PRIMES
     if first is None:
         seen = _reject_once(monkeypatch)
@@ -258,14 +304,17 @@ def test_a_failing_first_prime_moves_on_to_the_next(first, reason,
         primes = tried + primes
     monkeypatch.setattr(linalg, "_MODP_PRIMES", tried)
     with pytest.raises(engine.InterpolationUnstable, match=reason):
-        engine._build_generic_attempt(1, 1, 0, 4, None)
+        engine._build_generic_attempt(1, 1, 0, 4, 4, None)
     monkeypatch.setattr(linalg, "_MODP_PRIMES", primes)
     if first is None:
         seen.clear()
     messages = []
-    table = engine.build_generic_table(1, 1, progress=messages.append)
+    if first == 73:
+        table = engine._build_generic_attempt(1, 1, 0, 4, 4, messages.append)
+    else:
+        table = engine.build_generic_table(1, 1, progress=messages.append)
     assert _serialised(table) == _bundled_bytes(1, 1)
-    # the next prime serves the same rho window: no doubled retry
+    # the next prime serves the same attempt: no doubled retry
     assert table.depth == 4
     if first is None:
         assert len(seen) == 2
