@@ -771,10 +771,15 @@ def _stage_one(values_by_node, nodes, stab_node, t, window, p):
     """Interpolate the rho-dependence at one q-point mod p: Laurent window
     [-window, window] in rho (not the table's exponent of q - q^{-1}),
     fitted at ``nodes``; ``InterpolationUnstable`` if some fit disagrees
-    with the value at the extra stabilization node."""
+    with the value at the extra stabilization node, and
+    ``DenominatorVanishes`` if that node agrees with a fit node mod p, so
+    that it would check nothing."""
     xs = [pow(t, n, p) for n in nodes]
     x_pows = [pow(x, window, p) for x in xs]
     x_stab = pow(t, stab_node, p)
+    if x_stab in xs:
+        raise DenominatorVanishes(
+            "stabilization and fit nodes agree mod %d at q=%d" % (p, t))
     x_stab_pow = pow(x_stab, window, p)
     keys = set()
     for table in values_by_node.values():
@@ -955,20 +960,17 @@ def _build_generic_attempt(r, s, seed, depth, window, progress):
 
 
 def build_generic_table(r, s, seed=0, progress=None):
-    """Compute the generic multiplication table.  With D = 2*min(r,s)+2,
-    the attempts (depth, rho window) are (D, min(r,s)), (D, D) and
-    (2D, 2D), each made only if the stability checks, or every prime,
-    reject the one before.  Every bundled table has rho-exponents in
-    [-min(r,s), min(r,s)], so the first attempt builds it; a rho window
-    too small for a table is rejected by a q-point's stabilization node,
-    or else by ``certify()``."""
+    """Compute the generic multiplication table: denominators
+    (q - q^{-1})^D with D = 2*min(r,s)+2 and the rho window
+    [-min(r,s), min(r,s)], which holds every bundled table; if the
+    stability checks, or every prime, reject that attempt, once more with
+    2D for both."""
     depth = 2 * min(r, s) + 2
-    for window in (min(r, s), depth):
-        try:
-            return _build_generic_attempt(r, s, seed, depth, window, progress)
-        except InterpolationUnstable:
-            pass
-    return _build_generic_attempt(r, s, seed, 2 * depth, 2 * depth, progress)
+    try:
+        return _build_generic_attempt(r, s, seed, depth, min(r, s), progress)
+    except InterpolationUnstable:
+        return _build_generic_attempt(r, s, seed, 2 * depth, 2 * depth,
+                                      progress)
 
 
 # ---------------------------------------------------------------------------

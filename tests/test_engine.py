@@ -288,13 +288,10 @@ def _reject_once(monkeypatch):
     (None, "certification rejected")])
 def test_a_failing_first_prime_moves_on_to_the_next(first, reason,
                                                     monkeypatch):
-    # mod 67 every residue is right but too large to lift; mod 73, over
-    # the rho window D = 4, the nodes 8^n, n = 2..10, collide (8 has order
-    # 3); without a prime of its own, the certify() gate refuses the lift
-    # of the usual first prime.  Over build_generic_table's first window
-    # min(r,s) = 1, mod 73 alone builds (1,1): three consecutive nodes
-    # collide only where t^2 = 1, which RationalPointContext refuses; so
-    # the 73 case builds over window 4 throughout.
+    # mod 67 every residue is right but too large to lift; mod 73 the
+    # stabilization node q^5 repeats the fit node q^2 at q = 8 (8 has
+    # order 3); without a prime of its own, the certify() gate refuses the
+    # lift of the usual first prime
     primes = linalg._MODP_PRIMES
     if first is None:
         seen = _reject_once(monkeypatch)
@@ -304,21 +301,41 @@ def test_a_failing_first_prime_moves_on_to_the_next(first, reason,
         primes = tried + primes
     monkeypatch.setattr(linalg, "_MODP_PRIMES", tried)
     with pytest.raises(engine.InterpolationUnstable, match=reason):
-        engine._build_generic_attempt(1, 1, 0, 4, 4, None)
+        engine._build_generic_attempt(1, 1, 0, 4, 1, None)
     monkeypatch.setattr(linalg, "_MODP_PRIMES", primes)
     if first is None:
         seen.clear()
     messages = []
-    if first == 73:
-        table = engine._build_generic_attempt(1, 1, 0, 4, 4, messages.append)
-    else:
-        table = engine.build_generic_table(1, 1, progress=messages.append)
+    table = engine.build_generic_table(1, 1, progress=messages.append)
     assert _serialised(table) == _bundled_bytes(1, 1)
     # the next prime serves the same attempt: no doubled retry
     assert table.depth == 4
     if first is None:
         assert len(seen) == 2
         assert messages.count("certifying the interpolated table") == 2
+
+
+def test_a_rejected_narrow_window_falls_back_to_the_doubled_one(
+        monkeypatch):
+    original = engine._stage_one
+    windows = set()
+
+    def stage_one(values_by_node, nodes, stab_node, t, window, p):
+        windows.add(window)
+        if window == 1:
+            raise engine.InterpolationUnstable("window 1 refused")
+        return original(values_by_node, nodes, stab_node, t, window, p)
+
+    monkeypatch.setattr(engine, "_stage_one", stage_one)
+    table = engine.build_generic_table(1, 1)
+    assert windows == {1, 8}
+    assert table.depth == 8
+    # the same values over (q - q^{-1})^8: only the "D" field differs
+    rebuilt = json.loads(_serialised(table))
+    assert rebuilt.pop("D") == 8
+    bundled = json.loads(_bundled_bytes(1, 1))
+    assert bundled.pop("D") == 4
+    assert rebuilt == bundled
 
 
 def test_lift_needs_enough_primes():
