@@ -1,11 +1,13 @@
 """Expansion in the cellular basis and exact structure constants.
 
 The algebra acts on the mixed tensor space with rho tied to q^n, and for
-n >= r+s that action is faithful, so an element is pinned down by its images
-on a few seed vectors.  ``CoordinateSystem`` stores the images of all (r+s)!
-cellular basis words on such a seed family together with an exact solver;
-``expand`` writes any element in the cellular basis with an exactly-zero
-residual.
+n >= r+s that action is faithful (quantized mixed Schur-Weyl duality), so
+an element is pinned down by its images on a few seed vectors.  Every
+``CoordinateSystem`` draws its seeds from one support, the weight space of
+the index (1..r | 1..s), which already carries a faithful action: it
+stores the images of all (r+s)! cellular basis words on the seed family
+together with an exact solver, and ``expand`` writes any element in the
+cellular basis with an exactly-zero residual.
 
 Structure constants come in two flavours.  ``mode="generic"`` produces the
 multiplication table over the two-parameter ground field: the table is
@@ -40,7 +42,6 @@ pivot coordinates only, from one kernel call on the support vectors.
 
 import collections.abc
 import functools
-import itertools
 import json
 import math
 import operator
@@ -57,6 +58,7 @@ from .errors import (
     NotInSpan,
     OracleMismatch,
     RankCertificationFailed,
+    RankTooSmall,
     RhoDependentDivisor,
 )
 from .linalg import FieldContext, RationalPointContext
@@ -116,6 +118,23 @@ def _letter_key(letter):
 # coordinate systems
 # ---------------------------------------------------------------------------
 
+# the most seeds a coordinate system adjoins; (3,2) and (2,3) need 6
+_MAX_SEEDS = 8
+
+
+def _support_indices(n, r, s):
+    """The weight space of the index (1..r | 1..s) in the mixed tensor
+    space at n >= r+s, the support of every coordinate system.  For
+    r >= s its weight is Weyl-conjugate to (1^(r-s), 0, ...), the least
+    dominant weight of its sum, so every highest weight of the tensor
+    space dominates it and each isotypic component meets this weight
+    space (for s > r the mirror argument holds): the letters act
+    faithfully on it."""
+    base = tuple(range(1, r + 1)) + tuple(range(1, s + 1))
+    wt = weight_of_index(base, n, r, s)
+    return weight_space(wt, n, r, s)
+
+
 class CoordinateSystem:
     """Images of every cellular basis word on a fixed seed family.
 
@@ -149,38 +168,36 @@ class CoordinateSystem:
         self.action = words.WordAction(ctx, len(basis), self._letter_columns)
 
     @classmethod
-    def build(cls, r, s, seed=0, ctx=None, n=None, support=None,
-              max_seeds=4):
+    def build(cls, r, s, seed=0, ctx=None, n=None):
         """Build the coordinate system at rho = q^n (default n = r+s).
 
-        Seed vectors have dense small random integer coefficients on
-        ``support`` (all of the tensor space by default, else a union of
-        weight spaces, which the letters preserve) and are drawn
-        deterministically from ``seed``; more seeds are adjoined (up to
-        ``max_seeds``) until the certified rank reaches (r+s)!, otherwise
-        ``RankCertificationFailed`` is raised.  One kernel call gives a
-        seed's images under the whole cell basis.  The pivot columns are the
-        ones the modular rank certificate chose, and their square is
-        inverted over ``ctx`` directly.
+        Seed vectors have dense small random integer coefficients on the
+        one support ``_support_indices(n, r, s)``, which the letters
+        preserve, and are drawn deterministically from ``seed``.  Seeds are
+        adjoined, up to ``_MAX_SEEDS``, until the certified rank reaches
+        (r+s)!, otherwise ``RankCertificationFailed`` is raised.  At seed
+        0 the weight space needs 1 seed for (1,1), 2 for (2,1), (1,2) and
+        (2,2), 3 for (3,1) and (1,3), 4 for (4,1) and (1,4), and 6 for
+        (3,2) and (2,3), at every node the generic build samples.  Below
+        n = r+s the weight space is not faithful, and ``RankTooSmall`` is
+        raised.  One kernel call gives a seed's images under the whole cell
+        basis.  The pivot columns are the ones the modular rank certificate
+        chose, and their square is inverted over ``ctx`` directly.
         """
         n = (r + s) if n is None else n
+        if n < r + s:
+            raise RankTooSmall("need n >= r + s = %d, got %d" % (r + s, n))
         if ctx is None:
             ctx = FieldContext(FieldSpec.qpower(n))
         basis = cell_basis(r, s)
         nbasis = len(basis)
-        if support is None:
-            size = n ** (r + s)
-            if size > 300000:
-                raise ValueError("dense seeds too large at n=%d" % n)
-            support = [idx for idx in
-                       itertools.product(range(1, n + 1), repeat=r + s)]
-        support = list(support)
+        support = _support_indices(n, r, s)
         rng = random.Random("coords:%d:%d:%d:%r" % (r, s, n, seed))
         seeds = []
         tensor_images = []
         rows = None
         rank, pivots = 0, []
-        for _ in range(max_seeds):
+        for _ in range(_MAX_SEEDS):
             vec = TensorVector(
                 ctx, {idx: ctx.from_monomial(rng.randint(1, 9)) for idx in support})
             seeds.append(vec)
@@ -738,23 +755,14 @@ def _decode_scalar(obj):
 # the interpolation pipeline (generic mode)
 # ---------------------------------------------------------------------------
 
-def _support_indices(n, r, s):
-    base = tuple(range(1, r + 1)) + tuple(range(1, s + 1))
-    wt = weight_of_index(base, n, r, s)
-    return weight_space(wt, n, r, s)
-
-
 def _node_expansions(r, s, ctx, seed):
     """All expansions at the sample point of ``ctx``, (q, rho) = (t, t^n)
     with n = ``ctx.rhoexp``: the unit, every generator, and every product
-    of two basis words, as elements of ``ctx``."""
+    of two basis words, as elements of ``ctx``, from one coordinate
+    system; a rank deficit mod the prime raises
+    ``RankCertificationFailed``, and the attempt moves to the next prime."""
     n = ctx.rhoexp
-    support = _support_indices(n, r, s)
-    try:
-        system = CoordinateSystem.build(
-            r, s, seed=seed, ctx=ctx, n=n, support=support)
-    except RankCertificationFailed:
-        system = CoordinateSystem.build(r, s, seed=seed, ctx=ctx, n=n)
+    system = CoordinateSystem.build(r, s, seed=seed, ctx=ctx, n=n)
     seeds_coords = system._flatten(ctx, system.seeds, system.support)
     unit = system._solve(seeds_coords, check=False)
     out = {("one",): {c: v for c, v in enumerate(unit) if v}}
@@ -1025,10 +1033,11 @@ def bundled_path(r, s):
 def save_table(table, path):
     """Write a table atomically; emission order is canonical, so identical
     builds produce byte-identical files."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path) or os.curdir
+    os.makedirs(directory, exist_ok=True)
     payload = json.dumps(table.to_json_dict(), sort_keys=True,
                          separators=(",", ":"))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)

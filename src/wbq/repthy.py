@@ -1088,26 +1088,11 @@ def route_agreement(r, s, n=None, cache_dir=None):
     return True
 
 
-def _faithful_support(n, r, s):
-    """Union of weight spaces holding every contraction layer: one sample
-    index per number of matched pairs between the two sides."""
-    out = []
-    seen = set()
-    for k in range(min(r, s) + 1):
-        right = tuple(range(1, k + 1)) + tuple(range(r + 1, r + s - k + 1))
-        idx = tuple(range(1, r + 1)) + right
-        wt = tensor.weight_of_index(idx, n, r, s)
-        if wt in seen:
-            continue
-        seen.add(wt)
-        out.extend(tensor.weight_space(wt, n, r, s))
-    return out
-
-
 def gram_certificate_numeric(r, s):
     """Certify that every Gram determinant is generically nonzero by exact
     evaluation at the rational sample points q = 2, 3, 5 (sound one-sided
-    certificate)."""
+    certificate), each on the coordinate system at rho = q^(r+s), built on
+    the one support of ``engine.CoordinateSystem.build``."""
     labels = list(combinat.enumerate_labels(r, s))
     unresolved = set(range(len(labels)))
     n = r + s
@@ -1115,11 +1100,8 @@ def gram_certificate_numeric(r, s):
         if not unresolved:
             break
         ctx = RationalPointContext(t, n)
-        support = _faithful_support(n, r, s)
         try:
-            system = engine.CoordinateSystem.build(r, s, ctx=ctx, n=n,
-                                                   support=support,
-                                                   max_seeds=8)
+            system = engine.CoordinateSystem.build(r, s, ctx=ctx, n=n)
         except RankCertificationFailed:
             continue
 

@@ -108,9 +108,6 @@ class WordElement:
             for (a, b), c in sorted(bucket.items()):
                 yield word, c, a, b
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, WordElement) and self.terms == other.terms
 

@@ -33,16 +33,10 @@ def test_criterion_01_coordinate_rank_is_the_factorial():
     for (r, s) in [(1, 1), (2, 1), (1, 2)]:
         system = engine.CoordinateSystem.build(r, s)
         ok = ok and system.rank == math.factorial(r + s)
-    for (r, s) in [(2, 2), (3, 1)]:
+    for (r, s) in [(2, 2), (3, 1), (3, 2)]:
         ctx = RationalPointContext(2, r + s)
-        system = engine.CoordinateSystem.build(r, s, ctx=ctx, max_seeds=8)
+        system = engine.CoordinateSystem.build(r, s, ctx=ctx)
         ok = ok and system.rank == math.factorial(r + s)
-    n = 5
-    support = repthy._faithful_support(n, 3, 2)
-    system = engine.CoordinateSystem.build(
-        3, 2, n=n, ctx=RationalPointContext(2, n), support=support,
-        max_seeds=8)
-    ok = ok and system.rank == math.factorial(5)
     elapsed = time.time() - started
     ok = ok and elapsed < 600
     _report(1, "coordinate rank equals (r+s)! on all six shapes "

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from wbq import combinat, engine, linalg, scalars, tensor, words
-from wbq.errors import NotInSpan
+from wbq.errors import NotInSpan, RankTooSmall
 from wbq.linalg import FieldContext, RationalPointContext
 from wbq.scalars import FieldSpec
 
@@ -114,16 +114,16 @@ def test_expand_e_squared_is_delta():
 
 
 def test_expand_rejects_vectors_outside_the_span():
-    system = engine.CoordinateSystem.build(1, 1)
+    # (2,1) has 10 coordinates against rank 6; on (1,1)'s weight space the
+    # system is square and every vector lies in the span
+    system = engine.CoordinateSystem.build(2, 1)
+    assert len(system.rows[0]) > system.rank
     coords = system.coordinates(system.basis[0].element)
-    bad = list(coords)
-    bad[0] = bad[0] + system.ctx.one()
-    caught = False
-    try:
-        system.expand(bad)
-    except NotInSpan:
-        caught = True
-    assert caught
+    for pos in range(len(coords)):
+        bad = list(coords)
+        bad[pos] = bad[pos] + system.ctx.one()
+        with pytest.raises(NotInSpan):
+            system.expand(bad)
 
 
 def test_relation_closure_under_expansion():
@@ -368,6 +368,15 @@ def test_generic_table_certifies_and_caches_bit_identically(table_21):
         for a in range(table.size):
             for b in range(table.size):
                 assert table.product(a, b) == reloaded.product(a, b)
+
+
+def test_save_table_takes_a_bare_filename(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = engine.load_table(engine.bundled_path(1, 1), 1, 1)
+    engine.save_table(table, "t.json")
+    assert os.listdir(tmp_path) == ["t.json"]
+    assert (engine.load_table("t.json", 1, 1).to_json_dict()
+            == table.to_json_dict())
 
 
 def test_structure_constants_cache_file_lifecycle(tmp_path, monkeypatch):
@@ -623,7 +632,23 @@ def test_rank_certificates_at_numeric_points():
     for r, s in [(2, 2), (3, 1)]:
         n = r + s
         ctx = RationalPointContext(2, n)
-        support = engine._support_indices(n, r, s)
-        system = engine.CoordinateSystem.build(r, s, ctx=ctx, n=n,
-                                               support=support)
+        system = engine.CoordinateSystem.build(r, s, ctx=ctx, n=n)
         assert system.rank == len(system.basis)
+
+
+@pytest.mark.parametrize("r, s", [(3, 2), (2, 3)])
+def test_rank_five_systems_certify_on_the_weight_space(r, s):
+    # the (3,2) and (2,3) nodes need six seeds on the weight space of
+    # (1..r | 1..s), and no other support
+    ctx = RationalPointContext(2, 5, linalg._MODP_PRIMES[0])
+    system = engine.CoordinateSystem.build(r, s, ctx=ctx, n=5)
+    assert system.rank == 120
+    assert system.support == engine._support_indices(5, r, s)
+    assert len(system.support) == 109
+    assert len(system.seeds) == 6
+
+
+def test_build_refuses_a_rank_below_r_plus_s():
+    ctx = RationalPointContext(2, 3, linalg._MODP_PRIMES[0])
+    with pytest.raises(RankTooSmall):
+        engine.CoordinateSystem.build(2, 2, ctx=ctx, n=3)

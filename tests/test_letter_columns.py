@@ -1,14 +1,16 @@
 """The letter matrices of a coordinate system, read at the pivot
 coordinates only, against the dense reference they replace: every stored
 image acted on in full, flattened over the support and solved with its
-residual checked."""
+residual checked.  Each system is built on the one support of
+``CoordinateSystem.build``, the weight space of (1..r | 1..s), at a
+residue node, at a ``Fraction`` point or over a q-power field."""
 
 import functools
 from fractions import Fraction
 
 import pytest
 
-from wbq import engine, linalg, repthy, tensor
+from wbq import engine, linalg, tensor
 from wbq.linalg import FieldContext, RationalPointContext
 from wbq.scalars import FieldSpec
 
@@ -33,49 +35,48 @@ def _dense_letter_columns(system, letter):
 
 
 @functools.lru_cache(maxsize=None)
-def _system(r, s, point, support):
+def _system(r, s, point):
     """A coordinate system of B_{r,s} at one kind of point: a residue node
-    ``("residue", t, n)`` on the weight-space support of the generic build
-    (``support`` "weight") or on the full space ("full"), a ``Fraction``
-    point ``("fraction", t)`` on ``repthy._faithful_support``, or the field
-    ``("qpow", n)``."""
+    ``("residue", t, n)``, a ``Fraction`` point ``("fraction", t)`` at
+    n = r+s, or the field ``("qpow", n)``."""
     kind = point[0]
     if kind == "residue":
         _, t, n = point
         ctx = RationalPointContext(t, n, PRIME)
-        chosen = engine._support_indices(n, r, s) if support == "weight" \
-            else None
-        return engine.CoordinateSystem.build(r, s, ctx=ctx, n=n,
-                                             support=chosen)
-    if kind == "fraction":
+    elif kind == "fraction":
         n = r + s
-        return engine.CoordinateSystem.build(
-            r, s, ctx=RationalPointContext(point[1], n), n=n,
-            support=repthy._faithful_support(n, r, s), max_seeds=8)
-    n = point[1]
-    return engine.CoordinateSystem.build(
-        r, s, ctx=FieldContext(FieldSpec.qpower(n)), n=n)
+        ctx = RationalPointContext(point[1], n)
+    else:
+        n = point[1]
+        ctx = FieldContext(FieldSpec.qpower(n))
+    return engine.CoordinateSystem.build(r, s, ctx=ctx, n=n)
 
 
 RESIDUE_NODES = [(2, 0), (3, 2), (5, 5)]  # (t, n - (r + s))
 
 
 def _cases():
+    """``(r, s, point)`` and its test id.  The ids keep the numbering of a
+    list that also built every residue node on the full tensor space (the
+    odd numbers of the residue ids), so that a case keeps its id."""
+    number = 0
     for r, s in SHAPES:
         for t, dn in RESIDUE_NODES:
-            for support in ("weight", "full"):
-                yield r, s, ("residue", t, r + s + dn), support
-        yield r, s, ("fraction", Fraction(3, 2)), None
-        yield r, s, ("qpow", r + s), None
-    yield 2, 1, ("qpow", 4), None
+            yield (r, s, ("residue", t, r + s + dn)), \
+                "%d-%d-point%d-weight" % (r, s, number)
+            number += 2
+        for point in (("fraction", Fraction(3, 2)), ("qpow", r + s)):
+            yield (r, s, point), "%d-%d-point%d-None" % (r, s, number)
+            number += 1
+    yield (2, 1, ("qpow", 4)), "2-1-point%d-None" % number
 
 
-CASES = list(_cases())
+CASES, IDS = map(list, zip(*_cases()))
 
 
-@pytest.mark.parametrize("r,s,point,support", CASES)
-def test_pivot_read_matches_the_dense_reference(r, s, point, support):
-    system = _system(r, s, point, support)
+@pytest.mark.parametrize("r,s,point", CASES, ids=IDS)
+def test_pivot_read_matches_the_dense_reference(r, s, point):
+    system = _system(r, s, point)
     for letter in _letters(r, s):
         assert system._letter_columns(letter) == \
             _dense_letter_columns(system, letter), letter
@@ -84,14 +85,13 @@ def test_pivot_read_matches_the_dense_reference(r, s, point, support):
 def test_the_residue_cases_include_several_seeds():
     # the seed block of a pivot column is read, so some case must have
     # more than one seed
-    assert any(len(_system(r, s, point, support).seeds) > 1
-               for r, s, point, support in CASES if point[0] == "residue")
+    assert any(len(_system(r, s, point).seeds) > 1
+               for r, s, point in CASES if point[0] == "residue")
 
 
 def test_one_kernel_call_per_letter_and_no_flatten(monkeypatch):
-    systems = [_system(r, s, point, support)
-               for r, s, point, support in CASES]
-    systems.append(_system(2, 2, ("residue", 3, 6), "weight"))
+    systems = [_system(r, s, point) for r, s, point in CASES]
+    systems.append(_system(2, 2, ("residue", 3, 6)))
     calls = []
 
     def counted(name, function):
